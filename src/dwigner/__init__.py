@@ -18,3 +18,12 @@ from .fields import (
 __version__ = "0.1.0"
 
 FORMAT_VERSION = 1
+
+
+def fmt_number(x) -> str:
+    """A number as printed in every output: 12 significant digits, with
+    representation noise below 1e-13 shown as 0."""
+    x = float(x)
+    if abs(x) < 1e-13:
+        x = 0.0
+    return f"{x:.12g}"

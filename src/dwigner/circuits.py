@@ -19,6 +19,7 @@ each register exactly once, always the highest-indexed unmeasured one.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import CliffordElement, require_odd_prime
-from .weyl import clifford_generator, extract_symplectic
+from .weyl import _embed_F, clifford_generator, extract_symplectic
 from .wigner import Povm, state_from_wigner, validate_state, wigner_of_effect, wigner_of_state
 
 __all__ = [
@@ -99,22 +100,35 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _dim_header(path, num: int, line: str) -> int:
+    """d from a `dim <d>` header line."""
+    try:
+        d = int(line.split()[1])
+    except (IndexError, ValueError):
+        d = 0
+    if d < 1:
+        raise CircuitError(f"{path}: bad dim header {line!r}", num)
+    return d
+
+
+def _complex_matrix(tokens: list, d: int) -> np.ndarray:
+    """d x d matrix from row-major `re imag` token pairs."""
+    vals = np.array([float(t) for t in tokens])
+    return (vals[0::2] + 1j * vals[1::2]).reshape(d, d)
+
+
 def load_matrix_file(path) -> np.ndarray:
     """`dim <d>` header then d*d whitespace-separated `re imag` pairs, row-major."""
     lines = _content_lines(Path(path).read_text())
     if not lines or not lines[0][1].startswith("dim"):
         raise CircuitError(f"{path}: missing 'dim <d>' header")
-    try:
-        d = int(lines[0][1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise CircuitError(f"{path}: bad dim header {lines[0][1]!r}") from exc
+    d = _dim_header(path, *lines[0])
     tokens = " ".join(line for _, line in lines[1:]).split()
     if len(tokens) != 2 * d * d:
         raise CircuitError(
             f"{path}: expected {2 * d * d} numbers for a {d}x{d} matrix, got {len(tokens)}"
         )
-    vals = np.array([float(t) for t in tokens])
-    return (vals[0::2] + 1j * vals[1::2]).reshape(d, d)
+    return _complex_matrix(tokens, d)
 
 
 def write_matrix_file(path, M: np.ndarray) -> None:
@@ -170,9 +184,10 @@ def load_povm_file(path, p: int) -> Povm:
     i = 1
     while i < len(lines):
         num, line = lines[i]
-        if not line.startswith("effect"):
+        parts = line.split(None, 1)
+        if parts[0] != "effect" or len(parts) != 2:
             raise CircuitError(f"{path}: expected 'effect <label>'", num)
-        labels.append(line.split(None, 1)[1].strip())
+        labels.append(parts[1].strip())
         tokens: list[str] = []
         i += 1
         while i < len(lines) and not lines[i][1].startswith("effect"):
@@ -180,8 +195,7 @@ def load_povm_file(path, p: int) -> Povm:
             i += 1
         if len(tokens) != 2 * p * p:
             raise CircuitError(f"{path}: effect {labels[-1]!r} needs {p}x{p} entries", num)
-        vals = np.array([float(t) for t in tokens])
-        effects.append((vals[0::2] + 1j * vals[1::2]).reshape(p, p))
+        effects.append(_complex_matrix(tokens, p))
     if len(labels) != expected:
         raise CircuitError(f"{path}: header promised {expected} outcomes, found {len(labels)}")
     try:
@@ -320,48 +334,8 @@ class CircuitProgram:
     items: list  # instruction/label sequence
     labels: dict  # name -> item index
     max_registers: int = 0
+    register_counts: dict = field(default_factory=dict)  # item idx -> set of counts
     source: str = ""
-    _unitary_cache: dict = field(default_factory=dict, repr=False)
-
-    def unitary_for(self, item_idx: int, n: int) -> tuple[np.ndarray, CliffordElement]:
-        """Dense unitary + composed (F, a) for a gate/displace at register count n."""
-        key = (item_idx, n)
-        if key in self._unitary_cache:
-            return self._unitary_cache[key]
-        instr = self.items[item_idx]
-        if isinstance(instr, GateInstr):
-            U = np.eye(self.p**n, dtype=complex)
-            g = CliffordElement.identity(self.p, n)
-            for kind, kw in instr.word:
-                for r in _gate_registers((kind, kw)):
-                    if not 1 <= r <= n:
-                        raise CircuitError(
-                            f"gate register {r} out of range 1..{n}", instr.line
-                        )
-                Ui, gi = clifford_generator(kind, self.p, n=n, **kw)
-                U = Ui @ U
-                g = gi.compose(g)
-        elif isinstance(instr, DisplaceInstr):
-            if not 1 <= instr.reg <= n:
-                raise CircuitError(f"displace register {instr.reg} out of range", instr.line)
-            pt = np.zeros(2 * n, dtype=np.int64)
-            pt[2 * (instr.reg - 1)] = instr.point[0]
-            pt[2 * (instr.reg - 1) + 1] = instr.point[1]
-            U, g = clifford_generator("displace", self.p, n=n, point=pt)
-        else:
-            raise TypeError(f"item {item_idx} is not a gate")
-        self._unitary_cache[key] = (U, g)
-        return U, g
-
-    def straightline_unitary(self) -> np.ndarray:
-        """Product of all gates for measurement-free, extension-free programs."""
-        U = np.eye(self.p**self.n, dtype=complex)
-        for i, instr in enumerate(self.items):
-            if isinstance(instr, (GateInstr, DisplaceInstr)):
-                U = self.unitary_for(i, self.n)[0] @ U
-            elif isinstance(instr, (MeasureInstr, ExtendInstr)):
-                raise CircuitError("program is not a straight line of gates", instr.line)
-        return U
 
 
 def parse_circuit_file(path) -> CircuitProgram:
@@ -525,14 +499,16 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
         labels=labels,
         source=text,
     )
-    prog.max_registers = _check_paths(prog)
+    prog.max_registers, prog.register_counts = _check_paths(prog)
     return prog
 
 
-def _check_paths(prog: CircuitProgram) -> int:
+def _check_paths(prog: CircuitProgram) -> tuple[int, dict]:
     """Walk every control path; enforce the measurement-order rule and
-    measure-exactly-once; return the maximum register count."""
+    measure-exactly-once; return the maximum register count and, per item
+    index, the set of register counts it runs under."""
     max_regs = prog.n
+    counts: dict[int, set] = {}
     seen: set = set()
     stack = [(0, prog.n, frozenset())]
     while stack:
@@ -552,6 +528,7 @@ def _check_paths(prog: CircuitProgram) -> int:
                 )
             continue
         instr = prog.items[i]
+        counts.setdefault(i, set()).add(n_cur)
         if isinstance(instr, (GateInstr, DisplaceInstr)):
             regs = (
                 [instr.reg]
@@ -583,22 +560,25 @@ def _check_paths(prog: CircuitProgram) -> int:
                     stack.append((target, n_cur, measured2))
         else:
             raise TypeError(f"unexpected item {instr!r}")
-    return max_regs
+    return max_regs, counts
 
 
 @dataclass
 class ValidationReport:
     ok: bool
     problems: list
-    gate_maps: dict  # item idx -> CliffordElement at the item's register counts
+    gate_maps: dict  # (item idx, register count) -> CliffordElement
 
 
 def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     """Physical validation: input/effect positivity, per-gate Clifford check.
 
-    Gates must carry a = 0 (Weyl parts belong to displace instructions); the
-    claimed (F, a) of every gate is re-derived by brute-force conjugation of
-    the dense unitary and compared.
+    Each distinct generator call is certified once per p on its own
+    registers: the claimed (F, a) is re-derived by brute-force conjugation of
+    its dense unitary and compared, and gates must carry a = 0 (Weyl parts
+    belong to displace instructions).  An item's map at each register count
+    it runs under is the composition of its embedded certified calls;
+    `gate_maps` holds them keyed by (item index, register count).
     """
     problems = []
     for reg, (rho, spec) in enumerate(zip(prog.inputs, prog.input_specs), start=1):
@@ -638,52 +618,63 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                         f"at point ({worst // prog.p},{worst % prog.p})"
                     )
     gate_maps = {}
-    counts = _register_counts(prog)
     for i, instr in enumerate(prog.items):
-        if not isinstance(instr, (GateInstr, DisplaceInstr)):
+        if isinstance(instr, GateInstr):
+            calls = instr.word
+        elif isinstance(instr, DisplaceInstr):
+            calls = [("displace", {"register": instr.reg, "point": instr.point})]
+        else:
             continue
-        for n_cur in counts.get(i, {prog.n}):
+        # items no path reaches are still checked, at the initial register count
+        for n_cur in prog.register_counts.get(i, {prog.n}):
+            g = CliffordElement.identity(prog.p, n_cur)
             try:
-                U, claimed = prog.unitary_for(i, n_cur)
+                for call in calls:
+                    g = _embedded_map(call, prog.p, n_cur).compose(g)
             except CircuitError as exc:
-                problems.append(str(exc))
+                problems.append(f"line {instr.line}: {exc}")
                 continue
-            extracted = extract_symplectic(U, prog.p)
-            if extracted != claimed:
-                problems.append(
-                    f"line {instr.line}: extracted (F,a) differs from the claimed map"
-                )
-            if isinstance(instr, GateInstr) and extracted.a.any():
-                problems.append(
-                    f"line {instr.line}: gate carries a Weyl displacement "
-                    f"{tuple(extracted.a)}; use a displace instruction"
-                )
-            gate_maps[(i, n_cur)] = extracted
+            gate_maps[(i, n_cur)] = g
     return ValidationReport(ok=not problems, problems=problems, gate_maps=gate_maps)
 
 
-def _register_counts(prog: CircuitProgram) -> dict:
-    """Map item index -> set of register counts it can execute under."""
-    out: dict[int, set] = {}
-    seen = set()
-    stack = [(0, prog.n)]
-    while stack:
-        i, n_cur = stack.pop()
-        if (i, n_cur) in seen or i >= len(prog.items):
-            continue
-        seen.add((i, n_cur))
-        instr = prog.items[i]
-        if isinstance(instr, LabelMarker):
-            continue
-        out.setdefault(i, set()).add(n_cur)
-        if isinstance(instr, ExtendInstr):
-            stack.append((i + 1, n_cur + instr.count))
-        elif isinstance(instr, MeasureInstr) and instr.branch is not None:
-            for target in instr.branch.values():
-                stack.append((target, n_cur))
-        else:
-            stack.append((i + 1, n_cur))
-    return out
+@functools.lru_cache(maxsize=None)
+def _certified_map(p: int, kind: str, params: tuple) -> CliffordElement:
+    """(F, a) of one generator call on its own registers, numbered from 1 in
+    their original order: the table's claim, checked against the map
+    re-derived from the dense p x p (p^2 x p^2 for sum) unitary."""
+    U, claimed = clifford_generator(kind, p, n=2 if kind == "sum" else 1, **dict(params))
+    extracted = extract_symplectic(U, p)
+    if extracted != claimed:
+        raise CircuitError(f"{kind}: extracted (F,a) differs from the claimed map")
+    if kind != "displace" and extracted.a.any():
+        raise CircuitError(
+            f"gate carries a Weyl displacement {tuple(extracted.a)}; use a displace instruction"
+        )
+    return extracted
+
+
+def _embedded_map(call, p: int, n: int) -> CliffordElement:
+    """The certified map of a generator call, embedded into n registers.
+
+    The call's unitary is its local unitary tensored with the identity on the
+    other registers (up to reordering tensor factors, which keeps the local
+    order), and T_u factorizes over registers, so (F, a) acts on the call's
+    blocks as certified and as the identity elsewhere.
+    """
+    kind, kw = call
+    regs = sorted(_gate_registers(call))
+    for r in regs:
+        if not 1 <= r <= n:
+            raise CircuitError(f"register {r} out of range 1..{n}")
+    params = {k: v for k, v in kw.items() if k not in ("register", "ctrl", "tgt")}
+    if kind == "sum":
+        params["ctrl"], params["tgt"] = (1, 2) if kw["ctrl"] < kw["tgt"] else (2, 1)
+    local = _certified_map(p, kind, tuple(sorted(params.items())))
+    a = np.zeros(2 * n, dtype=np.int64)
+    for j, r in enumerate(regs):
+        a[2 * r - 2 : 2 * r] = local.a[2 * j : 2 * j + 2]
+    return CliffordElement(_embed_F(local.F, n, regs), a, p)
 
 
 # --- slice files ------------------------------------------------------------

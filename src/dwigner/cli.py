@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import FORMAT_VERSION, __version__
+from . import FORMAT_VERSION, __version__, fmt_number
 from .circuits import (
     CircuitError,
     load_matrix_file,
@@ -42,13 +42,6 @@ from .stabilizer import mub_stabilizer_states
 from .wigner import negativity_F, wigner_of_state
 
 __all__ = ["main"]
-
-
-def _g(x) -> str:
-    x = float(x)
-    if abs(x) < 1e-13:  # suppress representation noise in reports
-        x = 0.0
-    return "%.12g" % x
 
 
 def _emit(text: str, out_path) -> None:
@@ -84,11 +77,11 @@ def cmd_wigner(args) -> int:
     lines.append("index," + ",".join(coord_names) + ",value")
     for i, v in enumerate(W.values):
         pt = index_point(i, p, n)
-        lines.append(f"{i}," + ",".join(str(c) for c in pt) + f",{_g(v)}")
+        lines.append(f"{i}," + ",".join(str(c) for c in pt) + f",{fmt_number(v)}")
     worst = int(np.argmin(W.values))
     flag = "NEGATIVE" if W.values[worst] < -1e-12 else "NONNEGATIVE"
-    lines.append(f"# min_W = {_g(W.values[worst])} at index {worst}")
-    lines.append(f"# F = {_g(negativity_F(rho, p))}")
+    lines.append(f"# min_W = {fmt_number(W.values[worst])} at index {worst}")
+    lines.append(f"# F = {fmt_number(negativity_F(rho, p))}")
     lines.append(f"# flag = {flag}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -108,7 +101,7 @@ def cmd_sample(args) -> int:
     if args.seed is None:
         print("error: sampling requires an explicit --seed", file=sys.stderr)
         return 2
-    rpt = sample_classical(prog, seed=args.seed, shots=args.shots, jobs=args.jobs, validated=True)
+    rpt = sample_classical(prog, seed=args.seed, shots=args.shots, jobs=args.jobs)
     ref = None
     cmp_res = None
     if args.oracle_check:
@@ -119,17 +112,17 @@ def cmd_sample(args) -> int:
     alphabet = sorted(set(rpt.counts) | (set(ref.probabilities) if ref else set()))
     for k in alphabet:
         c = rpt.counts.get(k, 0)
-        refp = _g(ref.probabilities[k]) if ref else ""
-        lines.append(f"{k},{c},{_g(c / rpt.shots)},{refp}")
+        refp = fmt_number(ref.probabilities[k]) if ref else ""
+        lines.append(f"{k},{c},{fmt_number(c / rpt.shots)},{refp}")
     lines.append(f"# shots = {rpt.shots}")
     lines.append(f"# seed = {rpt.seed}")
     lines.append(f"# field_mults = {rpt.field_mults}")
     lines.append(f"# field_adds = {rpt.field_adds}")
     if cmp_res:
-        lines.append(f"# tv = {_g(cmp_res.tv)}")
-        lines.append(f"# epsilon = {_g(cmp_res.epsilon)}")
-        lines.append(f"# chi2_stat = {_g(cmp_res.chi2_stat)}")
-        lines.append(f"# chi2_p = {_g(cmp_res.chi2_p)}")
+        lines.append(f"# tv = {fmt_number(cmp_res.tv)}")
+        lines.append(f"# epsilon = {fmt_number(cmp_res.epsilon)}")
+        lines.append(f"# chi2_stat = {fmt_number(cmp_res.chi2_stat)}")
+        lines.append(f"# chi2_p = {fmt_number(cmp_res.chi2_p)}")
         lines.append(f"# verdict = {cmp_res.verdict}")
     _emit("\n".join(lines) + "\n", args.out)
     if cmp_res and cmp_res.verdict != "PASS":
@@ -153,7 +146,7 @@ def cmd_facets(args) -> int:
             all_ok &= r.is_facet
             lines.append(
                 f"{a1},{a2},{r.all_vertices_nonnegative},{r.saturating_count},"
-                f"{r.saturating_span_dim},{r.is_facet},{_g(r.min_vertex_value)}"
+                f"{r.saturating_span_dim},{r.is_facet},{fmt_number(r.min_vertex_value)}"
             )
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 1
@@ -169,15 +162,15 @@ def cmd_classify(args) -> int:
     label, details = classify_state(rho=rho, p=p, S=S)
     lines = [f"# format-version {FORMAT_VERSION}"]
     lines.append(f"label = {label}")
-    lines.append(f"min_eig = {_g(details['min_eig'])}")
-    lines.append(f"min_W = {_g(details['min_wigner'])}")
+    lines.append(f"min_eig = {fmt_number(details['min_eig'])}")
+    lines.append(f"min_W = {fmt_number(details['min_wigner'])}")
     cert = details.get("certificate")
     if cert is not None:
         if cert.inside:
-            lines.append(f"lp_residual = {_g(cert.residual)}")
+            lines.append(f"lp_residual = {fmt_number(cert.residual)}")
         else:
-            lines.append(f"lp_violation = {_g(cert.violation)}")
-            lines.append("witness_y = " + " ".join(_g(y) for y in cert.witness_y))
+            lines.append(f"lp_violation = {fmt_number(cert.violation)}")
+            lines.append("witness_y = " + " ".join(fmt_number(y) for y in cert.witness_y))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -208,8 +201,8 @@ def cmd_distill_check(args) -> int:
                 continue
             all_pass &= res.verdict == "PASS"
             lines.append(
-                f"{i},{_g(res.F_in)},{_g(res.F_out)},"
-                f"{_g(res.branch_probability)},{res.verdict}"
+                f"{i},{fmt_number(res.F_in)},{fmt_number(res.F_out)},"
+                f"{fmt_number(res.branch_probability)},{res.verdict}"
             )
         lines.append(f"# verdict = {'PASS' if all_pass else 'FAIL'}")
         _emit("\n".join(lines) + "\n", args.out)
@@ -220,9 +213,9 @@ def cmd_distill_check(args) -> int:
     inst = parse_distill_file(args.instance)
     res = distill_step(inst, force_negative_input=args.force_negative_input)
     lines = [f"# format-version {FORMAT_VERSION}"]
-    lines.append(f"F_in = {_g(res.F_in)}")
-    lines.append(f"F_out = {_g(res.F_out)}")
-    lines.append(f"branch_probability = {_g(res.branch_probability)}")
+    lines.append(f"F_in = {fmt_number(res.F_in)}")
+    lines.append(f"F_out = {fmt_number(res.F_out)}")
+    lines.append(f"branch_probability = {fmt_number(res.branch_probability)}")
     lines.append(f"verdict = {res.verdict if res.verdict else 'RECORDED'}")
     _emit("\n".join(lines) + "\n", args.out)
     if res.verdict == "FAIL":

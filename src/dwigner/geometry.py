@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
+from . import FORMAT_VERSION, fmt_number
 from .exactlp import feasible_nonnegative
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, mub_stabilizer_states
@@ -380,20 +381,13 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
     return rows
 
 
-def _fmt(x) -> str:
-    x = float(x)
-    if abs(x) < 1e-13:  # suppress representation noise in reports
-        x = 0.0
-    return f"{x:.12g}"
-
-
-def slice_csv(rows: list, spec: SliceSpec, format_version: int = 1) -> str:
+def slice_csv(rows: list, spec: SliceSpec) -> str:
     axes = len(spec.free)
     header = ",".join([f"axis{i + 1}" for i in range(axes)] + ["label", "min_eig", "min_wigner", "lp_margin"])
-    lines = [f"# format-version {format_version}", header]
+    lines = [f"# format-version {FORMAT_VERSION}", header]
     for row in rows:
-        cells = [_fmt(c) for c in row.coords]
-        cells += [row.label, _fmt(row.min_eig), _fmt(row.min_wigner)]
-        cells.append("" if row.lp_margin is None else _fmt(row.lp_margin))
+        cells = [fmt_number(c) for c in row.coords]
+        cells += [row.label, fmt_number(row.min_eig), fmt_number(row.min_wigner)]
+        cells.append("" if row.lp_margin is None else fmt_number(row.lp_margin))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

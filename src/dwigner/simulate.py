@@ -14,7 +14,8 @@ parallel execution reproduces identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -32,9 +33,12 @@ from .circuits import (
     load_matrix_file,
     preset_state,
     validate_circuit,
+    _complex_matrix,
     _content_lines,
+    _dim_header,
+    _parse_gate_word,
 )
-from .weyl import clifford_generator
+from .weyl import _embed_single, clifford_generator
 from .wigner import validate_state, wigner_of_effect, wigner_of_state
 from .fields import require_odd_prime
 
@@ -109,11 +113,21 @@ class CompareResult:
 
 # --- dense oracle -----------------------------------------------------------
 
-def _embed_single_op(E: np.ndarray, reg: int, n: int, p: int) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for r in range(1, n + 1):
-        out = np.kron(out, E if r == reg else np.eye(p))
-    return out
+def _word_unitary(p: int, n: int, word) -> np.ndarray:
+    """Dense product of generator calls [(kind, kwargs), ...] in application order."""
+    U = np.eye(p**n, dtype=complex)
+    for kind, kw in word:
+        U = clifford_generator(kind, p, n=n, **kw)[0] @ U
+    return U
+
+
+def _item_unitary(instr, p: int, n: int) -> np.ndarray:
+    """Dense unitary of a gate or displace instruction on n registers."""
+    if isinstance(instr, GateInstr):
+        return _word_unitary(p, n, instr.word)
+    pt = np.zeros(2 * n, dtype=np.int64)
+    pt[2 * instr.reg - 2 : 2 * instr.reg] = instr.point
+    return _word_unitary(p, n, [("displace", {"point": pt})])
 
 
 def _psd_sqrt(E: np.ndarray) -> np.ndarray:
@@ -134,6 +148,12 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
         rho = np.kron(rho, r)
     results: dict[str, float] = {}
     sqrt_cache: dict[int, list] = {}
+    unitaries = {  # (item idx, register count) -> U
+        (i, n): _item_unitary(instr, p, n)
+        for i, instr in enumerate(prog.items)
+        if isinstance(instr, (GateInstr, DisplaceInstr))
+        for n in prog.register_counts.get(i, ())
+    }
 
     def walk(i: int, rho, n_cur: int, outcomes: dict, prob: float):
         if i >= len(prog.items) or isinstance(prog.items[i], LabelMarker):
@@ -142,7 +162,7 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
             return
         instr = prog.items[i]
         if isinstance(instr, (GateInstr, DisplaceInstr)):
-            U, _ = prog.unitary_for(i, n_cur)
+            U = unitaries[(i, n_cur)]
             walk(i + 1, U @ rho @ U.conj().T, n_cur, outcomes, prob)
         elif isinstance(instr, ExtendInstr):
             for extra in instr.states:
@@ -154,11 +174,11 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
             for label, E, M in zip(
                 instr.povm.labels, instr.povm.effects, sqrt_cache[instr.line]
             ):
-                Efull = _embed_single_op(E, instr.reg, n_cur, p)
+                Efull = _embed_single(E, p, n_cur, instr.reg)
                 pk = float(np.trace(Efull @ rho).real)
                 if pk < 1e-15:
                     continue
-                Mfull = _embed_single_op(M, instr.reg, n_cur, p)
+                Mfull = _embed_single(M, p, n_cur, instr.reg)
                 rho_k = Mfull @ rho @ Mfull.conj().T / pk
                 out2 = dict(outcomes)
                 out2[instr.reg] = label
@@ -193,20 +213,21 @@ def sample_classical(
     seed: int,
     shots: int,
     jobs: int = 1,
-    validated: bool = False,
 ) -> SampleReport:
-    """Algorithm-class-2 sampler; deterministic for a seed at any jobs count."""
-    if not validated:
-        report = validate_circuit(prog)
-        if not report.ok:
-            raise CircuitError("; ".join(report.problems))
+    """Algorithm-class-2 sampler; deterministic for a seed at any jobs count.
+
+    Validates the program first and pushes points through the validator's
+    gate maps.
+    """
+    report = validate_circuit(prog)
+    if not report.ok:
+        raise CircuitError("; ".join(report.problems))
     p = prog.p
     input_dists = [np.cumsum(_distribution_of(r, p)) for r in prog.inputs]
     for c in input_dists:
         c[-1] = 1.0
     extend_dists = {}
     povm_cums = {}
-    gate_maps = {}
     for i, instr in enumerate(prog.items):
         if isinstance(instr, ExtendInstr):
             cums = []
@@ -229,7 +250,7 @@ def sample_classical(
         if lo == hi:
             continue
         chunk_counts, m, a = _run_chunk(
-            prog, uniforms[lo:hi], input_dists, extend_dists, povm_cums, gate_maps
+            prog, uniforms[lo:hi], input_dists, extend_dists, povm_cums, report.gate_maps
         )
         for k, v in chunk_counts.items():
             counts[k] = counts.get(k, 0) + v
@@ -274,10 +295,7 @@ def _run_chunk(prog, U, input_dists, extend_dists, povm_cums, gate_maps):
             instr = prog.items[i]
             n_cur = upts_c.shape[1] // 2
             if isinstance(instr, GateInstr):
-                key = (i, n_cur)
-                if key not in gate_maps:
-                    gate_maps[key] = prog.unitary_for(i, n_cur)[1]
-                g = gate_maps[key]
+                g = gate_maps[(i, n_cur)]
                 upts_c = (upts_c @ g.F.T) % p
                 ops[0] += rows.size * (2 * n_cur) ** 2
                 i += 1
@@ -493,25 +511,23 @@ def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> Disti
     """Random Clifford channel + stabilizer projector + positive product input."""
     from .stabilizer import mub_stabilizer_states
 
-    U = np.eye(p**n, dtype=complex)
     kinds = ["fourier", "quadratic", "multiply", "sum", "displace"]
+    word = []
     for _ in range(word_length):
         kind = kinds[rng.integers(len(kinds))]
         if kind == "multiply":
-            Ui, _ = clifford_generator(
-                kind, p, n=n, c=int(rng.integers(1, p)), register=int(rng.integers(1, n + 1))
-            )
+            kw = {"c": int(rng.integers(1, p)), "register": int(rng.integers(1, n + 1))}
         elif kind == "sum":
             ctrl = int(rng.integers(1, n + 1))
             tgt = int(rng.integers(1, n))
             if tgt >= ctrl:
                 tgt += 1
-            Ui, _ = clifford_generator(kind, p, n=n, ctrl=ctrl, tgt=tgt)
+            kw = {"ctrl": ctrl, "tgt": tgt}
         elif kind == "displace":
-            Ui, _ = clifford_generator(kind, p, n=n, point=rng.integers(0, p, size=2 * n))
+            kw = {"point": rng.integers(0, p, size=2 * n)}
         else:
-            Ui, _ = clifford_generator(kind, p, n=n, register=int(rng.integers(1, n + 1)))
-        U = Ui @ U
+            kw = {"register": int(rng.integers(1, n + 1))}
+        word.append((kind, kw))
     mub = mub_stabilizer_states(p)
     anc = np.ones((1, 1), dtype=complex)
     for _ in range(n - 1):
@@ -520,7 +536,7 @@ def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> Disti
         p=p,
         n=n,
         rho_in=random_positive_product_state(p, n, rng),
-        channel=("unitary", U),
+        channel=("unitary", _word_unitary(p, n, word)),
         projector=anc,
     )
 
@@ -532,10 +548,8 @@ def parse_distill_file(path) -> DistillationInstance:
     lines = _content_lines(path.read_text())
     if not lines:
         raise CircuitError(f"{path}: empty distillation file")
-    import re as _re
-
     num, head = lines[0]
-    m = _re.match(r"^distill\s+p=(\d+)\s+n=(\d+)$", head)
+    m = re.match(r"^distill\s+p=(\d+)\s+n=(\d+)$", head)
     if not m:
         raise CircuitError(f"expected 'distill p=<p> n=<n>', got {head!r}", num)
     p, n = int(m.group(1)), int(m.group(2))
@@ -561,14 +575,8 @@ def parse_distill_file(path) -> DistillationInstance:
                 raise CircuitError(f"bad input spec {rest!r}", num)
         elif key == "channel":
             if rest.startswith("gates "):
-                from .circuits import _parse_gate_word
-
                 word = _parse_gate_word(rest.split(" ", 1)[1], p, num)
-                U = np.eye(p**n, dtype=complex)
-                for kind, kw in word:
-                    Ui, _ = clifford_generator(kind, p, n=n, **kw)
-                    U = Ui @ U
-                channel = ("unitary", U)
+                channel = ("unitary", _word_unitary(p, n, word))
             elif rest.startswith("kraus-file:"):
                 tokens = rest.split()
                 kfile = tokens[0].split(":", 1)[1]
@@ -604,7 +612,7 @@ def _load_kraus_file(path) -> list:
         num, line = lines[i]
         if not line.startswith("dim"):
             raise CircuitError(f"{path}: expected 'dim <d>' block header", num)
-        d = int(line.split()[1])
+        d = _dim_header(path, num, line)
         tokens: list[str] = []
         i += 1
         while i < len(lines) and not lines[i][1].startswith("dim"):
@@ -612,8 +620,7 @@ def _load_kraus_file(path) -> list:
             i += 1
         if len(tokens) != 2 * d * d:
             raise CircuitError(f"{path}: block needs {2 * d * d} numbers", num)
-        vals = np.array([float(t) for t in tokens])
-        blocks.append((vals[0::2] + 1j * vals[1::2]).reshape(d, d))
+        blocks.append(_complex_matrix(tokens, d))
     if not blocks:
         raise CircuitError(f"{path}: no Kraus blocks found")
     return blocks

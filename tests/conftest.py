@@ -2,8 +2,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dwigner.stabilizer import mub_stabilizer_states
+
+# the same examples on every run, and no per-example deadline on a busy machine
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 

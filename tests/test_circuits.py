@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwigner.circuits import (
     CircuitError,
@@ -13,6 +15,7 @@ from dwigner.circuits import (
     validate_circuit,
     write_matrix_file,
 )
+from dwigner.weyl import clifford_generator, extract_symplectic
 
 MINIMAL = """\
 qudits p=3 n=1
@@ -316,3 +319,94 @@ def test_format_header_line_tolerated():
     src = "format 1\n" + MINIMAL
     prog = parse_circuit(src)
     assert prog.p == 3
+
+
+# --- gate maps: certified generators composed symbolically --------------------
+
+@st.composite
+def gate_programs(draw, p):
+    """Random gate and displace items over all five generator kinds."""
+    n = draw(st.integers(1, 4))
+    reg = st.integers(1, n)
+    kinds = ["fourier", "quadratic", "multiply"] + (["sum"] if n > 1 else [])
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            items.append(("displace", draw(reg), draw(st.integers(0, p - 1)),
+                          draw(st.integers(0, p - 1))))
+            continue
+        word = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "sum":
+                ctrl, tgt = draw(st.lists(reg, min_size=2, max_size=2, unique=True))
+                word.append(("sum", {"ctrl": ctrl, "tgt": tgt}))
+            elif kind == "multiply":
+                word.append(("multiply", {"c": draw(st.integers(1, p - 1)), "register": draw(reg)}))
+            else:
+                word.append((kind, {"register": draw(reg)}))
+        items.append(("gate", word))
+    return n, items
+
+
+def _gate_text(item) -> str:
+    if item[0] == "displace":
+        _, r, a1, a2 = item
+        return f"displace {r} ({a1},{a2})"
+    calls = []
+    for kind, kw in item[1]:
+        args = {"sum": ("ctrl", "tgt"), "multiply": ("c", "register")}.get(kind, ("register",))
+        calls.append(f"{kind}({','.join(str(kw[a]) for a in args)})")
+    return "gate " + "; ".join(calls)
+
+
+def _dense_item_unitary(item, p, n):
+    """The per-gate dense route: product of full n-register generator unitaries."""
+    if item[0] == "displace":
+        _, r, a1, a2 = item
+        pt = np.zeros(2 * n, dtype=np.int64)
+        pt[2 * r - 2 : 2 * r] = (a1, a2)
+        return clifford_generator("displace", p, n=n, point=pt)[0]
+    U = np.eye(p**n, dtype=complex)
+    for kind, kw in item[1]:
+        U = clifford_generator(kind, p, n=n, **kw)[0] @ U
+    return U
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_gate_maps_equal_dense_extraction(p, data):
+    n, items = data.draw(gate_programs(p))
+    lines = [f"qudits p={p} n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
+    lines += [_gate_text(item) for item in items]
+    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+    rep = validate_circuit(parse_circuit("\n".join(lines)))
+    assert rep.ok, rep.problems
+    for i, item in enumerate(items):
+        assert rep.gate_maps[(i, n)] == extract_symplectic(_dense_item_unitary(item, p, n), p)
+
+
+def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_dir):
+    from dwigner import circuits, simulate
+
+    widths = []
+    real = circuits.clifford_generator
+
+    def spy(kind, p, n=1, **kw):
+        widths.append(n)
+        return real(kind, p, n=n, **kw)
+
+    monkeypatch.setattr(circuits, "clifford_generator", spy)
+    monkeypatch.setattr(simulate, "clifford_generator", spy)
+    circuits._certified_map.cache_clear()
+    five = "\n".join(
+        ["qudits p=3 n=5"]
+        + [f"input {r} mixed" for r in range(1, 6)]
+        + ["gate fourier(1); sum(1,5); quadratic(3); sum(4,2); multiply(2,5)", "displace 4 (1,2)"]
+        + [f"measure {r} computational" for r in range(5, 0, -1)]
+    )
+    for prog in (parse_circuit_file(samples_dir / "reg10_cascade.circ"), parse_circuit(five)):
+        assert validate_circuit(prog).ok
+        simulate.sample_classical(prog, seed=1, shots=200)
+    assert widths and max(widths) <= 2

@@ -166,6 +166,29 @@ def test_distill_check_random_suite(tmp_path):
     assert "# verdict = PASS" in a.read_text()
 
 
+@pytest.mark.parametrize("header", ["dim", "dim x"])
+def test_distill_check_malformed_kraus_dim(tmp_path, capsys, header):
+    (tmp_path / "bad.kraus").write_text(f"{header}\n1 0\n")
+    inst = tmp_path / "inst.txt"
+    inst.write_text(
+        "distill p=3 n=2\ninput product zero zero\n"
+        "channel kraus-file:bad.kraus positivity-asserted\nprojector zero\n"
+    )
+    assert run_cli("distill-check", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert "bad.kraus" in err and "line 1" in err
+
+
+def test_sample_povm_effect_without_label(tmp_path, capsys):
+    zeros = "\n".join(["0 0  0 0  0 0"] * 3)
+    (tmp_path / "bad.povm").write_text(f"povm p=3 outcomes=1\neffect\n{zeros}\n")
+    circ = tmp_path / "c.circ"
+    circ.write_text("qudits p=3 n=1\ninput 1 zero\nmeasure 1 povm-file:bad.povm\n")
+    assert run_cli("sample", str(circ), "--shots", "0") == 2
+    err = capsys.readouterr().err
+    assert "bad.povm" in err and "line 2" in err
+
+
 def test_distill_check_requires_seed(capsys):
     assert run_cli("distill-check", "--random-suite", "5") == 2
 

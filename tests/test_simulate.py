@@ -15,6 +15,7 @@ from dwigner.simulate import (
     run_oracle,
     sample_classical,
     stabilizer_line,
+    _word_unitary,
 )
 from dwigner.weyl import clifford_generator
 from dwigner.wigner import wigner_of_state
@@ -79,7 +80,7 @@ def test_oracle_chain_rule_marginal(samples_dir):
     rho = np.kron(np.kron(prog.inputs[0], prog.inputs[1]), prog.inputs[2])
     U = np.eye(27, dtype=complex)
     for i, _ in enumerate(prog.items[:2]):
-        U = prog.unitary_for(i, 3)[0] @ U
+        U = _word_unitary(3, 3, prog.items[i].word) @ U
     rho = U @ rho @ U.conj().T
     for k in range(3):
         E = np.kron(np.eye(9), np.diag([1.0 if j == k else 0.0 for j in range(3)]))
@@ -186,7 +187,7 @@ gate quadratic(1); fourier(1)
 measure 1 computational
 """
     prog = parse_circuit(src)
-    _, g = prog.unitary_for(0, 1)
+    g = validate_circuit(prog).gate_maps[(0, 1)]
     support = {(a1, a2) for a1 in range(3) for a2 in range(3)
                if wigner_of_state(prog.inputs[0], 3).values[a1 * 3 + a2] > 1e-12}
     two = sorted(support)[:2]
@@ -194,7 +195,7 @@ measure 1 computational
 
     mapped = [tuple(int(x) for x in apply_affine(g, u)) for u in two]
     line = stabilizer_line(mapped[0], mapped[1], 3)
-    U = prog.unitary_for(0, 1)[0]
+    U = _word_unitary(3, 1, prog.items[0].word)
     out = U @ prog.inputs[0] @ U.conj().T
     Wout = wigner_of_state(out, 3).values
     out_support = {(a1, a2) for a1 in range(3) for a2 in range(3) if Wout[a1 * 3 + a2] > 1e-12}
@@ -301,3 +302,18 @@ def test_negativity_invariant_under_gates():
     for kind in ("fourier", "quadratic"):
         U, _ = clifford_generator(kind, 3)
         assert negativity_F(U @ rho @ U.conj().T, 3) == pytest.approx(F0, abs=1e-10)
+
+
+def test_forty_qutrit_circuit_validates_and_samples():
+    # far past any dense unitary: a GHZ-style fourier + sum chain on 40 qutrits
+    n, shots = 40, 2000
+    lines = [f"qudits p=3 n={n}"] + [f"input {r} zero" for r in range(1, n + 1)]
+    gates = ["fourier(1)", "; ".join(f"sum({r},{r + 1})" for r in range(1, n))]
+    lines += [f"gate {g}" for g in gates]
+    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+    prog = parse_circuit("\n".join(lines))
+    assert validate_circuit(prog).ok
+    rpt = sample_classical(prog, seed=3, shots=shots)
+    assert set(rpt.counts) == {k * n for k in "012"}
+    assert sum(rpt.counts.values()) == shots
+    assert rpt.field_mults == shots * len(gates) * (2 * n) ** 2
