@@ -223,6 +223,19 @@ def cmd_distill_check(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dwigner",
@@ -244,9 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="classically sample a circuit document")
     s.add_argument("circuit")
-    s.add_argument("--shots", type=int, required=True)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--shots", type=_int_at_least(0), required=True)
+    s.add_argument("--seed", type=_int_at_least(0))
+    s.add_argument(
+        "--jobs", type=_int_at_least(1), default=1,
+        help="accepted for scripts; shots run in one process and the output does not depend on it",
+    )
     s.add_argument("--oracle-check", action="store_true")
     s.add_argument("--out")
     s.set_defaults(func=cmd_sample)

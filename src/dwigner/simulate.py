@@ -7,9 +7,12 @@ affine gate maps, measured by conditional Wigner probabilities.  The outcome
 distributions agree; compare_distributions quantifies that with TV and a
 chi-square test.
 
-Per-shot randomness is positional: one seeded generator fills a shots x K
-uniform matrix up front and draw j of shot s is U[s, j], so any chunked or
-parallel execution reproduces identical bytes.
+Per-shot randomness is positional: draw j of shot s is U[s, j] of the
+shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
+(K = 2 * max_registers).  Shots run in chunks of CHUNK_SHOTS, and each chunk
+draws only its own rows, from a Philox stream advanced to the chunk's first
+draw, so memory is bounded by a chunk.  CHUNK_SHOTS is even, so every chunk
+starts on a whole Philox block and the bytes do not depend on its value.
 """
 
 from __future__ import annotations
@@ -60,9 +63,15 @@ __all__ = [
     "parse_distill_file",
     "stabilizer_line",
     "ORACLE_DIM_CAP",
+    "CHUNK_SHOTS",
 ]
 
 ORACLE_DIM_CAP = 243  # p^n guard for the dense oracle
+# Shots per sampler chunk.  Even, so that every chunk's first draw lo * K is a
+# multiple of the four draws in one Philox block.
+CHUNK_SHOTS = 1 << 16
+# The tally's mixed-radix outcome codes stay below this, well inside int64.
+_CODE_LIMIT = 1 << 62
 
 
 class OracleGuardError(RuntimeError):
@@ -217,8 +226,13 @@ def sample_classical(
     """Algorithm-class-2 sampler; deterministic for a seed at any jobs count.
 
     Validates the program first and pushes points through the validator's
-    gate maps.
+    gate maps.  Shots run in chunks of CHUNK_SHOTS, each drawing its own
+    uniforms (see the module docstring), so memory is bounded by one chunk.
+    Chunk bounds depend only on `shots`; `jobs` is accepted and does not
+    change the work or the report.
     """
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative, got {shots}")
     report = validate_circuit(prog)
     if not report.ok:
         raise CircuitError("; ".join(report.problems))
@@ -239,18 +253,13 @@ def sample_classical(
         elif isinstance(instr, MeasureInstr):
             povm_cums[i] = _povm_table(instr.povm, p)
 
-    K = 2 * prog.max_registers
-    uniforms = np.random.Generator(np.random.Philox(seed)).random((shots, K))
     counts: dict[str, int] = {}
     mults = 0
     adds = 0
-    jobs = max(1, int(jobs))
-    bounds = np.linspace(0, shots, jobs + 1).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == hi:
-            continue
+    for lo in range(0, shots, CHUNK_SHOTS):
         chunk_counts, m, a = _run_chunk(
-            prog, uniforms[lo:hi], input_dists, extend_dists, povm_cums, report.gate_maps
+            prog, seed, input_dists, extend_dists, povm_cums, report.gate_maps,
+            lo, min(lo + CHUNK_SHOTS, shots),
         )
         for k, v in chunk_counts.items():
             counts[k] = counts.get(k, 0) + v
@@ -265,12 +274,13 @@ def sample_classical(
     )
 
 
-def _run_chunk(prog, U, input_dists, extend_dists, povm_cums, gate_maps):
+def _run_chunk(prog, seed, input_dists, extend_dists, povm_cums, gate_maps, lo, hi):
+    """Outcome counts, field mults and field adds of shots lo..hi-1."""
     p = prog.p
-    m_shots = U.shape[0]
-    counts: dict[str, int] = {}
-    ops = [0, 0]  # mults, adds
-
+    K = 2 * prog.max_registers
+    # Philox emits four 64-bit words per counter step and `random` spends one
+    # per draw, so skipping lo * K draws is lo * K / 4 steps
+    U = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4)).random((hi - lo, K))
     # initial phase points: one draw per register, positions 0..n-1
     cols = []
     for r, cum in enumerate(input_dists):
@@ -278,82 +288,92 @@ def _run_chunk(prog, U, input_dists, extend_dists, povm_cums, gate_maps):
         cols.append(idx // p)
         cols.append(idx % p)
     upts = np.stack(cols, axis=1).astype(np.int64)
+    out_idx = np.full((hi - lo, prog.max_registers), -1, dtype=np.int64)
+    walk = _Walk(prog, U, extend_dists, povm_cums, gate_maps)
+    walk.run(0, np.arange(hi - lo), upts, len(input_dists), {}, out_idx)
+    return walk.counts, walk.mults, walk.adds
 
-    def finish(rows, upts_c, labels_by_reg, out_idx):
-        n_cur = upts_c.shape[1] // 2
-        for j, s in enumerate(rows):
-            key = "".join(
-                labels_by_reg[r][out_idx[j, r - 1]] for r in range(1, n_cur + 1)
-            )
-            counts[key] = counts.get(key, 0) + 1
 
-    def run(i, rows, upts_c, pos, labels_by_reg, out_idx):
-        while True:
-            if i >= len(prog.items) or isinstance(prog.items[i], LabelMarker):
-                finish(rows, upts_c, labels_by_reg, out_idx)
-                return
-            instr = prog.items[i]
-            n_cur = upts_c.shape[1] // 2
+class _Walk:
+    """One chunk's shots pushed along the program's control paths."""
+
+    def __init__(self, prog, U, extend_dists, povm_cums, gate_maps):
+        self.prog = prog
+        self.U = U  # the chunk's uniforms, one row per shot
+        self.extend_dists = extend_dists
+        self.povm_cums = povm_cums
+        self.gate_maps = gate_maps
+        self.counts: dict[str, int] = {}
+        self.mults = 0
+        self.adds = 0
+
+    def run(self, i, rows, upts, pos, labels_by_reg, out_idx):
+        """Run shots `rows` (points `upts`, next draw at column `pos`) from item i.
+
+        `upts` and `out_idx` belong to this call, which updates them in place.
+        """
+        items = self.prog.items
+        p = self.prog.p
+        while i < len(items) and not isinstance(items[i], LabelMarker):
+            instr = items[i]
+            n_cur = upts.shape[1] // 2
             if isinstance(instr, GateInstr):
-                g = gate_maps[(i, n_cur)]
-                upts_c = (upts_c @ g.F.T) % p
-                ops[0] += rows.size * (2 * n_cur) ** 2
-                i += 1
+                upts = (upts @ self.gate_maps[(i, n_cur)].F.T) % p
+                self.mults += rows.size * (2 * n_cur) ** 2
             elif isinstance(instr, DisplaceInstr):
-                a1, a2 = instr.point
-                upts_c = upts_c.copy()
-                upts_c[:, 2 * (instr.reg - 1)] = (upts_c[:, 2 * (instr.reg - 1)] + a1) % p
-                upts_c[:, 2 * (instr.reg - 1) + 1] = (
-                    upts_c[:, 2 * (instr.reg - 1) + 1] + a2
-                ) % p
-                ops[1] += rows.size * 2
-                i += 1
+                c = 2 * (instr.reg - 1)
+                upts[:, c : c + 2] += instr.point
+                upts[:, c : c + 2] %= p
+                self.adds += rows.size * 2
             elif isinstance(instr, ExtendInstr):
                 new_cols = []
-                for j, cum in enumerate(extend_dists[i]):
-                    idx = np.searchsorted(cum, U[rows, pos + j], side="right")
+                for j, cum in enumerate(self.extend_dists[i]):
+                    idx = np.searchsorted(cum, self.U[rows, pos + j], side="right")
                     new_cols.append(idx // p)
                     new_cols.append(idx % p)
-                upts_c = np.hstack([upts_c, np.stack(new_cols, axis=1)])
-                out_idx = np.hstack(
-                    [out_idx, -np.ones((out_idx.shape[0], instr.count), dtype=np.int64)]
-                )
+                upts = np.hstack([upts, np.stack(new_cols, axis=1)])
                 pos += instr.count
-                i += 1
             elif isinstance(instr, MeasureInstr):
-                cum = povm_cums[i]
-                b = upts_c[:, 2 * (instr.reg - 1)] * p + upts_c[:, 2 * (instr.reg - 1) + 1]
-                draws = U[rows, pos]
-                outcome = (cum[b] <= draws[:, None]).sum(axis=1)
+                cum = self.povm_cums[i]
+                b = upts[:, 2 * (instr.reg - 1)] * p + upts[:, 2 * (instr.reg - 1) + 1]
+                outcome = (cum[b] <= self.U[rows, pos][:, None]).sum(axis=1)
                 np.clip(outcome, 0, cum.shape[1] - 1, out=outcome)
                 pos += 1
-                out_idx = out_idx.copy()
                 out_idx[:, instr.reg - 1] = outcome
-                labels_by_reg = dict(labels_by_reg)
-                labels_by_reg[instr.reg] = instr.povm.labels
-                if instr.branch is None:
-                    i += 1
-                else:
+                labels_by_reg = {**labels_by_reg, instr.reg: instr.povm.labels}
+                if instr.branch is not None:
                     for k, label in enumerate(instr.povm.labels):
                         mask = outcome == k
-                        if not mask.any():
-                            continue
-                        run(
-                            instr.branch[label],
-                            rows[mask],
-                            upts_c[mask],
-                            pos,
-                            labels_by_reg,
-                            out_idx[mask],
-                        )
+                        if mask.any():
+                            self.run(instr.branch[label], rows[mask], upts[mask], pos,
+                                     labels_by_reg, out_idx[mask])
                     return
             else:
                 raise TypeError(f"unexpected item {instr!r}")
+            i += 1
+        self.tally(labels_by_reg, out_idx[:, : upts.shape[1] // 2])
 
-    rows0 = np.arange(m_shots)
-    out0 = -np.ones((m_shots, prog.max_registers), dtype=np.int64)
-    run(0, rows0, upts, len(input_dists), {}, out0)
-    return counts, ops[0], ops[1]
+    def tally(self, labels_by_reg, out_idx):
+        """Count the outcome strings of shots that end a path together.
+
+        Each shot's outcome indices fold into one mixed-radix int64 code (the
+        radix of a register is its label count), so strings are built once
+        per distinct code, from the first shot that carries it.  When the
+        next digit could overflow, the codes are renumbered densely first.
+        """
+        code = np.zeros(len(out_idx), dtype=np.int64)
+        span = 1  # every code lies in [0, span)
+        for r in range(1, out_idx.shape[1] + 1):
+            radix = len(labels_by_reg[r])
+            if span * radix > _CODE_LIMIT:
+                distinct, code = np.unique(code, return_inverse=True)
+                span = len(distinct)
+            code = code * radix + out_idx[:, r - 1]
+            span *= radix
+        _, first, hits = np.unique(code, return_index=True, return_counts=True)
+        for row, c in zip(out_idx[first].tolist(), hits.tolist()):
+            key = "".join(labels_by_reg[r][k] for r, k in enumerate(row, start=1))
+            self.counts[key] = self.counts.get(key, 0) + c
 
 
 # --- statistics -------------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from dwigner.cli import main
+from dwigner.simulate import CHUNK_SHOTS
 
 
 def run_cli(*argv):
@@ -84,17 +85,32 @@ def test_sample_with_oracle_check(samples_dir, tmp_path):
 
 
 def test_sample_bytes_identical_across_jobs(samples_dir, tmp_path):
-    outs = []
-    for jobs in (1, 4, 9):
-        out = tmp_path / f"r{jobs}.csv"
-        rc = run_cli(
-            "sample", str(samples_dir / "reg10_cascade.circ"),
-            "--shots", "30000", "--seed", "42", "--jobs", str(jobs),
-            "--oracle-check", "--out", str(out),
-        )
-        assert rc == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    # one chunk of shots, then four chunks with a five-shot tail
+    for shots in (30000, 3 * CHUNK_SHOTS + 5):
+        outs = []
+        for jobs in (1, 4, 9):
+            out = tmp_path / f"r{shots}_{jobs}.csv"
+            rc = run_cli(
+                "sample", str(samples_dir / "reg10_cascade.circ"),
+                "--shots", str(shots), "--seed", "42", "--jobs", str(jobs),
+                "--oracle-check", "--out", str(out),
+            )
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--shots", "-1"], ["--shots", "10", "--seed", "-3"], ["--shots", "10", "--seed", "1", "--jobs", "0"]],
+    ids=["shots", "seed", "jobs"],
+)
+def test_sample_rejects_out_of_range_flag(samples_dir, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sample", str(samples_dir / "reg02_fourier.circ"), *flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flags[-2]}: must be at least" in err
 
 
 def test_facets_qutrit(tmp_path):

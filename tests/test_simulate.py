@@ -1,6 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dwigner import simulate
 from dwigner.circuits import parse_circuit, parse_circuit_file, validate_circuit
 from dwigner.simulate import (
     DistillationInstance,
@@ -18,7 +24,7 @@ from dwigner.simulate import (
     _word_unitary,
 )
 from dwigner.weyl import clifford_generator
-from dwigner.wigner import wigner_of_state
+from dwigner.wigner import wigner_of_effect, wigner_of_state
 
 
 def oracle_of(src, **kw):
@@ -317,3 +323,136 @@ def test_forty_qutrit_circuit_validates_and_samples():
     assert set(rpt.counts) == {k * n for k in "012"}
     assert sum(rpt.counts.values()) == shots
     assert rpt.field_mults == shots * len(gates) * (2 * n) ** 2
+
+
+def test_tally_beyond_int64_matches_per_shot_reference():
+    # 3^45 possible outcomes, more than int64 codes can hold: the vectorized
+    # tally must still agree with a per-shot tally
+    n, shots, seed = 45, 3000, 4
+    lines = [f"qudits p=3 n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
+    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+    prog = parse_circuit("\n".join(lines))
+    rpt = sample_classical(prog, seed=seed, shots=shots)
+    # the documented positional layout: one shots x 2n matrix from
+    # Philox(seed), draw j of shot s is U[s, j]; draws 0..n-1 pick the input
+    # points, draw n + k decides the k-th measurement
+    U = np.random.Generator(np.random.Philox(seed)).random((shots, 2 * n))
+    cum_in = np.cumsum(wigner_of_state(prog.inputs[0], 3).values)
+    cum_in[-1] = 1.0
+    points = np.searchsorted(cum_in, U[:, :n], side="right")
+    povm = prog.items[0].povm
+    cum_out = np.cumsum([wigner_of_effect(E, 3).values for E in povm.effects], axis=0)
+    expected = {}
+    for s in range(shots):
+        labels = {}
+        for k, reg in enumerate(range(n, 0, -1)):
+            hit = cum_out[:-1, points[s, reg - 1]] <= U[s, n + k]
+            labels[reg] = povm.labels[int(hit.sum())]
+        key = "".join(labels[r] for r in range(1, n + 1))
+        expected[key] = expected.get(key, 0) + 1
+    assert len(expected) > 1
+    assert rpt.counts == expected
+
+
+def test_tally_keeps_outcomes_apart_past_64_binary_digits(samples_dir):
+    # 65 two-outcome registers: without renumbering, register 1's digit would
+    # be scaled by 2^64 and wrap to zero, merging its two outcomes
+    n = 65
+    lines = [f"qudits p=3 n={n}", "input 1 mixed"] + [f"input {r} zero" for r in range(2, n + 1)]
+    lines += [f"measure {r} povm-file:two_outcome.povm" for r in range(n, 0, -1)]
+    prog = parse_circuit("\n".join(lines), base_dir=samples_dir)
+    rpt = sample_classical(prog, seed=2, shots=3000)
+    assert set(rpt.counts) == {"hit" * n, "miss" + "hit" * (n - 1)}
+    assert sum(rpt.counts.values()) == 3000
+
+
+PRESETS = ["mixed", "zero", "basis(1)", "basis(2)"]
+POVMS = {"computational": ("0", "1", "2"), "povm-file:two_outcome.povm": ("hit", "miss")}
+
+
+@st.composite
+def adaptive_circuits(draw):
+    """Valid qutrit circuits of at most 3 registers: gate words, displace,
+    extend, adaptive branches and the two-outcome POVM."""
+    n = draw(st.integers(1, 3))
+    lines = [f"qudits p=3 n={n}"]
+    lines += [f"input {r} {draw(st.sampled_from(PRESETS))}" for r in range(1, n + 1)]
+    names = itertools.count()
+
+    def gate_call(unmeasured):
+        kinds = ["fourier", "quadratic", "multiply"] + (["sum"] if len(unmeasured) > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "sum":
+            ctrl, tgt = draw(st.permutations(unmeasured))[:2]
+            return f"sum({ctrl},{tgt})"
+        reg = draw(st.sampled_from(unmeasured))
+        if kind == "multiply":
+            return f"multiply({draw(st.integers(1, 2))},{reg})"
+        return f"{kind}({reg})"
+
+    def block(n_cur, unmeasured, depth):
+        out = []
+        while unmeasured:
+            for _ in range(draw(st.integers(0, 3))):
+                op = draw(st.sampled_from(["gate", "displace", "extend"]))
+                if op == "extend" and n_cur < 3:
+                    count = draw(st.integers(1, 3 - n_cur))
+                    out.append(f"extend {count} {draw(st.sampled_from(PRESETS))}")
+                    unmeasured = unmeasured + list(range(n_cur + 1, n_cur + count + 1))
+                    n_cur += count
+                elif op == "displace":
+                    a1, a2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+                    out.append(f"displace {draw(st.sampled_from(unmeasured))} ({a1},{a2})")
+                else:
+                    calls = [gate_call(unmeasured) for _ in range(draw(st.integers(1, 3)))]
+                    out.append("gate " + "; ".join(calls))
+            reg = max(unmeasured)
+            unmeasured = [r for r in unmeasured if r != reg]
+            povm = draw(st.sampled_from(sorted(POVMS)))
+            if depth < 2 and draw(st.booleans()):
+                # outcomes may share an arm; every arm is some outcome's target
+                arm_of = [draw(st.integers(0, len(POVMS[povm]) - 1)) for _ in POVMS[povm]]
+                arms = {a: f"arm{next(names)}" for a in sorted(set(arm_of))}
+                table = " ".join(f"{lab}->{arms[a]}" for lab, a in zip(POVMS[povm], arm_of))
+                out.append(f"measure {reg} {povm} branch: {table}")
+                for name in arms.values():
+                    out.append(f"label {name}:")
+                    out += block(n_cur, unmeasured, depth + 1)
+                return out
+            out.append(f"measure {reg} {povm}")
+        return out
+
+    return "\n".join(lines + block(n, list(range(1, n + 1)), 0))
+
+
+@settings(max_examples=40)
+@given(src=adaptive_circuits())
+def test_sampler_matches_oracle_on_generated_circuits(samples_dir, src):
+    prog = parse_circuit(src, base_dir=samples_dir)
+    assert validate_circuit(prog).ok
+    runs = {shots: sample_classical(prog, seed=11, shots=shots) for shots in (1001, 20000)}
+    res = compare_distributions(run_oracle(prog), runs[20000].counts, 20000)
+    assert res.verdict == "PASS", (src, res)
+    # the chunk size never changes the counts; tiny chunks split the short run
+    for size, shots in ((2, 1001), (6, 1001), (4096, 20000)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "CHUNK_SHOTS", size)
+            assert sample_classical(prog, seed=11, shots=shots).counts == runs[shots].counts
+
+
+def test_sampler_memory_bounded_by_a_chunk(monkeypatch, samples_dir):
+    # traced Python-heap peak at 40 chunks against 1 chunk: a uniform matrix
+    # sized by the shot count, or chunk arrays kept alive after their chunk,
+    # would grow with the chunk count
+    prog = parse_circuit_file(samples_dir / "reg10_cascade.circ")
+    monkeypatch.setattr(simulate, "CHUNK_SHOTS", 4096)
+    sample_classical(prog, seed=1, shots=4096)  # fill validation caches untraced
+    peaks = []
+    for chunks in (1, 40):
+        tracemalloc.start()
+        try:
+            sample_classical(prog, seed=1, shots=chunks * 4096)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
