@@ -280,17 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sl = sub.add_parser("slice", help="scan a Wigner-simplex slice and label each grid point")
     sl.add_argument("spec")
-    sl.add_argument("--jobs", type=int, default=1)
+    sl.add_argument(
+        "--jobs", type=_int_at_least(1), default=1,
+        help="accepted for scripts; grid points run in one process and the output does not depend on it",
+    )
     sl.add_argument("--out")
     sl.set_defaults(func=cmd_slice)
 
     d = sub.add_parser("distill-check", help="distillation positivity check")
     d.add_argument("instance", nargs="?")
     d.add_argument("--force-negative-input", action="store_true")
-    d.add_argument("--random-suite", type=int)
-    d.add_argument("--seed", type=int)
+    d.add_argument("--random-suite", type=_int_at_least(1))
+    d.add_argument("--seed", type=_int_at_least(0))
     d.add_argument("--p", type=int, default=3)
-    d.add_argument("--n", type=int, default=2)
+    d.add_argument("--n", type=_int_at_least(2), default=2)
     d.add_argument("--out")
     d.set_defaults(func=cmd_distill_check)
     return ap

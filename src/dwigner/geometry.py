@@ -1,14 +1,17 @@
 """Stabilizer-polytope geometry: facets, hull membership, classification, slices.
 
 The phase-point inequalities Tr(A_u rho) >= 0 are checked as facets against
-the enumerated vertex set; hull membership runs a floating-point LP with a
-separating dual witness, backed by an exact-rational feasibility route on the
-qutrit vertex set for boundary disputes.
+the enumerated vertex set.  An exact rational qutrit Wigner vector is placed
+in or out of the hull by the polytope's 81 integer facets, enumerated once
+per process; every other input runs a floating-point LP.  Outside points get
+a separating dual witness from a second LP in both cases.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -17,7 +20,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import FORMAT_VERSION, fmt_number
-from .exactlp import feasible_nonnegative
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, mub_stabilizer_states
 from .weyl import weyl_table
@@ -35,6 +37,7 @@ __all__ = [
     "slice_scan",
     "slice_csv",
     "exact_vertex_matrix",
+    "qutrit_facets",
 ]
 
 HULL_TOL = 1e-8
@@ -60,6 +63,15 @@ class FacetReport:
 
 @dataclass
 class HullCertificate:
+    """A hull verdict with its evidence.
+
+    Inside: `weights` over the vertices and the float `residual` of that
+    decomposition; an exact verdict carries no weights and residual 0.
+    Outside: the dual witness `witness_y` and its gap `violation`.
+    `disputed` means the float LP disagrees with the exact verdict; on the
+    exact route that is an outside point whose witness gap is within `tol`.
+    """
+
     inside: bool
     weights: Optional[np.ndarray] = None
     residual: float = 0.0
@@ -126,6 +138,46 @@ def exact_vertex_matrix(S: StabilizerSet) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def qutrit_facets() -> tuple:
+    """Facets of the qutrit stabilizer polytope, as integer normals g with g . W >= 0.
+
+    Every vertex has sum_u W(u) = 1, so each facet's constant is folded into
+    its normal, which is then unique once reduced by its gcd.  The 12 vertices,
+    scaled by 3 to 0/1 vectors, span all 9 dimensions, so a facet is tight on
+    8 linearly independent vertices and its normal is the cofactor vector of
+    those 8 rows.  Float determinants over the C(12, 8) = 495 subsets propose
+    the normals; each one kept is checked in integers to vanish on its subset
+    and to be nonnegative on all 12 vertices.  Returns 81 sorted tuples.
+    """
+    V = np.array(
+        [[int(3 * x) for x in row] for row in exact_vertex_matrix(mub_stabilizer_states(3))],
+        dtype=np.int64,
+    )
+    subsets = np.array(list(itertools.combinations(range(len(V)), 8)))
+    rows = V[subsets]
+    minors = np.stack([np.linalg.det(np.delete(rows, j, axis=2)) for j in range(V.shape[1])], axis=1)
+    normals = np.rint(minors).astype(np.int64) * (-1) ** np.arange(V.shape[1])
+    facets = set()
+    for subset, g in zip(subsets, normals):
+        values = V @ g
+        if values.min() < 0:
+            g, values = -g, -values
+        if g.any() and values.min() >= 0 and not values[subset].any():
+            facets.add(tuple(int(x) for x in g // np.gcd.reduce(g)))
+    return tuple(sorted(facets))
+
+
+def _in_qutrit_hull(exact_w) -> bool:
+    """Exact membership of a rational qutrit Wigner vector, on integer numerators."""
+    w = [Fraction(x) for x in exact_w]
+    den = math.lcm(*(x.denominator for x in w))
+    num = [x.numerator * (den // x.denominator) for x in w]
+    return sum(num) == den and all(
+        sum(g * x for g, x in zip(facet, num, strict=True)) >= 0 for facet in qutrit_facets()
+    )
+
+
 def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """min t s.t. |[V^T; 1^T] w - [target; 1]|_inf <= t, w >= 0."""
     count = V.shape[0]
@@ -181,9 +233,10 @@ def hull_membership(
     """Decide rho in conv(S) in Wigner coordinates; certify either verdict.
 
     Accepts a Hermitian unit-trace operator or a flat Wigner vector.  When
-    exact_w (a list of Fractions) is supplied and the vertex set is the
-    12-state qutrit one, an exact-rational feasibility run settles verdicts
-    the float route left within its tolerance collar.
+    exact_w (the same vector as Fractions) is supplied and the vertex set is
+    the 12-state qutrit one, the verdict is exact, from `qutrit_facets`; only
+    an outside point then runs an LP, for its witness.  Otherwise a Chebyshev
+    LP decides, with `tol` on its optimum.
     """
     p, n = S.p, S.n
     V = S.wigner_matrix
@@ -193,31 +246,20 @@ def hull_membership(
         target = _contract(rho_or_w, p, n) / p**n
     else:
         target = np.asarray(rho_or_w, dtype=float).ravel()
-    tstar, weights = _chebyshev_lp(V, target)
-    inside = tstar <= tol
-    disputed = False
     if exact_w is not None and (p, n) == (3, 1):
-        rows = exact_vertex_matrix(S)
-        Vexact = [[rows[i][u] for i in range(len(rows))] for u in range(len(exact_w))]
-        Vexact.append([Fraction(1)] * len(rows))
-        feasible, w_exact = feasible_nonnegative(Vexact, list(exact_w) + [Fraction(1)])
-        if feasible != inside:
-            disputed = True
-            inside = feasible
-            if feasible:
-                weights = np.array([float(x) for x in w_exact])
-    if inside:
+        if _in_qutrit_hull(exact_w):
+            return HullCertificate(inside=True)
+        gap, y, _ = _separating_witness(V, target)
+        return HullCertificate(inside=False, violation=gap, witness_y=y, disputed=gap <= tol)
+    tstar, weights = _chebyshev_lp(V, target)
+    if tstar <= tol:
         recon = V.T @ weights
         residual = float(
             max(np.max(np.abs(recon - target)), abs(weights.sum() - 1.0))
         )
-        return HullCertificate(
-            inside=True, weights=weights, residual=residual, disputed=disputed
-        )
+        return HullCertificate(inside=True, weights=weights, residual=residual)
     gap, y, _ = _separating_witness(V, target)
-    return HullCertificate(
-        inside=False, violation=gap, witness_y=y, disputed=disputed
-    )
+    return HullCertificate(inside=False, violation=gap, witness_y=y)
 
 
 def classify_state(
@@ -229,8 +271,9 @@ def classify_state(
 ) -> tuple[str, dict]:
     """NONPHYSICAL -> NEGATIVE -> STABILIZER_MIX -> BOUND, first match wins.
 
-    Returns (label, details) with min_eig, min_wigner and the LP certificate
-    when one was computed.
+    Returns (label, details) with min_eig, min_wigner and the hull
+    certificate when one was computed.  With exact_w (Fractions) the sign
+    test is exact, and for p = 3 so is the hull verdict (`hull_membership`).
     """
     require_odd_prime(p)
     if S is None:
@@ -329,9 +372,9 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
     """Classify every grid point of the slice; deterministic row order.
 
     Rows where the nine values cannot sum to 1 are labelled INVALID (possible
-    only when no axis is derived).  LP margins are filled for the labels that
-    ran the LP: the feasibility residual for STABILIZER_MIX, the dual witness
-    gap for BOUND.
+    only when no axis is derived).  Margins are filled for the labels that ran
+    the hull test: the feasibility residual for STABILIZER_MIX (0, since the
+    verdict is exact), the dual witness gap for BOUND.
     """
     if S is None:
         S = mub_stabilizer_states(3)

@@ -113,6 +113,25 @@ def test_sample_rejects_out_of_range_flag(samples_dir, capsys, flags):
     assert f"argument {flags[-2]}: must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distill-check", "--random-suite", "-3", "--seed", "1"],
+        ["distill-check", "--seed", "-1", "--random-suite", "2"],
+        ["distill-check", "--n", "1", "--random-suite", "2", "--seed", "1"],
+        ["slice", "--jobs", "0", "SPEC"],
+    ],
+    ids=["random-suite", "distill-seed", "n", "slice-jobs"],
+)
+def test_distill_and_slice_reject_out_of_range_flag(samples_dir, capsys, argv):
+    argv = [str(samples_dir / "pinned_ninth_2d.slice") if a == "SPEC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be at least" in err
+
+
 def test_facets_qutrit(tmp_path):
     out = tmp_path / "f.csv"
     assert run_cli("facets", "3", "--out", str(out)) == 0

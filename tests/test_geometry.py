@@ -1,17 +1,26 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dwigner import geometry
+from dwigner.circuits import parse_slice_file
 from dwigner.geometry import (
+    HULL_TOL,
     SliceSpec,
     classify_state,
+    exact_vertex_matrix,
     facet_check,
     hull_membership,
+    qutrit_facets,
     slice_csv,
     slice_scan,
 )
-from dwigner.fields import all_points
+from dwigner.fields import all_points, point_index
 from dwigner.wigner import wigner_of_state
 
 
@@ -176,3 +185,80 @@ def test_exact_route_dispute_handling(mub3):
     w = np.array([float(x) for x in exact])
     label, det = classify_state(W=w, S=mub3, exact_w=exact)
     assert label == "STABILIZER_MIX"
+
+
+def _exact_rank(rows) -> int:
+    """Rank of a list of rational rows by Gauss-Jordan elimination in Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_qutrit_facet_table(mub3):
+    vertices = exact_vertex_matrix(mub3)
+    facets = qutrit_facets()
+    assert len(facets) == 81 == len(set(facets))
+    for g in facets:
+        values = [sum(gi * vi for gi, vi in zip(g, v)) for v in vertices]
+        assert min(values) >= 0
+        tight = [v for v, val in zip(vertices, values) if val == 0]
+        assert _exact_rank(tight) == 8
+    # the phase-point facets W(u) >= 0 of criterion 6 are among them
+    for u in all_points(3, 1):
+        e_u = [0] * 9
+        e_u[point_index(u, 3)] = 1
+        assert tuple(e_u) in facets
+
+
+def test_facet_table_not_built_at_import():
+    code = "import dwigner.cli, dwigner.geometry as g; print(g.qutrit_facets.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_slice_scan_runs_no_feasibility_lp(monkeypatch, samples_dir, mub3):
+    calls = []
+    real = geometry._chebyshev_lp
+
+    def spy(V, target):
+        calls.append(target)
+        return real(V, target)
+
+    monkeypatch.setattr(geometry, "_chebyshev_lp", spy)
+    rows = slice_scan(parse_slice_file(samples_dir / "pinned_ninth_3d.slice"), S=mub3)
+    assert calls == []
+    labels = [r.label for r in rows]
+    assert "BOUND" in labels and "STABILIZER_MIX" in labels
+    assert all(r.lp_margin == 0.0 for r in rows if r.label == "STABILIZER_MIX")
+
+
+@given(st.lists(st.integers(0, 20), min_size=12, max_size=12).filter(any))
+def test_rational_vertex_mixtures_are_inside(mub3, counts):
+    vertices = exact_vertex_matrix(mub3)
+    total = sum(counts)
+    exact = [sum(Fraction(c, total) * v[u] for c, v in zip(counts, vertices)) for u in range(9)]
+    cert = hull_membership(np.array([float(x) for x in exact]), mub3, exact_w=exact)
+    assert cert.inside and cert.residual == 0.0 and not cert.disputed
+
+
+@given(st.lists(st.integers(0, 20), min_size=9, max_size=9).filter(any))
+def test_facet_verdict_matches_float_lp(mub3, counts):
+    exact = [Fraction(c, sum(counts)) for c in counts]
+    w = np.array([float(x) for x in exact])
+    tstar, _ = geometry._chebyshev_lp(mub3.wigner_matrix, w)
+    # the float LP is the reference except in a collar just above its threshold
+    if HULL_TOL < tstar <= HULL_TOL + 1e-6:
+        return
+    cert = hull_membership(w, mub3, exact_w=exact)
+    assert cert.inside == (tstar <= HULL_TOL)
+    assert not cert.disputed
