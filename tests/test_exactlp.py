@@ -1,84 +1,80 @@
+"""Exact feasibility of rational qutrit Wigner vectors in the stabilizer polytope.
+
+The exact verdict comes from the facet table `qutrit_facets`; these tests hold
+it to the cases an exact LP must get right: negativity, boundary points, the
+boundary row of the pinned scan, and agreement with the float LP.
+"""
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy.optimize import linprog
 
-from dwigner.exactlp import feasible_nonnegative
+from dwigner.geometry import exact_vertex_matrix, hull_membership, qutrit_facets
 
 
 def F(a, b=1):
     return Fraction(a, b)
 
 
-def test_simple_feasible():
-    # x1 + x2 = 1, x1 - x2 = 0 -> x = (1/2, 1/2)
-    V = [[F(1), F(1)], [F(1), F(-1)]]
-    ok, w = feasible_nonnegative(V, [F(1), F(0)])
-    assert ok
-    assert w == [F(1, 2), F(1, 2)]
+def _exact_verdict(exact, S):
+    return hull_membership(np.array([float(x) for x in exact]), S, exact_w=exact)
 
 
-def test_simple_infeasible():
-    # x1 + x2 = 1 and x1 + x2 = 2 cannot hold together
-    V = [[F(1), F(1)], [F(1), F(1)]]
-    ok, w = feasible_nonnegative(V, [F(1), F(2)])
-    assert not ok
-    assert w is None
+def _facet_values(exact):
+    return [sum(g * x for g, x in zip(facet, exact)) for facet in qutrit_facets()]
 
 
-def test_negativity_blocks_feasibility():
-    # x = -1 with x >= 0
-    ok, _ = feasible_nonnegative([[F(1)]], [F(-1)])
-    assert not ok
+def test_negativity_blocks_feasibility(mub3):
+    # unit sum and W(0, 0) = -1/90 < 0, the rest uniform: only the phase-point
+    # facet W(0, 0) >= 0 cuts it off, so no convex mixture of vertices reaches it
+    exact = [F(-1, 90)] + [F(91, 720)] * 8
+    assert sum(exact) == 1
+    cert = _exact_verdict(exact, mub3)
+    assert not cert.inside
+    assert cert.violation > 0 and cert.witness_y is not None
+    values = _facet_values(exact)
+    assert [g for g, v in zip(qutrit_facets(), values) if v < 0] == [(1,) + (0,) * 8]
 
 
-def test_degenerate_boundary_case():
-    # boundary membership with a zero weight forced
-    V = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
-    ok, w = feasible_nonnegative(V, [F(1), F(0)])
-    assert ok
-    recon0 = sum(V[0][j] * w[j] for j in range(3))
-    recon1 = sum(V[1][j] * w[j] for j in range(3))
-    assert (recon0, recon1) == (F(1), F(0))
+def test_degenerate_boundary_case(mub3):
+    # the midpoint of two vertices is inside, on facets tight on both vertices
+    rows = exact_vertex_matrix(mub3)
+    exact = [(a + b) / 2 for a, b in zip(rows[0], rows[1])]
+    cert = _exact_verdict(exact, mub3)
+    assert cert.inside and cert.residual == 0.0 and not cert.disputed
+    assert min(_facet_values(exact)) == 0
 
 
-def test_matches_float_lp_on_random_instances():
+def test_matches_float_lp_on_random_instances(mub3):
+    rows = exact_vertex_matrix(mub3)
+    A = np.array([[float(x) for x in row] for row in rows]).T
+    A_eq = np.vstack([A, np.ones(12)])
     rng = np.random.default_rng(17)
+    seen = set()
     for _ in range(25):
-        m, k = 4, 7
-        A = rng.integers(-3, 4, size=(m, k))
-        # build b either from a random nonnegative combination (feasible)
-        # or at random (possibly infeasible)
+        # either a random nonnegative mixture of vertices (inside) or a random
+        # rational unit-sum vector (inside or outside)
         if rng.random() < 0.5:
-            x = rng.integers(0, 3, size=k)
-            b = A @ x
+            c = rng.integers(0, 3, size=12)
+            c[rng.integers(12)] += 1
+            exact = [sum(F(int(ci), int(c.sum())) * r[u] for ci, r in zip(c, rows)) for u in range(9)]
         else:
-            b = rng.integers(-6, 7, size=m)
-        Vf = [[F(int(A[i, j])) for j in range(k)] for i in range(m)]
-        bf = [F(int(v)) for v in b]
-        ok, w = feasible_nonnegative(Vf, bf)
-        res = linprog(
-            np.zeros(k), A_eq=A.astype(float), b_eq=b.astype(float),
-            bounds=[(0, None)] * k, method="highs",
-        )
-        assert ok == res.success
-        if ok:
-            for i in range(m):
-                assert sum(Vf[i][j] * w[j] for j in range(k)) == bf[i]
-            assert all(x >= 0 for x in w)
+            c = rng.integers(-1, 4, size=9)
+            c[rng.integers(9)] += 10
+            exact = [F(int(x), int(c.sum())) for x in c]
+        b = np.array([float(x) for x in exact] + [1.0])
+        res = linprog(np.zeros(12), A_eq=A_eq, b_eq=b, bounds=[(0, None)] * 12, method="highs")
+        cert = _exact_verdict(exact, mub3)
+        assert cert.inside == res.success
+        assert cert.inside == (min(_facet_values(exact)) >= 0)
+        seen.add(cert.inside)
+    assert seen == {True, False}
 
 
 def test_exact_qutrit_boundary_row(mub3):
     # the X = 0 row of the seven-pinned 2-coordinate scan lies exactly on the
     # hull boundary; floats can wobble here, the exact route must say inside
-    from dwigner.geometry import exact_vertex_matrix
-
-    rows = exact_vertex_matrix(mub3)
     target = [F(0), F(2, 9)] + [F(1, 9)] * 7
-    V = [[rows[i][u] for i in range(12)] for u in range(9)]
-    V.append([F(1)] * 12)
-    ok, w = feasible_nonnegative(V, target + [F(1)])
-    assert ok
-    for u in range(9):
-        assert sum(rows[i][u] * w[i] for i in range(12)) == target[u]
+    cert = _exact_verdict(target, mub3)
+    assert cert.inside and cert.residual == 0.0 and cert.weights is None
+    assert min(_facet_values(target)) == 0
