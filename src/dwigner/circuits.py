@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import CliffordElement, require_odd_prime
 from .weyl import _embed_F, clifford_generator, extract_symplectic
-from .wigner import Povm, state_from_wigner, validate_state, wigner_of_effect, wigner_of_state
+from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
 __all__ = [
     "CircuitError",
@@ -57,10 +57,14 @@ __all__ = [
 
 
 class CircuitError(ValueError):
-    """Structured parse/validation failure with a line reference."""
+    """Structured parse/validation failure with a line reference.
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    A failed validation also carries the validator's `problems` list.
+    """
+
+    def __init__(self, message: str, line: Optional[int] = None, problems: tuple = ()):
         self.line = line
+        self.problems = problems
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
 
@@ -583,11 +587,10 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     problems = []
     for reg, (rho, spec) in enumerate(zip(prog.inputs, prog.input_specs), start=1):
         try:
-            validate_state(rho, prog.p)
+            W = wigner_of_state(rho, prog.p)  # validates the state first
         except ValueError as exc:
             problems.append(f"input {reg} ({spec}): {exc}")
             continue
-        W = wigner_of_state(rho, prog.p)
         worst = int(np.argmin(W.values))
         if W.values[worst] < -1e-10:
             problems.append(
@@ -598,11 +601,10 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
         if isinstance(instr, ExtendInstr):
             for rho in instr.states:
                 try:
-                    validate_state(rho, prog.p)
+                    W = wigner_of_state(rho, prog.p)
                 except ValueError as exc:
                     problems.append(f"extend ({instr.preset}): {exc}")
                     continue
-                W = wigner_of_state(rho, prog.p)
                 if W.values.min() < -1e-10:
                     problems.append(
                         f"extend ({instr.preset}): negative Wigner value {W.values.min():.6g}"

@@ -23,7 +23,6 @@ from .circuits import (
     parse_circuit_file,
     parse_slice_file,
     preset_state,
-    validate_circuit,
 )
 from .fields import index_point, require_odd_prime
 from .geometry import classify_state, facet_check, slice_csv, slice_scan
@@ -89,9 +88,15 @@ def cmd_wigner(args) -> int:
 
 def cmd_sample(args) -> int:
     prog = parse_circuit_file(args.circuit)
-    report = validate_circuit(prog)
-    if not report.ok:
-        for prob in report.problems:
+    # the sampler is the only validator: without a seed it runs zero shots,
+    # so a rejected circuit reports REJECT before the missing seed
+    shots = args.shots if args.seed is not None else 0
+    try:
+        rpt = sample_classical(prog, seed=args.seed, shots=shots, jobs=args.jobs)
+    except CircuitError as exc:
+        if not exc.problems:
+            raise
+        for prob in exc.problems:
             print(f"reject: {prob}", file=sys.stderr)
         print("REJECT", file=sys.stderr)
         return 2
@@ -101,7 +106,6 @@ def cmd_sample(args) -> int:
     if args.seed is None:
         print("error: sampling requires an explicit --seed", file=sys.stderr)
         return 2
-    rpt = sample_classical(prog, seed=args.seed, shots=args.shots, jobs=args.jobs)
     ref = None
     cmp_res = None
     if args.oracle_check:

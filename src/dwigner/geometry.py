@@ -22,8 +22,7 @@ from scipy.optimize import linprog
 from . import FORMAT_VERSION, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, mub_stabilizer_states
-from .weyl import weyl_table
-from .wigner import state_from_wigner
+from .wigner import _contract, state_from_wigner
 
 __all__ = [
     "FacetReport",
@@ -241,8 +240,6 @@ def hull_membership(
     p, n = S.p, S.n
     V = S.wigner_matrix
     if isinstance(rho_or_w, np.ndarray) and rho_or_w.ndim == 2:
-        from .wigner import _contract  # local import to avoid cycle at module load
-
         target = _contract(rho_or_w, p, n) / p**n
     else:
         target = np.asarray(rho_or_w, dtype=float).ravel()
@@ -282,8 +279,6 @@ def classify_state(
     if W is None:
         if rho is None:
             raise ValueError("need rho or W")
-        from .wigner import _contract
-
         W = _contract(rho, p, n) / p**n
     W = np.asarray(W, dtype=float).ravel()
     if rho is None:

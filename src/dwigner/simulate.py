@@ -41,9 +41,16 @@ from .circuits import (
     _dim_header,
     _parse_gate_word,
 )
-from .weyl import _embed_single, clifford_generator
-from .wigner import validate_state, wigner_of_effect, wigner_of_state
 from .fields import require_odd_prime
+from .stabilizer import mub_stabilizer_states
+from .weyl import _embed_single, clifford_generator
+from .wigner import (
+    is_positively_represented,
+    negativity_F,
+    validate_state,
+    wigner_of_effect,
+    wigner_of_state,
+)
 
 __all__ = [
     "OracleGuardError",
@@ -61,12 +68,11 @@ __all__ = [
     "random_distill_instance",
     "random_positive_product_state",
     "parse_distill_file",
-    "stabilizer_line",
     "ORACLE_DIM_CAP",
     "CHUNK_SHOTS",
 ]
 
-ORACLE_DIM_CAP = 243  # p^n guard for the dense oracle
+ORACLE_DIM_CAP = 243  # p^n guard for the dense oracle and the dense distillation step
 # Shots per sampler chunk.  Even, so that every chunk's first draw lo * K is a
 # multiple of the four draws in one Philox block.
 CHUNK_SHOTS = 1 << 16
@@ -225,9 +231,11 @@ def sample_classical(
 ) -> SampleReport:
     """Algorithm-class-2 sampler; deterministic for a seed at any jobs count.
 
-    Validates the program first and pushes points through the validator's
-    gate maps.  Shots run in chunks of CHUNK_SHOTS, each drawing its own
-    uniforms (see the module docstring), so memory is bounded by one chunk.
+    Validates the program first: a failure raises CircuitError carrying the
+    validator's problems, and zero shots only validate.  Points are pushed
+    through the validator's gate maps.  Shots run in chunks of CHUNK_SHOTS,
+    each drawing its own uniforms (see the module docstring), so memory is
+    bounded by one chunk.
     Chunk bounds depend only on `shots`; `jobs` is accepted and does not
     change the work or the report.
     """
@@ -235,7 +243,7 @@ def sample_classical(
         raise ValueError(f"shots must be non-negative, got {shots}")
     report = validate_circuit(prog)
     if not report.ok:
-        raise CircuitError("; ".join(report.problems))
+        raise CircuitError("; ".join(report.problems), problems=tuple(report.problems))
     p = prog.p
     input_dists = [np.cumsum(_distribution_of(r, p)) for r in prog.inputs]
     for c in input_dists:
@@ -419,21 +427,6 @@ def compare_distributions(ref: OutcomeDistribution, counts: dict, shots: int) ->
     )
 
 
-# --- stabilizer-line shortcut ----------------------------------------------
-
-def stabilizer_line(u, v, p: int) -> set:
-    """Affine line through two distinct points of a single-qudit phase space."""
-    require_odd_prime(p)
-    u = tuple(int(x) % p for x in u)
-    v = tuple(int(x) % p for x in v)
-    if u == v:
-        raise ValueError("need two distinct points")
-    return {
-        ((u[0] + t * (v[0] - u[0])) % p, (u[1] + t * (v[1] - u[1])) % p)
-        for t in range(p)
-    }
-
-
 # --- distillation -----------------------------------------------------------
 
 @dataclass
@@ -466,8 +459,6 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     p, n = inst.p, inst.n
     require_odd_prime(p)
     d_anc = p ** (n - 1)
-    from .wigner import negativity_F, is_positively_represented
-
     validate_state(inst.rho_in, p)
     F_in = negativity_F(inst.rho_in, p)
     if F_in < -1e-10 and not force_negative_input:
@@ -515,10 +506,17 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     )
 
 
+def _check_distill_size(p: int, n: int, line: Optional[int] = None) -> None:
+    """Reject p^n > ORACLE_DIM_CAP before any d x d matrix is built."""
+    # the exponent is clipped so that a huge n costs no huge power
+    if p ** min(n, ORACLE_DIM_CAP) > ORACLE_DIM_CAP:
+        raise CircuitError(
+            f"distillation needs p^n <= {ORACLE_DIM_CAP}, got p={p}, n={n}", line
+        )
+
+
 def random_positive_product_state(p: int, n: int, rng) -> np.ndarray:
     """Product of random mixtures of single-qudit stabilizer states."""
-    from .stabilizer import mub_stabilizer_states
-
     mub = mub_stabilizer_states(p)
     rho = np.ones((1, 1), dtype=complex)
     for _ in range(n):
@@ -529,8 +527,8 @@ def random_positive_product_state(p: int, n: int, rng) -> np.ndarray:
 
 def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> DistillationInstance:
     """Random Clifford channel + stabilizer projector + positive product input."""
-    from .stabilizer import mub_stabilizer_states
-
+    require_odd_prime(p)
+    _check_distill_size(p, n)
     kinds = ["fourier", "quadratic", "multiply", "sum", "displace"]
     word = []
     for _ in range(word_length):
@@ -576,6 +574,7 @@ def parse_distill_file(path) -> DistillationInstance:
     require_odd_prime(p)
     if n < 2:
         raise CircuitError("distillation needs n >= 2 (output + ancilla)", num)
+    _check_distill_size(p, n, num)
     rho_in = channel = projector = None
     asserted = False
     for num, line in lines[1:]:

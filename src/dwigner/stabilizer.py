@@ -1,127 +1,67 @@
-"""Stabilizer-state enumeration: MUB construction and Clifford-orbit closure.
+"""Single-qudit stabilizer states from the mutually unbiased bases.
 
 Single-qudit stabilizer states are the p+1 mutually unbiased eigenbases of
-Z and XZ^k (k = 0..p-1), p(p+1) states in total.  The orbit enumerator
-closes |0...0> under the Clifford generator set and must reproduce the same
-set at p prime, n=1.
+Z and XZ^k (k = 0..p-1), p(p+1) states in total.  The set is built once per
+p and shared, so it is immutable: tuples of read-only arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import inv2, require_odd_prime
-from .weyl import clifford_generator
 from .wigner import wigner_of_state
 
-__all__ = [
-    "StabilizerSet",
-    "OrbitBudgetError",
-    "mub_stabilizer_states",
-    "clifford_orbit_stabilizers",
-]
+__all__ = ["StabilizerSet", "mub_stabilizer_states", "MAX_MUB_P"]
+
+# The set holds p(p+1) dense p x p states plus their Wigner rows, about
+# 24 p^3 (p+1) bytes, and stays cached for the process: 23 MB at p = 31.
+MAX_MUB_P = 31
 
 
-class OrbitBudgetError(RuntimeError):
-    """Orbit closure exceeded the caller's max_states budget."""
-
-
-@dataclass
+@dataclass(frozen=True)
 class StabilizerSet:
     p: int
     n: int
-    states: list  # rank-1 projectors, d x d
-    provenance: str  # "mub" | "clifford-orbit"
-    labels: list = field(default_factory=list)
-    _wigner: Optional[np.ndarray] = field(default=None, repr=False)
+    states: tuple  # rank-1 projectors, d x d, read-only
+    labels: tuple
+    wigner_matrix: np.ndarray  # row i = Wigner values of state i, (count, p^{2n})
 
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def wigner_matrix(self) -> np.ndarray:
-        """Row i = Wigner values of state i, shape (count, p^{2n})."""
-        if self._wigner is None:
-            self._wigner = np.stack(
-                [wigner_of_state(P, self.p).values for P in self.states]
-            )
-        return self._wigner
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
+@functools.lru_cache(maxsize=None)
 def mub_stabilizer_states(p: int) -> StabilizerSet:
     """The p+1 MUB eigenbases at n=1: Z basis, then XZ^k bases for k = 0..p-1.
 
     XZ^k eigenvectors: v_m[x] = omega^(inv2(p)*k*x^2 + m*x)/sqrt(p), m = 0..p-1.
+    Raises ValueError for p above MAX_MUB_P.
     """
     require_odd_prime(p)
+    if p > MAX_MUB_P:
+        raise ValueError(f"stabilizer states are built for p <= {MAX_MUB_P}, got p = {p}")
     om = np.exp(2j * np.pi / p)
     s = inv2(p)
     states, labels = [], []
     for m in range(p):
         v = np.zeros(p, dtype=complex)
         v[m] = 1.0
-        states.append(np.outer(v, v.conj()))
+        states.append(_read_only(np.outer(v, v.conj())))
         labels.append(f"Z:{m}")
     for k in range(p):
         for m in range(p):
             x = np.arange(p)
             v = om ** ((s * k * x * x + m * x) % p) / np.sqrt(p)
-            states.append(np.outer(v, v.conj()))
+            states.append(_read_only(np.outer(v, v.conj())))
             labels.append(f"XZ^{k}:{m}")
-    return StabilizerSet(p, 1, states, "mub", labels)
-
-
-def _orbit_generators(p: int, n: int):
-    gens = []
-    for r in range(1, n + 1):
-        gens.append(clifford_generator("fourier", p, n=n, register=r)[0])
-        gens.append(clifford_generator("quadratic", p, n=n, register=r)[0])
-        for slot in (0, 1):  # Z and X unit displacements
-            pt = np.zeros(2 * n, dtype=np.int64)
-            pt[2 * (r - 1) + slot] = 1
-            gens.append(clifford_generator("displace", p, n=n, point=pt)[0])
-    for ctrl in range(1, n + 1):
-        for tgt in range(1, n + 1):
-            if ctrl != tgt:
-                gens.append(clifford_generator("sum", p, n=n, ctrl=ctrl, tgt=tgt)[0])
-    return gens
-
-
-def clifford_orbit_stabilizers(p: int, n: int, max_states: int = 5000) -> StabilizerSet:
-    """Closure of |0...0> under the generator set, deduplicated projectors.
-
-    Raises OrbitBudgetError when the closure would exceed max_states; never
-    truncates silently.
-    """
-    require_odd_prime(p)
-    d = p**n
-    gens = _orbit_generators(p, n)
-    v0 = np.zeros(d, dtype=complex)
-    v0[0] = 1.0
-    stack = np.zeros((max_states, d, d), dtype=complex)
-    stack[0] = np.outer(v0, v0.conj())
-    count = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            P = stack[idx]
-            for U in gens:
-                Q = U @ P @ U.conj().T
-                dist = np.abs(stack[:count] - Q).reshape(count, -1).max(axis=1)
-                if dist.min() < 1e-8:
-                    continue
-                if count >= max_states:
-                    raise OrbitBudgetError(
-                        f"orbit exceeds max_states={max_states} at p={p}, n={n}"
-                    )
-                stack[count] = Q
-                nxt.append(count)
-                count += 1
-        frontier = nxt
-    states = [stack[i].copy() for i in range(count)]
-    labels = [f"orbit:{i}" for i in range(count)]
-    return StabilizerSet(p, n, states, "clifford-orbit", labels)
+    W = np.stack([wigner_of_state(P, p).values for P in states])
+    return StabilizerSet(p, 1, tuple(states), tuple(labels), _read_only(W))

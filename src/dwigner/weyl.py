@@ -18,7 +18,6 @@ from .fields import (
     CliffordElement,
     as_point,
     inv2,
-    point_index,
     require_odd_prime,
     symplectic_form,
 )
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 MATCH_TOL = 1e-8
+# WeylTable.A_stack holds at most A_STACK_CAP * p^2 operators
+A_STACK_CAP = 1000
 
 
 class NotCliffordError(ValueError):
@@ -89,70 +90,38 @@ def phase_point_operator(u, p: int) -> np.ndarray:
 
 
 class WeylTable:
-    """Memoized T_u / A_u stacks for one (p, n); immutable after build.
+    """Memoized A_u operators for one (p, n); immutable after build.
 
-    single_T / single_A hold the p^2 one-qudit operators indexed by a1*p+a2.
-    Full-system stacks are built lazily and only for d^2 <= stack_cap entries.
+    single_A holds the p^2 one-qudit operators indexed by a1*p+a2.  The
+    full-system A_stack is built lazily and only for p^{2n} <= A_STACK_CAP * p^2.
     """
 
-    def __init__(self, p: int, n: int, stack_cap: int = 1000):
+    def __init__(self, p: int, n: int):
         self.p = require_odd_prime(p)
         self.n = int(n)
         self.d = p**n
-        self.stack_cap = stack_cap
-        self.single_T = np.stack(
-            [_single_weyl(a1, a2, p) for a1 in range(p) for a2 in range(p)]
-        )
         A0 = _single_parity(p)
-        self.single_A = np.stack(
-            [T @ A0 @ T.conj().T for T in self.single_T]
-        )
-        self._T_stack: Optional[np.ndarray] = None
+        single_T = [_single_weyl(a1, a2, p) for a1 in range(p) for a2 in range(p)]
+        self.single_A = np.stack([T @ A0 @ T.conj().T for T in single_T])
         self._A_stack: Optional[np.ndarray] = None
         self._lock = threading.Lock()
-
-    def T(self, u) -> np.ndarray:
-        return self._compose(self.single_T, u)
-
-    def A(self, u) -> np.ndarray:
-        return self._compose(self.single_A, u)
-
-    def _compose(self, singles: np.ndarray, u) -> np.ndarray:
-        uu = as_point(u, self.p)
-        if uu.size != 2 * self.n:
-            raise ValueError(f"point length {uu.size}, expected {2 * self.n}")
-        out = np.ones((1, 1), dtype=complex)
-        for i in range(0, uu.size, 2):
-            out = np.kron(out, singles[int(uu[i]) * self.p + int(uu[i + 1])])
-        return out
-
-    def _build_stack(self, singles: np.ndarray) -> np.ndarray:
-        if self.d**2 > self.stack_cap * self.p**2:
-            raise ValueError(
-                f"refusing to materialize {self.p ** (2 * self.n)} operators of dim {self.d}"
-            )
-        out = singles
-        for _ in range(self.n - 1):
-            # kron over both the label axis and the matrix axes
-            out = np.einsum("uij,vkl->uvikjl", out, singles).reshape(
-                out.shape[0] * self.p**2, out.shape[1] * self.p, out.shape[2] * self.p
-            )
-        return out
-
-    @property
-    def T_stack(self) -> np.ndarray:
-        """All p^{2n} T_u in point-index order."""
-        with self._lock:
-            if self._T_stack is None:
-                self._T_stack = self._build_stack(self.single_T)
-            return self._T_stack
 
     @property
     def A_stack(self) -> np.ndarray:
         """All p^{2n} A_u in point-index order."""
         with self._lock:
             if self._A_stack is None:
-                self._A_stack = self._build_stack(self.single_A)
+                if self.d**2 > A_STACK_CAP * self.p**2:
+                    raise ValueError(
+                        f"refusing to materialize {self.p ** (2 * self.n)} operators of dim {self.d}"
+                    )
+                out = self.single_A
+                for _ in range(self.n - 1):
+                    # kron over both the label axis and the matrix axes
+                    out = np.einsum("uij,vkl->uvikjl", out, self.single_A).reshape(
+                        out.shape[0] * self.p**2, out.shape[1] * self.p, out.shape[2] * self.p
+                    )
+                self._A_stack = out
             return self._A_stack
 
 

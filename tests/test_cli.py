@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
+from dwigner import circuits
 from dwigner.cli import main
 from dwigner.simulate import CHUNK_SHOTS
+from dwigner.stabilizer import MAX_MUB_P
 
 
 def run_cli(*argv):
@@ -57,6 +59,32 @@ def test_sample_rejects_negative_input(samples_dir, capsys):
     err = capsys.readouterr().err
     assert "negative Wigner value" in err
     assert "(0,0)" in err
+
+
+@pytest.mark.parametrize(
+    "circuit,flags,rc",
+    [
+        ("reg01_minimal.circ", ["--shots", "0"], 0),
+        ("bad_negative_input.circ", ["--shots", "100", "--seed", "1"], 2),
+        ("reg06_adaptive.circ", ["--shots", "500", "--seed", "3", "--oracle-check"], 0),
+    ],
+    ids=["accept", "reject", "oracle-check"],
+)
+def test_sample_validates_once(samples_dir, tmp_path, monkeypatch, circuit, flags, rc):
+    calls = []
+    original = circuits.validate_circuit
+
+    def spy(prog):
+        calls.append(prog)
+        return original(prog)
+
+    # rebind every name under which a dwigner module holds the validator
+    for module in [m for name, m in sys.modules.items() if name.startswith("dwigner")]:
+        if getattr(module, "validate_circuit", None) is original:
+            monkeypatch.setattr(module, "validate_circuit", spy)
+    argv = ["sample", str(samples_dir / circuit), *flags, "--out", str(tmp_path / "r.csv")]
+    assert run_cli(*argv) == rc
+    assert len(calls) == 1
 
 
 def test_sample_requires_seed(samples_dir, capsys):
@@ -148,6 +176,11 @@ def test_facets_rejects_p2():
     assert run_cli("facets", "2") == 2
 
 
+def test_facets_rejects_p_above_cap(capsys):
+    assert run_cli("facets", "101") == 2
+    assert f"p <= {MAX_MUB_P}" in capsys.readouterr().err
+
+
 def test_classify_mixed(tmp_path):
     out = tmp_path / "c.txt"
     assert run_cli("classify", "mixed", "--out", str(out)) == 0
@@ -222,6 +255,25 @@ def test_sample_povm_effect_without_label(tmp_path, capsys):
     assert run_cli("sample", str(circ), "--shots", "0") == 2
     err = capsys.readouterr().err
     assert "bad.povm" in err and "line 2" in err
+
+
+def test_distill_check_rejects_large_random_suite(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run_cli("distill-check", "--random-suite", "1", "--seed", "1", "--n", "9",
+                   "--out", str(out)) == 2
+    assert "p^n <= 243" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_distill_check_rejects_large_instance_file(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(
+        "distill p=3 n=6\ninput product zero zero zero zero zero zero\n"
+        "channel gates fourier(1)\nprojector zero\n"
+    )
+    assert run_cli("distill-check", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "p^n <= 243" in err
 
 
 def test_distill_check_requires_seed(capsys):

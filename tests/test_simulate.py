@@ -20,7 +20,6 @@ from dwigner.simulate import (
     random_distill_instance,
     run_oracle,
     sample_classical,
-    stabilizer_line,
     _word_unitary,
 )
 from dwigner.weyl import clifford_generator
@@ -181,36 +180,6 @@ def test_compare_pools_small_cells():
     # expected 3 each at 1000 shots: the two tiny cells merge into one pool
     assert res.pooled_cells == 2
     assert res.verdict == "PASS"
-
-
-def test_stabilizer_line_shortcut_through_circuit():
-    # pure stabilizer input: the sampled support is a line; push two distinct
-    # points through the gate map and compare with the oracle output support
-    src = """\
-qudits p=3 n=1
-input 1 zero
-gate quadratic(1); fourier(1)
-measure 1 computational
-"""
-    prog = parse_circuit(src)
-    g = validate_circuit(prog).gate_maps[(0, 1)]
-    support = {(a1, a2) for a1 in range(3) for a2 in range(3)
-               if wigner_of_state(prog.inputs[0], 3).values[a1 * 3 + a2] > 1e-12}
-    two = sorted(support)[:2]
-    from dwigner.fields import apply_affine
-
-    mapped = [tuple(int(x) for x in apply_affine(g, u)) for u in two]
-    line = stabilizer_line(mapped[0], mapped[1], 3)
-    U = _word_unitary(3, 1, prog.items[0].word)
-    out = U @ prog.inputs[0] @ U.conj().T
-    Wout = wigner_of_state(out, 3).values
-    out_support = {(a1, a2) for a1 in range(3) for a2 in range(3) if Wout[a1 * 3 + a2] > 1e-12}
-    assert line == out_support
-
-
-def test_stabilizer_line_rejects_equal_points():
-    with pytest.raises(ValueError):
-        stabilizer_line((0, 0), (0, 0), 3)
 
 
 # --- distillation -----------------------------------------------------------

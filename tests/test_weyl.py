@@ -101,12 +101,11 @@ def test_phase_point_covariant_under_weyl():
 
 def test_weyl_table_stacks():
     tab = weyl_table(3, 2)
-    assert tab.T_stack.shape == (81, 9, 9)
     assert tab.A_stack.shape == (81, 9, 9)
     # stack index agrees with point_index
     u = (1, 2, 0, 1)
     i = point_index(u, 3)
-    assert np.allclose(tab.T_stack[i], weyl_operator(u, 3))
+    assert np.allclose(tab.A_stack[i], phase_point_operator(u, 3))
 
 
 GEN_CASES = [
