@@ -3,7 +3,8 @@
 Phase-space arithmetic over Z_p, Heisenberg-Weyl and phase-point operators,
 Wigner transforms and negativity, stabilizer-state geometry with LP hull
 membership, a classical hidden-variable sampler for Clifford circuits with a
-dense Born-rule oracle, and a distillation positivity check.
+tensor-based Born-rule oracle that never builds a p^n x p^n matrix, and a
+distillation positivity check.
 """
 
 from .fields import (

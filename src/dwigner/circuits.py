@@ -572,6 +572,17 @@ class ValidationReport:
     ok: bool
     problems: list
     gate_maps: dict  # (item idx, register count) -> CliffordElement
+    # Wigner values of each state that passed its PSD check: one array per
+    # input register, and per extend item one array per appended register
+    input_wigners: list
+    extend_wigners: dict  # item idx -> [values]
+
+
+def _item_calls(instr) -> list:
+    """Generator calls [(kind, kwargs), ...] of a gate or displace instruction."""
+    if isinstance(instr, DisplaceInstr):
+        return [("displace", {"register": instr.reg, "point": instr.point})]
+    return instr.word
 
 
 def validate_circuit(prog: CircuitProgram) -> ValidationReport:
@@ -582,29 +593,35 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     its dense unitary and compared, and gates must carry a = 0 (Weyl parts
     belong to displace instructions).  An item's map at each register count
     it runs under is the composition of its embedded certified calls;
-    `gate_maps` holds them keyed by (item index, register count).
+    `gate_maps` holds them keyed by (item index, register count).  The
+    Wigner values computed for the sign test are kept for the sampler.
     """
     problems = []
+    input_wigners = []
     for reg, (rho, spec) in enumerate(zip(prog.inputs, prog.input_specs), start=1):
         try:
             W = wigner_of_state(rho, prog.p)  # validates the state first
         except ValueError as exc:
             problems.append(f"input {reg} ({spec}): {exc}")
             continue
+        input_wigners.append(W.values)
         worst = int(np.argmin(W.values))
         if W.values[worst] < -1e-10:
             problems.append(
                 f"input {reg} ({spec}): negative Wigner value {W.values[worst]:.6g} "
                 f"at point ({worst // prog.p},{worst % prog.p})"
             )
-    for instr in prog.items:
+    extend_wigners = {}
+    for i, instr in enumerate(prog.items):
         if isinstance(instr, ExtendInstr):
+            extend_wigners[i] = []
             for rho in instr.states:
                 try:
                     W = wigner_of_state(rho, prog.p)
                 except ValueError as exc:
                     problems.append(f"extend ({instr.preset}): {exc}")
                     continue
+                extend_wigners[i].append(W.values)
                 if W.values.min() < -1e-10:
                     problems.append(
                         f"extend ({instr.preset}): negative Wigner value {W.values.min():.6g}"
@@ -621,31 +638,55 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                     )
     gate_maps = {}
     for i, instr in enumerate(prog.items):
-        if isinstance(instr, GateInstr):
-            calls = instr.word
-        elif isinstance(instr, DisplaceInstr):
-            calls = [("displace", {"register": instr.reg, "point": instr.point})]
-        else:
+        if not isinstance(instr, (GateInstr, DisplaceInstr)):
             continue
         # items no path reaches are still checked, at the initial register count
         for n_cur in prog.register_counts.get(i, {prog.n}):
             g = CliffordElement.identity(prog.p, n_cur)
             try:
-                for call in calls:
+                for call in _item_calls(instr):
                     g = _embedded_map(call, prog.p, n_cur).compose(g)
             except CircuitError as exc:
                 problems.append(f"line {instr.line}: {exc}")
                 continue
             gate_maps[(i, n_cur)] = g
-    return ValidationReport(ok=not problems, problems=problems, gate_maps=gate_maps)
+    return ValidationReport(
+        ok=not problems,
+        problems=problems,
+        gate_maps=gate_maps,
+        input_wigners=input_wigners,
+        extend_wigners=extend_wigners,
+    )
+
+
+def _local_call(call) -> tuple[list, str, tuple]:
+    """A generator call on its own registers: the sorted registers, the kind,
+    and the remaining parameters with sum's (ctrl, tgt) renumbered to 1 and 2
+    in that order."""
+    kind, kw = call
+    regs = sorted(_gate_registers(call))
+    params = {k: v for k, v in kw.items() if k not in ("register", "ctrl", "tgt")}
+    if kind == "sum":
+        params["ctrl"], params["tgt"] = (1, 2) if kw["ctrl"] < kw["tgt"] else (2, 1)
+    return regs, kind, tuple(sorted(params.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def _local_generator(p: int, kind: str, params: tuple) -> tuple[np.ndarray, CliffordElement]:
+    """The dense p x p (p^2 x p^2 for sum) unitary of a generator call on its
+    own registers and the table's (F, a) claim for it; the cached unitary is
+    read-only."""
+    U, claimed = clifford_generator(kind, p, n=2 if kind == "sum" else 1, **dict(params))
+    U.flags.writeable = False
+    return U, claimed
 
 
 @functools.lru_cache(maxsize=None)
 def _certified_map(p: int, kind: str, params: tuple) -> CliffordElement:
     """(F, a) of one generator call on its own registers, numbered from 1 in
     their original order: the table's claim, checked against the map
-    re-derived from the dense p x p (p^2 x p^2 for sum) unitary."""
-    U, claimed = clifford_generator(kind, p, n=2 if kind == "sum" else 1, **dict(params))
+    re-derived from its local unitary."""
+    U, claimed = _local_generator(p, kind, params)
     extracted = extract_symplectic(U, p)
     if extracted != claimed:
         raise CircuitError(f"{kind}: extracted (F,a) differs from the claimed map")
@@ -664,15 +705,11 @@ def _embedded_map(call, p: int, n: int) -> CliffordElement:
     order), and T_u factorizes over registers, so (F, a) acts on the call's
     blocks as certified and as the identity elsewhere.
     """
-    kind, kw = call
-    regs = sorted(_gate_registers(call))
+    regs, kind, params = _local_call(call)
     for r in regs:
         if not 1 <= r <= n:
             raise CircuitError(f"register {r} out of range 1..{n}")
-    params = {k: v for k, v in kw.items() if k not in ("register", "ctrl", "tgt")}
-    if kind == "sum":
-        params["ctrl"], params["tgt"] = (1, 2) if kw["ctrl"] < kw["tgt"] else (2, 1)
-    local = _certified_map(p, kind, tuple(sorted(params.items())))
+    local = _certified_map(p, kind, params)
     a = np.zeros(2 * n, dtype=np.int64)
     for j, r in enumerate(regs):
         a[2 * r - 2 : 2 * r] = local.a[2 * j : 2 * j + 2]

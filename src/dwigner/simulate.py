@@ -1,7 +1,9 @@
 """The two algorithm classes plus the distillation positivity check.
 
-run_oracle: dense Born-rule evaluation traversing every branch, with Lueders
-updates for conditioning.  sample_classical: the hidden-variable sampler --
+run_oracle: Born-rule evaluation traversing every branch, on a tensor over
+the live registers: gates act through their local one- or two-register
+unitaries and each measured register is traced out, so no p^n x p^n matrix
+is built.  sample_classical: the hidden-variable sampler --
 phase-space points drawn from input Wigner distributions, pushed through
 affine gate maps, measured by conditional Wigner probabilities.  The outcome
 distributions agree; compare_distributions quantifies that with TV and a
@@ -39,17 +41,19 @@ from .circuits import (
     _complex_matrix,
     _content_lines,
     _dim_header,
+    _item_calls,
+    _local_call,
+    _local_generator,
     _parse_gate_word,
 )
 from .fields import require_odd_prime
 from .stabilizer import mub_stabilizer_states
-from .weyl import _embed_single, clifford_generator
+from .weyl import clifford_generator
 from .wigner import (
     is_positively_represented,
     negativity_F,
     validate_state,
     wigner_of_effect,
-    wigner_of_state,
 )
 
 __all__ = [
@@ -72,7 +76,9 @@ __all__ = [
     "CHUNK_SHOTS",
 ]
 
-ORACLE_DIM_CAP = 243  # p^n guard for the dense oracle and the dense distillation step
+# p^n guard for the oracle, whose state tensor holds p^(2n) entries, and for
+# the distillation step, which still builds dense p^n x p^n matrices
+ORACLE_DIM_CAP = 243
 # Shots per sampler chunk.  Even, so that every chunk's first draw lo * K is a
 # multiple of the four draws in one Philox block.
 CHUNK_SHOTS = 1 << 16
@@ -95,6 +101,9 @@ class InputNegativelyRepresented(ValueError):
 @dataclass
 class OutcomeDistribution:
     probabilities: dict  # outcome string -> probability
+    # branches the oracle dropped at pk < 1e-15, and their summed probability
+    pruned_branches: int = 0
+    pruned_mass: float = 0.0
 
     def __post_init__(self):
         total = sum(self.probabilities.values())
@@ -126,7 +135,7 @@ class CompareResult:
     verdict: str
 
 
-# --- dense oracle -----------------------------------------------------------
+# --- oracle -----------------------------------------------------------------
 
 def _word_unitary(p: int, n: int, word) -> np.ndarray:
     """Dense product of generator calls [(kind, kwargs), ...] in application order."""
@@ -136,82 +145,96 @@ def _word_unitary(p: int, n: int, word) -> np.ndarray:
     return U
 
 
-def _item_unitary(instr, p: int, n: int) -> np.ndarray:
-    """Dense unitary of a gate or displace instruction on n registers."""
-    if isinstance(instr, GateInstr):
-        return _word_unitary(p, n, instr.word)
-    pt = np.zeros(2 * n, dtype=np.int64)
-    pt[2 * instr.reg - 2 : 2 * instr.reg] = instr.point
-    return _word_unitary(p, n, [("displace", {"point": pt})])
-
-
-def _psd_sqrt(E: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(E)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+def _apply_local(rho: np.ndarray, M: np.ndarray, axes: list) -> np.ndarray:
+    """M (p^k x p^k) applied to the k tensor axes `axes` of rho, in that order."""
+    k = len(axes)
+    p = rho.shape[0]
+    out = np.tensordot(M.reshape((p,) * (2 * k)), rho, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
 
 
 def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
-    """Exact-to-double outcome distribution via the chain rule over all branches."""
+    """Exact-to-double outcome distribution via the chain rule over all branches.
+
+    The state is a (p,)*2m tensor over the m live registers, ket axes first
+    and bra axes after them; no p^n x p^n matrix is built.  Each generator
+    call applies its local p x p (p^2 x p^2 for sum) unitary on its own
+    axes, `extend` appends axes by an outer product, and measuring register
+    r with effect E contracts E^T against r's ket and bra axes, which gives
+    Tr_r[(E (x) I) rho] with trace pk.  Tracing r out is exact: a path
+    measures each register once and never acts on it again (_check_paths),
+    and Tr_r[(M (x) I) rho (M (x) I)^dag] = Tr_r[(E (x) I) rho] for every
+    Kraus root M of E.  Branches with pk < 1e-15 are dropped; their count
+    and summed probability are recorded on the result.
+    """
     p = prog.p
     if p**prog.max_registers > ORACLE_DIM_CAP:
         raise OracleGuardError(
             f"oracle guard: p^n = {p ** prog.max_registers} exceeds {ORACLE_DIM_CAP}"
         )
-    rho = np.ones((1, 1), dtype=complex)
-    for r in prog.inputs:
-        rho = np.kron(rho, r)
     results: dict[str, float] = {}
-    sqrt_cache: dict[int, list] = {}
-    unitaries = {  # (item idx, register count) -> U
-        (i, n): _item_unitary(instr, p, n)
-        for i, instr in enumerate(prog.items)
-        if isinstance(instr, (GateInstr, DisplaceInstr))
-        for n in prog.register_counts.get(i, ())
-    }
+    pruned_branches, pruned_mass = 0, 0.0
 
-    def walk(i: int, rho, n_cur: int, outcomes: dict, prob: float):
+    def extend(rho, live, n_cur, states):
+        """Append registers n_cur+1, n_cur+2, ... in the states `states`."""
+        for r, s in enumerate(states, start=n_cur + 1):
+            m = len(live)
+            rho = np.moveaxis(np.multiply.outer(rho, s), 2 * m, m)
+            live = live + [r]
+        return rho, live
+
+    def walk(i: int, rho, live: list, n_cur: int, outcomes: dict, prob: float):
+        nonlocal pruned_branches, pruned_mass
         if i >= len(prog.items) or isinstance(prog.items[i], LabelMarker):
             key = "".join(outcomes[r] for r in range(1, n_cur + 1))
             results[key] = results.get(key, 0.0) + prob
             return
         instr = prog.items[i]
         if isinstance(instr, (GateInstr, DisplaceInstr)):
-            U = unitaries[(i, n_cur)]
-            walk(i + 1, U @ rho @ U.conj().T, n_cur, outcomes, prob)
+            for call in _item_calls(instr):
+                regs, kind, params = _local_call(call)
+                U = _local_generator(p, kind, params)[0]
+                axes = [live.index(r) for r in regs]
+                rho = _apply_local(rho, U, axes)
+                rho = _apply_local(rho, U.conj(), [a + len(live) for a in axes])
+            walk(i + 1, rho, live, n_cur, outcomes, prob)
         elif isinstance(instr, ExtendInstr):
-            for extra in instr.states:
-                rho = np.kron(rho, extra)
-            walk(i + 1, rho, n_cur + instr.count, outcomes, prob)
+            rho, live = extend(rho, live, n_cur, instr.states)
+            walk(i + 1, rho, live, n_cur + instr.count, outcomes, prob)
         elif isinstance(instr, MeasureInstr):
-            if instr.line not in sqrt_cache:
-                sqrt_cache[instr.line] = [_psd_sqrt(E) for E in instr.povm.effects]
-            for label, E, M in zip(
-                instr.povm.labels, instr.povm.effects, sqrt_cache[instr.line]
-            ):
-                Efull = _embed_single(E, p, n_cur, instr.reg)
-                pk = float(np.trace(Efull @ rho).real)
+            j, m = live.index(instr.reg), len(live)
+            rest = live[:j] + live[j + 1 :]
+            d = p ** (m - 1)
+            for label, E in zip(instr.povm.labels, instr.povm.effects):
+                reduced = np.tensordot(E.T, rho, axes=([0, 1], [j, m + j]))
+                pk = float(np.trace(reduced.reshape(d, d)).real)
                 if pk < 1e-15:
+                    pruned_branches += 1
+                    pruned_mass += pk * prob
                     continue
-                Mfull = _embed_single(M, p, n_cur, instr.reg)
-                rho_k = Mfull @ rho @ Mfull.conj().T / pk
                 out2 = dict(outcomes)
                 out2[instr.reg] = label
                 nxt = i + 1 if instr.branch is None else instr.branch[label]
-                walk(nxt, rho_k, n_cur, out2, prob * pk)
+                walk(nxt, reduced / pk, rest, n_cur, out2, prob * pk)
         else:
             raise TypeError(f"unexpected item {instr!r}")
 
-    walk(0, rho, prog.n, {}, 1.0)
-    return OutcomeDistribution(results)
+    rho, live = extend(np.ones((), dtype=complex), [], 0, prog.inputs)
+    walk(0, rho, live, prog.n, {}, 1.0)
+    return OutcomeDistribution(
+        results, pruned_branches=pruned_branches, pruned_mass=pruned_mass
+    )
 
 
 # --- classical sampler ------------------------------------------------------
 
-def _distribution_of(rho: np.ndarray, p: int) -> np.ndarray:
-    w = wigner_of_state(rho, p).values
+def _cumulative(w: np.ndarray) -> np.ndarray:
+    """Cumulative sampling table of a state's Wigner values: rounding noise
+    below zero clipped, normalized, last entry exactly 1."""
     w = np.clip(w, 0.0, None)
-    return w / w.sum()
+    c = np.cumsum(w / w.sum())
+    c[-1] = 1.0
+    return c
 
 
 def _povm_table(povm, p: int) -> np.ndarray:
@@ -232,10 +255,10 @@ def sample_classical(
     """Algorithm-class-2 sampler; deterministic for a seed at any jobs count.
 
     Validates the program first: a failure raises CircuitError carrying the
-    validator's problems, and zero shots only validate.  Points are pushed
-    through the validator's gate maps.  Shots run in chunks of CHUNK_SHOTS,
-    each drawing its own uniforms (see the module docstring), so memory is
-    bounded by one chunk.
+    validator's problems, and zero shots only validate.  Points are drawn
+    from the Wigner values the validator computed and pushed through its
+    gate maps.  Shots run in chunks of CHUNK_SHOTS, each drawing its own
+    uniforms (see the module docstring), so memory is bounded by one chunk.
     Chunk bounds depend only on `shots`; `jobs` is accepted and does not
     change the work or the report.
     """
@@ -244,22 +267,13 @@ def sample_classical(
     report = validate_circuit(prog)
     if not report.ok:
         raise CircuitError("; ".join(report.problems), problems=tuple(report.problems))
-    p = prog.p
-    input_dists = [np.cumsum(_distribution_of(r, p)) for r in prog.inputs]
-    for c in input_dists:
-        c[-1] = 1.0
-    extend_dists = {}
-    povm_cums = {}
-    for i, instr in enumerate(prog.items):
-        if isinstance(instr, ExtendInstr):
-            cums = []
-            for rho in instr.states:
-                c = np.cumsum(_distribution_of(rho, p))
-                c[-1] = 1.0
-                cums.append(c)
-            extend_dists[i] = cums
-        elif isinstance(instr, MeasureInstr):
-            povm_cums[i] = _povm_table(instr.povm, p)
+    input_dists = [_cumulative(w) for w in report.input_wigners]
+    extend_dists = {i: [_cumulative(w) for w in ws] for i, ws in report.extend_wigners.items()}
+    povm_cums = {
+        i: _povm_table(instr.povm, prog.p)
+        for i, instr in enumerate(prog.items)
+        if isinstance(instr, MeasureInstr)
+    }
 
     counts: dict[str, int] = {}
     mults = 0

@@ -218,10 +218,9 @@ def clifford_generator(
         return weyl_operator(pt, p), CliffordElement(np.eye(2 * n, dtype=np.int64), pt, p)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return (
-        _embed_single(U1, p, n, register),
-        CliffordElement(_embed_F(Fb, n, [register]), zero, p),
-    )
+    # a generator on its own single register needs no embedding
+    U = U1 if (n, register) == (1, 1) else _embed_single(U1, p, n, register)
+    return U, CliffordElement(_embed_F(Fb, n, [register]), zero, p)
 
 
 def _match_weyl(C: np.ndarray, p: int, n: int) -> tuple[np.ndarray, complex]:

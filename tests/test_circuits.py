@@ -400,6 +400,7 @@ def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_di
     monkeypatch.setattr(circuits, "clifford_generator", spy)
     monkeypatch.setattr(simulate, "clifford_generator", spy)
     circuits._certified_map.cache_clear()
+    circuits._local_generator.cache_clear()
     five = "\n".join(
         ["qudits p=3 n=5"]
         + [f"input {r} mixed" for r in range(1, 6)]

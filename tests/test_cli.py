@@ -71,20 +71,42 @@ def test_sample_rejects_negative_input(samples_dir, capsys):
     ids=["accept", "reject", "oracle-check"],
 )
 def test_sample_validates_once(samples_dir, tmp_path, monkeypatch, circuit, flags, rc):
-    calls = []
-    original = circuits.validate_circuit
-
-    def spy(prog):
-        calls.append(prog)
-        return original(prog)
-
-    # rebind every name under which a dwigner module holds the validator
-    for module in [m for name, m in sys.modules.items() if name.startswith("dwigner")]:
-        if getattr(module, "validate_circuit", None) is original:
-            monkeypatch.setattr(module, "validate_circuit", spy)
+    calls = spy_everywhere(monkeypatch, "validate_circuit", circuits.validate_circuit)
     argv = ["sample", str(samples_dir / circuit), *flags, "--out", str(tmp_path / "r.csv")]
     assert run_cli(*argv) == rc
     assert len(calls) == 1
+
+
+def spy_everywhere(monkeypatch, name, original):
+    """Rebind every name under which a dwigner module holds `original` to a
+    wrapper that records each call's arguments; returns the record."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in [m for mod, m in sys.modules.items() if mod.startswith("dwigner")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("circuit", ["reg08_three.circ", "reg07_extend.circ"])
+def test_sample_computes_each_wigner_function_once(samples_dir, tmp_path, monkeypatch, circuit):
+    # the validator's sign test and the sampler's tables share one transform
+    # per input and per extend state
+    from dwigner import wigner
+
+    prog = circuits.parse_circuit_file(samples_dir / circuit)
+    states = len(prog.inputs) + sum(
+        len(item.states) for item in prog.items if isinstance(item, circuits.ExtendInstr)
+    )
+    calls = spy_everywhere(monkeypatch, "wigner_of_state", wigner.wigner_of_state)
+    argv = ["sample", str(samples_dir / circuit), "--shots", "500", "--seed", "3",
+            "--oracle-check", "--out", str(tmp_path / "r.csv")]
+    assert run_cli(*argv) == 0
+    assert len(calls) == states
 
 
 def test_sample_requires_seed(samples_dir, capsys):

@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwigner import simulate
-from dwigner.circuits import parse_circuit, parse_circuit_file, validate_circuit
+from dwigner import circuits, simulate, weyl
+from dwigner.circuits import (
+    DisplaceInstr,
+    ExtendInstr,
+    GateInstr,
+    LabelMarker,
+    MeasureInstr,
+    parse_circuit,
+    parse_circuit_file,
+    validate_circuit,
+)
 from dwigner.simulate import (
     DistillationInstance,
     InputNegativelyRepresented,
@@ -28,6 +37,63 @@ from dwigner.wigner import wigner_of_effect, wigner_of_state
 
 def oracle_of(src, **kw):
     return run_oracle(parse_circuit(src, **kw))
+
+
+def dense_oracle(prog) -> dict:
+    """Reference oracle on the dense p^n x p^n density matrix: every gate word
+    as a dense product, every effect and Kraus root embedded, Lueders updates
+    at each branch node."""
+    p = prog.p
+
+    def unitary(instr, n):
+        if isinstance(instr, GateInstr):
+            return _word_unitary(p, n, instr.word)
+        pt = np.zeros(2 * n, dtype=np.int64)
+        pt[2 * instr.reg - 2 : 2 * instr.reg] = instr.point
+        return _word_unitary(p, n, [("displace", {"point": pt})])
+
+    def psd_sqrt(E):
+        vals, vecs = np.linalg.eigh(E)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+    results = {}
+
+    def walk(i, rho, n_cur, outcomes, prob):
+        if i >= len(prog.items) or isinstance(prog.items[i], LabelMarker):
+            key = "".join(outcomes[r] for r in range(1, n_cur + 1))
+            results[key] = results.get(key, 0.0) + prob
+            return
+        instr = prog.items[i]
+        if isinstance(instr, (GateInstr, DisplaceInstr)):
+            U = unitary(instr, n_cur)
+            walk(i + 1, U @ rho @ U.conj().T, n_cur, outcomes, prob)
+        elif isinstance(instr, ExtendInstr):
+            for extra in instr.states:
+                rho = np.kron(rho, extra)
+            walk(i + 1, rho, n_cur + instr.count, outcomes, prob)
+        elif isinstance(instr, MeasureInstr):
+            for label, E in zip(instr.povm.labels, instr.povm.effects):
+                pk = float(np.trace(weyl._embed_single(E, p, n_cur, instr.reg) @ rho).real)
+                if pk < 1e-15:
+                    continue
+                M = weyl._embed_single(psd_sqrt(E), p, n_cur, instr.reg)
+                nxt = i + 1 if instr.branch is None else instr.branch[label]
+                walk(nxt, M @ rho @ M.conj().T / pk, n_cur, {**outcomes, instr.reg: label},
+                     prob * pk)
+
+    rho = np.ones((1, 1), dtype=complex)
+    for r in prog.inputs:
+        rho = np.kron(rho, r)
+    walk(0, rho, prog.n, {}, 1.0)
+    return results
+
+
+def assert_matches_dense(prog):
+    got = run_oracle(prog).probabilities
+    ref = dense_oracle(prog)
+    assert set(got) == set(ref)
+    for key, value in ref.items():
+        assert abs(got[key] - value) < 1e-12, (key, got[key], value)
 
 
 def test_oracle_trivial():
@@ -64,6 +130,72 @@ def test_oracle_guard():
     prog = parse_circuit("\n".join(lines))
     with pytest.raises(OracleGuardError):
         run_oracle(prog)
+
+
+def test_oracle_counts_pruned_branches(samples_dir):
+    # the zero state's outcomes 1 and 2 have pk = 0 and are dropped
+    d = run_oracle(parse_circuit_file(samples_dir / "reg01_minimal.circ"))
+    assert d.probabilities == {"0": pytest.approx(1.0)}
+    assert d.pruned_branches == 2
+    assert abs(d.pruned_mass) < 2e-15
+
+
+def test_oracle_matches_dense_reference_on_samples(samples_dir):
+    for path in sorted(samples_dir.glob("reg*.circ")):
+        assert_matches_dense(parse_circuit_file(path))
+
+
+WIDE5 = """\
+qudits p=3 n=5
+input 1 zero
+input 2 mixed
+input 3 basis(2)
+input 4 zero
+input 5 mixed
+gate sum(4,1); quadratic(3); multiply(2,5); sum(2,5); fourier(3); fourier(1); fourier(5); fourier(2); fourier(4)
+displace 4 (1,2)
+gate sum(5,2); multiply(2,1); quadratic(4); sum(1,3); quadratic(5)
+measure 5 computational branch: 0->left 1->right 2->right
+label left:
+gate sum(3,1); multiply(2,4); quadratic(2); sum(2,4)
+measure 4 computational
+measure 3 computational
+measure 2 computational
+measure 1 computational
+label right:
+gate quadratic(1); sum(4,2); multiply(2,3); sum(1,4)
+measure 4 computational
+measure 3 computational
+measure 2 computational
+measure 1 computational
+"""
+
+
+def test_oracle_on_five_qutrits_builds_only_local_operators(monkeypatch):
+    prog = parse_circuit(WIDE5)
+    seen = {"clifford_generator": [], "weyl_operator": [], "_embed_single": []}
+    for name, record in seen.items():
+        original = getattr(weyl, name)
+
+        def spy(*args, _original=original, _record=record, **kwargs):
+            _record.append((args, kwargs))
+            return _original(*args, **kwargs)
+
+        # rebind every name under which a dwigner module holds the function
+        for module in (weyl, circuits, simulate):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    circuits._local_generator.cache_clear()  # build each local unitary under the spies
+    got = run_oracle(prog)
+    assert seen["clifford_generator"] and seen["weyl_operator"]  # the spies were live
+    assert all(kw.get("n", 1) <= 2 for _, kw in seen["clifford_generator"])
+    assert all(np.size(args[0]) == 2 for args, _ in seen["weyl_operator"])
+    assert seen["_embed_single"] == []
+    assert len(got.probabilities) == 3**5
+    monkeypatch.undo()
+    ref = dense_oracle(prog)
+    for key, value in ref.items():
+        assert abs(got.probabilities[key] - value) < 1e-12
 
 
 def test_oracle_distribution_sums_to_one(samples_dir):
@@ -336,15 +468,26 @@ def test_tally_keeps_outcomes_apart_past_64_binary_digits(samples_dir):
 
 
 PRESETS = ["mixed", "zero", "basis(1)", "basis(2)"]
-POVMS = {"computational": ("0", "1", "2"), "povm-file:two_outcome.povm": ("hit", "miss")}
+# the POVM files are qutrit POVMs
+POVMS_BY_P = {
+    3: {
+        "computational": ("0", "1", "2"),
+        "povm-file:two_outcome.povm": ("hit", "miss"),
+        "povm-file:fourier_basis.povm": ("f0", "f1", "f2"),
+    },
+    5: {"computational": ("0", "1", "2", "3", "4")},
+}
 
 
 @st.composite
-def adaptive_circuits(draw):
-    """Valid qutrit circuits of at most 3 registers: gate words, displace,
-    extend, adaptive branches and the two-outcome POVM."""
-    n = draw(st.integers(1, 3))
-    lines = [f"qudits p=3 n={n}"]
+def adaptive_circuits(draw, p=3, max_regs=3):
+    """Valid circuits on at most max_regs registers of dimension p: gate
+    words, displace, extend (also after a measurement), nested adaptive
+    branches and, for qutrits, the two-outcome POVM and the Fourier-basis
+    POVM, whose complex effects tell E from E^T."""
+    POVMS = POVMS_BY_P[p]
+    n = draw(st.integers(1, max_regs))
+    lines = [f"qudits p={p} n={n}"]
     lines += [f"input {r} {draw(st.sampled_from(PRESETS))}" for r in range(1, n + 1)]
     names = itertools.count()
 
@@ -356,7 +499,7 @@ def adaptive_circuits(draw):
             return f"sum({ctrl},{tgt})"
         reg = draw(st.sampled_from(unmeasured))
         if kind == "multiply":
-            return f"multiply({draw(st.integers(1, 2))},{reg})"
+            return f"multiply({draw(st.integers(1, p - 1))},{reg})"
         return f"{kind}({reg})"
 
     def block(n_cur, unmeasured, depth):
@@ -364,13 +507,13 @@ def adaptive_circuits(draw):
         while unmeasured:
             for _ in range(draw(st.integers(0, 3))):
                 op = draw(st.sampled_from(["gate", "displace", "extend"]))
-                if op == "extend" and n_cur < 3:
-                    count = draw(st.integers(1, 3 - n_cur))
+                if op == "extend" and n_cur < max_regs:
+                    count = draw(st.integers(1, max_regs - n_cur))
                     out.append(f"extend {count} {draw(st.sampled_from(PRESETS))}")
                     unmeasured = unmeasured + list(range(n_cur + 1, n_cur + count + 1))
                     n_cur += count
                 elif op == "displace":
-                    a1, a2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+                    a1, a2 = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
                     out.append(f"displace {draw(st.sampled_from(unmeasured))} ({a1},{a2})")
                 else:
                     calls = [gate_call(unmeasured) for _ in range(draw(st.integers(1, 3)))]
@@ -407,6 +550,12 @@ def test_sampler_matches_oracle_on_generated_circuits(samples_dir, src):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "CHUNK_SHOTS", size)
             assert sample_classical(prog, seed=11, shots=shots).counts == runs[shots].counts
+
+
+@settings(max_examples=60)
+@given(src=st.one_of(adaptive_circuits(p=3, max_regs=4), adaptive_circuits(p=5, max_regs=3)))
+def test_oracle_matches_dense_reference_on_generated_circuits(samples_dir, src):
+    assert_matches_dense(parse_circuit(src, base_dir=samples_dir))
 
 
 def test_sampler_memory_bounded_by_a_chunk(monkeypatch, samples_dir):
