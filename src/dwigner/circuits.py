@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import CliffordElement, require_odd_prime
-from .weyl import _embed_F, clifford_generator, extract_symplectic
+from .weyl import clifford_generator, extract_symplectic
 from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
 __all__ = [
@@ -576,6 +576,7 @@ class ValidationReport:
     # input register, and per extend item one array per appended register
     input_wigners: list
     extend_wigners: dict  # item idx -> [values]
+    effect_wigners: dict  # measure item idx -> [values], one per effect
 
 
 def _item_calls(instr) -> list:
@@ -594,7 +595,8 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     belong to displace instructions).  An item's map at each register count
     it runs under is the composition of its embedded certified calls;
     `gate_maps` holds them keyed by (item index, register count).  The
-    Wigner values computed for the sign test are kept for the sampler.
+    Wigner values computed for the sign tests of states and effects are kept
+    for the sampler.
     """
     problems = []
     input_wigners = []
@@ -612,6 +614,7 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                 f"at point ({worst // prog.p},{worst % prog.p})"
             )
     extend_wigners = {}
+    effect_wigners = {}
     for i, instr in enumerate(prog.items):
         if isinstance(instr, ExtendInstr):
             extend_wigners[i] = []
@@ -627,8 +630,10 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                         f"extend ({instr.preset}): negative Wigner value {W.values.min():.6g}"
                     )
         elif isinstance(instr, MeasureInstr):
+            effect_wigners[i] = []
             for label, E in zip(instr.povm.labels, instr.povm.effects):
                 WE = wigner_of_effect(E, prog.p)
+                effect_wigners[i].append(WE.values)
                 worst = int(np.argmin(WE.values))
                 if WE.values[worst] < -1e-10:
                     problems.append(
@@ -642,20 +647,17 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
             continue
         # items no path reaches are still checked, at the initial register count
         for n_cur in prog.register_counts.get(i, {prog.n}):
-            g = CliffordElement.identity(prog.p, n_cur)
             try:
-                for call in _item_calls(instr):
-                    g = _embedded_map(call, prog.p, n_cur).compose(g)
+                gate_maps[(i, n_cur)] = _word_map(_item_calls(instr), prog.p, n_cur)
             except CircuitError as exc:
                 problems.append(f"line {instr.line}: {exc}")
-                continue
-            gate_maps[(i, n_cur)] = g
     return ValidationReport(
         ok=not problems,
         problems=problems,
         gate_maps=gate_maps,
         input_wigners=input_wigners,
         extend_wigners=extend_wigners,
+        effect_wigners=effect_wigners,
     )
 
 
@@ -697,23 +699,29 @@ def _certified_map(p: int, kind: str, params: tuple) -> CliffordElement:
     return extracted
 
 
-def _embedded_map(call, p: int, n: int) -> CliffordElement:
-    """The certified map of a generator call, embedded into n registers.
+def _word_map(word, p: int, n: int) -> CliffordElement:
+    """(F, a) on n registers of generator calls [(kind, kwargs), ...] in
+    application order, composed from their certified maps.
 
-    The call's unitary is its local unitary tensored with the identity on the
+    A call's unitary is its local unitary tensored with the identity on the
     other registers (up to reordering tensor factors, which keeps the local
-    order), and T_u factorizes over registers, so (F, a) acts on the call's
-    blocks as certified and as the identity elsewhere.
+    order), and T_u factorizes over registers, so its (F, a) acts on the
+    call's blocks as certified and as the identity elsewhere: each call
+    updates only the rows of its own registers.  The symplectic check runs
+    once, on the whole word.
     """
-    regs, kind, params = _local_call(call)
-    for r in regs:
-        if not 1 <= r <= n:
-            raise CircuitError(f"register {r} out of range 1..{n}")
-    local = _certified_map(p, kind, params)
+    F = np.eye(2 * n, dtype=np.int64)
     a = np.zeros(2 * n, dtype=np.int64)
-    for j, r in enumerate(regs):
-        a[2 * r - 2 : 2 * r] = local.a[2 * j : 2 * j + 2]
-    return CliffordElement(_embed_F(local.F, n, regs), a, p)
+    for call in word:
+        regs, kind, params = _local_call(call)
+        for r in regs:
+            if not 1 <= r <= n:
+                raise CircuitError(f"register {r} out of range 1..{n}")
+        local = _certified_map(p, kind, params)
+        rows = np.array([2 * r - 2 + k for r in regs for k in (0, 1)])
+        F[rows] = (local.F @ F[rows]) % p
+        a[rows] = (local.F @ a[rows] + local.a) % p
+    return CliffordElement(F, a, p)
 
 
 # --- slice files ------------------------------------------------------------

@@ -304,7 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "distill-check" and args.random_suite is not None:
+        # a suite draws its own instances and inputs
+        if args.instance is not None:
+            parser.error("argument --random-suite: not allowed with an instance file")
+        if args.force_negative_input:
+            parser.error("argument --random-suite: not allowed with --force-negative-input")
     try:
         return args.func(args)
     except (CircuitError, InputNegativelyRepresented, OracleGuardError) as exc:

@@ -7,7 +7,10 @@ is built.  sample_classical: the hidden-variable sampler --
 phase-space points drawn from input Wigner distributions, pushed through
 affine gate maps, measured by conditional Wigner probabilities.  The outcome
 distributions agree; compare_distributions quantifies that with TV and a
-chi-square test.
+chi-square test.  distill_step: the post-selected output of a Clifford
+channel computed on Wigner functions -- the channel's affine map permutes
+the input's values and the projector's effect values weight the ancilla
+points -- so a nonnegative input can never come out negative.
 
 Per-shot randomness is positional: draw j of shot s is U[s, j] of the
 shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
@@ -45,15 +48,16 @@ from .circuits import (
     _local_call,
     _local_generator,
     _parse_gate_word,
+    _word_map,
 )
-from .fields import require_odd_prime
+from .fields import CliffordElement, require_odd_prime
 from .stabilizer import mub_stabilizer_states
-from .weyl import clifford_generator
+from .weyl import extract_symplectic
 from .wigner import (
-    is_positively_represented,
-    negativity_F,
+    state_from_wigner,
     validate_state,
     wigner_of_effect,
+    wigner_of_state,
 )
 
 __all__ = [
@@ -77,7 +81,8 @@ __all__ = [
 ]
 
 # p^n guard for the oracle, whose state tensor holds p^(2n) entries, and for
-# the distillation step, which still builds dense p^n x p^n matrices
+# the distillation check, whose inputs, projectors and Kraus channels are
+# dense p^n x p^n (or p^(n-1) x p^(n-1)) matrices
 ORACLE_DIM_CAP = 243
 # Shots per sampler chunk.  Even, so that every chunk's first draw lo * K is a
 # multiple of the four draws in one Philox block.
@@ -136,14 +141,6 @@ class CompareResult:
 
 
 # --- oracle -----------------------------------------------------------------
-
-def _word_unitary(p: int, n: int, word) -> np.ndarray:
-    """Dense product of generator calls [(kind, kwargs), ...] in application order."""
-    U = np.eye(p**n, dtype=complex)
-    for kind, kw in word:
-        U = clifford_generator(kind, p, n=n, **kw)[0] @ U
-    return U
-
 
 def _apply_local(rho: np.ndarray, M: np.ndarray, axes: list) -> np.ndarray:
     """M (p^k x p^k) applied to the k tensor axes `axes` of rho, in that order."""
@@ -237,10 +234,10 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     return c
 
 
-def _povm_table(povm, p: int) -> np.ndarray:
-    """Rows = phase points, columns = cumulative outcome probabilities."""
-    tab = np.stack([wigner_of_effect(E, p).values for E in povm.effects], axis=1)
-    tab = np.clip(tab, 0.0, 1.0)
+def _povm_table(effect_values: list) -> np.ndarray:
+    """Rows = phase points, columns = cumulative outcome probabilities, from
+    the Wigner values of a POVM's effects."""
+    tab = np.clip(np.stack(effect_values, axis=1), 0.0, 1.0)
     cum = np.cumsum(tab, axis=1)
     cum[:, -1] = 1.0
     return cum
@@ -256,11 +253,11 @@ def sample_classical(
 
     Validates the program first: a failure raises CircuitError carrying the
     validator's problems, and zero shots only validate.  Points are drawn
-    from the Wigner values the validator computed and pushed through its
-    gate maps.  Shots run in chunks of CHUNK_SHOTS, each drawing its own
-    uniforms (see the module docstring), so memory is bounded by one chunk.
-    Chunk bounds depend only on `shots`; `jobs` is accepted and does not
-    change the work or the report.
+    from the Wigner values the validator computed, pushed through its gate
+    maps and measured against its effect values.  Shots run in chunks of
+    CHUNK_SHOTS, each drawing its own uniforms (see the module docstring),
+    so memory is bounded by one chunk.  Chunk bounds depend only on `shots`;
+    `jobs` is accepted and does not change the work or the report.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
@@ -269,11 +266,7 @@ def sample_classical(
         raise CircuitError("; ".join(report.problems), problems=tuple(report.problems))
     input_dists = [_cumulative(w) for w in report.input_wigners]
     extend_dists = {i: [_cumulative(w) for w in ws] for i, ws in report.extend_wigners.items()}
-    povm_cums = {
-        i: _povm_table(instr.povm, prog.p)
-        for i, instr in enumerate(prog.items)
-        if isinstance(instr, MeasureInstr)
-    }
+    povm_cums = {i: _povm_table(ws) for i, ws in report.effect_wigners.items()}
 
     counts: dict[str, int] = {}
     mults = 0
@@ -448,7 +441,7 @@ class DistillationInstance:
     p: int
     n: int
     rho_in: np.ndarray
-    channel: tuple  # ("unitary", U) | ("kraus", [K...])
+    channel: tuple  # ("clifford", CliffordElement) | ("unitary", U) | ("kraus", [K...])
     projector: np.ndarray  # on the last n-1 qudits
     positivity_asserted: bool = False  # required for kraus channels
 
@@ -463,18 +456,31 @@ class DistillResult:
 
 
 def distill_step(inst: DistillationInstance, force_negative_input: bool = False) -> DistillResult:
-    """rho_out = Tr_anc[(I (x) P) Lambda(rho) (I (x) P)] / norm and its negativity.
+    """rho_out = Tr_anc[(I (x) P) Lambda(rho) (I (x) P)] / norm and its negativity,
+    computed on Wigner functions.
 
-    Preconditions checked: positively represented input, Clifford (or
-    caller-asserted positivity-preserving) channel, positively represented
-    stabilizer projector.  verdict is None when the input precondition was
+    A Clifford channel is an affine map g = (F, a) of phase space, so
+    W_sigma[g(u)] = W_in[u] permutes the input's values.  A ("unitary", U)
+    channel is taken to its map by extract_symplectic, so a U that is not
+    Clifford raises NotCliffordError; a ("kraus", [K...]) channel, whose
+    positivity the caller asserts, is applied densely and transformed.  Then
+    W_out(u1) = sum_v W_sigma(u1, v) W_P(v) / norm, where W_P is the
+    projector's effect Wigner function and norm, the branch probability, is
+    the sum of the numerators; F_out = p * min W_out.
+
+    Preconditions checked: a PSD input of dimension p^n that is positively
+    represented, a Clifford (or caller-asserted positivity-preserving)
+    channel, and a positively represented projector on the last n-1 qudits.
+    rho_out is PSD-checked.  verdict is None when the input precondition was
     deliberately overridden; the run is then recorded without judgement.
     """
     p, n = inst.p, inst.n
     require_odd_prime(p)
     d_anc = p ** (n - 1)
-    validate_state(inst.rho_in, p)
-    F_in = negativity_F(inst.rho_in, p)
+    W_in = wigner_of_state(inst.rho_in, p)  # validates the input first
+    if W_in.n != n:
+        raise ValueError(f"input must be a state on {n} qudits (dim {p**n})")
+    F_in = float(p**n * W_in.values.min())
     if F_in < -1e-10 and not force_negative_input:
         raise InputNegativelyRepresented(
             f"F(rho_in) = {F_in:.6g} < 0; pass force_negative_input to record anyway"
@@ -484,11 +490,17 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         raise ValueError(f"projector must act on the last {n - 1} qudits (dim {d_anc})")
     if np.max(np.abs(P @ P - P)) > 1e-9:
         raise ValueError("projector fails P^2 = P")
-    if not is_positively_represented(P, p, kind="effect", tol=1e-10):
+    W_P = wigner_of_effect(P, p).values
+    if W_P.min() < -1e-10:
         raise ValueError("projector is not positively represented")
     kind, payload = inst.channel[0], inst.channel[1]
     if kind == "unitary":
-        rho_big = payload @ inst.rho_in @ payload.conj().T
+        kind, payload = "clifford", extract_symplectic(payload, p)
+    if kind == "clifford":
+        if payload.n != n:
+            raise ValueError(f"channel acts on {payload.n} qudits, expected {n}")
+        W_sigma = np.empty_like(W_in.values)
+        W_sigma[_image_indices(payload)] = W_in.values
     elif kind == "kraus":
         if not inst.positivity_asserted:
             raise ValueError("kraus channels need positivity_asserted=True")
@@ -496,18 +508,17 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         if np.max(np.abs(total - np.eye(p**n))) > 1e-9:
             raise ValueError("kraus operators are not trace preserving")
         rho_big = sum(K @ inst.rho_in @ K.conj().T for K in payload)
+        W_sigma = wigner_of_state(rho_big, p).values
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
-    Pi = np.kron(np.eye(p), P)
-    selected = Pi @ rho_big @ Pi.conj().T
-    norm = float(np.trace(selected).real)
+    numer = W_sigma.reshape(p * p, -1) @ W_P
+    norm = float(numer.sum())
     if norm < 1e-12:
         raise ZeroProbabilityBranch(f"post-selection probability {norm:.3g}")
-    selected /= norm
-    rho_out = np.einsum(
-        "iaja->ij", selected.reshape(p, d_anc, p, d_anc)
-    )
-    F_out = negativity_F(rho_out, p)
+    W_out = numer / norm
+    rho_out = state_from_wigner(W_out, p, 1)
+    validate_state(rho_out, p)
+    F_out = float(p * W_out.min())
     verdict = None
     if F_in >= -1e-10:
         verdict = "PASS" if F_out >= -1e-8 else "FAIL"
@@ -518,6 +529,19 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         branch_probability=norm,
         verdict=verdict,
     )
+
+
+def _image_indices(g: CliffordElement) -> np.ndarray:
+    """Point index of g(u) for every point u, in point-index order.
+
+    The images Fu + a are built one coordinate of u at a time, slowest
+    first, so the rows come out in point-index order of u."""
+    p, m = g.p, 2 * g.n
+    steps = np.arange(p)[:, None] * g.F.T[:, None, :]  # steps[j, x] = x * F[:, j]
+    images = g.a[None, :]
+    for j in range(m):
+        images = (images[:, None, :] + steps[j][None, :, :]).reshape(-1, m)
+    return (images % p) @ (p ** np.arange(m - 1, -1, -1))
 
 
 def _check_distill_size(p: int, n: int, line: Optional[int] = None) -> None:
@@ -556,7 +580,13 @@ def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> Disti
                 tgt += 1
             kw = {"ctrl": ctrl, "tgt": tgt}
         elif kind == "displace":
-            kw = {"point": rng.integers(0, p, size=2 * n)}
+            # one full-length draw, applied as one displace call per register
+            pt = rng.integers(0, p, size=2 * n).tolist()
+            word += [
+                ("displace", {"register": r, "point": (pt[2 * r - 2], pt[2 * r - 1])})
+                for r in range(1, n + 1)
+            ]
+            continue
         else:
             kw = {"register": int(rng.integers(1, n + 1))}
         word.append((kind, kw))
@@ -568,7 +598,7 @@ def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> Disti
         p=p,
         n=n,
         rho_in=random_positive_product_state(p, n, rng),
-        channel=("unitary", _word_unitary(p, n, word)),
+        channel=("clifford", _word_map(word, p, n)),
         projector=anc,
     )
 
@@ -609,7 +639,10 @@ def parse_distill_file(path) -> DistillationInstance:
         elif key == "channel":
             if rest.startswith("gates "):
                 word = _parse_gate_word(rest.split(" ", 1)[1], p, num)
-                channel = ("unitary", _word_unitary(p, n, word))
+                try:
+                    channel = ("clifford", _word_map(word, p, n))
+                except CircuitError as exc:
+                    raise CircuitError(str(exc), num) from exc
             elif rest.startswith("kraus-file:"):
                 tokens = rest.split()
                 kfile = tokens[0].split(":", 1)[1]

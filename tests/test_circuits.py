@@ -398,7 +398,6 @@ def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_di
         return real(kind, p, n=n, **kw)
 
     monkeypatch.setattr(circuits, "clifford_generator", spy)
-    monkeypatch.setattr(simulate, "clifford_generator", spy)
     circuits._certified_map.cache_clear()
     circuits._local_generator.cache_clear()
     five = "\n".join(

@@ -94,19 +94,26 @@ def spy_everywhere(monkeypatch, name, original):
 
 @pytest.mark.parametrize("circuit", ["reg08_three.circ", "reg07_extend.circ"])
 def test_sample_computes_each_wigner_function_once(samples_dir, tmp_path, monkeypatch, circuit):
-    # the validator's sign test and the sampler's tables share one transform
-    # per input and per extend state
+    # the validator's sign tests and the sampler's tables share one transform
+    # per input, per extend state and per effect
     from dwigner import wigner
 
     prog = circuits.parse_circuit_file(samples_dir / circuit)
     states = len(prog.inputs) + sum(
         len(item.states) for item in prog.items if isinstance(item, circuits.ExtendInstr)
     )
+    effects = sum(
+        len(item.povm.effects) for item in prog.items if isinstance(item, circuits.MeasureInstr)
+    )
     calls = spy_everywhere(monkeypatch, "wigner_of_state", wigner.wigner_of_state)
+    effect_calls = spy_everywhere(monkeypatch, "wigner_of_effect", wigner.wigner_of_effect)
     argv = ["sample", str(samples_dir / circuit), "--shots", "500", "--seed", "3",
             "--oracle-check", "--out", str(tmp_path / "r.csv")]
     assert run_cli(*argv) == 0
     assert len(calls) == states
+    assert len(effect_calls) == effects
+    if circuit == "reg08_three.circ":
+        assert effects == 9
 
 
 def test_sample_requires_seed(samples_dir, capsys):
@@ -164,22 +171,30 @@ def test_sample_rejects_out_of_range_flag(samples_dir, capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["distill-check", "--random-suite", "-3", "--seed", "1"],
-        ["distill-check", "--seed", "-1", "--random-suite", "2"],
-        ["distill-check", "--n", "1", "--random-suite", "2", "--seed", "1"],
-        ["slice", "--jobs", "0", "SPEC"],
+        (["distill-check", "--random-suite", "-3", "--seed", "1"],
+         "argument --random-suite: must be at least"),
+        (["distill-check", "--seed", "-1", "--random-suite", "2"],
+         "argument --seed: must be at least"),
+        (["distill-check", "--n", "1", "--random-suite", "2", "--seed", "1"],
+         "argument --n: must be at least"),
+        (["slice", "--jobs", "0", "SPEC"], "argument --jobs: must be at least"),
+        (["distill-check", "DISTILL", "--random-suite", "2", "--seed", "1"],
+         "argument --random-suite: not allowed with an instance file"),
+        (["distill-check", "--random-suite", "2", "--seed", "1", "--force-negative-input"],
+         "argument --random-suite: not allowed with --force-negative-input"),
     ],
-    ids=["random-suite", "distill-seed", "n", "slice-jobs"],
+    ids=["random-suite", "distill-seed", "n", "slice-jobs", "suite-and-file", "suite-and-force"],
 )
-def test_distill_and_slice_reject_out_of_range_flag(samples_dir, capsys, argv):
-    argv = [str(samples_dir / "pinned_ninth_2d.slice") if a == "SPEC" else a for a in argv]
+def test_distill_and_slice_reject_out_of_range_flag(samples_dir, capsys, argv, message):
+    files = {"SPEC": "pinned_ninth_2d.slice", "DISTILL": "distill_identity.txt"}
+    argv = [str(samples_dir / files[a]) if a in files else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {argv[1]}: must be at least" in err
+    assert message in err
 
 
 def test_facets_qutrit(tmp_path):
@@ -296,6 +311,15 @@ def test_distill_check_rejects_large_instance_file(tmp_path, capsys):
     assert run_cli("distill-check", str(inst)) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "p^n <= 243" in err
+
+
+def test_distill_check_gate_register_out_of_range(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(
+        "distill p=3 n=2\ninput product zero zero\nchannel gates fourier(3)\nprojector zero\n"
+    )
+    assert run_cli("distill-check", str(inst)) == 2
+    assert "line 3: register 3 out of range 1..2" in capsys.readouterr().err
 
 
 def test_distill_check_requires_seed(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -19,6 +20,7 @@ from dwigner.circuits import (
 )
 from dwigner.simulate import (
     DistillationInstance,
+    DistillResult,
     InputNegativelyRepresented,
     OracleGuardError,
     OutcomeDistribution,
@@ -29,14 +31,28 @@ from dwigner.simulate import (
     random_distill_instance,
     run_oracle,
     sample_classical,
-    _word_unitary,
 )
-from dwigner.weyl import clifford_generator
-from dwigner.wigner import wigner_of_effect, wigner_of_state
+from dwigner.stabilizer import mub_stabilizer_states
+from dwigner.weyl import NotCliffordError, clifford_generator, weyl_operator
+from dwigner.wigner import (
+    is_positively_represented,
+    negativity_F,
+    validate_state,
+    wigner_of_effect,
+    wigner_of_state,
+)
 
 
 def oracle_of(src, **kw):
     return run_oracle(parse_circuit(src, **kw))
+
+
+def _word_unitary(p: int, n: int, word) -> np.ndarray:
+    """Dense product of generator calls [(kind, kwargs), ...] in application order."""
+    U = np.eye(p**n, dtype=complex)
+    for kind, kw in word:
+        U = clifford_generator(kind, p, n=n, **kw)[0] @ U
+    return U
 
 
 def dense_oracle(prog) -> dict:
@@ -386,6 +402,165 @@ def test_distill_rejects_non_projector():
         distill_step(inst)
 
 
+def dense_distill_step(inst, force_negative_input=False) -> DistillResult:
+    """Reference distillation step on dense p^n x p^n matrices: the channel
+    applied as a unitary or as Kraus operators, the ancilla projected and
+    traced out, and the negativity read from the output's Wigner function.
+    It never checks that a unitary channel is Clifford."""
+    p, n = inst.p, inst.n
+    d_anc = p ** (n - 1)
+    validate_state(inst.rho_in, p)
+    F_in = negativity_F(inst.rho_in, p)
+    if F_in < -1e-10 and not force_negative_input:
+        raise InputNegativelyRepresented(f"F(rho_in) = {F_in:.6g} < 0")
+    P = inst.projector
+    assert P.shape == (d_anc, d_anc) and np.max(np.abs(P @ P - P)) <= 1e-9
+    assert is_positively_represented(P, p, kind="effect", tol=1e-10)
+    kind, payload = inst.channel
+    if kind == "unitary":
+        rho_big = payload @ inst.rho_in @ payload.conj().T
+    else:
+        assert kind == "kraus" and inst.positivity_asserted
+        rho_big = sum(K @ inst.rho_in @ K.conj().T for K in payload)
+    Pi = np.kron(np.eye(p), P)
+    selected = Pi @ rho_big @ Pi.conj().T
+    norm = float(np.trace(selected).real)
+    if norm < 1e-12:
+        raise ZeroProbabilityBranch(f"post-selection probability {norm:.3g}")
+    rho_out = np.einsum("iaja->ij", (selected / norm).reshape(p, d_anc, p, d_anc))
+    F_out = negativity_F(rho_out, p)
+    verdict = None
+    if F_in >= -1e-10:
+        verdict = "PASS" if F_out >= -1e-8 else "FAIL"
+    return DistillResult(rho_out, F_in, F_out, norm, verdict)
+
+
+def dense_random_instance(p, n, rng, word_length=10) -> DistillationInstance:
+    """random_distill_instance as it was built densely: the same draws in the
+    same order, a full-length displacement as one call, and the channel as
+    the word's dense unitary."""
+    kinds = ["fourier", "quadratic", "multiply", "sum", "displace"]
+    word = []
+    for _ in range(word_length):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == "multiply":
+            kw = {"c": int(rng.integers(1, p)), "register": int(rng.integers(1, n + 1))}
+        elif kind == "sum":
+            ctrl = int(rng.integers(1, n + 1))
+            tgt = int(rng.integers(1, n))
+            if tgt >= ctrl:
+                tgt += 1
+            kw = {"ctrl": ctrl, "tgt": tgt}
+        elif kind == "displace":
+            kw = {"point": rng.integers(0, p, size=2 * n)}
+        else:
+            kw = {"register": int(rng.integers(1, n + 1))}
+        word.append((kind, kw))
+    mub = mub_stabilizer_states(p)
+    anc = np.ones((1, 1), dtype=complex)
+    for _ in range(n - 1):
+        anc = np.kron(anc, mub.states[rng.integers(len(mub))])
+    rho = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        w = rng.dirichlet(np.ones(len(mub)))
+        rho = np.kron(rho, sum(wi * S for wi, S in zip(w, mub.states)))
+    return DistillationInstance(
+        p=p, n=n, rho_in=rho, channel=("unitary", _word_unitary(p, n, word)), projector=anc
+    )
+
+
+def random_pure_state(d, rng):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+@settings(max_examples=60)
+@given(
+    p_n=st.sampled_from([(3, 2), (3, 3), (5, 2), (5, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    route=st.sampled_from(["word", "unitary", "kraus"]),
+    negative_input=st.booleans(),
+)
+def test_distill_step_matches_dense_reference(p_n, seed, route, negative_input):
+    # word channels carry the composed map, unitary channels go through
+    # extract_symplectic and Kraus channels stay dense; all three agree with
+    # the dense reference, also on negatively represented inputs
+    p, n = p_n
+    inst = random_distill_instance(p, n, np.random.default_rng(seed))
+    ref = dense_random_instance(p, n, np.random.default_rng(seed))
+    assert inst.channel[0] == "clifford"
+    # the same draws in the same order
+    assert np.array_equal(inst.rho_in, ref.rho_in)
+    assert np.array_equal(inst.projector, ref.projector)
+    rng = np.random.default_rng([seed, 1])
+    if route == "unitary":
+        inst = dataclasses.replace(ref)
+    elif route == "kraus":
+        # Weyl noise after the word: a positivity-preserving, non-unitary channel
+        q = rng.dirichlet(np.ones(3))
+        U = ref.channel[1]
+        kraus = [np.sqrt(qj) * weyl_operator(rng.integers(0, p, size=2 * n), p) @ U for qj in q]
+        ref = dataclasses.replace(ref, channel=("kraus", kraus), positivity_asserted=True)
+        inst = dataclasses.replace(ref)
+    if negative_input:
+        rho = random_pure_state(p**n, rng)
+        inst = dataclasses.replace(inst, rho_in=rho)
+        ref = dataclasses.replace(ref, rho_in=rho)
+    try:
+        want = dense_distill_step(ref, force_negative_input=negative_input)
+    except ZeroProbabilityBranch:
+        with pytest.raises(ZeroProbabilityBranch):
+            distill_step(inst, force_negative_input=negative_input)
+        return
+    got = distill_step(inst, force_negative_input=negative_input)
+    assert abs(got.F_in - want.F_in) < 1e-12
+    assert abs(got.F_out - want.F_out) < 1e-12
+    assert abs(got.branch_probability - want.branch_probability) < 1e-12
+    assert np.max(np.abs(got.rho_out - want.rho_out)) < 1e-12
+    assert got.verdict == want.verdict
+
+
+def test_distill_rejects_a_non_clifford_unitary():
+    # U = diag(1, w9, w9^-1) (x) I is diagonal but not Clifford: it maps the
+    # nonnegative |+> to a negatively represented state
+    w9 = np.exp(2j * np.pi / 9)
+    zero = np.diag([1.0, 0, 0]).astype(complex)
+    inst = DistillationInstance(
+        p=3, n=2,
+        rho_in=np.kron(np.ones((3, 3), dtype=complex) / 3, zero),
+        channel=("unitary", np.kron(np.diag([1, w9, 1 / w9]), np.eye(3))),
+        projector=zero,
+    )
+    with pytest.raises(NotCliffordError):
+        distill_step(inst)
+    # unchecked, the broken precondition reads as a broken theorem
+    res = dense_distill_step(inst)
+    assert res.verdict == "FAIL"
+    assert res.F_out == pytest.approx(-0.2931284138572722, abs=1e-9)
+
+
+def test_distill_suite_builds_no_wide_unitaries(monkeypatch, tmp_path):
+    from dwigner.cli import main
+
+    widths = []
+    real = weyl.clifford_generator
+
+    def spy(kind, p, n=1, **kw):
+        widths.append(n)
+        return real(kind, p, n=n, **kw)
+
+    for module in (weyl, circuits, simulate):
+        if getattr(module, "clifford_generator", None) is real:
+            monkeypatch.setattr(module, "clifford_generator", spy)
+    circuits._certified_map.cache_clear()
+    circuits._local_generator.cache_clear()
+    argv = ["distill-check", "--random-suite", "5", "--seed", "3", "--n", "4",
+            "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 0
+    assert widths and max(widths) <= 2
+
+
 def test_random_instances_pass():
     rng = np.random.default_rng(99)
     for _ in range(15):
@@ -399,8 +574,6 @@ def test_random_instances_pass():
 
 def test_negativity_invariant_under_gates():
     # F is unchanged by Clifford conjugation
-    from dwigner.wigner import negativity_F
-
     rng = np.random.default_rng(21)
     G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = G @ G.conj().T
