@@ -3,8 +3,11 @@
 The phase-point inequalities Tr(A_u rho) >= 0 are checked as facets against
 the enumerated vertex set.  An exact rational qutrit Wigner vector is placed
 in or out of the hull by the polytope's 81 integer facets, enumerated once
-per process; every other input runs a floating-point LP.  Outside points get
-a separating dual witness from a second LP in both cases.
+per process and applied as one integer matrix product; every other input runs
+a floating-point LP.  Outside points get a separating dual witness from a
+second LP in both cases.  A slice scan decides its whole grid with array
+operations on integer numerators over one common denominator, plus one
+stacked eigenvalue call, and runs an LP only for the witness of a BOUND point.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from scipy.optimize import linprog
 from . import FORMAT_VERSION, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, mub_stabilizer_states
+from .weyl import weyl_table
 from .wigner import _contract, state_from_wigner
 
 __all__ = [
@@ -44,6 +48,11 @@ PSD_TOL = 1e-9
 NEG_TOL = 1e-12
 SAT_TOL = 1e-8
 VERTEX_TOL = 1e-10
+# integers below this stay exact through a facet product (|g|_1 <= 7) and a
+# float64 quotient; larger slice numerators fall back to Python ints
+EXACT_INT_BOUND = 2**50
+MAX_SLICE_POINTS = 10**6  # the largest pinned grid has 6561 points
+SLICE_BLOCK = 4096  # grid points decided per array block
 
 
 class SolverFailure(RuntimeError):
@@ -167,14 +176,39 @@ def qutrit_facets() -> tuple:
     return tuple(sorted(facets))
 
 
+@functools.lru_cache(maxsize=None)
+def _facet_matrix() -> np.ndarray:
+    """`qutrit_facets()` as a read-only (81, 9) int64 matrix."""
+    G = np.array(qutrit_facets(), dtype=np.int64)
+    G.flags.writeable = False
+    return G
+
+
+def _int_array(values, bound: int) -> np.ndarray:
+    """Integers whose magnitude is at most `bound`, as an int64 array when every
+    facet product of them and their quotient by a denominator up to `bound` is
+    exact in int64 and float64 (`bound < EXACT_INT_BOUND`), else as Python ints."""
+    return np.array(values, dtype=np.int64 if bound < EXACT_INT_BOUND else object)
+
+
+def _inside_facets(num: np.ndarray) -> np.ndarray:
+    """Exact hull verdict per row of Wigner numerators over a common denominator.
+
+    Each row must sum to its denominator; a row is inside iff no facet is negative.
+    """
+    G = _facet_matrix() if num.dtype == np.int64 else _facet_matrix().astype(object)
+    return (num @ G.T).min(axis=1) >= 0
+
+
 def _in_qutrit_hull(exact_w) -> bool:
     """Exact membership of a rational qutrit Wigner vector, on integer numerators."""
     w = [Fraction(x) for x in exact_w]
     den = math.lcm(*(x.denominator for x in w))
     num = [x.numerator * (den // x.denominator) for x in w]
-    return sum(num) == den and all(
-        sum(g * x for g, x in zip(facet, num, strict=True)) >= 0 for facet in qutrit_facets()
-    )
+    if sum(num) != den:
+        return False
+    row = _int_array([num], max(den, *(abs(x) for x in num)))
+    return bool(_inside_facets(row)[0])
 
 
 def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -352,70 +386,91 @@ class SliceRow:
     lp_margin: Optional[float]
 
 
-def _axis_values(axes) -> list:
+def _axis_count(axes) -> int:
+    """Number of grid values on one axis: lo, lo + step, ... up to hi, plus hi if off the grid."""
     lo, hi, step = (Fraction(x) for x in axes)
     if step <= 0 or hi < lo:
         raise ValueError(f"bad axis range {axes}")
     count = int((hi - lo) / step)
-    vals = [lo + k * step for k in range(count + 1)]
-    if vals[-1] != hi:
-        vals.append(hi)
-    return vals
+    return count + 1 + (lo + count * step != hi)
 
 
 def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
     """Classify every grid point of the slice; deterministic row order.
 
-    Rows where the nine values cannot sum to 1 are labelled INVALID (possible
-    only when no axis is derived).  Margins are filled for the labels that ran
-    the hull test: the feasibility residual for STABILIZER_MIX (0, since the
-    verdict is exact), the dual witness gap for BOUND.
+    The grid is decided in blocks of array operations on integer numerators
+    over one common denominator D: a row summing to anything but D is INVALID
+    (possible only when no axis is derived), the sign test is the minimum
+    numerator, the hull verdict is the facet product, and the minimum
+    eigenvalue comes from a stacked `eigvalsh`.  Labels then follow
+    `classify_state`.  Margins are filled for the labels that ran the hull
+    test: the feasibility residual for STABILIZER_MIX (0, since the verdict is
+    exact), the dual witness gap for BOUND, whose witness LP is the only one
+    run.  A grid above MAX_SLICE_POINTS points raises ValueError before any
+    allocation.
     """
     if S is None:
         S = mub_stabilizer_states(3)
-    fixed_total = sum(Fraction(v) for v in spec.fixed.values())
-    idx_fixed = {point_index(pt, 3): Fraction(v) for pt, v in spec.fixed.items()}
     swept = spec.swept
-    grids = [_axis_values(axes) for _, axes in swept]
+    shape = tuple(_axis_count(axes) for _, axes in swept)
+    total = math.prod(shape)
+    if total > MAX_SLICE_POINTS:
+        raise ValueError(f"slice grid has {total} points, above the cap of {MAX_SLICE_POINTS}")
+
+    fixed = {point_index(pt, 3): Fraction(v) for pt, v in spec.fixed.items()}
+    axes = [tuple(Fraction(x) for x in a) for _, a in swept]
+    D = math.lcm(*(x.denominator for x in fixed.values()), *(x.denominator for a in axes for x in a))
+    fixed_num = {i: int(v * D) for i, v in fixed.items()}
+    axis_fracs, axis_num = [], []
+    for (lo, hi, step), count in zip(axes, shape):
+        values = [lo + k * step for k in range(count - 1)] + [hi]
+        axis_fracs.append(values)
+        axis_num.append([int(v * D) for v in values])
+    bound = D + sum(map(abs, fixed_num.values())) + sum(max(map(abs, a)) for a in axis_num)
+    fixed_cols = list(fixed)
+    fixed_row = _int_array(list(fixed_num.values()), bound)
+    axis_num = [_int_array(a, bound) for a in axis_num]
+    swept_cols = [point_index(pt, 3) for pt, _ in swept]
+    derived_col = None if spec.derived_point is None else point_index(spec.derived_point, 3)
+    single_A = weyl_table(3, 1).single_A.reshape(9, 9)
+
     rows = []
-    for combo in itertools.product(*grids):
-        values = dict(idx_fixed)
-        for (pt, _), val in zip(swept, combo):
-            values[point_index(pt, 3)] = val
-        coords = list(combo)
-        if spec.derived_point is not None:
-            derived_val = 1 - fixed_total - sum(combo)
-            values[point_index(spec.derived_point, 3)] = derived_val
-            coords.append(derived_val)
-        exact_w = [values[i] for i in range(9)]
-        total = sum(exact_w)
-        wfloat = np.array([float(x) for x in exact_w])
-        if total != 1:
-            recon = state_from_wigner(wfloat, 3, 1)
-            rows.append(
-                SliceRow(
-                    coords=tuple(coords),
-                    label="INVALID",
-                    min_eig=float(np.linalg.eigvalsh(recon).min()),
-                    min_wigner=float(min(exact_w)),
-                    lp_margin=None,
-                )
-            )
-            continue
-        label, details = classify_state(W=wfloat, p=3, S=S, exact_w=exact_w)
-        cert = details["certificate"]
-        margin = None
-        if cert is not None:
-            margin = cert.residual if cert.inside else cert.violation
-        rows.append(
-            SliceRow(
-                coords=tuple(coords),
-                label=label,
-                min_eig=details["min_eig"],
-                min_wigner=details["min_wigner"],
-                lp_margin=margin,
-            )
-        )
+    for start in range(0, total, SLICE_BLOCK):
+        digits = np.unravel_index(np.arange(start, min(start + SLICE_BLOCK, total)), shape)
+        num = np.zeros((digits[0].size, 9), dtype=fixed_row.dtype)
+        num[:, fixed_cols] = fixed_row
+        for col, values, k in zip(swept_cols, axis_num, digits):
+            num[:, col] = values[k]
+        if derived_col is not None:
+            num[:, derived_col] = D - num.sum(axis=1)
+        valid = (num.sum(axis=1) == D).tolist()
+        min_num = num.min(axis=1)
+        min_wigner = (min_num / D).astype(float).tolist()
+        w = (num / D).astype(float)
+        # the row-vector matmul reproduces `state_from_wigner` bit for bit
+        rho = np.matmul(w[:, None, :], single_A).reshape(-1, 3, 3)
+        min_eig = np.linalg.eigvalsh(rho).min(axis=1).tolist()
+        min_num = min_num.tolist()
+        inside = _inside_facets(num).tolist()
+        if derived_col is not None:
+            derived = [Fraction(x, D) for x in num[:, derived_col].tolist()]
+        for i, k in enumerate(zip(*(d.tolist() for d in digits))):
+            coords = tuple(axis_fracs[a][j] for a, j in enumerate(k))
+            if derived_col is not None:
+                coords += (derived[i],)
+            margin = None
+            if not valid[i]:
+                label = "INVALID"
+            elif min_eig[i] < -PSD_TOL:
+                label = "NONPHYSICAL"
+            elif min_num[i] < 0:
+                label = "NEGATIVE"
+            elif inside[i]:
+                label, margin = "STABILIZER_MIX", 0.0
+            else:
+                exact_w = [Fraction(x, D) for x in num[i].tolist()]
+                label, margin = "BOUND", hull_membership(w[i], S, exact_w=exact_w).violation
+            rows.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
     return rows
 
 

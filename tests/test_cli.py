@@ -244,6 +244,16 @@ def test_slice_scan_and_reproducibility(samples_dir, tmp_path):
     assert labels == {"INVALID", "NONPHYSICAL", "NEGATIVE", "STABILIZER_MIX"}
 
 
+def test_slice_rejects_a_huge_grid_before_allocating(samples_dir, tmp_path, capsys):
+    text = (samples_dir / "pinned_ninth_3d.slice").read_text()
+    huge = tmp_path / "huge.slice"
+    huge.write_text(text.replace(" 1/90\n", " 1/1000000000\n"))
+    assert huge.read_text().count("1/1000000000") == 2
+    assert run_cli("slice", str(huge), "--out", str(tmp_path / "grid.csv")) == 2
+    assert f"slice grid has {666_666_668**2} points" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_slice_malformed_spec(tmp_path):
     bad = tmp_path / "bad.slice"
     bad.write_text("slice p=3\nfixed (0,0) 1/9\n")

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dwigner import geometry
+from dwigner import geometry, wigner
 from dwigner.circuits import parse_slice_file
 from dwigner.geometry import (
     HULL_TOL,
+    SliceRow,
     SliceSpec,
     classify_state,
     exact_vertex_matrix,
@@ -21,11 +23,67 @@ from dwigner.geometry import (
     slice_scan,
 )
 from dwigner.fields import all_points, point_index
-from dwigner.wigner import wigner_of_state
+from dwigner.wigner import state_from_wigner, wigner_of_state
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def _axis_values(axes) -> list:
+    lo, hi, step = (Fraction(x) for x in axes)
+    count = int((hi - lo) / step)
+    vals = [lo + k * step for k in range(count + 1)]
+    if vals[-1] != hi:
+        vals.append(hi)
+    return vals
+
+
+def reference_slice_scan(spec, S):
+    """One `classify_state` call per grid point, in Fractions: the scan's reference."""
+    fixed_total = sum(Fraction(v) for v in spec.fixed.values())
+    idx_fixed = {point_index(pt, 3): Fraction(v) for pt, v in spec.fixed.items()}
+    swept = spec.swept
+    grids = [_axis_values(axes) for _, axes in swept]
+    rows = []
+    for combo in itertools.product(*grids):
+        values = dict(idx_fixed)
+        for (pt, _), val in zip(swept, combo):
+            values[point_index(pt, 3)] = val
+        coords = list(combo)
+        if spec.derived_point is not None:
+            derived_val = 1 - fixed_total - sum(combo)
+            values[point_index(spec.derived_point, 3)] = derived_val
+            coords.append(derived_val)
+        exact_w = [values[i] for i in range(9)]
+        wfloat = np.array([float(x) for x in exact_w])
+        if sum(exact_w) != 1:
+            recon = state_from_wigner(wfloat, 3, 1)
+            rows.append(
+                SliceRow(
+                    coords=tuple(coords),
+                    label="INVALID",
+                    min_eig=float(np.linalg.eigvalsh(recon).min()),
+                    min_wigner=float(min(exact_w)),
+                    lp_margin=None,
+                )
+            )
+            continue
+        label, details = classify_state(W=wfloat, p=3, S=S, exact_w=exact_w)
+        cert = details["certificate"]
+        margin = None
+        if cert is not None:
+            margin = cert.residual if cert.inside else cert.violation
+        rows.append(
+            SliceRow(
+                coords=tuple(coords),
+                label=label,
+                min_eig=details["min_eig"],
+                min_wigner=details["min_wigner"],
+                lp_margin=margin,
+            )
+        )
+    return rows
 
 
 def test_facets_qutrit(mub3):
@@ -262,3 +320,72 @@ def test_facet_verdict_matches_float_lp(mub3, counts):
     cert = hull_membership(w, mub3, exact_w=exact)
     assert cert.inside == (tstar <= HULL_TOL)
     assert not cert.disputed
+
+
+@st.composite
+def small_slice_specs(draw):
+    """Fixed values over 9, 18 or 90 near the maximally mixed 1/9; 2 or 3 free
+    points, the last one derived or not, with short axes centred where the
+    free values sum to what the fixed ones leave."""
+    points = draw(st.permutations([tuple(u) for u in all_points(3, 1)]))
+    free_count = draw(st.integers(2, 3))
+    derived = draw(st.booleans())
+    fixed = {}
+    for pt in points[free_count:]:
+        den = draw(st.sampled_from((9, 18, 90)))
+        fixed[pt] = Fraction(draw(st.integers(den // 9 - den // 18, den // 9 + den // 18)), den)
+    centre = (1 - sum(fixed.values())) / free_count
+    free = []
+    for i, pt in enumerate(points[:free_count]):
+        if derived and i == free_count - 1:
+            free.append((pt, None))
+            continue
+        den = draw(st.sampled_from((9, 18, 90)))
+        step = Fraction(draw(st.integers(1, 4)), den)
+        lo = Fraction(int(centre * den) - draw(st.integers(0, 6)), den)
+        hi = lo + Fraction(draw(st.integers(0, 12)), den)
+        free.append((pt, (lo, hi, step)))
+    return SliceSpec(p=3, fixed=fixed, free=free)
+
+
+@given(small_slice_specs())
+def test_slice_scan_matches_per_point_reference(mub3, spec):
+    assert slice_scan(spec, S=mub3) == reference_slice_scan(spec, mub3)
+
+
+def test_slice_scan_exact_beyond_int64(mub3):
+    # denominators near 3^40 put the numerators out of int64 range
+    tiny = F(1, 3**40)
+    fixed = {tuple(u): F(1, 9) + (tiny if i % 2 else -tiny) for i, u in enumerate(all_points(3, 1)[3:])}
+    free = [
+        ((0, 0), (F(-1, 9), F(1, 3), F(1, 18))),
+        ((0, 1), (F(0), F(2, 9) + tiny, F(1, 18))),
+        ((0, 2), None),
+    ]
+    spec = SliceSpec(p=3, fixed=fixed, free=free)
+    rows = slice_scan(spec, S=mub3)
+    assert rows == reference_slice_scan(spec, mub3)
+    assert len({r.label for r in rows}) >= 3
+
+
+def test_slice_scan_decides_the_grid_at_once(monkeypatch, samples_dir, mub3):
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("state_from_wigner called during a slice scan")
+
+    witness_calls = []
+    real_witness = geometry._separating_witness
+
+    def spy_witness(V, target):
+        witness_calls.append(target)
+        return real_witness(V, target)
+
+    spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
+    expected = reference_slice_scan(spec, mub3)
+    monkeypatch.setattr(geometry, "state_from_wigner", no_inverse)
+    monkeypatch.setattr(wigner, "state_from_wigner", no_inverse)
+    monkeypatch.setattr(geometry, "_separating_witness", spy_witness)
+    rows = slice_scan(spec, S=mub3)
+    assert rows == expected
+    bound = [r for r in rows if r.label == "BOUND"]
+    assert bound and len(witness_calls) == len(bound)
+
