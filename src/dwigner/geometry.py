@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import FORMAT_VERSION, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
@@ -213,6 +212,8 @@ def _in_qutrit_hull(exact_w) -> bool:
 
 def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """min t s.t. |[V^T; 1^T] w - [target; 1]|_inf <= t, w >= 0."""
+    from scipy.optimize import linprog  # loaded by the first LP only
+
     count = V.shape[0]
     A_eq_like = np.vstack([V.T, np.ones(count)])
     b = np.concatenate([target, [1.0]])
@@ -239,6 +240,8 @@ def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]
 
 def _separating_witness(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, float]:
     """max_{|y|<=1, s} y . target - s  s.t.  y . V_i <= s for all vertices."""
+    from scipy.optimize import linprog  # loaded by the first LP only
+
     count, m = V.shape
     A_ub = np.hstack([V, -np.ones((count, 1))])
     b_ub = np.zeros(count)

@@ -18,6 +18,14 @@ shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
 draws only its own rows, from a Philox stream advanced to the chunk's first
 draw, so memory is bounded by a chunk.  CHUNK_SHOTS is even, so every chunk
 starts on a whole Philox block and the bytes do not depend on its value.
+
+A chunk's kernel (_Walk) makes a few whole-array passes per instruction: it
+transposes the uniforms once so each draw position is a contiguous row,
+draws points with searchsorted straight into a preallocated point array,
+maps them through each gate's dense (2n)^2 matrix reduced mod p by a table
+gather, measures by counting contiguous cumulative effect columns below the
+draw, splits branches with index arrays and tallies outcome codes with
+bincount.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 from .circuits import (
     CircuitError,
@@ -234,13 +241,13 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     return c
 
 
-def _povm_table(effect_values: list) -> np.ndarray:
-    """Rows = phase points, columns = cumulative outcome probabilities, from
-    the Wigner values of a POVM's effects."""
+def _povm_columns(effect_values: list) -> list:
+    """Cumulative outcome probabilities per phase point, from the Wigner
+    values of a POVM's effects: one contiguous column per effect but the
+    last, whose cumulative entry is exactly 1 and counts no draw."""
     tab = np.clip(np.stack(effect_values, axis=1), 0.0, 1.0)
     cum = np.cumsum(tab, axis=1)
-    cum[:, -1] = 1.0
-    return cum
+    return [np.ascontiguousarray(cum[:, k]) for k in range(cum.shape[1] - 1)]
 
 
 def sample_classical(
@@ -266,14 +273,14 @@ def sample_classical(
         raise CircuitError("; ".join(report.problems), problems=tuple(report.problems))
     input_dists = [_cumulative(w) for w in report.input_wigners]
     extend_dists = {i: [_cumulative(w) for w in ws] for i, ws in report.extend_wigners.items()}
-    povm_cums = {i: _povm_table(ws) for i, ws in report.effect_wigners.items()}
+    povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
 
     counts: dict[str, int] = {}
     mults = 0
     adds = 0
     for lo in range(0, shots, CHUNK_SHOTS):
         chunk_counts, m, a = _run_chunk(
-            prog, seed, input_dists, extend_dists, povm_cums, report.gate_maps,
+            prog, seed, input_dists, extend_dists, povm_cols, report.gate_maps,
             lo, min(lo + CHUNK_SHOTS, shots),
         )
         for k, v in chunk_counts.items():
@@ -289,105 +296,137 @@ def sample_classical(
     )
 
 
-def _run_chunk(prog, seed, input_dists, extend_dists, povm_cums, gate_maps, lo, hi):
+def _run_chunk(prog, seed, input_dists, extend_dists, povm_cols, gate_maps, lo, hi):
     """Outcome counts, field mults and field adds of shots lo..hi-1."""
-    p = prog.p
     K = 2 * prog.max_registers
     # Philox emits four 64-bit words per counter step and `random` spends one
     # per draw, so skipping lo * K draws is lo * K / 4 steps
     U = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4)).random((hi - lo, K))
+    walk = _Walk(prog, np.ascontiguousarray(U.T), extend_dists, povm_cols, gate_maps)
     # initial phase points: one draw per register, positions 0..n-1
-    cols = []
-    for r, cum in enumerate(input_dists):
-        idx = np.searchsorted(cum, U[:, r], side="right")
-        cols.append(idx // p)
-        cols.append(idx % p)
-    upts = np.stack(cols, axis=1).astype(np.int64)
-    out_idx = np.full((hi - lo, prog.max_registers), -1, dtype=np.int64)
-    walk = _Walk(prog, U, extend_dists, povm_cums, gate_maps)
-    walk.run(0, np.arange(hi - lo), upts, len(input_dists), {}, out_idx)
+    upts = np.empty((hi - lo, 2 * len(input_dists)), dtype=np.int64)
+    walk.draw_points(upts, input_dists, None, 0)
+    walk.run(0, None, upts, len(input_dists), {})
     return walk.counts, walk.mults, walk.adds
 
 
 class _Walk:
-    """One chunk's shots pushed along the program's control paths."""
+    """One chunk's shots pushed along the program's control paths.
 
-    def __init__(self, prog, U, extend_dists, povm_cums, gate_maps):
+    The chunk's uniforms are held transposed, one contiguous row per draw
+    position, so shots that have not split read a draw with no gather; `rows`
+    is None for them and the chunk-row ids of the shots after a split.  A
+    register's point (q, x) is drawn by `searchsorted` on its cumulative
+    table, idx = q * p + x.  A gate maps the points through the dense
+    product with F^T, reduced mod p by a gather from the table `modp` (the
+    products lie in [0, 2n(p-1)^2]).  A measurement counts the cumulative
+    effect columns below the draw, one contiguous column per effect but the
+    last, whose entry 1.0 no draw reaches.  A branch splits the shots with
+    index arrays, and shots that end a path together are tallied at once.
+    """
+
+    def __init__(self, prog, UT, extend_dists, povm_cols, gate_maps):
         self.prog = prog
-        self.U = U  # the chunk's uniforms, one row per shot
+        self.UT = UT  # the chunk's uniforms, one row per draw position
         self.extend_dists = extend_dists
-        self.povm_cums = povm_cums
+        self.povm_cols = povm_cols
         self.gate_maps = gate_maps
+        self.modp = np.arange(2 * prog.max_registers * (prog.p - 1) ** 2 + 1) % prog.p
         self.counts: dict[str, int] = {}
         self.mults = 0
         self.adds = 0
 
-    def run(self, i, rows, upts, pos, labels_by_reg, out_idx):
-        """Run shots `rows` (points `upts`, next draw at column `pos`) from item i.
+    def draws(self, rows, pos):
+        """Draw `pos` of the shots `rows` (every shot of the chunk when None)."""
+        return self.UT[pos] if rows is None else self.UT[pos][rows]
 
-        `upts` and `out_idx` belong to this call, which updates them in place.
-        """
+    def draw_points(self, upts, dists, rows, pos):
+        """Fill point columns from the back of `upts`, one register per table
+        in `dists`, with draws pos, pos+1, ..."""
+        first = upts.shape[1] // 2 - len(dists)
+        for j, cum in enumerate(dists):
+            idx = np.searchsorted(cum, self.draws(rows, pos + j), side="right")
+            c = 2 * (first + j)
+            np.divmod(idx, self.prog.p, out=(upts[:, c], upts[:, c + 1]))
+
+    def run(self, i, rows, upts, pos, measured):
+        """Run the shots `rows` (points `upts`, next draw at position `pos`)
+        from item i; `measured` maps each measured register to its labels and
+        the shots' outcome indices.  `upts` belongs to this call."""
         items = self.prog.items
         p = self.prog.p
         while i < len(items) and not isinstance(items[i], LabelMarker):
             instr = items[i]
-            n_cur = upts.shape[1] // 2
+            shots, width = upts.shape
             if isinstance(instr, GateInstr):
-                upts = (upts @ self.gate_maps[(i, n_cur)].F.T) % p
-                self.mults += rows.size * (2 * n_cur) ** 2
+                upts = self.modp[upts @ self.gate_maps[(i, width // 2)].F.T]
+                self.mults += shots * width**2
             elif isinstance(instr, DisplaceInstr):
                 c = 2 * (instr.reg - 1)
                 upts[:, c : c + 2] += instr.point
                 upts[:, c : c + 2] %= p
-                self.adds += rows.size * 2
+                self.adds += shots * 2
             elif isinstance(instr, ExtendInstr):
-                new_cols = []
-                for j, cum in enumerate(self.extend_dists[i]):
-                    idx = np.searchsorted(cum, self.U[rows, pos + j], side="right")
-                    new_cols.append(idx // p)
-                    new_cols.append(idx % p)
-                upts = np.hstack([upts, np.stack(new_cols, axis=1)])
+                grown = np.empty((shots, width + 2 * instr.count), dtype=np.int64)
+                grown[:, :width] = upts
+                upts = grown
+                self.draw_points(upts, self.extend_dists[i], rows, pos)
                 pos += instr.count
             elif isinstance(instr, MeasureInstr):
-                cum = self.povm_cums[i]
-                b = upts[:, 2 * (instr.reg - 1)] * p + upts[:, 2 * (instr.reg - 1) + 1]
-                outcome = (cum[b] <= self.U[rows, pos][:, None]).sum(axis=1)
-                np.clip(outcome, 0, cum.shape[1] - 1, out=outcome)
+                c = 2 * (instr.reg - 1)
+                b = upts[:, c] * p + upts[:, c + 1]
+                u = self.draws(rows, pos)
+                outcome = np.zeros(shots, dtype=np.intp)
+                for col in self.povm_cols[i]:
+                    outcome += col[b] <= u
                 pos += 1
-                out_idx[:, instr.reg - 1] = outcome
-                labels_by_reg = {**labels_by_reg, instr.reg: instr.povm.labels}
+                measured = {**measured, instr.reg: (instr.povm.labels, outcome)}
                 if instr.branch is not None:
                     for k, label in enumerate(instr.povm.labels):
-                        mask = outcome == k
-                        if mask.any():
-                            self.run(instr.branch[label], rows[mask], upts[mask], pos,
-                                     labels_by_reg, out_idx[mask])
+                        idx = np.flatnonzero(outcome == k)
+                        if idx.size:
+                            self.run(
+                                instr.branch[label],
+                                idx if rows is None else rows[idx],
+                                upts[idx],
+                                pos,
+                                {r: (labs, out[idx]) for r, (labs, out) in measured.items()},
+                            )
                     return
             else:
                 raise TypeError(f"unexpected item {instr!r}")
             i += 1
-        self.tally(labels_by_reg, out_idx[:, : upts.shape[1] // 2])
+        self.tally([measured[r] for r in range(1, upts.shape[1] // 2 + 1)], len(upts))
 
-    def tally(self, labels_by_reg, out_idx):
-        """Count the outcome strings of shots that end a path together.
+    def tally(self, measured, shots):
+        """Count the outcome strings of `shots` shots that end a path together.
 
-        Each shot's outcome indices fold into one mixed-radix int64 code (the
-        radix of a register is its label count), so strings are built once
-        per distinct code, from the first shot that carries it.  When the
-        next digit could overflow, the codes are renumbered densely first.
+        `measured` holds (labels, outcome indices) per register, in register
+        order.  Each shot's indices fold into one mixed-radix int64 code (the
+        radix of a register is its label count); when the next digit could
+        overflow, and once at the end when the codes outnumber the shots,
+        they are renumbered densely.  `bincount` then counts each code, and
+        its string is built once, from any shot that carries it.
         """
-        code = np.zeros(len(out_idx), dtype=np.int64)
+        code = np.zeros(shots, dtype=np.int64)
         span = 1  # every code lies in [0, span)
-        for r in range(1, out_idx.shape[1] + 1):
-            radix = len(labels_by_reg[r])
+        for labels, outcome in measured:
+            radix = len(labels)
             if span * radix > _CODE_LIMIT:
                 distinct, code = np.unique(code, return_inverse=True)
                 span = len(distinct)
-            code = code * radix + out_idx[:, r - 1]
+            code = code * radix + outcome
             span *= radix
-        _, first, hits = np.unique(code, return_index=True, return_counts=True)
-        for row, c in zip(out_idx[first].tolist(), hits.tolist()):
-            key = "".join(labels_by_reg[r][k] for r, k in enumerate(row, start=1))
+        if span > shots:
+            distinct, code = np.unique(code, return_inverse=True)
+            span = len(distinct)
+        hits = np.bincount(code, minlength=span)
+        rep = np.empty(span, dtype=np.intp)
+        rep[code] = np.arange(shots)  # equal codes carry equal labels
+        seen = np.flatnonzero(hits)
+        digits = zip(*(outcome[rep[seen]].tolist() for _, outcome in measured))
+        for row, c in zip(digits, hits[seen].tolist()):
+            key = "".join(labels[k] for (labels, _), k in zip(measured, row))
             self.counts[key] = self.counts.get(key, 0) + c
 
 
@@ -422,7 +461,13 @@ def compare_distributions(ref: OutcomeDistribution, counts: dict, shots: int) ->
             pools.append((cur_exp, cur_obs))
     stat = sum((obs - exp) ** 2 / exp for exp, obs in pools if exp > 0)
     dof = len(pools) - 1
-    pval = float(_chi2.sf(stat, dof)) if dof >= 1 else 1.0
+    if dof >= 1:
+        # the chi-square survival function, the same routine scipy.stats.chi2.sf calls
+        from scipy.special import chdtrc
+
+        pval = float(chdtrc(dof, stat))
+    else:
+        pval = 1.0
     verdict = "PASS" if tv < epsilon else "FAIL"
     return CompareResult(
         tv=float(tv),

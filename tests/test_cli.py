@@ -344,3 +344,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "format-version 1" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # scipy's LP and statistics modules load at their first use, so a command
+    # that needs neither never pays for importing them
+    code = (
+        "import sys, dwigner.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

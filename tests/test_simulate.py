@@ -731,6 +731,151 @@ def test_oracle_matches_dense_reference_on_generated_circuits(samples_dir, src):
     assert_matches_dense(parse_circuit(src, base_dir=samples_dir))
 
 
+def reference_sample(prog, seed, shots):
+    """Reference sampler kernel: (counts, field mults, field adds) of `shots`
+    shots, in chunks of simulate.CHUNK_SHOTS, on the same Philox layout.
+    Each chunk gathers its draws from the (shots, K) uniform matrix, splits
+    (q, x) with // and %, reduces gate products with % p, measures by
+    comparing a gathered (shots, L) cumulative table row by row, splits
+    branches with boolean masks and tallies with np.unique."""
+    report = validate_circuit(prog)
+    assert report.ok
+    input_dists = [simulate._cumulative(w) for w in report.input_wigners]
+    extend_dists = {
+        i: [simulate._cumulative(w) for w in ws] for i, ws in report.extend_wigners.items()
+    }
+    povm_cums = {}
+    for i, ws in report.effect_wigners.items():
+        cum = np.cumsum(np.clip(np.stack(ws, axis=1), 0.0, 1.0), axis=1)
+        cum[:, -1] = 1.0
+        povm_cums[i] = cum
+    counts, mults, adds = {}, 0, 0
+    for lo in range(0, shots, simulate.CHUNK_SHOTS):
+        hi = min(lo + simulate.CHUNK_SHOTS, shots)
+        walk = _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums,
+                                report.gate_maps, lo, hi)
+        for k, v in walk.counts.items():
+            counts[k] = counts.get(k, 0) + v
+        mults += walk.mults
+        adds += walk.adds
+    return dict(sorted(counts.items())), mults, adds
+
+
+def _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums, gate_maps, lo, hi):
+    p = prog.p
+    K = 2 * prog.max_registers
+    U = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4)).random((hi - lo, K))
+    cols = []
+    for r, cum in enumerate(input_dists):
+        idx = np.searchsorted(cum, U[:, r], side="right")
+        cols.append(idx // p)
+        cols.append(idx % p)
+    upts = np.stack(cols, axis=1).astype(np.int64)
+    out_idx = np.full((hi - lo, prog.max_registers), -1, dtype=np.int64)
+    walk = _ReferenceWalk(prog, U, extend_dists, povm_cums, gate_maps)
+    walk.run(0, np.arange(hi - lo), upts, len(input_dists), {}, out_idx)
+    return walk
+
+
+class _ReferenceWalk:
+    def __init__(self, prog, U, extend_dists, povm_cums, gate_maps):
+        self.prog = prog
+        self.U = U
+        self.extend_dists = extend_dists
+        self.povm_cums = povm_cums
+        self.gate_maps = gate_maps
+        self.counts = {}
+        self.mults = 0
+        self.adds = 0
+
+    def run(self, i, rows, upts, pos, labels_by_reg, out_idx):
+        items = self.prog.items
+        p = self.prog.p
+        while i < len(items) and not isinstance(items[i], LabelMarker):
+            instr = items[i]
+            n_cur = upts.shape[1] // 2
+            if isinstance(instr, GateInstr):
+                upts = (upts @ self.gate_maps[(i, n_cur)].F.T) % p
+                self.mults += rows.size * (2 * n_cur) ** 2
+            elif isinstance(instr, DisplaceInstr):
+                c = 2 * (instr.reg - 1)
+                upts[:, c : c + 2] += instr.point
+                upts[:, c : c + 2] %= p
+                self.adds += rows.size * 2
+            elif isinstance(instr, ExtendInstr):
+                new_cols = []
+                for j, cum in enumerate(self.extend_dists[i]):
+                    idx = np.searchsorted(cum, self.U[rows, pos + j], side="right")
+                    new_cols.append(idx // p)
+                    new_cols.append(idx % p)
+                upts = np.hstack([upts, np.stack(new_cols, axis=1)])
+                pos += instr.count
+            elif isinstance(instr, MeasureInstr):
+                cum = self.povm_cums[i]
+                b = upts[:, 2 * (instr.reg - 1)] * p + upts[:, 2 * (instr.reg - 1) + 1]
+                outcome = (cum[b] <= self.U[rows, pos][:, None]).sum(axis=1)
+                np.clip(outcome, 0, cum.shape[1] - 1, out=outcome)
+                pos += 1
+                out_idx[:, instr.reg - 1] = outcome
+                labels_by_reg = {**labels_by_reg, instr.reg: instr.povm.labels}
+                if instr.branch is not None:
+                    for k, label in enumerate(instr.povm.labels):
+                        mask = outcome == k
+                        if mask.any():
+                            self.run(instr.branch[label], rows[mask], upts[mask], pos,
+                                     labels_by_reg, out_idx[mask])
+                    return
+            i += 1
+        self.tally(labels_by_reg, out_idx[:, : upts.shape[1] // 2])
+
+    def tally(self, labels_by_reg, out_idx):
+        code = np.zeros(len(out_idx), dtype=np.int64)
+        span = 1
+        for r in range(1, out_idx.shape[1] + 1):
+            radix = len(labels_by_reg[r])
+            if span * radix > simulate._CODE_LIMIT:
+                distinct, code = np.unique(code, return_inverse=True)
+                span = len(distinct)
+            code = code * radix + out_idx[:, r - 1]
+            span *= radix
+        _, first, hits = np.unique(code, return_index=True, return_counts=True)
+        for row, c in zip(out_idx[first].tolist(), hits.tolist()):
+            key = "".join(labels_by_reg[r][k] for r, k in enumerate(row, start=1))
+            self.counts[key] = self.counts.get(key, 0) + c
+
+
+@settings(max_examples=80)
+@given(
+    src=st.one_of(adaptive_circuits(p=3, max_regs=4), adaptive_circuits(p=5, max_regs=3)),
+    seed=st.integers(0, 2**32 - 1),
+    shots=st.integers(1, 400),
+    chunk=st.sampled_from([2, 4, 6, 10, 64]),
+)
+def test_sampler_kernel_matches_reference_kernel(samples_dir, src, seed, shots, chunk):
+    # the same draws, the same counts and the same operation counts as the
+    # reference kernel, over several chunks with an odd tail
+    prog = parse_circuit(src, base_dir=samples_dir)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "CHUNK_SHOTS", chunk)
+        rpt = sample_classical(prog, seed=seed, shots=shots)
+        counts, mults, adds = reference_sample(prog, seed, shots)
+    assert rpt.counts == counts
+    assert rpt.field_mults == mults
+    assert rpt.field_adds == adds
+
+
+def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir):
+    # every sample circuit, in one full chunk and in a run whose last chunk
+    # holds a single shot
+    for path in sorted(samples_dir.glob("reg*.circ")):
+        prog = parse_circuit_file(path)
+        for shots in (3000, 2 * simulate.CHUNK_SHOTS + 1):
+            rpt = sample_classical(prog, seed=7, shots=shots)
+            assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
+                prog, 7, shots
+            ), (path.name, shots)
+
+
 def test_sampler_memory_bounded_by_a_chunk(monkeypatch, samples_dir):
     # traced Python-heap peak at 40 chunks against 1 chunk: a uniform matrix
     # sized by the shot count, or chunk arrays kept alive after their chunk,
