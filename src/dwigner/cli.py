@@ -2,9 +2,10 @@
 
 Subcommands: wigner, sample, facets, classify, slice, distill-check.
 Exit codes: 0 = PASS (or informational success), 1 = FAIL verdict,
-2 = invalid input.  Every output starts with a `# format-version 1` header
-and prints numbers at 12 significant digits, so identical command lines with
-identical seeds produce byte-identical files at any --jobs setting.
+2 = invalid input, 3 = solver failure (an LP that did not converge; the
+message names the point).  Every output starts with a `# format-version 1`
+header and prints numbers at 12 significant digits, so identical command
+lines with identical seeds produce byte-identical files at any --jobs setting.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from . import FORMAT_VERSION, __version__, fmt_number
 from .circuits import (
     CircuitError,
     load_matrix_file,
+    load_wigner_file,
     parse_circuit_file,
     parse_slice_file,
     preset_state,
 )
 from .fields import index_point, require_odd_prime
-from .geometry import classify_state, facet_check, slice_csv, slice_scan
+from .geometry import SolverFailure, classify_state, facet_check, slice_csv, slice_scan
 from .simulate import (
     InputNegativelyRepresented,
     OracleGuardError,
@@ -162,8 +164,13 @@ def cmd_classify(args) -> int:
     rho = _load_state(args.state, p)
     if rho.shape[0] != p:
         raise ValueError(f"classify handles single qudits; got dimension {rho.shape[0]}")
+    # a Wigner file holds exact rationals: the sign test and, for p = 3, the
+    # hull verdict are then decided on them, as in a slice scan
+    exact_w = None
+    if args.state.startswith("wigner-file:"):
+        exact_w = load_wigner_file(Path.cwd() / args.state.split(":", 1)[1], p)
     S = mub_stabilizer_states(p)
-    label, details = classify_state(rho=rho, p=p, S=S)
+    label, details = classify_state(rho=rho, p=p, S=S, exact_w=exact_w)
     lines = [f"# format-version {FORMAT_VERSION}"]
     lines.append(f"label = {label}")
     lines.append(f"min_eig = {fmt_number(details['min_eig'])}")
@@ -320,6 +327,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

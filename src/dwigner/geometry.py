@@ -7,7 +7,8 @@ per process and applied as one integer matrix product; every other input runs
 a floating-point LP.  Outside points get a separating dual witness from a
 second LP in both cases.  A slice scan decides its whole grid with array
 operations on integer numerators over one common denominator, plus one
-stacked eigenvalue call, and runs an LP only for the witness of a BOUND point.
+stacked eigenvalue call; the only LP it runs is one witness LP per block of
+grid points, joint over the block's BOUND points.
 """
 
 from __future__ import annotations
@@ -238,26 +239,33 @@ def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]
     return float(res.fun), res.x[:count]
 
 
-def _separating_witness(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """max_{|y|<=1, s} y . target - s  s.t.  y . V_i <= s for all vertices."""
-    from scipy.optimize import linprog  # loaded by the first LP only
+def _separating_witness(V: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max_{|y|<=1, s} y . t - s  s.t.  y . V_i <= s for all vertices, per row t of targets.
 
-    count, m = V.shape
-    A_ub = np.hstack([V, -np.ones((count, 1))])
-    b_ub = np.zeros(count)
-    c = np.concatenate([-target, [1.0]])
+    The k rows of the (k, m) stack share no variable, so their LPs are solved
+    as one LP whose constraint matrix is block-diagonal: one sparse
+    [V, -1] block per row, with the bounds repeated.  Returns the gaps
+    y . t - max_i V_i . y, shape (k,), and the witnesses y, shape (k, m).
+    The gap is the LP optimum, unique even where y is not.
+    """
+    from scipy import sparse  # loaded by the first LP only
+    from scipy.optimize import linprog
+
+    k, m = targets.shape
+    count = V.shape[0]
+    block = sparse.csr_array(np.hstack([V, -np.ones((count, 1))]))
     res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(-1, 1)] * m + [(None, None)],
+        np.hstack([-targets, np.ones((k, 1))]).ravel(),
+        A_ub=sparse.kron(sparse.eye_array(k, format="csr"), block, format="csr"),
+        b_ub=np.zeros(k * count),
+        bounds=np.tile([(-1.0, 1.0)] * m + [(-np.inf, np.inf)], (k, 1)),
         method="highs",
     )
     if res.status != 0:
         raise SolverFailure(f"witness LP did not converge: {res.message}")
-    y = res.x[:m]
-    gap = float(y @ target - np.max(V @ y))
-    return gap, y, float(-res.fun)
+    y = res.x.reshape(k, m + 1)[:, :m]
+    gaps = np.einsum("ij,ij->i", y, targets) - (y @ V.T).max(axis=1)
+    return gaps, y
 
 
 def hull_membership(
@@ -280,20 +288,21 @@ def hull_membership(
         target = _contract(rho_or_w, p, n) / p**n
     else:
         target = np.asarray(rho_or_w, dtype=float).ravel()
-    if exact_w is not None and (p, n) == (3, 1):
+    exact = exact_w is not None and (p, n) == (3, 1)
+    if exact:
         if _in_qutrit_hull(exact_w):
             return HullCertificate(inside=True)
-        gap, y, _ = _separating_witness(V, target)
-        return HullCertificate(inside=False, violation=gap, witness_y=y, disputed=gap <= tol)
-    tstar, weights = _chebyshev_lp(V, target)
-    if tstar <= tol:
-        recon = V.T @ weights
-        residual = float(
-            max(np.max(np.abs(recon - target)), abs(weights.sum() - 1.0))
-        )
-        return HullCertificate(inside=True, weights=weights, residual=residual)
-    gap, y, _ = _separating_witness(V, target)
-    return HullCertificate(inside=False, violation=gap, witness_y=y)
+    else:
+        tstar, weights = _chebyshev_lp(V, target)
+        if tstar <= tol:
+            recon = V.T @ weights
+            residual = float(
+                max(np.max(np.abs(recon - target)), abs(weights.sum() - 1.0))
+            )
+            return HullCertificate(inside=True, weights=weights, residual=residual)
+    gaps, ys = _separating_witness(V, target[None, :])
+    gap = float(gaps[0])
+    return HullCertificate(inside=False, violation=gap, witness_y=ys[0], disputed=exact and gap <= tol)
 
 
 def classify_state(
@@ -408,8 +417,10 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
     eigenvalue comes from a stacked `eigvalsh`.  Labels then follow
     `classify_state`.  Margins are filled for the labels that ran the hull
     test: the feasibility residual for STABILIZER_MIX (0, since the verdict is
-    exact), the dual witness gap for BOUND, whose witness LP is the only one
-    run.  A grid above MAX_SLICE_POINTS points raises ValueError before any
+    exact), the dual witness gap for BOUND.  The witnesses of a block's BOUND
+    points come from one joint LP (`_separating_witness`), the only LP run;
+    if it fails, each point's LP runs alone, and a SolverFailure names the
+    point.  A grid above MAX_SLICE_POINTS points raises ValueError before any
     allocation.
     """
     if S is None:
@@ -457,6 +468,7 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
         inside = _inside_facets(num).tolist()
         if derived_col is not None:
             derived = [Fraction(x, D) for x in num[:, derived_col].tolist()]
+        block, bound = [], []
         for i, k in enumerate(zip(*(d.tolist() for d in digits))):
             coords = tuple(axis_fracs[a][j] for a, j in enumerate(k))
             if derived_col is not None:
@@ -471,10 +483,35 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
             elif inside[i]:
                 label, margin = "STABILIZER_MIX", 0.0
             else:
-                exact_w = [Fraction(x, D) for x in num[i].tolist()]
-                label, margin = "BOUND", hull_membership(w[i], S, exact_w=exact_w).violation
-            rows.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
+                label = "BOUND"
+                bound.append(i)
+            block.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
+        if bound:
+            gaps = _witness_gaps(S.wigner_matrix, w[bound], [block[i].coords for i in bound])
+            for i, gap in zip(bound, gaps):
+                block[i].lp_margin = gap
+        rows += block
     return rows
+
+
+def _witness_gaps(V: np.ndarray, targets: np.ndarray, points: list) -> list:
+    """Witness gaps of a block's BOUND points, from one joint LP.
+
+    If the joint LP fails, each point's LP is solved on its own, so that a
+    SolverFailure names the point (its slice coordinates) whose LP failed.
+    """
+    try:
+        return _separating_witness(V, targets)[0].tolist()
+    except SolverFailure:
+        pass
+    gaps = []
+    for target, point in zip(targets, points):
+        try:
+            gaps.append(float(_separating_witness(V, target[None, :])[0][0]))
+        except SolverFailure as exc:
+            coords = ", ".join(str(x) for x in point)
+            raise SolverFailure(f"slice point ({coords}): {exc}") from exc
+    return gaps
 
 
 def slice_csv(rows: list, spec: SliceSpec) -> str:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -232,6 +233,23 @@ def test_classify_strange(samples_dir, tmp_path):
     assert "min_W = -0.333333333333" in text
 
 
+@pytest.mark.parametrize("offset,label", [(0, "STABILIZER_MIX"), (Fraction(1, 10**11), "BOUND")])
+def test_classify_wigner_file_is_exact(tmp_path, monkeypatch, offset, label):
+    # the segment from the maximally mixed state to the BOUND row (0, 1/45, 14/45)
+    # of pinned_ninth_3d.slice leaves the stabilizer polytope at t = 15/23; just
+    # past it the float LP's optimum is below HULL_TOL, but the file is exact
+    mixed = Fraction(1, 9)
+    bound = {(0, 0): Fraction(0), (0, 1): Fraction(1, 45), (1, 0): Fraction(14, 45)}
+    t = Fraction(15, 23) + offset
+    rows = [f"{a1} {a2} {mixed + t * (bound.get((a1, a2), mixed) - mixed)}"
+            for a1 in range(3) for a2 in range(3)]
+    (tmp_path / "edge.w").write_text("wigner p=3\n" + "\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "c.txt"
+    assert run_cli("classify", "wigner-file:edge.w", "--p", "3", "--out", str(out)) == 0
+    assert f"label = {label}" in out.read_text().splitlines()
+
+
 def test_slice_scan_and_reproducibility(samples_dir, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -252,6 +270,25 @@ def test_slice_rejects_a_huge_grid_before_allocating(samples_dir, tmp_path, caps
     assert run_cli("slice", str(huge), "--out", str(tmp_path / "grid.csv")) == 2
     assert f"slice grid has {666_666_668**2} points" in capsys.readouterr().err
     assert not (tmp_path / "grid.csv").exists()
+
+
+def test_slice_solver_failure_exits_3(samples_dir, tmp_path, monkeypatch, capsys):
+    # every witness LP fails, the joint one of the block and then the first
+    # point's own: the error names that point and no output is written
+    import scipy.optimize
+
+    def no_convergence(c, **kwargs):
+        calls.append(len(c))
+        return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
+
+    calls = []
+    monkeypatch.setattr(scipy.optimize, "linprog", no_convergence)
+    out = tmp_path / "grid.csv"
+    assert run_cli("slice", str(samples_dir / "pinned_ninth_3d.slice"), "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: slice point (0, 1/45, 14/45): witness LP")
+    assert calls[0] > 10 and calls[1:] == [10]
+    assert not out.exists()
 
 
 def test_slice_malformed_spec(tmp_path):
@@ -347,11 +384,11 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy's LP and statistics modules load at their first use, so a command
-    # that needs neither never pays for importing them
+    # scipy's LP, sparse-matrix and statistics modules load at their first use,
+    # so a command that needs none of them never pays for importing them
     code = (
         "import sys, dwigner.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dwigner import geometry, wigner
@@ -348,9 +349,24 @@ def small_slice_specs(draw):
     return SliceSpec(p=3, fixed=fixed, free=free)
 
 
+def assert_rows_match(rows, expected):
+    """Equal rows, except that lp_margin may differ by 1e-12: a block's joint
+    witness LP can return another optimal y than the per-point LP, and the
+    margin, the LP optimum, agrees only to rounding."""
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert (row.coords, row.label, row.min_eig, row.min_wigner) == (
+            ref.coords, ref.label, ref.min_eig, ref.min_wigner
+        )
+        if ref.lp_margin is None:
+            assert row.lp_margin is None
+        else:
+            assert row.lp_margin == pytest.approx(ref.lp_margin, rel=0, abs=1e-12)
+
+
 @given(small_slice_specs())
 def test_slice_scan_matches_per_point_reference(mub3, spec):
-    assert slice_scan(spec, S=mub3) == reference_slice_scan(spec, mub3)
+    assert_rows_match(slice_scan(spec, S=mub3), reference_slice_scan(spec, mub3))
 
 
 def test_slice_scan_exact_beyond_int64(mub3):
@@ -364,7 +380,7 @@ def test_slice_scan_exact_beyond_int64(mub3):
     ]
     spec = SliceSpec(p=3, fixed=fixed, free=free)
     rows = slice_scan(spec, S=mub3)
-    assert rows == reference_slice_scan(spec, mub3)
+    assert_rows_match(rows, reference_slice_scan(spec, mub3))
     assert len({r.label for r in rows}) >= 3
 
 
@@ -375,17 +391,73 @@ def test_slice_scan_decides_the_grid_at_once(monkeypatch, samples_dir, mub3):
     witness_calls = []
     real_witness = geometry._separating_witness
 
-    def spy_witness(V, target):
-        witness_calls.append(target)
-        return real_witness(V, target)
+    def spy_witness(V, targets):
+        witness_calls.append(len(targets))
+        return real_witness(V, targets)
 
     spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
     expected = reference_slice_scan(spec, mub3)
     monkeypatch.setattr(geometry, "state_from_wigner", no_inverse)
     monkeypatch.setattr(wigner, "state_from_wigner", no_inverse)
     monkeypatch.setattr(geometry, "_separating_witness", spy_witness)
+    # blocks of 512 split the 3721 points into 8 blocks
+    monkeypatch.setattr(geometry, "SLICE_BLOCK", 512)
     rows = slice_scan(spec, S=mub3)
-    assert rows == expected
-    bound = [r for r in rows if r.label == "BOUND"]
-    assert bound and len(witness_calls) == len(bound)
+    assert_rows_match(rows, expected)
+    # one witness LP per block that holds a BOUND row, over all of its BOUND rows
+    per_block = collections.Counter(i // 512 for i, r in enumerate(rows) if r.label == "BOUND")
+    assert len(per_block) >= 2
+    assert witness_calls == [per_block[b] for b in sorted(per_block)]
 
+
+@st.composite
+def bound_points(draw):
+    """1-6 rational nonnegative qutrit Wigner vectors, counts over their sum,
+    kept only if they are BOUND: physical and outside the stabilizer hull."""
+    counts = st.lists(st.integers(0, 20), min_size=9, max_size=9).filter(any)
+    points = []
+    for c in draw(st.lists(counts, min_size=1, max_size=6)):
+        exact = [Fraction(x, sum(c)) for x in c]
+        w = np.array([float(x) for x in exact])
+        if np.linalg.eigvalsh(state_from_wigner(w, 3, 1)).min() >= -geometry.PSD_TOL and not (
+            geometry._in_qutrit_hull(exact)
+        ):
+            points.append((exact, w))
+    assume(points)
+    return points
+
+
+@given(bound_points())
+def test_batched_witness_matches_per_point_hull(mub3, points):
+    targets = np.array([w for _, w in points])
+    margins = geometry._witness_gaps(mub3.wigner_matrix, targets, [exact for exact, _ in points])
+    assert len(margins) == len(points)
+    for margin, (exact, w) in zip(margins, points):
+        cert = hull_membership(w, mub3, exact_w=exact)
+        assert not cert.inside
+        if abs(cert.violation - HULL_TOL) < 1e-12:
+            continue
+        assert margin == pytest.approx(cert.violation, rel=0, abs=1e-12)
+        assert (margin <= HULL_TOL) == cert.disputed
+
+
+def test_slice_scan_falls_back_to_one_lp_per_point(monkeypatch, samples_dir, mub3):
+    import scipy.optimize
+
+    real_linprog = scipy.optimize.linprog
+    sizes = []
+
+    def joint_fails(c, **kwargs):
+        sizes.append(len(c))
+        if len(c) > 10:
+            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
+        return real_linprog(c, **kwargs)
+
+    spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
+    expected = reference_slice_scan(spec, mub3)
+    monkeypatch.setattr(scipy.optimize, "linprog", joint_fails)
+    rows = slice_scan(spec, S=mub3)
+    bound = sum(r.label == "BOUND" for r in rows)
+    # the block's joint LP failed once, then each BOUND point ran its own
+    assert sizes == [10 * bound] + [10] * bound
+    assert rows == expected
