@@ -49,6 +49,7 @@ __all__ = [
     "load_matrix_file",
     "write_matrix_file",
     "load_wigner_file",
+    "load_wigner_state",
     "load_povm_file",
     "computational_povm",
     "preset_state",
@@ -166,6 +167,12 @@ def load_wigner_file(path, p: int) -> list:
     return [values[i] for i in range(p * p)]
 
 
+def load_wigner_state(path, p: int) -> tuple[np.ndarray, list]:
+    """A single-qudit Wigner file as (density matrix, its exact values)."""
+    w = load_wigner_file(path, p)
+    return state_from_wigner([float(x) for x in w], p, 1), w
+
+
 def computational_povm(p: int) -> Povm:
     effects = []
     for k in range(p):
@@ -229,8 +236,7 @@ def preset_state(spec: str, p: int, base_dir: Path) -> tuple[np.ndarray, str]:
     if spec == "mixed":
         return np.eye(p, dtype=complex) / p, spec
     if spec.startswith("wigner-file:"):
-        w = load_wigner_file(base_dir / spec.split(":", 1)[1], p)
-        rho = state_from_wigner([float(x) for x in w], p, 1)
+        rho, _ = load_wigner_state(base_dir / spec.split(":", 1)[1], p)
         return rho, spec
     if spec.startswith("matrix-file:"):
         rho = load_matrix_file(base_dir / spec.split(":", 1)[1])

@@ -21,7 +21,7 @@ from . import FORMAT_VERSION, __version__, fmt_number
 from .circuits import (
     CircuitError,
     load_matrix_file,
-    load_wigner_file,
+    load_wigner_state,
     parse_circuit_file,
     parse_slice_file,
     preset_state,
@@ -53,17 +53,22 @@ def _emit(text: str, out_path) -> None:
 
 
 def _load_state(spec: str, p: int):
-    """Preset name or state file; bare paths are treated as matrix files."""
-    if spec in ("zero", "mixed") or spec.startswith(("basis(", "wigner-file:", "matrix-file:")):
+    """Preset name or state file; bare paths are treated as matrix files.
+
+    Returns (rho, exact_w): exact_w holds a Wigner file's rationals, else None.
+    """
+    if spec.startswith("wigner-file:"):
+        return load_wigner_state(Path.cwd() / spec.split(":", 1)[1], p)
+    if spec in ("zero", "mixed") or spec.startswith(("basis(", "matrix-file:")):
         rho, _ = preset_state(spec, p, Path.cwd())
-        return rho
-    return load_matrix_file(spec)
+        return rho, None
+    return load_matrix_file(spec), None
 
 
 def cmd_wigner(args) -> int:
     p = args.p
     require_odd_prime(p)
-    rho = _load_state(args.state, p)
+    rho, _ = _load_state(args.state, p)
     d = rho.shape[0]
     n = 0
     while p**n < d:
@@ -161,14 +166,14 @@ def cmd_facets(args) -> int:
 def cmd_classify(args) -> int:
     p = args.p
     require_odd_prime(p)
-    rho = _load_state(args.state, p)
+    rho, exact_w = _load_state(args.state, p)
     if rho.shape[0] != p:
         raise ValueError(f"classify handles single qudits; got dimension {rho.shape[0]}")
-    # a Wigner file holds exact rationals: the sign test and, for p = 3, the
-    # hull verdict are then decided on them, as in a slice scan
-    exact_w = None
-    if args.state.startswith("wigner-file:"):
-        exact_w = load_wigner_file(Path.cwd() / args.state.split(":", 1)[1], p)
+    # a Wigner file whose values sum to exactly 1 decides the sign test and,
+    # for p = 3, the hull verdict on its rationals, as a slice scan does; a
+    # file of rounded decimals keeps the float route and its tolerances
+    if exact_w is not None and sum(exact_w) != 1:
+        exact_w = None
     S = mub_stabilizer_states(p)
     label, details = classify_state(rho=rho, p=p, S=S, exact_w=exact_w)
     lines = [f"# format-version {FORMAT_VERSION}"]

@@ -468,7 +468,7 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
         inside = _inside_facets(num).tolist()
         if derived_col is not None:
             derived = [Fraction(x, D) for x in num[:, derived_col].tolist()]
-        block, bound = [], []
+        block, bound_rows = [], []
         for i, k in enumerate(zip(*(d.tolist() for d in digits))):
             coords = tuple(axis_fracs[a][j] for a, j in enumerate(k))
             if derived_col is not None:
@@ -484,11 +484,11 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
                 label, margin = "STABILIZER_MIX", 0.0
             else:
                 label = "BOUND"
-                bound.append(i)
+                bound_rows.append(i)
             block.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
-        if bound:
-            gaps = _witness_gaps(S.wigner_matrix, w[bound], [block[i].coords for i in bound])
-            for i, gap in zip(bound, gaps):
+        if bound_rows:
+            gaps = _witness_gaps(S.wigner_matrix, w[bound_rows], [block[i].coords for i in bound_rows])
+            for i, gap in zip(bound_rows, gaps):
                 block[i].lp_margin = gap
         rows += block
     return rows

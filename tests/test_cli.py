@@ -250,6 +250,19 @@ def test_classify_wigner_file_is_exact(tmp_path, monkeypatch, offset, label):
     assert f"label = {label}" in out.read_text().splitlines()
 
 
+def test_classify_rounded_wigner_file_keeps_the_float_route(tmp_path, monkeypatch):
+    # 1/9 written to 12 digits sums to 0.999999999999: not a state on exact
+    # rationals, so the Chebyshev LP decides with its tolerance, as before
+    rows = [f"{a1} {a2} 0.111111111111" for a1 in range(3) for a2 in range(3)]
+    (tmp_path / "mixed.w").write_text("wigner p=3\n" + "\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "c.txt"
+    assert run_cli("classify", "wigner-file:mixed.w", "--p", "3", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert "label = STABILIZER_MIX" in lines
+    assert any(line.startswith("lp_residual = ") for line in lines)
+
+
 def test_slice_scan_and_reproducibility(samples_dir, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
