@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import CliffordElement, require_odd_prime
-from .weyl import clifford_generator, extract_symplectic
+from .weyl import generator_map
 from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
 __all__ = [
@@ -345,7 +345,6 @@ class CircuitProgram:
     labels: dict  # name -> item index
     max_registers: int = 0
     register_counts: dict = field(default_factory=dict)  # item idx -> set of counts
-    source: str = ""
 
 
 def parse_circuit_file(path) -> CircuitProgram:
@@ -507,7 +506,6 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
         input_specs=[inputs[r][1] for r in range(1, n + 1)],
         items=items,
         labels=labels,
-        source=text,
     )
     prog.max_registers, prog.register_counts = _check_paths(prog)
     return prog
@@ -593,16 +591,13 @@ def _item_calls(instr) -> list:
 
 
 def validate_circuit(prog: CircuitProgram) -> ValidationReport:
-    """Physical validation: input/effect positivity, per-gate Clifford check.
+    """Physical validation: state and effect positivity, gate maps.
 
-    Each distinct generator call is certified once per p on its own
-    registers: the claimed (F, a) is re-derived by brute-force conjugation of
-    its dense unitary and compared, and gates must carry a = 0 (Weyl parts
-    belong to displace instructions).  An item's map at each register count
-    it runs under is the composition of its embedded certified calls;
+    An item's map at each register count it runs under is the composition
+    of its calls' integer table maps (`_word_map`); no unitary is built.
     `gate_maps` holds them keyed by (item index, register count).  The
     Wigner values computed for the sign tests of states and effects are kept
-    for the sampler.
+    for the sampler, an extend item's once per appended register.
     """
     problems = []
     input_wigners = []
@@ -623,18 +618,16 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     effect_wigners = {}
     for i, instr in enumerate(prog.items):
         if isinstance(instr, ExtendInstr):
-            extend_wigners[i] = []
-            for rho in instr.states:
-                try:
-                    W = wigner_of_state(rho, prog.p)
-                except ValueError as exc:
-                    problems.append(f"extend ({instr.preset}): {exc}")
-                    continue
-                extend_wigners[i].append(W.values)
-                if W.values.min() < -1e-10:
-                    problems.append(
-                        f"extend ({instr.preset}): negative Wigner value {W.values.min():.6g}"
-                    )
+            try:  # every appended register holds the same state
+                W = wigner_of_state(instr.states[0], prog.p)
+            except ValueError as exc:
+                problems.append(f"extend ({instr.preset}): {exc}")
+                continue
+            extend_wigners[i] = [W.values] * instr.count
+            if W.values.min() < -1e-10:
+                problems.append(
+                    f"extend ({instr.preset}): negative Wigner value {W.values.min():.6g}"
+                )
         elif isinstance(instr, MeasureInstr):
             effect_wigners[i] = []
             for label, E in zip(instr.povm.labels, instr.povm.effects):
@@ -668,51 +661,28 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
 
 
 def _local_call(call) -> tuple[list, str, tuple]:
-    """A generator call on its own registers: the sorted registers, the kind,
-    and the remaining parameters with sum's (ctrl, tgt) renumbered to 1 and 2
-    in that order."""
+    """A generator call on its own registers: its registers ([ctrl, tgt] for
+    sum), the kind, and the remaining parameters."""
     kind, kw = call
-    regs = sorted(_gate_registers(call))
     params = {k: v for k, v in kw.items() if k not in ("register", "ctrl", "tgt")}
-    if kind == "sum":
-        params["ctrl"], params["tgt"] = (1, 2) if kw["ctrl"] < kw["tgt"] else (2, 1)
-    return regs, kind, tuple(sorted(params.items()))
+    return _gate_registers(call), kind, tuple(sorted(params.items()))
 
 
 @functools.lru_cache(maxsize=None)
-def _local_generator(p: int, kind: str, params: tuple) -> tuple[np.ndarray, CliffordElement]:
-    """The dense p x p (p^2 x p^2 for sum) unitary of a generator call on its
-    own registers and the table's (F, a) claim for it; the cached unitary is
-    read-only."""
-    U, claimed = clifford_generator(kind, p, n=2 if kind == "sum" else 1, **dict(params))
-    U.flags.writeable = False
-    return U, claimed
-
-
-@functools.lru_cache(maxsize=None)
-def _certified_map(p: int, kind: str, params: tuple) -> CliffordElement:
-    """(F, a) of one generator call on its own registers, numbered from 1 in
-    their original order: the table's claim, checked against the map
-    re-derived from its local unitary."""
-    U, claimed = _local_generator(p, kind, params)
-    extracted = extract_symplectic(U, p)
-    if extracted != claimed:
-        raise CircuitError(f"{kind}: extracted (F,a) differs from the claimed map")
-    if kind != "displace" and extracted.a.any():
-        raise CircuitError(
-            f"gate carries a Weyl displacement {tuple(extracted.a)}; use a displace instruction"
-        )
-    return extracted
+def _local_map(p: int, kind: str, params: tuple) -> CliffordElement:
+    """(F, a) of one generator call on its own registers, in the order
+    `_local_call` gives them, from the generator table."""
+    return generator_map(kind, p, **dict(params))
 
 
 def _word_map(word, p: int, n: int) -> CliffordElement:
     """(F, a) on n registers of generator calls [(kind, kwargs), ...] in
-    application order, composed from their certified maps.
+    application order, composed from their local maps.
 
     A call's unitary is its local unitary tensored with the identity on the
     other registers (up to reordering tensor factors, which keeps the local
     order), and T_u factorizes over registers, so its (F, a) acts on the
-    call's blocks as certified and as the identity elsewhere: each call
+    call's blocks as its local map and as the identity elsewhere: each call
     updates only the rows of its own registers.  The symplectic check runs
     once, on the whole word.
     """
@@ -723,7 +693,7 @@ def _word_map(word, p: int, n: int) -> CliffordElement:
         for r in regs:
             if not 1 <= r <= n:
                 raise CircuitError(f"register {r} out of range 1..{n}")
-        local = _certified_map(p, kind, params)
+        local = _local_map(p, kind, params)
         rows = np.array([2 * r - 2 + k for r in regs for k in (0, 1)])
         F[rows] = (local.F @ F[rows]) % p
         a[rows] = (local.F @ a[rows] + local.a) % p

@@ -187,6 +187,8 @@ def cmd_classify(args) -> int:
         else:
             lines.append(f"lp_violation = {fmt_number(cert.violation)}")
             lines.append("witness_y = " + " ".join(fmt_number(y) for y in cert.witness_y))
+            if cert.disputed:
+                lines.append("disputed = True")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -30,6 +30,7 @@ bincount.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,13 +54,12 @@ from .circuits import (
     _dim_header,
     _item_calls,
     _local_call,
-    _local_generator,
     _parse_gate_word,
     _word_map,
 )
 from .fields import CliffordElement, require_odd_prime
 from .stabilizer import mub_stabilizer_states
-from .weyl import extract_symplectic
+from . import weyl
 from .wigner import (
     state_from_wigner,
     validate_state,
@@ -157,6 +157,17 @@ def _apply_local(rho: np.ndarray, M: np.ndarray, axes: list) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), axes)
 
 
+@functools.lru_cache(maxsize=None)
+def _local_generator(p: int, kind: str, params: tuple) -> np.ndarray:
+    """The dense p x p (p^2 x p^2 for sum, control first) unitary of a
+    generator call on its own registers (see circuits._local_call); the
+    cached array is read-only."""
+    on_own = {"n": 2, "ctrl": 1, "tgt": 2} if kind == "sum" else {}
+    U = weyl.clifford_generator(kind, p, **on_own, **dict(params))[0]
+    U.flags.writeable = False
+    return U
+
+
 def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     """Exact-to-double outcome distribution via the chain rule over all branches.
 
@@ -197,7 +208,7 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
         if isinstance(instr, (GateInstr, DisplaceInstr)):
             for call in _item_calls(instr):
                 regs, kind, params = _local_call(call)
-                U = _local_generator(p, kind, params)[0]
+                U = _local_generator(p, kind, params)
                 axes = [live.index(r) for r in regs]
                 rho = _apply_local(rho, U, axes)
                 rho = _apply_local(rho, U.conj(), [a + len(live) for a in axes])
@@ -540,7 +551,7 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         raise ValueError("projector is not positively represented")
     kind, payload = inst.channel[0], inst.channel[1]
     if kind == "unitary":
-        kind, payload = "clifford", extract_symplectic(payload, p)
+        kind, payload = "clifford", weyl.extract_symplectic(payload, p)
     if kind == "clifford":
         if payload.n != n:
             raise ValueError(f"channel acts on {payload.n} qudits, expected {n}")

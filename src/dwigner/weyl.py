@@ -1,4 +1,4 @@
-"""Dense Heisenberg-Weyl operators, phase-point operators, Clifford unitaries.
+"""Dense Heisenberg-Weyl operators, phase-point operators, Clifford generators.
 
 Conventions (anchored by tests, not negotiable downstream):
   omega = exp(2*pi*i/p), X|x> = |x+1 mod p>, Z|x> = omega^x |x>,
@@ -27,6 +27,7 @@ __all__ = [
     "phase_point_operator",
     "WeylTable",
     "weyl_table",
+    "generator_map",
     "clifford_generator",
     "extract_symplectic",
     "NotCliffordError",
@@ -155,6 +156,36 @@ def _embed_F(Fblock: np.ndarray, n: int, registers: list[int]) -> np.ndarray:
     return F
 
 
+def generator_map(kind: str, p: int, c: Optional[int] = None, point=None) -> CliffordElement:
+    """(F, a) of one named Clifford generator on its own register, in integers.
+
+    The closed forms hold for every odd prime (Gross 2006, Appleby 2005).
+    kinds: fourier, quadratic, multiply (needs c != 0), sum on two registers
+    (control first), and displace, whose map is (I, point) on the point's
+    registers; only displace has a != 0.
+    """
+    require_odd_prime(p)
+    if kind == "fourier":
+        F = np.array([[0, 1], [-1, 0]])
+    elif kind == "quadratic":
+        F = np.array([[1, 1], [0, 1]])
+    elif kind == "multiply":
+        if c is None or c % p == 0:
+            raise ValueError("multiply needs a nonzero c mod p")
+        F = np.array([[pow(c % p, p - 2, p), 0], [0, c % p]])
+    elif kind == "sum":
+        # Z_c -> Z_c, X_c -> X_c X_t, Z_t -> Z_c^-1 Z_t, X_t -> X_t
+        F = np.array([[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]])
+    elif kind == "displace":
+        if point is None:
+            raise ValueError("displace needs a phase-space point")
+        pt = as_point(point, p)
+        return CliffordElement(np.eye(pt.size, dtype=np.int64), pt, p)
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return CliffordElement(F, np.zeros(len(F), dtype=np.int64), p)
+
+
 def clifford_generator(
     kind: str,
     p: int,
@@ -165,29 +196,23 @@ def clifford_generator(
     tgt: Optional[int] = None,
     point=None,
 ) -> tuple[np.ndarray, CliffordElement]:
-    """One named Clifford generator and its certified (F, a).
+    """One named Clifford generator as a dense unitary on n registers, with
+    its `generator_map` embedded at `register` (at ctrl and tgt for sum).
 
-    kinds: fourier, quadratic, multiply (needs c != 0), sum (needs ctrl, tgt),
-    displace (needs a full-length point).  Single-qudit kinds embed at
-    `register` inside an n-qudit system.
+    A displace point is full-length; the other kinds act on one register
+    (two for sum) and as the identity elsewhere.
     """
-    require_odd_prime(p)
+    local = generator_map(kind, p, c=c, point=point)
     om = _omega(p)
     zero = np.zeros(2 * n, dtype=np.int64)
     if kind == "fourier":
         U1 = np.array([[om ** ((x * y) % p) for x in range(p)] for y in range(p)]) / np.sqrt(p)
-        Fb = np.array([[0, 1], [-1, 0]], dtype=np.int64)
     elif kind == "quadratic":
         U1 = np.diag([om ** ((inv2(p) * x * x) % p) for x in range(p)])
-        Fb = np.array([[1, 1], [0, 1]], dtype=np.int64)
     elif kind == "multiply":
-        if c is None or c % p == 0:
-            raise ValueError("multiply needs a nonzero c mod p")
-        cc = c % p
         U1 = np.zeros((p, p), dtype=complex)
         for x in range(p):
-            U1[(cc * x) % p, x] = 1
-        Fb = np.array([[pow(cc, p - 2, p), 0], [0, cc]], dtype=np.int64)
+            U1[(c * x) % p, x] = 1
     elif kind == "sum":
         if ctrl is None or tgt is None or ctrl == tgt:
             raise ValueError("sum needs distinct ctrl and tgt registers")
@@ -204,23 +229,14 @@ def clifford_generator(
             x = digits[col].copy()
             x[tgt - 1] = (x[tgt - 1] + x[ctrl - 1]) % p
             U[int(x @ weights), col] = 1
-        # Z_c -> Z_c, X_c -> X_c X_t, Z_t -> Z_c^-1 Z_t, X_t -> X_t
-        Fb = np.array(
-            [[1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int64
-        )
-        return U, CliffordElement(_embed_F(Fb, n, [ctrl, tgt]), zero, p)
-    elif kind == "displace":
-        if point is None:
-            raise ValueError("displace needs a phase-space point")
-        pt = as_point(point, p)
-        if pt.size != 2 * n:
-            raise ValueError(f"displace point length {pt.size}, expected {2 * n}")
-        return weyl_operator(pt, p), CliffordElement(np.eye(2 * n, dtype=np.int64), pt, p)
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
+        return U, CliffordElement(_embed_F(local.F, n, [ctrl, tgt]), zero, p)
+    else:  # displace
+        if local.n != n:
+            raise ValueError(f"displace point length {local.a.size}, expected {2 * n}")
+        return weyl_operator(local.a, p), local
     # a generator on its own single register needs no embedding
     U = U1 if (n, register) == (1, 1) else _embed_single(U1, p, n, register)
-    return U, CliffordElement(_embed_F(Fb, n, [register]), zero, p)
+    return U, CliffordElement(_embed_F(local.F, n, [register]), zero, p)
 
 
 def _match_weyl(C: np.ndarray, p: int, n: int) -> tuple[np.ndarray, complex]:
@@ -235,7 +251,7 @@ def _match_weyl(C: np.ndarray, p: int, n: int) -> tuple[np.ndarray, complex]:
     row = int(np.argmax(mags))
     if abs(mags[row] - 1.0) > 1e-6 or np.sum(mags > MATCH_TOL) != 1:
         raise NotCliffordError("conjugated generator is not a Weyl operator")
-    a2 = np.array([int(t) for t in np.base_repr(row, p).zfill(n)], dtype=np.int64)
+    a2 = np.array(np.unravel_index(row, (p,) * n), dtype=np.int64)
     om = _omega(p)
     a1 = np.zeros(n, dtype=np.int64)
     weights = p ** np.arange(n - 1, -1, -1)

@@ -189,6 +189,18 @@ def test_error_carries_line_number():
         pytest.fail("expected CircuitError")
 
 
+def test_extend_state_is_checked_once(samples_dir):
+    src = "qudits p=3 n=1\ninput 1 zero\nextend 3 {}\n" + "".join(
+        f"measure {r} computational\n" for r in (4, 3, 2, 1)
+    )
+    rep = validate_circuit(parse_circuit(src.format("mixed")))
+    assert rep.ok
+    assert len(rep.extend_wigners[0]) == 3
+    assert all(w is rep.extend_wigners[0][0] for w in rep.extend_wigners[0])
+    rep = validate_circuit(parse_circuit(src.format("matrix-file:strange.mat"), base_dir=samples_dir))
+    assert rep.problems == ["extend (matrix-file:strange.mat): negative Wigner value -0.333333"]
+
+
 def test_validate_rejects_negative_input(samples_dir):
     prog = parse_circuit_file(samples_dir / "bad_negative_input.circ")
     rep = validate_circuit(prog)
@@ -230,8 +242,11 @@ measure 1 computational
     prog = parse_circuit(src)
     rep = validate_circuit(prog)
     assert rep.ok
-    # the validator re-derived (F, a) for the gate at n=2
+    # the validator composed the gate's (F, a) at n=2 from the generator
+    # table; it is the map that conjugating the word's dense unitary gives
     assert any(g.a.sum() == 0 for g in rep.gate_maps.values())
+    U = _dense_item_unitary(("gate", prog.items[0].word), 3, 2)
+    assert rep.gate_maps[(0, 2)] == extract_symplectic(U, 3)
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -321,12 +336,13 @@ def test_format_header_line_tolerated():
     assert prog.p == 3
 
 
-# --- gate maps: certified generators composed symbolically --------------------
+# --- gate maps: generator table maps composed symbolically -------------------
 
 @st.composite
 def gate_programs(draw, p):
-    """Random gate and displace items over all five generator kinds."""
-    n = draw(st.integers(1, 4))
+    """Random gate and displace items over all five generator kinds; above
+    p = 5 the register count keeps the dense reference at p^n <= 243."""
+    n = draw(st.integers(1, 4 if p <= 5 else 2))
     reg = st.integers(1, n)
     kinds = ["fourier", "quadratic", "multiply"] + (["sum"] if n > 1 else [])
     items = []
@@ -373,7 +389,7 @@ def _dense_item_unitary(item, p, n):
     return U
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @settings(max_examples=30)
 @given(data=st.data())
 def test_gate_maps_equal_dense_extraction(p, data):
@@ -388,18 +404,21 @@ def test_gate_maps_equal_dense_extraction(p, data):
 
 
 def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_dir):
-    from dwigner import circuits, simulate
+    from dwigner import circuits, simulate, weyl
 
-    widths = []
-    real = circuits.clifford_generator
+    seen = {"clifford_generator": [], "extract_symplectic": []}
+    for name, record in seen.items():
+        real = getattr(weyl, name)
 
-    def spy(kind, p, n=1, **kw):
-        widths.append(n)
-        return real(kind, p, n=n, **kw)
+        def spy(*args, _real=real, _record=record, **kwargs):
+            _record.append(kwargs.get("n", 1))
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(circuits, "clifford_generator", spy)
-    circuits._certified_map.cache_clear()
-    circuits._local_generator.cache_clear()
+        # rebind every name under which a dwigner module holds the function
+        for module in (weyl, circuits, simulate):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    simulate._local_generator.cache_clear()  # build each local unitary under the spies
     five = "\n".join(
         ["qudits p=3 n=5"]
         + [f"input {r} mixed" for r in range(1, 6)]
@@ -409,4 +428,8 @@ def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_di
     for prog in (parse_circuit_file(samples_dir / "reg10_cascade.circ"), parse_circuit(five)):
         assert validate_circuit(prog).ok
         simulate.sample_classical(prog, seed=1, shots=200)
-    assert widths and max(widths) <= 2
+    assert seen == {"clifford_generator": [], "extract_symplectic": []}
+    # the spies are live: the oracle builds its local unitaries through them
+    simulate.run_oracle(parse_circuit(five))
+    assert seen["clifford_generator"] and max(seen["clifford_generator"]) <= 2
+    assert seen["extract_symplectic"] == []

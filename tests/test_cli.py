@@ -101,7 +101,7 @@ def test_sample_computes_each_wigner_function_once(samples_dir, tmp_path, monkey
 
     prog = circuits.parse_circuit_file(samples_dir / circuit)
     states = len(prog.inputs) + sum(
-        len(item.states) for item in prog.items if isinstance(item, circuits.ExtendInstr)
+        isinstance(item, circuits.ExtendInstr) for item in prog.items
     )
     effects = sum(
         len(item.povm.effects) for item in prog.items if isinstance(item, circuits.MeasureInstr)
@@ -115,6 +115,24 @@ def test_sample_computes_each_wigner_function_once(samples_dir, tmp_path, monkey
     assert len(effect_calls) == effects
     if circuit == "reg08_three.circ":
         assert effects == 9
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_sample_oracle_check_past_p_ten(tmp_path, p):
+    # phase-space digits of 10 and above: the gate maps come from the table
+    circ = tmp_path / "big.circ"
+    circ.write_text(
+        f"qudits p={p} n=2\ninput 1 zero\ninput 2 zero\ngate fourier(1); sum(1,2)\n"
+        "measure 2 computational\nmeasure 1 computational\n"
+    )
+    out = tmp_path / "r.csv"
+    argv = ["sample", str(circ), "--shots", "20000", "--seed", "5", "--oracle-check",
+            "--out", str(out)]
+    assert run_cli(*argv) == 0
+    lines = out.read_text().splitlines()
+    assert "# verdict = PASS" in lines
+    # fourier(1) then sum(1,2) spreads |00> evenly over the p outcomes xx
+    assert len([line for line in lines if not line.startswith("#")]) == p + 1
 
 
 def test_sample_requires_seed(samples_dir, capsys):
@@ -233,21 +251,40 @@ def test_classify_strange(samples_dir, tmp_path):
     assert "min_W = -0.333333333333" in text
 
 
-@pytest.mark.parametrize("offset,label", [(0, "STABILIZER_MIX"), (Fraction(1, 10**11), "BOUND")])
-def test_classify_wigner_file_is_exact(tmp_path, monkeypatch, offset, label):
-    # the segment from the maximally mixed state to the BOUND row (0, 1/45, 14/45)
-    # of pinned_ninth_3d.slice leaves the stabilizer polytope at t = 15/23; just
-    # past it the float LP's optimum is below HULL_TOL, but the file is exact
+def classify_segment_point(tmp_path, monkeypatch, t) -> list:
+    """`classify` output lines of the point at t on the segment from the
+    maximally mixed state to the BOUND row (0, 1/45, 14/45) of
+    pinned_ninth_3d.slice, written as an exact Wigner file."""
     mixed = Fraction(1, 9)
     bound = {(0, 0): Fraction(0), (0, 1): Fraction(1, 45), (1, 0): Fraction(14, 45)}
-    t = Fraction(15, 23) + offset
     rows = [f"{a1} {a2} {mixed + t * (bound.get((a1, a2), mixed) - mixed)}"
             for a1 in range(3) for a2 in range(3)]
     (tmp_path / "edge.w").write_text("wigner p=3\n" + "\n".join(rows) + "\n")
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "c.txt"
     assert run_cli("classify", "wigner-file:edge.w", "--p", "3", "--out", str(out)) == 0
-    assert f"label = {label}" in out.read_text().splitlines()
+    return out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("offset,label", [(0, "STABILIZER_MIX"), (Fraction(1, 10**11), "BOUND")])
+def test_classify_wigner_file_is_exact(tmp_path, monkeypatch, offset, label):
+    # the segment leaves the stabilizer polytope at t = 15/23; just past it
+    # the float LP's optimum is below HULL_TOL, but the file is exact
+    lines = classify_segment_point(tmp_path, monkeypatch, Fraction(15, 23) + offset)
+    assert f"label = {label}" in lines
+
+
+def test_classify_prints_a_disputed_certificate(tmp_path, monkeypatch):
+    # just past t = 15/23 the witness gap is within HULL_TOL: the trivial
+    # witness is printed as before and flagged as disputed
+    lines = classify_segment_point(tmp_path, monkeypatch, Fraction(15, 23) + Fraction(1, 10**11))
+    assert "label = BOUND" in lines
+    assert lines[-1] == "disputed = True"
+    assert sum(line.startswith("disputed") for line in lines) == 1
+    # the BOUND row itself has a witness with a clear gap
+    lines = classify_segment_point(tmp_path, monkeypatch, Fraction(1))
+    assert "label = BOUND" in lines
+    assert not any(line.startswith("disputed") for line in lines)
 
 
 def test_classify_rounded_wigner_file_keeps_the_float_route(tmp_path, monkeypatch):

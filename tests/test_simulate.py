@@ -201,7 +201,7 @@ def test_oracle_on_five_qutrits_builds_only_local_operators(monkeypatch):
         for module in (weyl, circuits, simulate):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
-    circuits._local_generator.cache_clear()  # build each local unitary under the spies
+    simulate._local_generator.cache_clear()  # build each local unitary under the spies
     got = run_oracle(prog)
     assert seen["clifford_generator"] and seen["weyl_operator"]  # the spies were live
     assert all(kw.get("n", 1) <= 2 for _, kw in seen["clifford_generator"])
@@ -543,22 +543,27 @@ def test_distill_rejects_a_non_clifford_unitary():
 def test_distill_suite_builds_no_wide_unitaries(monkeypatch, tmp_path):
     from dwigner.cli import main
 
-    widths = []
-    real = weyl.clifford_generator
+    seen = {"clifford_generator": [], "extract_symplectic": []}
+    for name, record in seen.items():
+        real = getattr(weyl, name)
 
-    def spy(kind, p, n=1, **kw):
-        widths.append(n)
-        return real(kind, p, n=n, **kw)
+        def spy(*args, _real=real, _record=record, **kwargs):
+            _record.append(kwargs.get("n", 1))
+            return _real(*args, **kwargs)
 
-    for module in (weyl, circuits, simulate):
-        if getattr(module, "clifford_generator", None) is real:
-            monkeypatch.setattr(module, "clifford_generator", spy)
-    circuits._certified_map.cache_clear()
-    circuits._local_generator.cache_clear()
+        # rebind every name under which a dwigner module holds the function
+        for module in (weyl, circuits, simulate):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    simulate._local_generator.cache_clear()  # build each local unitary under the spies
     argv = ["distill-check", "--random-suite", "5", "--seed", "3", "--n", "4",
             "--out", str(tmp_path / "d.csv")]
     assert main(argv) == 0
-    assert widths and max(widths) <= 2
+    assert seen == {"clifford_generator": [], "extract_symplectic": []}
+    # the spies are live: the oracle builds its local unitaries through them
+    run_oracle(parse_circuit(WIDE5))
+    assert seen["clifford_generator"] and max(seen["clifford_generator"]) <= 2
+    assert seen["extract_symplectic"] == []
 
 
 def test_random_instances_pass():

@@ -13,6 +13,7 @@ from dwigner.weyl import (
     NotCliffordError,
     clifford_generator,
     extract_symplectic,
+    generator_map,
     phase_point_operator,
     weyl_operator,
     weyl_table,
@@ -171,6 +172,23 @@ def test_extract_symplectic_round_trips_generators():
         assert extract_symplectic(U, p) == g
     U, g = clifford_generator("sum", p, n=2, ctrl=2, tgt=1)
     assert extract_symplectic(U, p) == g
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 37])
+def test_extract_symplectic_round_trips_generators_at_larger_p(p):
+    # row digits of 10 and above, and bases above 36, decode as integers
+    cases = [("fourier", {}), ("quadratic", {}), ("displace", {"point": (p - 1, p - 2)})]
+    cases += [("multiply", {"c": c}) for c in (2, 10, p - 1) if c < p]
+    for kind, kw in cases:
+        U, g = clifford_generator(kind, p, **kw)
+        assert g == generator_map(kind, p, **kw)
+        assert extract_symplectic(U, p) == g
+    if p <= 13:
+        U, g = clifford_generator("sum", p, n=2, ctrl=1, tgt=2)
+        assert g == generator_map("sum", p)
+        assert extract_symplectic(U, p) == g
+        U, g = clifford_generator("sum", p, n=2, ctrl=2, tgt=1)
+        assert extract_symplectic(U, p) == g
 
 
 def test_extract_symplectic_random_words():
