@@ -10,7 +10,11 @@ distributions agree; compare_distributions quantifies that with TV and a
 chi-square test.  distill_step: the post-selected output of a Clifford
 channel computed on Wigner functions -- the channel's affine map permutes
 the input's values and the projector's effect values weight the ancilla
-points -- so a nonnegative input can never come out negative.
+points -- so a nonnegative input can never come out negative.  A product
+input or projector is held as its p x p factors, and its Wigner function is
+the outer product of theirs, so a product instance with a word channel
+builds no p^n x p^n matrix: it is bounded by its p^(2n) Wigner values
+(PRODUCT_WIGNER_CAP), and only dense parts by p^n (ORACLE_DIM_CAP).
 
 Per-shot randomness is positional: draw j of shot s is U[s, j] of the
 shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
@@ -64,6 +68,7 @@ from .wigner import (
     state_from_wigner,
     validate_state,
     wigner_of_effect,
+    wigner_of_factors,
     wigner_of_state,
 )
 
@@ -84,13 +89,18 @@ __all__ = [
     "random_positive_product_state",
     "parse_distill_file",
     "ORACLE_DIM_CAP",
+    "PRODUCT_WIGNER_CAP",
     "CHUNK_SHOTS",
 ]
 
 # p^n guard for the oracle, whose state tensor holds p^(2n) entries, and for
-# the distillation check, whose inputs, projectors and Kraus channels are
-# dense p^n x p^n (or p^(n-1) x p^(n-1)) matrices
+# the dense parts of a distillation check: matrix-file inputs and projectors
+# and Kraus channels, which are p^n x p^n (or p^(n-1) x p^(n-1)) matrices
 ORACLE_DIM_CAP = 243
+# p^(2n) guard for every distillation check, whose Wigner arrays (input,
+# channel image, index map) hold p^(2n) entries: 3^12, 4 MB of float64 each,
+# so a product input with a word channel runs up to n = 6 qutrits
+PRODUCT_WIGNER_CAP = 3**12
 # Shots per sampler chunk.  Even, so that every chunk's first draw lo * K is a
 # multiple of the four draws in one Philox block.
 CHUNK_SHOTS = 1 << 16
@@ -496,9 +506,13 @@ def compare_distributions(ref: OutcomeDistribution, counts: dict, shots: int) ->
 class DistillationInstance:
     p: int
     n: int
-    rho_in: np.ndarray
+    # the input on n qudits: a tuple of n single-qudit p x p factors of a
+    # product state, or a dense p^n x p^n matrix
+    rho_in: tuple | np.ndarray
     channel: tuple  # ("clifford", CliffordElement) | ("unitary", U) | ("kraus", [K...])
-    projector: np.ndarray  # on the last n-1 qudits
+    # the projector on the last n-1 qudits: a tuple of n-1 p x p factors, or a
+    # dense p^(n-1) x p^(n-1) matrix
+    projector: tuple | np.ndarray
     positivity_asserted: bool = False  # required for kraus channels
 
 
@@ -515,38 +529,39 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     """rho_out = Tr_anc[(I (x) P) Lambda(rho) (I (x) P)] / norm and its negativity,
     computed on Wigner functions.
 
-    A Clifford channel is an affine map g = (F, a) of phase space, so
-    W_sigma[g(u)] = W_in[u] permutes the input's values.  A ("unitary", U)
-    channel is taken to its map by extract_symplectic, so a U that is not
-    Clifford raises NotCliffordError; a ("kraus", [K...]) channel, whose
-    positivity the caller asserts, is applied densely and transformed.  Then
-    W_out(u1) = sum_v W_sigma(u1, v) W_P(v) / norm, where W_P is the
-    projector's effect Wigner function and norm, the branch probability, is
-    the sum of the numerators; F_out = p * min W_out.
+    A product input or projector, a tuple of p x p factors, has the outer
+    product of its factors' Wigner (or effect) values as its Wigner
+    function, so no p^n x p^n matrix is built; a dense matrix is transformed
+    as a whole.  A Clifford channel is an affine map g = (F, a) of phase
+    space, so W_sigma[g(u)] = W_in[u] permutes the input's values.  A
+    ("unitary", U) channel is taken to its map by extract_symplectic, so a U
+    that is not Clifford raises NotCliffordError; a ("kraus", [K...])
+    channel, whose positivity the caller asserts, is applied to the dense
+    input and transformed.  Then W_out(u1) = sum_v W_sigma(u1, v) W_P(v) /
+    norm, where W_P is the projector's effect Wigner function and norm, the
+    branch probability, is the sum of the numerators; F_out = p * min W_out.
 
-    Preconditions checked: a PSD input of dimension p^n that is positively
-    represented, a Clifford (or caller-asserted positivity-preserving)
-    channel, and a positively represented projector on the last n-1 qudits.
+    Preconditions checked: p^(2n) <= PRODUCT_WIGNER_CAP before any Wigner
+    array is allocated; a PSD input (each factor of a product) that is
+    positively represented; a Clifford (or caller-asserted
+    positivity-preserving) channel; a projector (each factor of a product)
+    with P^2 = P on the last n-1 qudits that is positively represented.
     rho_out is PSD-checked.  verdict is None when the input precondition was
     deliberately overridden; the run is then recorded without judgement.
     """
     p, n = inst.p, inst.n
     require_odd_prime(p)
-    d_anc = p ** (n - 1)
-    W_in = wigner_of_state(inst.rho_in, p)  # validates the input first
-    if W_in.n != n:
-        raise ValueError(f"input must be a state on {n} qudits (dim {p**n})")
-    F_in = float(p**n * W_in.values.min())
+    _check_distill_size(p, n)
+    W_in = _part_values(inst.rho_in, p, n, "state")  # validates the input first
+    F_in = float(p**n * W_in.min())
     if F_in < -1e-10 and not force_negative_input:
         raise InputNegativelyRepresented(
             f"F(rho_in) = {F_in:.6g} < 0; pass force_negative_input to record anyway"
         )
-    P = inst.projector
-    if P.shape != (d_anc, d_anc):
-        raise ValueError(f"projector must act on the last {n - 1} qudits (dim {d_anc})")
+    W_P = _part_values(inst.projector, p, n - 1, "effect")
+    P = np.asarray(inst.projector)  # a (n-1, p, p) stack for a product
     if np.max(np.abs(P @ P - P)) > 1e-9:
         raise ValueError("projector fails P^2 = P")
-    W_P = wigner_of_effect(P, p).values
     if W_P.min() < -1e-10:
         raise ValueError("projector is not positively represented")
     kind, payload = inst.channel[0], inst.channel[1]
@@ -555,15 +570,18 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     if kind == "clifford":
         if payload.n != n:
             raise ValueError(f"channel acts on {payload.n} qudits, expected {n}")
-        W_sigma = np.empty_like(W_in.values)
-        W_sigma[_image_indices(payload)] = W_in.values
+        W_sigma = np.empty_like(W_in)
+        W_sigma[_image_indices(payload)] = W_in
     elif kind == "kraus":
         if not inst.positivity_asserted:
             raise ValueError("kraus channels need positivity_asserted=True")
         total = sum(K.conj().T @ K for K in payload)
         if np.max(np.abs(total - np.eye(p**n))) > 1e-9:
             raise ValueError("kraus operators are not trace preserving")
-        rho_big = sum(K @ inst.rho_in @ K.conj().T for K in payload)
+        rho = inst.rho_in
+        if isinstance(rho, tuple):
+            rho = functools.reduce(np.kron, rho)
+        rho_big = sum(K @ rho @ K.conj().T for K in payload)
         W_sigma = wigner_of_state(rho_big, p).values
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
@@ -587,40 +605,94 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     )
 
 
+def _part_values(part, p: int, count: int, kind: str) -> np.ndarray:
+    """Flat Wigner ("state") or effect ("effect") values of an input or
+    projector on `count` qudits: the outer product of the factors' rows for
+    a tuple of p x p factors, the whole transform for a dense matrix."""
+    what = "input must be a state" if kind == "state" else "projector must act"
+    if isinstance(part, tuple):
+        if len(part) != count:
+            raise ValueError(f"{what} on {count} qudits, got {len(part)} factors")
+        values = np.ones(1)
+        for row in wigner_of_factors(part, p, kind):
+            values = np.multiply.outer(values, row).ravel()
+        return values
+    W = wigner_of_state(part, p) if kind == "state" else wigner_of_effect(part, p)
+    if W.n != count:
+        raise ValueError(f"{what} on {count} qudits (dim {p**count})")
+    return W.values
+
+
 def _image_indices(g: CliffordElement) -> np.ndarray:
-    """Point index of g(u) for every point u, in point-index order.
+    """Point index of g(u) = Fu + a for every point u, in point-index order.
 
-    The images Fu + a are built one coordinate of u at a time, slowest
-    first, so the rows come out in point-index order of u."""
+    Image coordinates are held one row each, reduced mod p, in the smallest
+    unsigned dtype that holds 2(p - 1), so a sum of two reduced terms is
+    reduced again by one conditional subtraction of p.  Two tables of p^n
+    columns hold the images of the slow half of u's coordinates (plus a)
+    and of the fast half, each built one coordinate at a time; one broadcast
+    sum of the two gives all p^(2n) images, and the rows are folded into one
+    int64 index, slowest coordinate first.
+    """
     p, m = g.p, 2 * g.n
-    steps = np.arange(p)[:, None] * g.F.T[:, None, :]  # steps[j, x] = x * F[:, j]
-    images = g.a[None, :]
-    for j in range(m):
-        images = (images[:, None, :] + steps[j][None, :, :]).reshape(-1, m)
-    return (images % p) @ (p ** np.arange(m - 1, -1, -1))
+    dtype = np.min_scalar_type(2 * (p - 1))
+    # steps[j, x] = x * F[:, j] mod p
+    steps = (np.arange(p)[:, None] * g.F.T[:, None, :] % p).astype(dtype)
+
+    def reduce_(images):
+        # unsigned x - p wraps above x where x < p, so the minimum is x mod p
+        return np.minimum(images, images - dtype.type(p), out=images)
+
+    def table(coords, start):
+        images = start.astype(dtype)[:, None]
+        for j in coords:
+            images = reduce_((images[:, :, None] + steps[j].T[:, None, :]).reshape(m, -1))
+        return images
+
+    slow = table(range(g.n), g.a)
+    fast = table(range(g.n, m), np.zeros(m, dtype=np.int64))
+    images = reduce_((slow[:, :, None] + fast[:, None, :]).reshape(m, -1))
+    index = images[0].astype(np.int64)
+    for row in images[1:]:
+        index *= p
+        index += row
+    return index
 
 
-def _check_distill_size(p: int, n: int, line: Optional[int] = None) -> None:
-    """Reject p^n > ORACLE_DIM_CAP before any d x d matrix is built."""
-    # the exponent is clipped so that a huge n costs no huge power
-    if p ** min(n, ORACLE_DIM_CAP) > ORACLE_DIM_CAP:
+def _check_distill_size(p: int, n: int, line: Optional[int] = None, dense: bool = False) -> None:
+    """Reject an instance too large for its route before anything is allocated.
+
+    Every route holds p^(2n) Wigner values and needs p^(2n) <=
+    PRODUCT_WIGNER_CAP; a dense input, projector or Kraus channel also needs
+    p^n <= ORACLE_DIM_CAP.
+    """
+    # p >= 2, so p^k exceeds a cap once k passes the cap's bit length; the
+    # exponent is clipped there so that a huge n costs no huge power
+    if p ** min(2 * n, PRODUCT_WIGNER_CAP.bit_length()) > PRODUCT_WIGNER_CAP:
         raise CircuitError(
-            f"distillation needs p^n <= {ORACLE_DIM_CAP}, got p={p}, n={n}", line
+            f"distillation needs p^(2n) <= {PRODUCT_WIGNER_CAP} Wigner values, "
+            f"got p={p}, n={n}",
+            line,
+        )
+    if dense and p ** min(n, ORACLE_DIM_CAP.bit_length()) > ORACLE_DIM_CAP:
+        raise CircuitError(
+            f"a dense distillation part needs p^n <= {ORACLE_DIM_CAP}, got p={p}, n={n}", line
         )
 
 
-def random_positive_product_state(p: int, n: int, rng) -> np.ndarray:
-    """Product of random mixtures of single-qudit stabilizer states."""
+def random_positive_product_state(p: int, n: int, rng) -> tuple:
+    """n random mixtures of single-qudit stabilizer states, the p x p factors
+    of a positively represented product state."""
     mub = mub_stabilizer_states(p)
-    rho = np.ones((1, 1), dtype=complex)
+    factors = []
     for _ in range(n):
         w = rng.dirichlet(np.ones(len(mub)))
-        rho = np.kron(rho, sum(wi * S for wi, S in zip(w, mub.states)))
-    return rho
+        factors.append(sum(wi * S for wi, S in zip(w, mub.states)))
+    return tuple(factors)
 
 
 def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> DistillationInstance:
-    """Random Clifford channel + stabilizer projector + positive product input."""
+    """Random Clifford channel + product stabilizer projector + positive product input."""
     require_odd_prime(p)
     _check_distill_size(p, n)
     kinds = ["fourier", "quadratic", "multiply", "sum", "displace"]
@@ -647,9 +719,7 @@ def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> Disti
             kw = {"register": int(rng.integers(1, n + 1))}
         word.append((kind, kw))
     mub = mub_stabilizer_states(p)
-    anc = np.ones((1, 1), dtype=complex)
-    for _ in range(n - 1):
-        anc = np.kron(anc, mub.states[rng.integers(len(mub))])
+    anc = tuple(mub.states[rng.integers(len(mub))] for _ in range(n - 1))
     return DistillationInstance(
         p=p,
         n=n,
@@ -660,7 +730,12 @@ def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> Disti
 
 
 def parse_distill_file(path) -> DistillationInstance:
-    """`distill p=<p> n=<n>`, then input/channel/projector lines."""
+    """`distill p=<p> n=<n>`, then input/channel/projector lines.
+
+    `input product` and `projector zero` are kept as tuples of p x p
+    factors; `matrix-file:` parts and `kraus-file:` channels are dense and
+    checked against the dense cap on their own line, before the file is read.
+    """
     path = Path(path)
     base_dir = path.parent
     lines = _content_lines(path.read_text())
@@ -682,14 +757,13 @@ def parse_distill_file(path) -> DistillationInstance:
         rest = rest.strip()
         if key == "input":
             if rest.startswith("matrix-file:"):
+                _check_distill_size(p, n, num, dense=True)
                 rho_in = load_matrix_file(base_dir / rest.split(":", 1)[1])
             elif rest.startswith("product "):
                 specs = rest.split()[1:]
                 if len(specs) != n:
                     raise CircuitError(f"input product needs {n} presets", num)
-                rho_in = np.ones((1, 1), dtype=complex)
-                for s in specs:
-                    rho_in = np.kron(rho_in, preset_state(s, p, base_dir)[0])
+                rho_in = tuple(preset_state(s, p, base_dir)[0] for s in specs)
             else:
                 raise CircuitError(f"bad input spec {rest!r}", num)
         elif key == "channel":
@@ -700,6 +774,7 @@ def parse_distill_file(path) -> DistillationInstance:
                 except CircuitError as exc:
                     raise CircuitError(str(exc), num) from exc
             elif rest.startswith("kraus-file:"):
+                _check_distill_size(p, n, num, dense=True)
                 tokens = rest.split()
                 kfile = tokens[0].split(":", 1)[1]
                 asserted = "positivity-asserted" in tokens[1:]
@@ -708,10 +783,9 @@ def parse_distill_file(path) -> DistillationInstance:
                 raise CircuitError(f"bad channel spec {rest!r}", num)
         elif key == "projector":
             if rest == "zero":
-                d_anc = p ** (n - 1)
-                projector = np.zeros((d_anc, d_anc), dtype=complex)
-                projector[0, 0] = 1.0
+                projector = (preset_state("zero", p, base_dir)[0],) * (n - 1)
             elif rest.startswith("matrix-file:"):
+                _check_distill_size(p, n, num, dense=True)
                 projector = load_matrix_file(base_dir / rest.split(":", 1)[1])
             else:
                 raise CircuitError(f"bad projector spec {rest!r}", num)

@@ -20,6 +20,7 @@ __all__ = [
     "validate_state",
     "wigner_of_state",
     "wigner_of_effect",
+    "wigner_of_factors",
     "state_from_wigner",
     "born_probability",
     "negativity_F",
@@ -121,6 +122,43 @@ def wigner_of_effect(E: np.ndarray, p: int) -> WignerFunction:
     if np.max(np.abs(E - E.conj().T)) > 1e-9:
         raise ValueError("effect is not Hermitian")
     return WignerFunction(_contract(E, p, n), p, n, "effect")
+
+
+def _first_bad(bad: np.ndarray, message: str, values=None) -> None:
+    """Raise ValueError naming the first flagged factor (1-based) and its value."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = int(hits[0])
+        raise ValueError(message.format(k + 1, None if values is None else values[k]))
+
+
+def wigner_of_factors(factors, p: int, kind: str = "state") -> np.ndarray:
+    """Wigner values of k single-qudit p x p factors, one row of p^2 each.
+
+    A_u of a product point is the product of the single-qudit A_u, so the
+    Wigner function of M_1 (x) ... (x) M_k is the outer product of the rows
+    and the product is never built.  kind "state" checks each factor as
+    validate_state checks a state and divides by p; kind "effect" checks
+    Hermiticity as wigner_of_effect does.  The factors are checked and
+    transformed as one (k, p, p) stack.
+    """
+    require_odd_prime(p)
+    M = np.stack(factors)
+    if M.shape[1:] != (p, p):
+        raise ValueError(f"factors must be {p} x {p} matrices, got shape {M.shape[1:]}")
+    skew = np.abs(M - M.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if kind == "state":
+        trace = np.trace(M, axis1=1, axis2=2).real
+        _first_bad(skew > 1e-12, "state factor {} is not Hermitian")
+        _first_bad(np.abs(trace - 1.0) > 1e-10, "state factor {} has trace {}, not 1", trace)
+        low = np.linalg.eigvalsh(M).min(axis=1)
+        _first_bad(low < -1e-9, "state factor {} has negative eigenvalue {}", low)
+    elif kind == "effect":
+        _first_bad(skew > 1e-9, "effect factor {} is not Hermitian")
+    else:
+        raise ValueError(f"kind must be state or effect, got {kind!r}")
+    values = np.tensordot(M, weyl_table(p, 1).single_A, axes=([1, 2], [2, 1])).real
+    return values / p if kind == "state" else values
 
 
 def state_from_wigner(W, p: int, n: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -368,6 +369,32 @@ def test_distill_check_random_suite(tmp_path):
     assert "# verdict = PASS" in a.read_text()
 
 
+# SHA-256 of the output bytes as the dense route prints them, with every
+# input and projector built as a p^n x p^n matrix; the product route prints
+# the same bytes
+DISTILL_PINS = {
+    ("--random-suite", "20", "--seed", "7", "--n", "2"):
+        "7c7468ec79fd37daf0ac153f313787d8341b408bef61516c8479b8df64b56374",
+    ("--random-suite", "20", "--seed", "7", "--n", "3"):
+        "ccc746d09ac9b579ac3e0a70382e95c9419837a9a7d1ad84515d3fe4c6661a4d",
+    ("--random-suite", "20", "--seed", "7", "--n", "4"):
+        "e21789491964b606cac8a0fc06e6e36730f03027687ab04c8a7116380924c497",
+    ("distill_identity.txt",): "374baf8f81f3b9f5bd51898ee5e01daa9e8af4c9e2c6bfaf1778f33bf6494710",
+    ("distill_kraus.txt",): "659c0ffd9fe05eb346def81e42596dd60fb994cef4e2446255d712584ed1a052",
+    ("distill_word.txt",): "4d04cb96869bfc41ead50de17b34bfe9285fb7f1cf3d7c66eff1b236175a67ac",
+}
+
+
+@pytest.mark.parametrize(
+    "args", list(DISTILL_PINS), ids=lambda a: a[0] if len(a) == 1 else f"suite-n{a[-1]}"
+)
+def test_distill_check_output_bytes_are_pinned(samples_dir, tmp_path, args):
+    out = tmp_path / "d.out"
+    argv = [str(samples_dir / args[0]), *args[1:]] if len(args) == 1 else list(args)
+    assert run_cli("distill-check", *argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DISTILL_PINS[args]
+
+
 @pytest.mark.parametrize("header", ["dim", "dim x"])
 def test_distill_check_malformed_kraus_dim(tmp_path, capsys, header):
     (tmp_path / "bad.kraus").write_text(f"{header}\n1 0\n")
@@ -395,19 +422,49 @@ def test_distill_check_rejects_large_random_suite(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run_cli("distill-check", "--random-suite", "1", "--seed", "1", "--n", "9",
                    "--out", str(out)) == 2
-    assert "p^n <= 243" in capsys.readouterr().err
+    assert "p^(2n) <= 531441" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_distill_check_rejects_large_instance_file(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     inst.write_text(
-        "distill p=3 n=6\ninput product zero zero zero zero zero zero\n"
+        "distill p=3 n=7\ninput product" + " zero" * 7 + "\n"
         "channel gates fourier(1)\nprojector zero\n"
     )
     assert run_cli("distill-check", str(inst)) == 2
     err = capsys.readouterr().err
-    assert "line 1" in err and "p^n <= 243" in err
+    assert "line 1" in err and "p^(2n) <= 531441" in err
+
+
+def test_distill_check_runs_a_six_qutrit_suite(tmp_path):
+    # products and word maps lift the suite past the dense cap p^n <= 243
+    out = tmp_path / "d.csv"
+    assert run_cli("distill-check", "--random-suite", "2", "--seed", "1", "--n", "6",
+                   "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[2:-1]
+    assert len(rows) == 2 and all(row.endswith(",PASS") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ("input matrix-file:big.mat", "line 2"),
+        ("channel kraus-file:big.kraus", "line 3"),
+        ("projector matrix-file:big.mat", "line 4"),
+    ],
+    ids=["input-matrix-file", "kraus-file", "projector-matrix-file"],
+)
+def test_distill_check_dense_parts_keep_the_dense_cap(tmp_path, capsys, line, where):
+    # p^n = 729: the product route would run it, a dense part is refused
+    # before its file is read (the named files do not exist)
+    inst = tmp_path / "inst.txt"
+    body = ["input product" + " zero" * 6, "channel gates fourier(1)", "projector zero"]
+    body[["input", "channel", "projector"].index(line.split()[0])] = line
+    inst.write_text("\n".join(["distill p=3 n=6", *body]) + "\n")
+    assert run_cli("distill-check", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert where in err and "p^n <= 243" in err
 
 
 def test_distill_check_gate_register_out_of_range(tmp_path, capsys):

@@ -461,3 +461,28 @@ def test_slice_scan_falls_back_to_one_lp_per_point(monkeypatch, samples_dir, mub
     # the block's joint LP failed once, then each BOUND point ran its own
     assert sizes == [10 * bound] + [10] * bound
     assert rows == expected
+
+
+def test_witness_lps_are_bounded_in_rows(monkeypatch, samples_dir, mub3):
+    import scipy.optimize
+
+    real_linprog = scipy.optimize.linprog
+    sizes = []
+
+    def second_joint_fails(c, **kwargs):
+        # the second joint LP fails; its points then run one LP each
+        sizes.append(len(c))
+        if len(c) > 10 and sum(s > 10 for s in sizes) == 2:
+            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
+        return real_linprog(c, **kwargs)
+
+    spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
+    expected = reference_slice_scan(spec, mub3)
+    monkeypatch.setattr(scipy.optimize, "linprog", second_joint_fails)
+    monkeypatch.setattr(geometry, "WITNESS_LP_ROWS", 40)
+    rows = slice_scan(spec, S=mub3)
+    bound = sum(r.label == "BOUND" for r in rows)
+    assert bound > 80 and bound % 40
+    # one block: joint LPs of 40 points and one of the rest, 10 columns per point
+    assert sizes == [400, 400] + [10] * 40 + [400] * (bound // 40 - 2) + [10 * (bound % 40)]
+    assert_rows_match(rows, expected)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwigner import circuits, simulate, weyl
+from dwigner.fields import all_points
 from dwigner.circuits import (
     DisplaceInstr,
     ExtendInstr,
@@ -477,7 +479,7 @@ def random_pure_state(d, rng):
 
 @settings(max_examples=60)
 @given(
-    p_n=st.sampled_from([(3, 2), (3, 3), (5, 2), (5, 3)]),
+    p_n=st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]),
     seed=st.integers(0, 2**32 - 1),
     route=st.sampled_from(["word", "unitary", "kraus"]),
     negative_input=st.booleans(),
@@ -490,9 +492,11 @@ def test_distill_step_matches_dense_reference(p_n, seed, route, negative_input):
     inst = random_distill_instance(p, n, np.random.default_rng(seed))
     ref = dense_random_instance(p, n, np.random.default_rng(seed))
     assert inst.channel[0] == "clifford"
-    # the same draws in the same order
-    assert np.array_equal(inst.rho_in, ref.rho_in)
-    assert np.array_equal(inst.projector, ref.projector)
+    # the same draws in the same order; the input and projector are products
+    assert len(inst.rho_in) == n and len(inst.projector) == n - 1
+    assert np.array_equal(functools.reduce(np.kron, inst.rho_in), ref.rho_in)
+    anc = functools.reduce(np.kron, inst.projector, np.ones((1, 1)))
+    assert np.array_equal(anc, ref.projector)
     rng = np.random.default_rng([seed, 1])
     if route == "unitary":
         inst = dataclasses.replace(ref)
@@ -519,6 +523,37 @@ def test_distill_step_matches_dense_reference(p_n, seed, route, negative_input):
     assert abs(got.branch_probability - want.branch_probability) < 1e-12
     assert np.max(np.abs(got.rho_out - want.rho_out)) < 1e-12
     assert got.verdict == want.verdict
+
+
+def test_distill_step_matches_dense_reference_at_five_qutrits():
+    # n = 5, the largest qutrit instance within the dense cap p^n <= 243
+    seed = 11
+    inst = random_distill_instance(3, 5, np.random.default_rng(seed))
+    ref = dense_random_instance(3, 5, np.random.default_rng(seed))
+    got, want = distill_step(inst), dense_distill_step(ref)
+    assert abs(got.F_in - want.F_in) < 1e-12
+    assert abs(got.F_out - want.F_out) < 1e-12
+    assert abs(got.branch_probability - want.branch_probability) < 1e-12
+    assert np.max(np.abs(got.rho_out - want.rho_out)) < 1e-12
+    assert got.verdict == want.verdict == "PASS"
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 2), (3, 3), (7, 2), (131, 1)])
+def test_image_indices_match_pointwise_images(p, n):
+    # odd and even register counts split the coordinates unevenly; at p = 131
+    # a sum of two reduced coordinates needs 16 bits
+    rng = np.random.default_rng(p + n)
+    word = []
+    for _ in range(8):
+        r = int(rng.integers(1, n + 1))
+        word += [("fourier", {"register": r}), ("quadratic", {"register": r}),
+                 ("multiply", {"c": int(rng.integers(1, p)), "register": r})]
+        if n > 1:
+            word.append(("sum", {"ctrl": r, "tgt": r % n + 1}))
+    word.append(("displace", {"register": n, "point": tuple(rng.integers(0, p, size=2).tolist())}))
+    g = circuits._word_map(word, p, n)
+    images = (all_points(p, n) @ g.F.T + g.a) % p
+    assert np.array_equal(simulate._image_indices(g), images @ p ** np.arange(2 * n - 1, -1, -1))
 
 
 def test_distill_rejects_a_non_clifford_unitary():

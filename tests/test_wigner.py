@@ -11,6 +11,7 @@ from dwigner.wigner import (
     state_from_wigner,
     validate_state,
     wigner_of_effect,
+    wigner_of_factors,
     wigner_of_state,
 )
 
@@ -87,6 +88,36 @@ def test_factorization_of_products():
     W1 = wigner_of_state(r1, p).values
     W2 = wigner_of_state(r2, p).values
     assert np.allclose(W12, np.outer(W1, W2).ravel(), atol=1e-12)
+
+
+def test_wigner_of_factors_matches_the_dense_product():
+    rng = np.random.default_rng(12)
+    for p in (3, 5):
+        factors = [random_density(rng, p) for _ in range(3)]
+        rows = wigner_of_factors(factors, p)
+        dense = wigner_of_state(np.kron(np.kron(factors[0], factors[1]), factors[2]), p).values
+        assert np.allclose(np.einsum("i,j,k->ijk", *rows).ravel(), dense, atol=1e-15)
+        for M, row in zip(factors, wigner_of_factors(factors, p, kind="effect")):
+            assert np.allclose(row, wigner_of_effect(M, p).values, atol=1e-14)
+
+
+def test_wigner_of_factors_names_the_bad_factor():
+    good = np.eye(3, dtype=complex) / 3
+    neg = np.diag([1.5, -0.5, 0.0]).astype(complex)
+    skew = good.copy()
+    skew[0, 1] = 1e-6j
+    with pytest.raises(ValueError, match="state factor 2 has negative eigenvalue"):
+        wigner_of_factors([good, neg, good], 3)
+    with pytest.raises(ValueError, match="state factor 3 has trace 3"):
+        wigner_of_factors([good, good, 3 * good], 3)
+    with pytest.raises(ValueError, match="state factor 1 is not Hermitian"):
+        wigner_of_factors([skew, good], 3)
+    with pytest.raises(ValueError, match="effect factor 1 is not Hermitian"):
+        wigner_of_factors([1e3 * skew], 3, kind="effect")
+    with pytest.raises(ValueError, match="3 x 3"):
+        wigner_of_factors([np.eye(5) / 5], 3)
+    # an effect is not a state: trace and sign are not checked
+    assert wigner_of_factors([3 * good, neg], 3, kind="effect").shape == (2, 9)
 
 
 def test_validate_state_rejections():
