@@ -54,7 +54,12 @@ __all__ = [
     "computational_povm",
     "preset_state",
     "parse_slice_file",
+    "MAX_REGISTERS",
 ]
+
+# Registers on any path, so a chunk of sampler uniforms (CHUNK_SHOTS x 2n
+# float64) stays below 256 MiB and no per-register list grows without bound
+MAX_REGISTERS = 256
 
 
 class CircuitError(ValueError):
@@ -374,6 +379,8 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
         raise CircuitError(str(exc), num) from exc
     if n < 1:
         raise CircuitError(f"need at least one register, got n={n}", num)
+    if n > MAX_REGISTERS:
+        raise CircuitError(f"n={n} exceeds the register cap {MAX_REGISTERS}", num)
 
     inputs: dict[int, tuple[np.ndarray, str]] = {}
     items: list = []
@@ -456,6 +463,10 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
                 raise CircuitError(f"bad count {sub[0]!r}", num) from exc
             if count < 1:
                 raise CircuitError(f"extend count must be positive, got {count}", num)
+            if count > MAX_REGISTERS:
+                raise CircuitError(
+                    f"extend count {count} exceeds the register cap {MAX_REGISTERS}", num
+                )
             try:
                 rho, spec = preset_state(sub[1], p, base_dir)
             except CircuitError as exc:
@@ -513,8 +524,8 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
 
 def _check_paths(prog: CircuitProgram) -> tuple[int, dict]:
     """Walk every control path; enforce the measurement-order rule and
-    measure-exactly-once; return the maximum register count and, per item
-    index, the set of register counts it runs under."""
+    measure-exactly-once and the register cap; return the maximum register
+    count and, per item index, the set of register counts it runs under."""
     max_regs = prog.n
     counts: dict[int, set] = {}
     seen: set = set()
@@ -550,6 +561,12 @@ def _check_paths(prog: CircuitProgram) -> tuple[int, dict]:
                     raise CircuitError(f"register {r} already measured", instr.line)
             stack.append((i + 1, n_cur, measured))
         elif isinstance(instr, ExtendInstr):
+            if n_cur + instr.count > MAX_REGISTERS:
+                raise CircuitError(
+                    f"extend to {n_cur + instr.count} registers exceeds the register cap "
+                    f"{MAX_REGISTERS}",
+                    instr.line,
+                )
             stack.append((i + 1, n_cur + instr.count, measured))
         elif isinstance(instr, MeasureInstr):
             unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]

@@ -29,7 +29,6 @@ from .circuits import (
 from .fields import index_point, require_odd_prime
 from .geometry import SolverFailure, classify_state, facet_check, slice_csv, slice_scan
 from .simulate import (
-    InputNegativelyRepresented,
     OracleGuardError,
     ZeroProbabilityBranch,
     compare_distributions,
@@ -40,7 +39,7 @@ from .simulate import (
     sample_classical,
 )
 from .stabilizer import mub_stabilizer_states
-from .wigner import negativity_F, wigner_of_state
+from .wigner import wigner_of_state
 
 __all__ = ["main"]
 
@@ -69,13 +68,8 @@ def cmd_wigner(args) -> int:
     p = args.p
     require_odd_prime(p)
     rho, _ = _load_state(args.state, p)
-    d = rho.shape[0]
-    n = 0
-    while p**n < d:
-        n += 1
-    if p**n != d:
-        raise ValueError(f"state dimension {d} is not a power of p={p}")
     W = wigner_of_state(rho, p)
+    n = W.n
     lines = [f"# format-version {FORMAT_VERSION}"]
     coord_names = (
         ["a1", "a2"] if n == 1 else [f"{c}_{j}" for j in range(1, n + 1) for c in ("a1", "a2")]
@@ -87,7 +81,7 @@ def cmd_wigner(args) -> int:
     worst = int(np.argmin(W.values))
     flag = "NEGATIVE" if W.values[worst] < -1e-12 else "NONNEGATIVE"
     lines.append(f"# min_W = {fmt_number(W.values[worst])} at index {worst}")
-    lines.append(f"# F = {fmt_number(negativity_F(rho, p))}")
+    lines.append(f"# F = {fmt_number(p**n * W.values.min())}")
     lines.append(f"# flag = {flag}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -328,10 +322,7 @@ def main(argv=None) -> int:
             parser.error("argument --random-suite: not allowed with --force-negative-input")
     try:
         return args.func(args)
-    except (CircuitError, InputNegativelyRepresented, OracleGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OracleGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

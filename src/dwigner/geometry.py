@@ -82,7 +82,7 @@ class HullCertificate:
     decomposition; an exact verdict carries no weights and residual 0.
     Outside: the dual witness `witness_y` and its gap `violation`.
     `disputed` means the float LP disagrees with the exact verdict; on the
-    exact route that is an outside point whose witness gap is within `tol`.
+    exact route that is an outside point whose witness gap is within HULL_TOL.
     """
 
     inside: bool
@@ -276,7 +276,6 @@ def _separating_witness(V: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
 def hull_membership(
     rho_or_w,
     S: StabilizerSet,
-    tol: float = HULL_TOL,
     exact_w=None,
 ) -> HullCertificate:
     """Decide rho in conv(S) in Wigner coordinates; certify either verdict.
@@ -285,7 +284,7 @@ def hull_membership(
     exact_w (the same vector as Fractions) is supplied and the vertex set is
     the 12-state qutrit one, the verdict is exact, from `qutrit_facets`; only
     an outside point then runs an LP, for its witness.  Otherwise a Chebyshev
-    LP decides, with `tol` on its optimum.
+    LP decides, with HULL_TOL on its optimum.
     """
     p, n = S.p, S.n
     V = S.wigner_matrix
@@ -299,7 +298,7 @@ def hull_membership(
             return HullCertificate(inside=True)
     else:
         tstar, weights = _chebyshev_lp(V, target)
-        if tstar <= tol:
+        if tstar <= HULL_TOL:
             recon = V.T @ weights
             residual = float(
                 max(np.max(np.abs(recon - target)), abs(weights.sum() - 1.0))
@@ -307,7 +306,7 @@ def hull_membership(
             return HullCertificate(inside=True, weights=weights, residual=residual)
     gaps, ys = _separating_witness(V, target[None, :])
     gap = float(gaps[0])
-    return HullCertificate(inside=False, violation=gap, witness_y=ys[0], disputed=exact and gap <= tol)
+    return HullCertificate(inside=False, violation=gap, witness_y=ys[0], disputed=exact and gap <= HULL_TOL)
 
 
 def classify_state(

@@ -140,11 +140,6 @@ class SampleReport:
     counts: dict  # outcome string -> int
     field_mults: int
     field_adds: int
-    tv: Optional[float] = None
-    epsilon: Optional[float] = None
-    chi2_stat: Optional[float] = None
-    chi2_p: Optional[float] = None
-    verdict: Optional[str] = None
 
 
 @dataclass
@@ -691,13 +686,14 @@ def random_positive_product_state(p: int, n: int, rng) -> tuple:
     return tuple(factors)
 
 
-def random_distill_instance(p: int, n: int, rng, word_length: int = 10) -> DistillationInstance:
-    """Random Clifford channel + product stabilizer projector + positive product input."""
+def random_distill_instance(p: int, n: int, rng) -> DistillationInstance:
+    """Random Clifford channel (a word of 10 generator draws) + product
+    stabilizer projector + positive product input."""
     require_odd_prime(p)
     _check_distill_size(p, n)
     kinds = ["fourier", "quadratic", "multiply", "sum", "displace"]
     word = []
-    for _ in range(word_length):
+    for _ in range(10):
         kind = kinds[rng.integers(len(kinds))]
         if kind == "multiply":
             kw = {"c": int(rng.integers(1, p)), "register": int(rng.integers(1, n + 1))}

@@ -17,9 +17,9 @@ import numpy as np
 from .fields import (
     CliffordElement,
     as_point,
+    index_point,
     inv2,
     require_odd_prime,
-    symplectic_form,
 )
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "clifford_generator",
     "extract_symplectic",
     "NotCliffordError",
-    "PhaseInconsistentError",
 ]
 
 MATCH_TOL = 1e-8
@@ -40,11 +39,7 @@ A_STACK_CAP = 1000
 
 
 class NotCliffordError(ValueError):
-    """Conjugation of some Weyl generator left the Heisenberg-Weyl group."""
-
-
-class PhaseInconsistentError(ValueError):
-    """Conjugation phases admit no displacement vector a."""
+    """Conjugation took some phase-point operator to an operator that is not one."""
 
 
 def _omega(p: int) -> complex:
@@ -239,56 +234,20 @@ def clifford_generator(
     return U, CliffordElement(_embed_F(local.F, n, [register]), zero, p)
 
 
-def _match_weyl(C: np.ndarray, p: int, n: int) -> tuple[np.ndarray, complex]:
-    """Match C against lambda*T_v; return (v, lambda) or raise NotCliffordError.
-
-    Column 0 of T_v has a single nonzero entry at row a2 (as base-p digits),
-    and the phase ratio between columns e_j and 0 reveals omega^(a1_j).
-    """
-    d = p**n
-    col0 = C[:, 0]
-    mags = np.abs(col0)
-    row = int(np.argmax(mags))
-    if abs(mags[row] - 1.0) > 1e-6 or np.sum(mags > MATCH_TOL) != 1:
-        raise NotCliffordError("conjugated generator is not a Weyl operator")
-    a2 = np.array(np.unravel_index(row, (p,) * n), dtype=np.int64)
-    om = _omega(p)
-    a1 = np.zeros(n, dtype=np.int64)
-    weights = p ** np.arange(n - 1, -1, -1)
-    for j in range(n):
-        colj = int(weights[j])  # basis state e_j = |0..010..0|
-        target_row = int((a2 + np.eye(n, dtype=np.int64)[j]) % p @ weights)
-        entry = C[target_row, colj]
-        if abs(abs(entry) - 1.0) > 1e-6:
-            raise NotCliffordError("conjugated generator is not a Weyl operator")
-        ratio = entry / col0[row]
-        a1[j] = int(np.round(np.angle(ratio) / (2 * np.pi / p))) % p
-    v = np.empty(2 * n, dtype=np.int64)
-    v[0::2] = a1
-    v[1::2] = a2
-    T = weyl_operator(v, p)
-    lam = col0[row] / T[row, 0]
-    if np.max(np.abs(C - lam * T)) > MATCH_TOL:
-        raise NotCliffordError("conjugated generator is not a Weyl operator")
-    return v, lam
-
-
-def _phase_power(lam: complex, p: int) -> int:
-    """lam as omega^c; raise PhaseInconsistentError if it is no p-th root of unity."""
-    k = np.angle(lam) / (2 * np.pi / p)
-    c = int(np.round(k))
-    if abs(k - c) > 1e-6:
-        raise PhaseInconsistentError(f"phase {lam} is not an omega power")
-    return c % p
-
-
 def extract_symplectic(U: np.ndarray, p: int) -> CliffordElement:
-    """Recover (F, a) with U A_u U^dagger = A_(Fu+a) by conjugating Weyl generators.
+    """Recover (F, a) with U A_u U^dagger = A_(Fu+a) from 2n + 1 phase-point images.
 
-    Writes U = T_a U_F; then U T_u U^dagger = omega^([a, Fu]) T_(Fu).  F columns
-    come from the matched points, a from the matched phases, and the result is
-    verified on probe points before being returned.
+    The image C of A_u is the phase-point operator A_v exactly when its Wigner
+    values (1/d) Tr(A_w C) are 1 at w = v and 0 elsewhere (the A_w are an
+    orthogonal basis).  The image of A_0 gives a; column i of F is the image
+    point of A_(e_i) minus a.  These images are a complete test: A_(e_i) A_0
+    = T_(2 e_i) and 2 is invertible mod p, so a U that maps all of them to
+    phase-point operators maps every Weyl operator to a Weyl operator up to
+    phase.  Such a U is Clifford, with exactly this affine map.  Any other
+    image raises NotCliffordError.
     """
+    from .wigner import _contract  # wigner imports this module
+
     require_odd_prime(p)
     d = U.shape[0]
     n = int(round(np.log(d) / np.log(p)))
@@ -297,35 +256,17 @@ def extract_symplectic(U: np.ndarray, p: int) -> CliffordElement:
     if np.max(np.abs(U @ U.conj().T - np.eye(d))) > 1e-8:
         raise ValueError("operator is not unitary")
     Uh = U.conj().T
-    F = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    b = np.zeros(2 * n, dtype=np.int64)  # b = F^-1 a, read off generator phases
-    s = inv2(p)
-    for i in range(2 * n):
-        e = np.zeros(2 * n, dtype=np.int64)
-        e[i] = 1
-        C = U @ weyl_operator(e, p) @ Uh
-        v, lam = _match_weyl(C, p, n)
-        F[:, i] = v
-        # [b, e] for e = Z-type (slot 2j) gives -b2_j; for X-type (slot 2j+1) gives b1_j
-        c = _phase_power(lam, p)
-        if i % 2 == 0:
-            b[i + 1] = (-c) % p
-        else:
-            b[i - 1] = c
-    try:
-        g = CliffordElement(F, (F @ b) % p, p)
-    except ValueError as exc:
-        raise NotCliffordError(f"extracted map is not affine symplectic: {exc}") from exc
-    # probe points catch phase patterns no single generator can expose
-    rng = np.random.default_rng(0)
-    probes = [rng.integers(0, p, size=2 * n) for _ in range(3)]
-    probes.append((np.arange(2 * n) % p).astype(np.int64))
-    for w in probes:
-        expected_phase = _omega(p) ** (symplectic_form(g.a, (g.F @ w) % p, p))
-        lhs = U @ weyl_operator(w, p) @ Uh
-        rhs = expected_phase * weyl_operator((g.F @ w) % p, p)
-        if np.max(np.abs(lhs - rhs)) > MATCH_TOL:
-            raise PhaseInconsistentError(
-                "generator matches admit no consistent displacement"
-            )
-    return g
+    single_A = weyl_table(p, 1).single_A
+    images = []
+    for u in np.vstack([np.zeros(2 * n, dtype=np.int64), np.eye(2 * n, dtype=np.int64)]):
+        A = np.ones((1, 1), dtype=complex)
+        for j in range(n):
+            A = np.kron(A, single_A[u[2 * j] * p + u[2 * j + 1]])
+        W = _contract(U @ A @ Uh, p, n) / d
+        v = int(np.argmax(W))
+        W[v] -= 1.0
+        if np.max(np.abs(W)) > MATCH_TOL:
+            raise NotCliffordError("a phase-point operator's image is not a phase-point operator")
+        images.append(index_point(v, p, n))
+    a = images[0]
+    return CliffordElement(np.stack(images[1:], axis=1) - a[:, None], a, p)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwigner.circuits import (
+    MAX_REGISTERS,
     CircuitError,
     computational_povm,
     load_matrix_file,
@@ -433,3 +434,35 @@ def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_di
     simulate.run_oracle(parse_circuit(five))
     assert seen["clifford_generator"] and max(seen["clifford_generator"]) <= 2
     assert seen["extract_symplectic"] == []
+
+
+def _wide_circuit(n, extend):
+    """n zero inputs, one extend of `extend` registers, each register measured."""
+    total = n + extend
+    return (
+        f"qudits p=3 n={n}\n"
+        + "".join(f"input {r} zero\n" for r in range(1, n + 1))
+        + f"extend {extend} zero\n"
+        + "".join(f"measure {r} computational\n" for r in range(total, 0, -1))
+    )
+
+
+@pytest.mark.parametrize(
+    "src,line,match",
+    [
+        ("qudits p=3 n=1000000\ninput 1 zero\n", 1, "n=1000000 exceeds the register cap 256"),
+        ("qudits p=3 n=1\ninput 1 zero\nextend 1000000 zero\n", 3, "extend count 1000000"),
+        (_wide_circuit(200, MAX_REGISTERS - 199), 202, "extend to 257 registers"),
+    ],
+    ids=["header", "extend-count", "path"],
+)
+def test_register_cap(src, line, match):
+    with pytest.raises(CircuitError, match=match) as exc:
+        parse_circuit(src)
+    assert exc.value.line == line
+    assert f"line {line}:" in str(exc.value)
+
+
+def test_register_cap_admits_exactly_the_cap():
+    assert MAX_REGISTERS == 256
+    assert parse_circuit(_wide_circuit(200, MAX_REGISTERS - 200)).max_registers == MAX_REGISTERS

@@ -500,3 +500,25 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sample_refuses_a_circuit_past_the_register_cap(tmp_path, capsys):
+    circ = tmp_path / "huge.circ"
+    circ.write_text("qudits p=3 n=1\ninput 1 zero\nextend 1000000 zero\n")
+    assert run_cli("sample", str(circ), "--shots", "100", "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: extend count 1000000 exceeds the register cap 256\n"
+
+
+def test_wigner_transforms_the_state_once(tmp_path, monkeypatch):
+    from dwigner import wigner
+
+    calls = spy_everywhere(monkeypatch, "_contract", wigner._contract)
+    assert run_cli("wigner", "mixed", "--out", str(tmp_path / "w.csv")) == 0
+    assert len(calls) == 1
+
+
+def test_wigner_rejects_a_dimension_that_is_not_a_power_of_p(tmp_path, capsys):
+    (tmp_path / "two.mat").write_text("dim 2\n0.5 0 0 0\n0 0 0.5 0\n")
+    assert run_cli("wigner", str(tmp_path / "two.mat"), "--p", "3") == 2
+    assert "is not p^n x p^n for p=3" in capsys.readouterr().err

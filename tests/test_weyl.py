@@ -235,3 +235,57 @@ def test_extract_symplectic_rejects_non_clifford():
 def test_extract_symplectic_rejects_non_unitary():
     with pytest.raises(ValueError):
         extract_symplectic(np.ones((3, 3)), 3)
+
+
+def _random_clifford(p, n, rng, length=8):
+    """A dense word of random generators and its composed (F, a)."""
+    U = np.eye(p**n, dtype=complex)
+    g = CliffordElement.identity(p, n)
+    kinds = ["fourier", "quadratic", "multiply", "displace"] + (["sum"] if n > 1 else [])
+    for _ in range(length):
+        kind = kinds[rng.integers(len(kinds))]
+        reg = int(rng.integers(1, n + 1))
+        if kind == "sum":
+            Ui, gi = clifford_generator(kind, p, n=n, ctrl=reg, tgt=1 + reg % n)
+        elif kind == "multiply":
+            Ui, gi = clifford_generator(kind, p, n=n, c=int(rng.integers(1, p)), register=reg)
+        elif kind == "displace":
+            Ui, gi = clifford_generator(kind, p, n=n, point=rng.integers(0, p, size=2 * n))
+        else:
+            Ui, gi = clifford_generator(kind, p, n=n, register=reg)
+        U = Ui @ U
+        g = gi.compose(g)
+    return U, g
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
+def test_extract_symplectic_random_words_wider(p, n):
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        U, g = _random_clifford(p, n, rng)
+        assert extract_symplectic(U, p) == g
+
+
+def test_extract_symplectic_ignores_a_global_phase():
+    rng = np.random.default_rng(3)
+    for p, n in [(3, 1), (3, 2), (5, 1)]:
+        U, g = _random_clifford(p, n, rng)
+        for theta in (0.3, np.pi / 2, 2.5):
+            assert extract_symplectic(np.exp(1j * theta) * U, p) == g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_extract_symplectic_rejects_non_clifford_fixing_the_parity(p):
+    # U commutes with A_0, so the image of A_0 passes the test and only the
+    # images of the A_(e_i) can expose U
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(p)
+    A0 = phase_point_operator((0, 0), p)
+    for _ in range(10):
+        X = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+        H = X + X.conj().T
+        U = expm(0.5j * (H + A0 @ H @ A0))
+        assert np.allclose(U @ A0 @ U.conj().T, A0, atol=1e-10)
+        with pytest.raises(NotCliffordError):
+            extract_symplectic(U, p)
