@@ -15,10 +15,18 @@ Control flow: execution runs item by item; a measure with a branch table
 jumps to the chosen label; reaching a label line sequentially (or EOF) ends
 the path.  Branch targets must lie strictly ahead.  Every path must measure
 each register exactly once, always the highest-indexed unmeasured one.
+
+The same module reads the files a document refers to (Wigner, matrix, POVM
+and Kraus files) and slice files.  Matrix, POVM and Kraus files are blocks
+of row-major `re imag` pairs under a `dim <d>` or `effect <label>` header,
+all read by `_matrix_blocks`.  Every parser runs each line inside the
+`_at_line` guard, the one place that names a line in a CircuitError: an
+error from within a referenced file names that file and its own line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
 from dataclasses import dataclass, field
@@ -47,6 +55,7 @@ __all__ = [
     "parse_rational",
     "parse_point",
     "load_matrix_file",
+    "load_kraus_file",
     "write_matrix_file",
     "load_wigner_file",
     "load_wigner_state",
@@ -73,6 +82,27 @@ class CircuitError(ValueError):
         self.problems = problems
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
+
+
+@contextlib.contextmanager
+def _at_line(num: Optional[int], path=None):
+    """Re-raise a CircuitError without a line, or a plain ValueError, as a
+    CircuitError naming line `num` (and `path`, in a file a document refers
+    to); one that names a line already, e.g. from a referenced file, passes."""
+    try:
+        yield
+    except ValueError as exc:
+        if isinstance(exc, CircuitError) and exc.line is not None:
+            raise
+        where = f"{path}: " if path is not None else ""
+        raise CircuitError(where + str(exc), num) from exc
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CircuitError(f"bad {what} {text!r}") from None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -103,42 +133,61 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
         if line:
             out.append((i, line))
     if out and out[0][1].startswith("format"):
-        parts = out[0][1].split()
-        if len(parts) != 2 or parts[1] != "1":
-            raise CircuitError(f"unsupported format version {out[0][1]!r}", out[0][0])
-        out = out[1:]
+        num, head = out.pop(0)
+        with _at_line(num):
+            if head.split() != ["format", "1"]:
+                raise CircuitError(f"unsupported format version {head!r}")
     return out
 
 
-def _dim_header(path, num: int, line: str) -> int:
-    """d from a `dim <d>` header line."""
-    try:
-        d = int(line.split()[1])
-    except (IndexError, ValueError):
-        d = 0
-    if d < 1:
-        raise CircuitError(f"{path}: bad dim header {line!r}", num)
-    return d
-
-
-def _complex_matrix(tokens: list, d: int) -> np.ndarray:
-    """d x d matrix from row-major `re imag` token pairs."""
-    vals = np.array([float(t) for t in tokens])
-    return (vals[0::2] + 1j * vals[1::2]).reshape(d, d)
+def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> list:
+    """(argument, matrix) for each block of `lines`: a `<keyword> <argument>`
+    header line, then the matrix's `re imag` pairs, row-major.  A `dim`
+    block is d x d for its argument d; an `effect` block (argument: its
+    label) is size x size."""
+    starts = [k for k, (_, line) in enumerate(lines) if k == 0 or line.startswith(keyword)]
+    blocks = []
+    for k, end in zip(starts, starts[1:] + [len(lines)]):
+        (num, head), rows = lines[k], lines[k + 1 : end]
+        values: list[float] = []
+        for row_num, row in rows:
+            with _at_line(row_num, path):
+                values += [float(t) for t in row.split()]
+        with _at_line(num, path):
+            word, arg = (head.split(None, 1) + [""])[:2]
+            if keyword == "dim":
+                if word != "dim":
+                    raise CircuitError("expected 'dim <d>' block header")
+                d = int(arg) if arg.isdecimal() else 0
+                if d < 1:
+                    raise CircuitError(f"bad dim header {head!r}")
+                need = f"block needs {2 * d * d} numbers"
+            else:
+                if word != keyword or not arg:
+                    raise CircuitError(f"expected '{keyword} <label>'")
+                d = size
+                need = f"{keyword} {arg!r} needs {d}x{d} entries"
+            if len(values) != 2 * d * d:
+                raise CircuitError(need)
+        pairs = np.array(values)
+        blocks.append((arg, (pairs[0::2] + 1j * pairs[1::2]).reshape(d, d)))
+    return blocks
 
 
 def load_matrix_file(path) -> np.ndarray:
-    """`dim <d>` header then d*d whitespace-separated `re imag` pairs, row-major."""
-    lines = _content_lines(Path(path).read_text())
-    if not lines or not lines[0][1].startswith("dim"):
-        raise CircuitError(f"{path}: missing 'dim <d>' header")
-    d = _dim_header(path, *lines[0])
-    tokens = " ".join(line for _, line in lines[1:]).split()
-    if len(tokens) != 2 * d * d:
-        raise CircuitError(
-            f"{path}: expected {2 * d * d} numbers for a {d}x{d} matrix, got {len(tokens)}"
-        )
-    return _complex_matrix(tokens, d)
+    """One `dim <d>` block: the header, then d*d `re imag` pairs, row-major."""
+    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text()), "dim")
+    if len(blocks) != 1:
+        raise CircuitError(f"{path}: expected one 'dim <d>' block, found {len(blocks)}")
+    return blocks[0][1]
+
+
+def load_kraus_file(path) -> list:
+    """Kraus operators: one or more `dim <d>` blocks, each as in a matrix file."""
+    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text()), "dim")
+    if not blocks:
+        raise CircuitError(f"{path}: no Kraus blocks found")
+    return [K for _, K in blocks]
 
 
 def write_matrix_file(path, M: np.ndarray) -> None:
@@ -152,22 +201,27 @@ def write_matrix_file(path, M: np.ndarray) -> None:
 
 
 def load_wigner_file(path, p: int) -> list:
-    """`wigner p=<p>` header then p^2 lines `a1 a2 value`; returns exact values
-    in point-index order."""
+    """`wigner p=<p>` header then p^2 lines `a1 a2 value`, one per point;
+    returns exact values in point-index order."""
     lines = _content_lines(Path(path).read_text())
-    if not lines or not lines[0][1].startswith("wigner"):
-        raise CircuitError(f"{path}: missing 'wigner p=<p>' header")
-    m = re.match(r"^wigner\s+p=(\d+)$", lines[0][1])
-    if not m or int(m.group(1)) != p:
-        raise CircuitError(f"{path}: header {lines[0][1]!r} does not declare p={p}")
+    num, head = lines[0] if lines else (None, "")
+    with _at_line(num, path):
+        if not head.startswith("wigner"):
+            raise CircuitError("missing 'wigner p=<p>' header")
+        m = re.match(r"^wigner\s+p=(\d+)$", head)
+        if not m or int(m.group(1)) != p:
+            raise CircuitError(f"header {head!r} does not declare p={p}")
     values: dict[int, Fraction] = {}
     for num, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise CircuitError(f"{path}: expected 'a1 a2 value'", num)
-        a1, a2 = int(parts[0]) % p, int(parts[1]) % p
-        values[a1 * p + a2] = parse_rational(parts[2])
-    if sorted(values) != list(range(p * p)):
+        with _at_line(num, path):
+            parts = line.split()
+            if len(parts) != 3:
+                raise CircuitError("expected 'a1 a2 value'")
+            a1, a2 = (_int(t, "coordinate") % p for t in parts[:2])
+            if a1 * p + a2 in values:
+                raise CircuitError(f"point {(a1, a2)} given twice")
+            values[a1 * p + a2] = parse_rational(parts[2])
+    if len(values) != p * p:
         raise CircuitError(f"{path}: need each of the {p * p} points exactly once")
     return [values[i] for i in range(p * p)]
 
@@ -188,34 +242,21 @@ def computational_povm(p: int) -> Povm:
 
 
 def load_povm_file(path, p: int) -> Povm:
-    """`povm p=<p> outcomes=<k>` then per effect: `effect <label>` + matrix rows."""
+    """`povm p=<p> outcomes=<k>` then k `effect <label>` blocks of p x p
+    `re imag` pairs."""
     lines = _content_lines(Path(path).read_text())
     if not lines:
         raise CircuitError(f"{path}: empty POVM file")
-    m = re.match(r"^povm\s+p=(\d+)\s+outcomes=(\d+)$", lines[0][1])
-    if not m or int(m.group(1)) != p:
-        raise CircuitError(f"{path}: bad header {lines[0][1]!r}")
-    expected = int(m.group(2))
-    labels, effects = [], []
-    i = 1
-    while i < len(lines):
-        num, line = lines[i]
-        parts = line.split(None, 1)
-        if parts[0] != "effect" or len(parts) != 2:
-            raise CircuitError(f"{path}: expected 'effect <label>'", num)
-        labels.append(parts[1].strip())
-        tokens: list[str] = []
-        i += 1
-        while i < len(lines) and not lines[i][1].startswith("effect"):
-            tokens.extend(lines[i][1].split())
-            i += 1
-        if len(tokens) != 2 * p * p:
-            raise CircuitError(f"{path}: effect {labels[-1]!r} needs {p}x{p} entries", num)
-        effects.append(_complex_matrix(tokens, p))
-    if len(labels) != expected:
-        raise CircuitError(f"{path}: header promised {expected} outcomes, found {len(labels)}")
+    num, head = lines[0]
+    with _at_line(num, path):
+        m = re.match(r"^povm\s+p=(\d+)\s+outcomes=(\d+)$", head)
+        if not m or int(m.group(1)) != p:
+            raise CircuitError(f"bad header {head!r}")
+    blocks = _matrix_blocks(path, lines[1:], "effect", p)
+    if len(blocks) != int(m.group(2)):
+        raise CircuitError(f"{path}: header promised {m.group(2)} outcomes, found {len(blocks)}")
     try:
-        return Povm(tuple(labels), tuple(effects))
+        return Povm(tuple(label for label, _ in blocks), tuple(E for _, E in blocks))
     except ValueError as exc:
         raise CircuitError(f"{path}: {exc}") from exc
 
@@ -256,7 +297,6 @@ def preset_state(spec: str, p: int, base_dir: Path) -> tuple[np.ndarray, str]:
 @dataclass
 class GateInstr:
     word: list  # [(kind, kwargs), ...] in application order
-    text: str
     line: int
 
 
@@ -293,41 +333,38 @@ class LabelMarker:
 _GATE_CALL_RE = re.compile(r"^(\w+)\(([^()]*)\)$")
 
 
-def _parse_gate_word(word: str, p: int, line: int) -> list:
+def _parse_gate_word(word: str, p: int) -> list:
     if not word.strip():
-        raise CircuitError("empty gate word", line)
+        raise CircuitError("empty gate word")
     calls = []
     for chunk in word.split(";"):
         chunk = chunk.strip()
         if not chunk:
-            raise CircuitError("empty gate call in word (stray ';'?)", line)
+            raise CircuitError("empty gate call in word (stray ';'?)")
         m = _GATE_CALL_RE.match(chunk)
         if not m:
-            raise CircuitError(f"bad gate call {chunk!r}", line)
+            raise CircuitError(f"bad gate call {chunk!r}")
         name = m.group(1)
         args = [a.strip() for a in m.group(2).split(",")] if m.group(2).strip() else []
-        try:
-            nums = [int(a) for a in args]
-        except ValueError as exc:
-            raise CircuitError(f"gate arguments must be integers in {chunk!r}", line) from exc
+        if not all(re.fullmatch(r"[+-]?\d+", a) for a in args):
+            raise CircuitError(f"gate arguments must be integers in {chunk!r}")
+        nums = [int(a) for a in args]
         if name == "fourier" or name == "quadratic":
             if len(nums) != 1:
-                raise CircuitError(f"{name} takes one register argument", line)
+                raise CircuitError(f"{name} takes one register argument")
             calls.append((name, {"register": nums[0]}))
         elif name == "multiply":
             if len(nums) != 2:
-                raise CircuitError("multiply takes (c, register)", line)
+                raise CircuitError("multiply takes (c, register)")
             if nums[0] % p == 0:
-                raise CircuitError("multiply constant must be nonzero mod p", line)
+                raise CircuitError("multiply constant must be nonzero mod p")
             calls.append((name, {"c": nums[0], "register": nums[1]}))
         elif name == "sum":
             if len(nums) != 2 or nums[0] == nums[1]:
-                raise CircuitError("sum takes distinct (ctrl, tgt)", line)
+                raise CircuitError("sum takes distinct (ctrl, tgt)")
             calls.append((name, {"ctrl": nums[0], "tgt": nums[1]}))
         else:
-            raise CircuitError(f"unknown gate {name!r}", line)
-    if not calls:
-        raise CircuitError("empty gate word", line)
+            raise CircuitError(f"unknown gate {name!r}")
     return calls
 
 
@@ -347,7 +384,6 @@ class CircuitProgram:
     inputs: list  # density matrices for registers 1..n
     input_specs: list
     items: list  # instruction/label sequence
-    labels: dict  # name -> item index
     max_registers: int = 0
     register_counts: dict = field(default_factory=dict)  # item idx -> set of counts
 
@@ -369,145 +405,126 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
     if not lines:
         raise CircuitError("empty circuit document")
     num, head = lines[0]
-    m = re.match(r"^qudits\s+p=(\d+)\s+n=(\d+)$", head)
-    if not m:
-        raise CircuitError(f"expected 'qudits p=<prime> n=<count>', got {head!r}", num)
-    p, n = int(m.group(1)), int(m.group(2))
-    try:
+    with _at_line(num):
+        m = re.match(r"^qudits\s+p=(\d+)\s+n=(\d+)$", head)
+        if not m:
+            raise CircuitError(f"expected 'qudits p=<prime> n=<count>', got {head!r}")
+        p, n = int(m.group(1)), int(m.group(2))
         require_odd_prime(p)
-    except ValueError as exc:
-        raise CircuitError(str(exc), num) from exc
-    if n < 1:
-        raise CircuitError(f"need at least one register, got n={n}", num)
-    if n > MAX_REGISTERS:
-        raise CircuitError(f"n={n} exceeds the register cap {MAX_REGISTERS}", num)
+        if n < 1:
+            raise CircuitError(f"need at least one register, got n={n}")
+        if n > MAX_REGISTERS:
+            raise CircuitError(f"n={n} exceeds the register cap {MAX_REGISTERS}")
 
     inputs: dict[int, tuple[np.ndarray, str]] = {}
     items: list = []
     labels: dict[str, int] = {}
-    pending_branches: list[tuple[int, dict, int]] = []  # item idx, raw table, line
+    pending_branches: list[tuple[int, dict]] = []  # item idx, raw table
 
     for num, line in lines[1:]:
-        parts = line.split(None, 1)
-        key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
-        if key == "input":
-            sub = rest.split(None, 1)
-            if len(sub) != 2:
-                raise CircuitError("input needs '<reg> <preset>'", num)
-            try:
-                reg = int(sub[0])
-            except ValueError as exc:
-                raise CircuitError(f"bad register {sub[0]!r}", num) from exc
-            if not 1 <= reg <= n:
-                raise CircuitError(f"input register {reg} out of range 1..{n}", num)
-            if reg in inputs:
-                raise CircuitError(f"register {reg} given two inputs", num)
-            if items:
-                raise CircuitError("inputs must precede instructions", num)
-            try:
-                inputs[reg] = (*preset_state(sub[1], p, base_dir),)
-            except CircuitError as exc:
-                raise CircuitError(str(exc), num) from exc
-        elif key == "gate":
-            items.append(GateInstr(_parse_gate_word(rest, p, num), rest.strip(), num))
-        elif key == "displace":
-            sub = rest.split(None, 1)
-            if len(sub) != 2:
-                raise CircuitError("displace needs '<reg> (<a1>,<a2>)'", num)
-            try:
-                reg = int(sub[0])
-            except ValueError as exc:
-                raise CircuitError(f"bad register {sub[0]!r}", num) from exc
-            items.append(DisplaceInstr(reg, parse_point(sub[1], p), num))
-        elif key == "measure":
-            sub = rest.split()
-            if not sub:
-                raise CircuitError("measure needs '<reg> <povm>'", num)
-            try:
-                reg = int(sub[0])
-            except ValueError as exc:
-                raise CircuitError(f"bad register {sub[0]!r}", num) from exc
-            if len(sub) < 2:
-                raise CircuitError("measure needs a POVM name or file", num)
-            povm_name = sub[1]
-            if povm_name == "computational":
-                povm = computational_povm(p)
-            elif povm_name.startswith("povm-file:"):
-                povm = load_povm_file(base_dir / povm_name.split(":", 1)[1], p)
-            else:
-                raise CircuitError(f"unknown POVM {povm_name!r}", num)
-            branch_raw = None
-            if len(sub) > 2:
-                if sub[2] != "branch:":
-                    raise CircuitError(f"unexpected token {sub[2]!r} after POVM", num)
-                branch_raw = {}
-                for tok in sub[3:]:
-                    if "->" not in tok:
-                        raise CircuitError(f"bad branch entry {tok!r}", num)
-                    out, target = tok.split("->", 1)
-                    if out in branch_raw:
-                        raise CircuitError(f"duplicate branch outcome {out!r}", num)
-                    branch_raw[out] = target
-                if not branch_raw:
-                    raise CircuitError("empty branch table", num)
-            items.append(MeasureInstr(reg, povm, povm_name, None, num))
-            if branch_raw is not None:
-                pending_branches.append((len(items) - 1, branch_raw, num))
-        elif key == "extend":
-            sub = rest.split(None, 1)
-            if len(sub) != 2:
-                raise CircuitError("extend needs '<count> <preset>'", num)
-            try:
-                count = int(sub[0])
-            except ValueError as exc:
-                raise CircuitError(f"bad count {sub[0]!r}", num) from exc
-            if count < 1:
-                raise CircuitError(f"extend count must be positive, got {count}", num)
-            if count > MAX_REGISTERS:
-                raise CircuitError(
-                    f"extend count {count} exceeds the register cap {MAX_REGISTERS}", num
-                )
-            try:
+        with _at_line(num):
+            parts = line.split(None, 1)
+            key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+            if key == "input":
+                sub = rest.split(None, 1)
+                if len(sub) != 2:
+                    raise CircuitError("input needs '<reg> <preset>'")
+                reg = _int(sub[0], "register")
+                if not 1 <= reg <= n:
+                    raise CircuitError(f"input register {reg} out of range 1..{n}")
+                if reg in inputs:
+                    raise CircuitError(f"register {reg} given two inputs")
+                if items:
+                    raise CircuitError("inputs must precede instructions")
+                inputs[reg] = preset_state(sub[1], p, base_dir)
+            elif key == "gate":
+                items.append(GateInstr(_parse_gate_word(rest, p), num))
+            elif key == "displace":
+                sub = rest.split(None, 1)
+                if len(sub) != 2:
+                    raise CircuitError("displace needs '<reg> (<a1>,<a2>)'")
+                items.append(DisplaceInstr(_int(sub[0], "register"), parse_point(sub[1], p), num))
+            elif key == "measure":
+                sub = rest.split()
+                if not sub:
+                    raise CircuitError("measure needs '<reg> <povm>'")
+                reg = _int(sub[0], "register")
+                if len(sub) < 2:
+                    raise CircuitError("measure needs a POVM name or file")
+                povm_name = sub[1]
+                if povm_name == "computational":
+                    povm = computational_povm(p)
+                elif povm_name.startswith("povm-file:"):
+                    povm = load_povm_file(base_dir / povm_name.split(":", 1)[1], p)
+                else:
+                    raise CircuitError(f"unknown POVM {povm_name!r}")
+                branch_raw = None
+                if len(sub) > 2:
+                    if sub[2] != "branch:":
+                        raise CircuitError(f"unexpected token {sub[2]!r} after POVM")
+                    branch_raw = {}
+                    for tok in sub[3:]:
+                        if "->" not in tok:
+                            raise CircuitError(f"bad branch entry {tok!r}")
+                        out, target = tok.split("->", 1)
+                        if out in branch_raw:
+                            raise CircuitError(f"duplicate branch outcome {out!r}")
+                        branch_raw[out] = target
+                    if not branch_raw:
+                        raise CircuitError("empty branch table")
+                items.append(MeasureInstr(reg, povm, povm_name, None, num))
+                if branch_raw is not None:
+                    pending_branches.append((len(items) - 1, branch_raw))
+            elif key == "extend":
+                sub = rest.split(None, 1)
+                if len(sub) != 2:
+                    raise CircuitError("extend needs '<count> <preset>'")
+                count = _int(sub[0], "count")
+                if count < 1:
+                    raise CircuitError(f"extend count must be positive, got {count}")
+                if count > MAX_REGISTERS:
+                    raise CircuitError(
+                        f"extend count {count} exceeds the register cap {MAX_REGISTERS}"
+                    )
                 rho, spec = preset_state(sub[1], p, base_dir)
-            except CircuitError as exc:
-                raise CircuitError(str(exc), num) from exc
-            items.append(ExtendInstr(count, spec, [rho] * count, num))
-        elif key == "label":
-            name = rest.strip()
-            if not name.endswith(":"):
-                raise CircuitError("label line must end with ':'", num)
-            name = name[:-1].strip()
-            if not name:
-                raise CircuitError("empty label name", num)
-            if name in labels:
-                raise CircuitError(f"duplicate label {name!r}", num)
-            labels[name] = len(items)
-            items.append(LabelMarker(name, num))
-        else:
-            raise CircuitError(f"unknown directive {key!r}", num)
+                items.append(ExtendInstr(count, spec, [rho] * count, num))
+            elif key == "label":
+                name = rest.strip()
+                if not name.endswith(":"):
+                    raise CircuitError("label line must end with ':'")
+                name = name[:-1].strip()
+                if not name:
+                    raise CircuitError("empty label name")
+                if name in labels:
+                    raise CircuitError(f"duplicate label {name!r}")
+                labels[name] = len(items)
+                items.append(LabelMarker(name, num))
+            else:
+                raise CircuitError(f"unknown directive {key!r}")
 
     missing = [r for r in range(1, n + 1) if r not in inputs]
     if missing:
         raise CircuitError(f"no input given for registers {missing}")
 
-    for item_idx, raw, num in pending_branches:
+    for item_idx, raw in pending_branches:
         instr = items[item_idx]
-        table = {}
-        for out, target in raw.items():
-            if out not in instr.povm.labels:
-                raise CircuitError(
-                    f"branch outcome {out!r} is not a POVM outcome of {instr.povm_name}", num
-                )
-            if target not in labels:
-                raise CircuitError(f"unknown branch target {target!r}", num)
-            if labels[target] <= item_idx:
-                raise CircuitError(f"branch target {target!r} must lie ahead", num)
-            # resume just past the marker; falling onto a marker sequentially
-            # is what ends a path
-            table[out] = labels[target] + 1
-        if set(table) != set(instr.povm.labels):
-            missing_out = sorted(set(instr.povm.labels) - set(table))
-            raise CircuitError(f"branch table not total, missing outcomes {missing_out}", num)
+        with _at_line(instr.line):
+            table = {}
+            for out, target in raw.items():
+                if out not in instr.povm.labels:
+                    raise CircuitError(
+                        f"branch outcome {out!r} is not a POVM outcome of {instr.povm_name}"
+                    )
+                if target not in labels:
+                    raise CircuitError(f"unknown branch target {target!r}")
+                if labels[target] <= item_idx:
+                    raise CircuitError(f"branch target {target!r} must lie ahead")
+                # resume just past the marker; falling onto a marker sequentially
+                # is what ends a path
+                table[out] = labels[target] + 1
+            if set(table) != set(instr.povm.labels):
+                missing_out = sorted(set(instr.povm.labels) - set(table))
+                raise CircuitError(f"branch table not total, missing outcomes {missing_out}")
         instr.branch = table
 
     prog = CircuitProgram(
@@ -516,7 +533,6 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
         inputs=[inputs[r][0] for r in range(1, n + 1)],
         input_specs=[inputs[r][1] for r in range(1, n + 1)],
         items=items,
-        labels=labels,
     )
     prog.max_registers, prog.register_counts = _check_paths(prog)
     return prog
@@ -537,54 +553,50 @@ def _check_paths(prog: CircuitProgram) -> tuple[int, dict]:
             continue
         seen.add(state_key)
         max_regs = max(max_regs, n_cur)
-        if i >= len(prog.items) or isinstance(prog.items[i], LabelMarker):
-            # path ends here (EOF or fell onto a label)
-            unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]
-            if unmeasured:
-                line = prog.items[i].line if i < len(prog.items) else None
-                raise CircuitError(
-                    f"path ends with unmeasured registers {unmeasured}", line
+        instr = prog.items[i] if i < len(prog.items) else None
+        with _at_line(instr.line if instr is not None else None):
+            if instr is None or isinstance(instr, LabelMarker):
+                # path ends here (EOF or fell onto a label)
+                unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]
+                if unmeasured:
+                    raise CircuitError(f"path ends with unmeasured registers {unmeasured}")
+                continue
+            counts.setdefault(i, set()).add(n_cur)
+            if isinstance(instr, (GateInstr, DisplaceInstr)):
+                regs = (
+                    [instr.reg]
+                    if isinstance(instr, DisplaceInstr)
+                    else [r for call in instr.word for r in _gate_registers(call)]
                 )
-            continue
-        instr = prog.items[i]
-        counts.setdefault(i, set()).add(n_cur)
-        if isinstance(instr, (GateInstr, DisplaceInstr)):
-            regs = (
-                [instr.reg]
-                if isinstance(instr, DisplaceInstr)
-                else [r for call in instr.word for r in _gate_registers(call)]
-            )
-            for r in regs:
-                if not 1 <= r <= n_cur:
-                    raise CircuitError(f"register {r} out of range 1..{n_cur}", instr.line)
-                if r in measured:
-                    raise CircuitError(f"register {r} already measured", instr.line)
-            stack.append((i + 1, n_cur, measured))
-        elif isinstance(instr, ExtendInstr):
-            if n_cur + instr.count > MAX_REGISTERS:
-                raise CircuitError(
-                    f"extend to {n_cur + instr.count} registers exceeds the register cap "
-                    f"{MAX_REGISTERS}",
-                    instr.line,
-                )
-            stack.append((i + 1, n_cur + instr.count, measured))
-        elif isinstance(instr, MeasureInstr):
-            unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]
-            highest = max(unmeasured) if unmeasured else None
-            if instr.reg != highest:
-                raise CircuitError(
-                    f"measure {instr.reg} violates the order rule; "
-                    f"highest unmeasured register is {highest}",
-                    instr.line,
-                )
-            measured2 = measured | {instr.reg}
-            if instr.branch is None:
-                stack.append((i + 1, n_cur, measured2))
+                for r in regs:
+                    if not 1 <= r <= n_cur:
+                        raise CircuitError(f"register {r} out of range 1..{n_cur}")
+                    if r in measured:
+                        raise CircuitError(f"register {r} already measured")
+                stack.append((i + 1, n_cur, measured))
+            elif isinstance(instr, ExtendInstr):
+                if n_cur + instr.count > MAX_REGISTERS:
+                    raise CircuitError(
+                        f"extend to {n_cur + instr.count} registers exceeds the register cap "
+                        f"{MAX_REGISTERS}"
+                    )
+                stack.append((i + 1, n_cur + instr.count, measured))
+            elif isinstance(instr, MeasureInstr):
+                unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]
+                highest = max(unmeasured) if unmeasured else None
+                if instr.reg != highest:
+                    raise CircuitError(
+                        f"measure {instr.reg} violates the order rule; "
+                        f"highest unmeasured register is {highest}"
+                    )
+                measured2 = measured | {instr.reg}
+                if instr.branch is None:
+                    stack.append((i + 1, n_cur, measured2))
+                else:
+                    for target in instr.branch.values():
+                        stack.append((target, n_cur, measured2))
             else:
-                for target in instr.branch.values():
-                    stack.append((target, n_cur, measured2))
-        else:
-            raise TypeError(f"unexpected item {instr!r}")
+                raise TypeError(f"unexpected item {instr!r}")
     return max_regs, counts
 
 
@@ -727,40 +739,43 @@ def parse_slice_file(path):
     if not lines:
         raise CircuitError(f"{path}: empty slice file")
     num, head = lines[0]
-    m = re.match(r"^slice\s+p=(\d+)$", head)
-    if not m:
-        raise CircuitError(f"expected 'slice p=<prime>', got {head!r}", num)
-    p = int(m.group(1))
+    with _at_line(num):
+        m = re.match(r"^slice\s+p=(\d+)$", head)
+        if not m:
+            raise CircuitError(f"expected 'slice p=<prime>', got {head!r}")
+        p = int(m.group(1))
+        if p != 3:  # before any point is reduced mod p
+            raise CircuitError("slice scans are defined for p=3")
     fixed: dict = {}
     free: list = []
     for num, line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "fixed":
-            if len(parts) != 3:
-                raise CircuitError("fixed needs '(a1,a2) <value>'", num)
-            pt = parse_point(parts[1], p)
-            if pt in fixed:
-                raise CircuitError(f"point {pt} fixed twice", num)
-            fixed[pt] = parse_rational(parts[2])
-        elif parts[0] == "free":
-            if len(parts) == 2:
-                free.append((parse_point(parts[1], p), DEFAULT_AXIS))
-            elif len(parts) == 3 and parts[2] == "derived":
-                free.append((parse_point(parts[1], p), None))
-            elif len(parts) == 5:
-                free.append(
-                    (
-                        parse_point(parts[1], p),
-                        tuple(parse_rational(t) for t in parts[2:5]),
+        with _at_line(num):
+            parts = line.split()
+            if parts[0] == "fixed":
+                if len(parts) != 3:
+                    raise CircuitError("fixed needs '(a1,a2) <value>'")
+                pt = parse_point(parts[1], p)
+                if pt in fixed:
+                    raise CircuitError(f"point {pt} fixed twice")
+                fixed[pt] = parse_rational(parts[2])
+            elif parts[0] == "free":
+                if len(parts) == 2:
+                    free.append((parse_point(parts[1], p), DEFAULT_AXIS))
+                elif len(parts) == 3 and parts[2] == "derived":
+                    free.append((parse_point(parts[1], p), None))
+                elif len(parts) == 5:
+                    free.append(
+                        (
+                            parse_point(parts[1], p),
+                            tuple(parse_rational(t) for t in parts[2:5]),
+                        )
                     )
-                )
+                else:
+                    raise CircuitError(
+                        "free needs '(a1,a2)' plus optional '<lo> <hi> <step>' or 'derived'"
+                    )
             else:
-                raise CircuitError(
-                    "free needs '(a1,a2)' plus optional '<lo> <hi> <step>' or 'derived'",
-                    num,
-                )
-        else:
-            raise CircuitError(f"unknown slice directive {parts[0]!r}", num)
+                raise CircuitError(f"unknown slice directive {parts[0]!r}")
     try:
         return SliceSpec(p, fixed, free)
     except ValueError as exc:

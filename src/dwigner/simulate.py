@@ -50,12 +50,12 @@ from .circuits import (
     GateInstr,
     LabelMarker,
     MeasureInstr,
+    load_kraus_file,
     load_matrix_file,
     preset_state,
     validate_circuit,
-    _complex_matrix,
+    _at_line,
     _content_lines,
-    _dim_header,
     _item_calls,
     _local_call,
     _parse_gate_word,
@@ -654,7 +654,7 @@ def _image_indices(g: CliffordElement) -> np.ndarray:
     return index
 
 
-def _check_distill_size(p: int, n: int, line: Optional[int] = None, dense: bool = False) -> None:
+def _check_distill_size(p: int, n: int, dense: bool = False) -> None:
     """Reject an instance too large for its route before anything is allocated.
 
     Every route holds p^(2n) Wigner values and needs p^(2n) <=
@@ -666,12 +666,11 @@ def _check_distill_size(p: int, n: int, line: Optional[int] = None, dense: bool 
     if p ** min(2 * n, PRODUCT_WIGNER_CAP.bit_length()) > PRODUCT_WIGNER_CAP:
         raise CircuitError(
             f"distillation needs p^(2n) <= {PRODUCT_WIGNER_CAP} Wigner values, "
-            f"got p={p}, n={n}",
-            line,
+            f"got p={p}, n={n}"
         )
     if dense and p ** min(n, ORACLE_DIM_CAP.bit_length()) > ORACLE_DIM_CAP:
         raise CircuitError(
-            f"a dense distillation part needs p^n <= {ORACLE_DIM_CAP}, got p={p}, n={n}", line
+            f"a dense distillation part needs p^n <= {ORACLE_DIM_CAP}, got p={p}, n={n}"
         )
 
 
@@ -738,81 +737,57 @@ def parse_distill_file(path) -> DistillationInstance:
     if not lines:
         raise CircuitError(f"{path}: empty distillation file")
     num, head = lines[0]
-    m = re.match(r"^distill\s+p=(\d+)\s+n=(\d+)$", head)
-    if not m:
-        raise CircuitError(f"expected 'distill p=<p> n=<n>', got {head!r}", num)
-    p, n = int(m.group(1)), int(m.group(2))
-    require_odd_prime(p)
-    if n < 2:
-        raise CircuitError("distillation needs n >= 2 (output + ancilla)", num)
-    _check_distill_size(p, n, num)
+    with _at_line(num):
+        m = re.match(r"^distill\s+p=(\d+)\s+n=(\d+)$", head)
+        if not m:
+            raise CircuitError(f"expected 'distill p=<p> n=<n>', got {head!r}")
+        p, n = int(m.group(1)), int(m.group(2))
+        require_odd_prime(p)
+        if n < 2:
+            raise CircuitError("distillation needs n >= 2 (output + ancilla)")
+        _check_distill_size(p, n)
     rho_in = channel = projector = None
     asserted = False
     for num, line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "input":
-            if rest.startswith("matrix-file:"):
-                _check_distill_size(p, n, num, dense=True)
-                rho_in = load_matrix_file(base_dir / rest.split(":", 1)[1])
-            elif rest.startswith("product "):
-                specs = rest.split()[1:]
-                if len(specs) != n:
-                    raise CircuitError(f"input product needs {n} presets", num)
-                rho_in = tuple(preset_state(s, p, base_dir)[0] for s in specs)
-            else:
-                raise CircuitError(f"bad input spec {rest!r}", num)
-        elif key == "channel":
-            if rest.startswith("gates "):
-                word = _parse_gate_word(rest.split(" ", 1)[1], p, num)
-                try:
+        with _at_line(num):
+            key, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if key == "input":
+                if rest.startswith("matrix-file:"):
+                    _check_distill_size(p, n, dense=True)
+                    rho_in = load_matrix_file(base_dir / rest.split(":", 1)[1])
+                elif rest.startswith("product "):
+                    specs = rest.split()[1:]
+                    if len(specs) != n:
+                        raise CircuitError(f"input product needs {n} presets")
+                    rho_in = tuple(preset_state(s, p, base_dir)[0] for s in specs)
+                else:
+                    raise CircuitError(f"bad input spec {rest!r}")
+            elif key == "channel":
+                if rest.startswith("gates "):
+                    word = _parse_gate_word(rest.split(" ", 1)[1], p)
                     channel = ("clifford", _word_map(word, p, n))
-                except CircuitError as exc:
-                    raise CircuitError(str(exc), num) from exc
-            elif rest.startswith("kraus-file:"):
-                _check_distill_size(p, n, num, dense=True)
-                tokens = rest.split()
-                kfile = tokens[0].split(":", 1)[1]
-                asserted = "positivity-asserted" in tokens[1:]
-                channel = ("kraus", _load_kraus_file(base_dir / kfile))
+                elif rest.startswith("kraus-file:"):
+                    _check_distill_size(p, n, dense=True)
+                    tokens = rest.split()
+                    kfile = tokens[0].split(":", 1)[1]
+                    asserted = "positivity-asserted" in tokens[1:]
+                    channel = ("kraus", load_kraus_file(base_dir / kfile))
+                else:
+                    raise CircuitError(f"bad channel spec {rest!r}")
+            elif key == "projector":
+                if rest == "zero":
+                    projector = (preset_state("zero", p, base_dir)[0],) * (n - 1)
+                elif rest.startswith("matrix-file:"):
+                    _check_distill_size(p, n, dense=True)
+                    projector = load_matrix_file(base_dir / rest.split(":", 1)[1])
+                else:
+                    raise CircuitError(f"bad projector spec {rest!r}")
             else:
-                raise CircuitError(f"bad channel spec {rest!r}", num)
-        elif key == "projector":
-            if rest == "zero":
-                projector = (preset_state("zero", p, base_dir)[0],) * (n - 1)
-            elif rest.startswith("matrix-file:"):
-                _check_distill_size(p, n, num, dense=True)
-                projector = load_matrix_file(base_dir / rest.split(":", 1)[1])
-            else:
-                raise CircuitError(f"bad projector spec {rest!r}", num)
-        else:
-            raise CircuitError(f"unknown distill directive {key!r}", num)
+                raise CircuitError(f"unknown distill directive {key!r}")
     if rho_in is None or channel is None or projector is None:
         raise CircuitError(f"{path}: need input, channel and projector lines")
     return DistillationInstance(
         p=p, n=n, rho_in=rho_in, channel=channel, projector=projector,
         positivity_asserted=asserted,
     )
-
-
-def _load_kraus_file(path) -> list:
-    """Concatenated `dim <d>` matrix blocks in one file."""
-    lines = _content_lines(Path(path).read_text())
-    blocks = []
-    i = 0
-    while i < len(lines):
-        num, line = lines[i]
-        if not line.startswith("dim"):
-            raise CircuitError(f"{path}: expected 'dim <d>' block header", num)
-        d = _dim_header(path, num, line)
-        tokens: list[str] = []
-        i += 1
-        while i < len(lines) and not lines[i][1].startswith("dim"):
-            tokens.extend(lines[i][1].split())
-            i += 1
-        if len(tokens) != 2 * d * d:
-            raise CircuitError(f"{path}: block needs {2 * d * d} numbers", num)
-        blocks.append(_complex_matrix(tokens, d))
-    if not blocks:
-        raise CircuitError(f"{path}: no Kraus blocks found")
-    return blocks

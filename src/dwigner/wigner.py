@@ -43,11 +43,6 @@ class WignerFunction:
             raise ValueError(f"expected {self.p ** (2 * self.n)} values, got {v.size}")
         object.__setattr__(self, "values", v)
 
-    @property
-    def grid(self) -> np.ndarray:
-        """Shape (p^2,)*n, one axis per qudit, block index a1*p + a2."""
-        return self.values.reshape((self.p**2,) * self.n)
-
 
 @dataclass(frozen=True)
 class Povm:

@@ -342,10 +342,20 @@ def test_slice_solver_failure_exits_3(samples_dir, tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
-def test_slice_malformed_spec(tmp_path):
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("slice p=3", "fixed + free must cover all 9 phase points"),
+        # p = 0 would reduce the point mod 0: rejected at the header line
+        ("slice p=0", "line 1: slice scans are defined for p=3"),
+    ],
+    ids=["uncovered-points", "p0"],
+)
+def test_slice_malformed_spec(tmp_path, capsys, header, message):
     bad = tmp_path / "bad.slice"
-    bad.write_text("slice p=3\nfixed (0,0) 1/9\n")
+    bad.write_text(f"{header}\nfixed (0,0) 1/9\n")
     assert run_cli("slice", str(bad)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_distill_check_identity(samples_dir, tmp_path):
@@ -416,6 +426,101 @@ def test_sample_povm_effect_without_label(tmp_path, capsys):
     assert run_cli("sample", str(circ), "--shots", "0") == 2
     err = capsys.readouterr().err
     assert "bad.povm" in err and "line 2" in err
+
+
+ZERO_ROWS = "\n".join(["0 0  0 0  0 0"] * 3)
+MIXED_ROWS = [f"{a1} {a2} 1/9" for a1 in range(3) for a2 in range(3)]
+
+
+@pytest.mark.parametrize(
+    "files, argv, where",
+    [
+        (
+            {"c.circ": "qudits p=3 n=1\ninput 1 zero\ndisplace 1 (0,x)\n"
+                       "measure 1 computational\n"},
+            ["sample", "c.circ", "--shots", "0"],
+            "line 3: bad phase-space point '(0,x)'",
+        ),
+        (
+            {"s.slice": "slice p=3\nfixed (0,0) 1/x\n"},
+            ["slice", "s.slice"],
+            "line 2: bad rational '1/x'",
+        ),
+        (
+            {
+                "bad.w": "wigner p=3\n" + "\n".join(MIXED_ROWS).replace("2 1 1/9", "0 x 1/9"),
+                "c.circ": "qudits p=3 n=1\ninput 1 wigner-file:bad.w\nmeasure 1 computational\n",
+            },
+            ["sample", "c.circ", "--shots", "0"],
+            "line 9: bad.w: bad coordinate 'x'",
+        ),
+        (
+            {
+                "bad.mat": "dim 3\n1 0 0 0 0 0\n0 0 x 0 0 0\n0 0 0 0 0 0\n",
+                "c.circ": "qudits p=3 n=1\ninput 1 matrix-file:bad.mat\nmeasure 1 computational\n",
+            },
+            ["sample", "c.circ", "--shots", "0"],
+            "line 3: bad.mat: could not convert string to float: 'x'",
+        ),
+        (
+            {
+                "bad.povm": f"povm p=3 outcomes\neffect 0\n{ZERO_ROWS}\n",
+                "c.circ": "qudits p=3 n=1\ninput 1 zero\nmeasure 1 povm-file:bad.povm\n",
+            },
+            ["sample", "c.circ", "--shots", "0"],
+            "line 1: bad.povm: bad header 'povm p=3 outcomes'",
+        ),
+    ],
+    ids=["circuit-point", "slice-rational", "wigner-coordinate", "matrix-number", "povm-header"],
+)
+def test_malformed_line_names_its_location(tmp_path, monkeypatch, capsys, files, argv, where):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
+
+def test_classify_rejects_a_repeated_wigner_point(tmp_path, monkeypatch, capsys):
+    # a tenth row at (3,0) = (0,0) mod 3 used to overwrite the first value
+    rows = ["wigner p=3", *MIXED_ROWS, "3 0 -1/3"]
+    (tmp_path / "dup.w").write_text("\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("classify", "wigner-file:dup.w", "--p", "3") == 2
+    err = capsys.readouterr().err
+    assert "line 11: " in err and "dup.w: point (0, 0) given twice" in err
+
+
+def test_bound_ninth_is_a_bound_state(samples_dir, tmp_path, monkeypatch):
+    """sample_inputs/bound_ninth.w is the BOUND row (0, 1/45, 14/45) of
+    pinned_ninth_3d.slice: nonnegative Wigner values outside the stabilizer
+    polytope, so the sampler still matches the oracle on copies of it."""
+    monkeypatch.chdir(samples_dir)
+    out = tmp_path / "c.txt"
+    assert run_cli("classify", "wigner-file:bound_ninth.w", "--p", "3", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert "label = BOUND" in lines and "min_W = 0" in lines
+    assert not any(line.startswith("disputed") for line in lines)
+
+    grid = tmp_path / "grid.csv"
+    assert run_cli("slice", "pinned_ninth_3d.slice", "--out", str(grid)) == 0
+    row = next(r for r in grid.read_text().splitlines() if r.startswith("0,0.0222222222222,"))
+    assert row.split(",")[2:4] == ["0.311111111111", "BOUND"]
+
+    circ = tmp_path / "bound.circ"
+    circ.write_text(
+        "qudits p=3 n=3\n"
+        f"input 1 wigner-file:{samples_dir / 'bound_ninth.w'}\n"
+        f"input 2 wigner-file:{samples_dir / 'bound_ninth.w'}\n"
+        "input 3 mixed\n"
+        "gate fourier(1); sum(1,2); quadratic(3); sum(3,1)\n"
+        "measure 3 computational\nmeasure 2 computational\nmeasure 1 computational\n"
+    )
+    report = tmp_path / "r.csv"
+    assert run_cli("sample", str(circ), "--shots", "200000", "--seed", "1", "--oracle-check",
+                   "--out", str(report)) == 0
+    assert "# verdict = PASS" in report.read_text().splitlines()
 
 
 def test_distill_check_rejects_large_random_suite(tmp_path, capsys):
