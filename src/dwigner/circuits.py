@@ -66,8 +66,8 @@ __all__ = [
     "MAX_REGISTERS",
 ]
 
-# Registers on any path, so a chunk of sampler uniforms (CHUNK_SHOTS x 2n
-# float64) stays below 256 MiB and no per-register list grows without bound
+# Registers on any path, so that no per-register list and no dense 2n x 2n
+# gate map grows without bound (the sampler bounds its chunks in bytes)
 MAX_REGISTERS = 256
 
 
@@ -124,9 +124,10 @@ def parse_point(text: str, p: int) -> tuple[int, int]:
 
 # --- matrix / wigner / povm files -------------------------------------------
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
+def _content_lines(text: str, path=None) -> list[tuple[int, str]]:
     """Non-empty, comment-stripped lines with 1-based numbers; drops a
-    leading `format <k>` line after checking the version."""
+    leading `format <k>` line after checking the version (an error names
+    `path`, for a file a document refers to)."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,7 +135,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
             out.append((i, line))
     if out and out[0][1].startswith("format"):
         num, head = out.pop(0)
-        with _at_line(num):
+        with _at_line(num, path):
             if head.split() != ["format", "1"]:
                 raise CircuitError(f"unsupported format version {head!r}")
     return out
@@ -176,7 +177,7 @@ def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> lis
 
 def load_matrix_file(path) -> np.ndarray:
     """One `dim <d>` block: the header, then d*d `re imag` pairs, row-major."""
-    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text()), "dim")
+    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text(), path), "dim")
     if len(blocks) != 1:
         raise CircuitError(f"{path}: expected one 'dim <d>' block, found {len(blocks)}")
     return blocks[0][1]
@@ -184,7 +185,7 @@ def load_matrix_file(path) -> np.ndarray:
 
 def load_kraus_file(path) -> list:
     """Kraus operators: one or more `dim <d>` blocks, each as in a matrix file."""
-    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text()), "dim")
+    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text(), path), "dim")
     if not blocks:
         raise CircuitError(f"{path}: no Kraus blocks found")
     return [K for _, K in blocks]
@@ -203,7 +204,7 @@ def write_matrix_file(path, M: np.ndarray) -> None:
 def load_wigner_file(path, p: int) -> list:
     """`wigner p=<p>` header then p^2 lines `a1 a2 value`, one per point;
     returns exact values in point-index order."""
-    lines = _content_lines(Path(path).read_text())
+    lines = _content_lines(Path(path).read_text(), path)
     num, head = lines[0] if lines else (None, "")
     with _at_line(num, path):
         if not head.startswith("wigner"):
@@ -244,7 +245,7 @@ def computational_povm(p: int) -> Povm:
 def load_povm_file(path, p: int) -> Povm:
     """`povm p=<p> outcomes=<k>` then k `effect <label>` blocks of p x p
     `re imag` pairs."""
-    lines = _content_lines(Path(path).read_text())
+    lines = _content_lines(Path(path).read_text(), path)
     if not lines:
         raise CircuitError(f"{path}: empty POVM file")
     num, head = lines[0]
@@ -437,6 +438,7 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
                 if items:
                     raise CircuitError("inputs must precede instructions")
                 inputs[reg] = preset_state(sub[1], p, base_dir)
+                last_input = num
             elif key == "gate":
                 items.append(GateInstr(_parse_gate_word(rest, p), num))
             elif key == "displace":
@@ -534,27 +536,31 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
         input_specs=[inputs[r][1] for r in range(1, n + 1)],
         items=items,
     )
-    prog.max_registers, prog.register_counts = _check_paths(prog)
+    prog.max_registers, prog.register_counts = _check_paths(prog, last_input)
     return prog
 
 
-def _check_paths(prog: CircuitProgram) -> tuple[int, dict]:
+def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, dict]:
     """Walk every control path; enforce the measurement-order rule and
     measure-exactly-once and the register cap; return the maximum register
-    count and, per item index, the set of register counts it runs under."""
+    count and, per item index, the set of register counts it runs under.
+
+    An error names its item's line; a path that reaches the end of the file
+    names the line it came from (its last item, the measure that branched
+    into it, or `start_line`, the last input, when it has no item)."""
     max_regs = prog.n
     counts: dict[int, set] = {}
     seen: set = set()
-    stack = [(0, prog.n, frozenset())]
+    stack = [(0, prog.n, frozenset(), start_line)]
     while stack:
-        i, n_cur, measured = stack.pop()
+        i, n_cur, measured, from_line = stack.pop()
         state_key = (i, n_cur, measured)
         if state_key in seen:
             continue
         seen.add(state_key)
         max_regs = max(max_regs, n_cur)
         instr = prog.items[i] if i < len(prog.items) else None
-        with _at_line(instr.line if instr is not None else None):
+        with _at_line(instr.line if instr is not None else from_line):
             if instr is None or isinstance(instr, LabelMarker):
                 # path ends here (EOF or fell onto a label)
                 unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]
@@ -573,14 +579,14 @@ def _check_paths(prog: CircuitProgram) -> tuple[int, dict]:
                         raise CircuitError(f"register {r} out of range 1..{n_cur}")
                     if r in measured:
                         raise CircuitError(f"register {r} already measured")
-                stack.append((i + 1, n_cur, measured))
+                stack.append((i + 1, n_cur, measured, instr.line))
             elif isinstance(instr, ExtendInstr):
                 if n_cur + instr.count > MAX_REGISTERS:
                     raise CircuitError(
                         f"extend to {n_cur + instr.count} registers exceeds the register cap "
                         f"{MAX_REGISTERS}"
                     )
-                stack.append((i + 1, n_cur + instr.count, measured))
+                stack.append((i + 1, n_cur + instr.count, measured, instr.line))
             elif isinstance(instr, MeasureInstr):
                 unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]
                 highest = max(unmeasured) if unmeasured else None
@@ -591,10 +597,10 @@ def _check_paths(prog: CircuitProgram) -> tuple[int, dict]:
                     )
                 measured2 = measured | {instr.reg}
                 if instr.branch is None:
-                    stack.append((i + 1, n_cur, measured2))
+                    stack.append((i + 1, n_cur, measured2, instr.line))
                 else:
                     for target in instr.branch.values():
-                        stack.append((target, n_cur, measured2))
+                        stack.append((target, n_cur, measured2, instr.line))
             else:
                 raise TypeError(f"unexpected item {instr!r}")
     return max_regs, counts

@@ -11,6 +11,7 @@ lines with identical seeds produce byte-identical files at any --jobs setting.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -248,7 +249,9 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it as it is."""
     ap = argparse.ArgumentParser(
         prog="dwigner",
         description="Discrete Wigner functions, stabilizer geometry and "

@@ -79,14 +79,18 @@ def symplectic_form(u, v, p: int) -> int:
 
 
 def is_symplectic(F, p: int) -> bool:
-    """True iff F^T J F = J mod p."""
+    """True iff F^T J F = J mod p, computed in float64 so that BLAS runs the
+    products; exact, since every entry of F^T J F lies below 2n p^2, which
+    must stay below 2^53 (p up to about 4 million at n = 256)."""
     require_odd_prime(p)
-    M = np.asarray(F, dtype=np.int64) % p
+    M = (np.asarray(F, dtype=np.int64) % p).astype(np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
         raise ValueError(f"expected a square 2n x 2n matrix, got shape {M.shape}")
     n = M.shape[0] // 2
+    if 2 * n * p * p >= 2**53:
+        raise ValueError(f"p={p} at n={n} is past the exact float64 range")
     J = symplectic_J(n)
-    return bool(np.array_equal((M.T @ J @ M) % p, J % p))
+    return bool(np.array_equal((M.T @ (J @ M)) % p, J % p))
 
 
 @dataclass(frozen=True)

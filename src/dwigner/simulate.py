@@ -18,18 +18,21 @@ builds no p^n x p^n matrix: it is bounded by its p^(2n) Wigner values
 
 Per-shot randomness is positional: draw j of shot s is U[s, j] of the
 shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
-(K = 2 * max_registers).  Shots run in chunks of CHUNK_SHOTS, and each chunk
-draws only its own rows, from a Philox stream advanced to the chunk's first
-draw, so memory is bounded by a chunk.  CHUNK_SHOTS is even, so every chunk
-starts on a whole Philox block and the bytes do not depend on its value.
+(K = 2 * max_registers).  Shots run in chunks, and each chunk draws only its
+own rows, from a Philox stream advanced to the chunk's first draw.  A chunk
+holds as many shots as fit CHUNK_BYTES of uniforms (8K bytes per shot), at
+most CHUNK_SHOTS, so memory is bounded by a chunk at any shot count and any
+register count.  The chunk size is even, so every chunk starts on a whole
+Philox block and the bytes do not depend on it.
 
 A chunk's kernel (_Walk) makes a few whole-array passes per instruction: it
 transposes the uniforms once so each draw position is a contiguous row,
 draws points with searchsorted straight into a preallocated point array,
-maps them through each gate's dense (2n)^2 matrix reduced mod p by a table
-gather, measures by counting contiguous cumulative effect columns below the
-draw, splits branches with index arrays and tallies outcome codes with
-bincount.
+maps them through each gate's dense (2n)^2 matrix in float64 (a BLAS
+product, exact on these small integers) reduced mod p by a table gather,
+measures by counting contiguous cumulative effect columns below the draw,
+splits branches with index arrays and tallies outcome codes with bincount,
+building each distinct outcome string from a row of label bytes.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ __all__ = [
     "ORACLE_DIM_CAP",
     "PRODUCT_WIGNER_CAP",
     "CHUNK_SHOTS",
+    "CHUNK_BYTES",
 ]
 
 # p^n guard for the oracle, whose state tensor holds p^(2n) entries, and for
@@ -101,9 +105,13 @@ ORACLE_DIM_CAP = 243
 # channel image, index map) hold p^(2n) entries: 3^12, 4 MB of float64 each,
 # so a product input with a word channel runs up to n = 6 qutrits
 PRODUCT_WIGNER_CAP = 3**12
-# Shots per sampler chunk.  Even, so that every chunk's first draw lo * K is a
-# multiple of the four draws in one Philox block.
+# Shots per sampler chunk, at most.  Even, so that every chunk's first draw
+# lo * K is a multiple of the four draws in one Philox block.
 CHUNK_SHOTS = 1 << 16
+# Bytes of one chunk's shots x K float64 uniforms.  A chunk holds the even
+# number of shots that fits, at least 2, so its uniforms, points and gate
+# products each take about this much at any register count.
+CHUNK_BYTES = 1 << 20
 # The tally's mixed-radix outcome codes stay below this, well inside int64.
 _CODE_LIMIT = 1 << 62
 
@@ -278,9 +286,10 @@ def sample_classical(
     validator's problems, and zero shots only validate.  Points are drawn
     from the Wigner values the validator computed, pushed through its gate
     maps and measured against its effect values.  Shots run in chunks of
-    CHUNK_SHOTS, each drawing its own uniforms (see the module docstring),
-    so memory is bounded by one chunk.  Chunk bounds depend only on `shots`;
-    `jobs` is accepted and does not change the work or the report.
+    at most CHUNK_BYTES of uniforms, each drawing its own (see the module
+    docstring), so memory is bounded by one chunk.  Chunk bounds depend only
+    on `shots` and the register count; `jobs` is accepted and does not
+    change the work or the report.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
@@ -290,14 +299,17 @@ def sample_classical(
     input_dists = [_cumulative(w) for w in report.input_wigners]
     extend_dists = {i: [_cumulative(w) for w in ws] for i, ws in report.extend_wigners.items()}
     povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
+    gate_FT = {key: g.F.T.astype(np.float64) for key, g in report.gate_maps.items()}
+    K = 2 * prog.max_registers
+    size = min(CHUNK_SHOTS, max(2, CHUNK_BYTES // (8 * K) // 2 * 2))
 
     counts: dict[str, int] = {}
     mults = 0
     adds = 0
-    for lo in range(0, shots, CHUNK_SHOTS):
+    for lo in range(0, shots, size):
         chunk_counts, m, a = _run_chunk(
-            prog, seed, input_dists, extend_dists, povm_cols, report.gate_maps,
-            lo, min(lo + CHUNK_SHOTS, shots),
+            prog, seed, input_dists, extend_dists, povm_cols, gate_FT,
+            lo, min(lo + size, shots),
         )
         for k, v in chunk_counts.items():
             counts[k] = counts.get(k, 0) + v
@@ -312,13 +324,15 @@ def sample_classical(
     )
 
 
-def _run_chunk(prog, seed, input_dists, extend_dists, povm_cols, gate_maps, lo, hi):
+def _run_chunk(prog, seed, input_dists, extend_dists, povm_cols, gate_FT, lo, hi):
     """Outcome counts, field mults and field adds of shots lo..hi-1."""
     K = 2 * prog.max_registers
     # Philox emits four 64-bit words per counter step and `random` spends one
-    # per draw, so skipping lo * K draws is lo * K / 4 steps
-    U = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4)).random((hi - lo, K))
-    walk = _Walk(prog, np.ascontiguousarray(U.T), extend_dists, povm_cols, gate_maps)
+    # per draw, so skipping lo * K draws is lo * K / 4 steps; the row-major
+    # block is freed once transposed
+    rng = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4))
+    UT = np.ascontiguousarray(rng.random((hi - lo, K)).T)
+    walk = _Walk(prog, UT, extend_dists, povm_cols, gate_FT)
     # initial phase points: one draw per register, positions 0..n-1
     upts = np.empty((hi - lo, 2 * len(input_dists)), dtype=np.int64)
     walk.draw_points(upts, input_dists, None, 0)
@@ -334,19 +348,21 @@ class _Walk:
     is None for them and the chunk-row ids of the shots after a split.  A
     register's point (q, x) is drawn by `searchsorted` on its cumulative
     table, idx = q * p + x.  A gate maps the points through the dense
-    product with F^T, reduced mod p by a gather from the table `modp` (the
-    products lie in [0, 2n(p-1)^2]).  A measurement counts the cumulative
-    effect columns below the draw, one contiguous column per effect but the
-    last, whose entry 1.0 no draw reaches.  A branch splits the shots with
-    index arrays, and shots that end a path together are tallied at once.
+    product with F^T, taken in float64 so that BLAS runs it (exact: the
+    products are integers in [0, 2n(p-1)^2], far below 2^53), and reduced
+    mod p by a gather from the table `modp`.  A measurement counts the
+    cumulative effect columns below the draw, one contiguous column per
+    effect but the last, whose entry 1.0 no draw reaches.  A branch splits
+    the shots with index arrays, and shots that end a path together are
+    tallied at once.
     """
 
-    def __init__(self, prog, UT, extend_dists, povm_cols, gate_maps):
+    def __init__(self, prog, UT, extend_dists, povm_cols, gate_FT):
         self.prog = prog
         self.UT = UT  # the chunk's uniforms, one row per draw position
         self.extend_dists = extend_dists
         self.povm_cols = povm_cols
-        self.gate_maps = gate_maps
+        self.gate_FT = gate_FT  # (item idx, register count) -> float64 F^T
         self.modp = np.arange(2 * prog.max_registers * (prog.p - 1) ** 2 + 1) % prog.p
         self.counts: dict[str, int] = {}
         self.mults = 0
@@ -375,7 +391,8 @@ class _Walk:
             instr = items[i]
             shots, width = upts.shape
             if isinstance(instr, GateInstr):
-                upts = self.modp[upts @ self.gate_maps[(i, width // 2)].F.T]
+                prod = upts.astype(np.float64) @ self.gate_FT[(i, width // 2)]
+                upts = self.modp[prod.astype(np.intp)]
                 self.mults += shots * width**2
             elif isinstance(instr, DisplaceInstr):
                 c = 2 * (instr.reg - 1)
@@ -421,8 +438,11 @@ class _Walk:
         order.  Each shot's indices fold into one mixed-radix int64 code (the
         radix of a register is its label count); when the next digit could
         overflow, and once at the end when the codes outnumber the shots,
-        they are renumbered densely.  `bincount` then counts each code, and
-        its string is built once, from any shot that carries it.
+        they are renumbered densely.  `bincount` then counts each code.  The
+        strings of the distinct codes are built together, from any shot that
+        carries each: every register's label bytes are gathered from its
+        padded table (_label_bytes) into one row per code, the padding is
+        dropped by the table's mask, and each row is decoded once.
         """
         code = np.zeros(shots, dtype=np.int64)
         span = 1  # every code lies in [0, span)
@@ -440,10 +460,29 @@ class _Walk:
         rep = np.empty(span, dtype=np.intp)
         rep[code] = np.arange(shots)  # equal codes carry equal labels
         seen = np.flatnonzero(hits)
-        digits = zip(*(outcome[rep[seen]].tolist() for _, outcome in measured))
-        for row, c in zip(digits, hits[seen].tolist()):
-            key = "".join(labels[k] for (labels, _), k in zip(measured, row))
+        digits = [(_label_bytes(labels), outcome[rep[seen]]) for labels, outcome in measured]
+        chars = np.hstack([table[k] for (table, _), k in digits])
+        used = np.hstack([mask[k] for (_, mask), k in digits])
+        text = chars[used].tobytes()  # row-major: the keys back to back
+        ends = np.cumsum(used.sum(axis=1)).tolist()
+        for start, end, c in zip([0] + ends[:-1], ends, hits[seen].tolist()):
+            key = text[start:end].decode()
             self.counts[key] = self.counts.get(key, 0) + c
+
+
+@functools.lru_cache(maxsize=None)
+def _label_bytes(labels: tuple) -> tuple:
+    """A POVM's labels as UTF-8 byte rows zero-padded to one width, and the
+    mask of each row's own bytes; exact for labels of any length or content.
+    The cached arrays are read-only."""
+    raw = [label.encode() for label in labels]
+    width = max(map(len, raw))
+    table = np.zeros((len(raw), width), dtype=np.uint8)
+    for row, b in zip(table, raw):
+        row[: len(b)] = np.frombuffer(b, dtype=np.uint8)
+    mask = np.arange(width) < np.array([len(b) for b in raw])[:, None]
+    table.flags.writeable = mask.flags.writeable = False
+    return table, mask
 
 
 # --- statistics -------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dwigner import circuits
-from dwigner.cli import main
+from dwigner.cli import build_parser, main
 from dwigner.simulate import CHUNK_SHOTS
 from dwigner.stabilizer import MAX_MUB_P
 
@@ -470,8 +470,19 @@ MIXED_ROWS = [f"{a1} {a2} 1/9" for a1 in range(3) for a2 in range(3)]
             ["sample", "c.circ", "--shots", "0"],
             "line 1: bad.povm: bad header 'povm p=3 outcomes'",
         ),
+        (
+            {
+                "ver.w": "format 2\nwigner p=3\n" + "\n".join(MIXED_ROWS),
+                "c.circ": "qudits p=3 n=1\ninput 1 wigner-file:ver.w\nmeasure 1 computational\n",
+            },
+            ["sample", "c.circ", "--shots", "0"],
+            "line 1: ver.w: unsupported format version 'format 2'",
+        ),
     ],
-    ids=["circuit-point", "slice-rational", "wigner-coordinate", "matrix-number", "povm-header"],
+    ids=[
+        "circuit-point", "slice-rational", "wigner-coordinate", "matrix-number", "povm-header",
+        "referenced-format",
+    ],
 )
 def test_malformed_line_names_its_location(tmp_path, monkeypatch, capsys, files, argv, where):
     for name, text in files.items():
@@ -480,6 +491,33 @@ def test_malformed_line_names_its_location(tmp_path, monkeypatch, capsys, files,
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("qudits p=3 n=1\ninput 1 zero\n", "line 2: "),
+        (
+            "qudits p=3 n=2\ninput 1 zero\ninput 2 zero\n"
+            "measure 2 computational branch: 0->x 1->x 2->y\n"
+            "label x:\nmeasure 1 computational\nlabel y:\n",
+            "line 4: ",
+        ),
+    ],
+    ids=["no-items", "empty-last-arm"],
+)
+def test_path_ending_unmeasured_at_eof_names_a_line(tmp_path, capsys, text, where):
+    # the path ends past the last item, so the line it came from is named:
+    # the last input, or the measure that branched into the empty arm
+    circ = tmp_path / "c.circ"
+    circ.write_text(text)
+    assert run_cli("sample", str(circ), "--shots", "0") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {where}path ends with unmeasured registers [1]"]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_classify_rejects_a_repeated_wigner_point(tmp_path, monkeypatch, capsys):

@@ -639,6 +639,33 @@ def test_forty_qutrit_circuit_validates_and_samples():
     assert rpt.field_mults == shots * len(gates) * (2 * n) ** 2
 
 
+def per_shot_counts(prog, seed, shots):
+    """Per-shot reference counts of a gate-free circuit whose inputs are all
+    `mixed` and whose items measure registers n, n-1, ..., 1 in turn."""
+    n, p = prog.n, prog.p
+    # the documented positional layout: one shots x 2n matrix from
+    # Philox(seed), draw j of shot s is U[s, j]; draws 0..n-1 pick the input
+    # points, draw n + k decides the k-th measurement
+    U = np.random.Generator(np.random.Philox(seed)).random((shots, 2 * n))
+    cum_in = np.cumsum(wigner_of_state(prog.inputs[0], p).values)
+    cum_in[-1] = 1.0
+    points = np.searchsorted(cum_in, U[:, :n], side="right")
+    povms = [prog.items[k].povm for k in range(n)]
+    cum_outs = [
+        np.cumsum([wigner_of_effect(E, p).values for E in povm.effects], axis=0)
+        for povm in povms
+    ]
+    expected = {}
+    for s in range(shots):
+        labels = {}
+        for k, reg in enumerate(range(n, 0, -1)):
+            hit = cum_outs[k][:-1, points[s, reg - 1]] <= U[s, n + k]
+            labels[reg] = povms[k].labels[int(hit.sum())]
+        key = "".join(labels[r] for r in range(1, n + 1))
+        expected[key] = expected.get(key, 0) + 1
+    return expected
+
+
 def test_tally_beyond_int64_matches_per_shot_reference():
     # 3^45 possible outcomes, more than int64 codes can hold: the vectorized
     # tally must still agree with a per-shot tally
@@ -647,25 +674,34 @@ def test_tally_beyond_int64_matches_per_shot_reference():
     lines += [f"measure {r} computational" for r in range(n, 0, -1)]
     prog = parse_circuit("\n".join(lines))
     rpt = sample_classical(prog, seed=seed, shots=shots)
-    # the documented positional layout: one shots x 2n matrix from
-    # Philox(seed), draw j of shot s is U[s, j]; draws 0..n-1 pick the input
-    # points, draw n + k decides the k-th measurement
-    U = np.random.Generator(np.random.Philox(seed)).random((shots, 2 * n))
-    cum_in = np.cumsum(wigner_of_state(prog.inputs[0], 3).values)
-    cum_in[-1] = 1.0
-    points = np.searchsorted(cum_in, U[:, :n], side="right")
-    povm = prog.items[0].povm
-    cum_out = np.cumsum([wigner_of_effect(E, 3).values for E in povm.effects], axis=0)
-    expected = {}
-    for s in range(shots):
-        labels = {}
-        for k, reg in enumerate(range(n, 0, -1)):
-            hit = cum_out[:-1, points[s, reg - 1]] <= U[s, n + k]
-            labels[reg] = povm.labels[int(hit.sum())]
-        key = "".join(labels[r] for r in range(1, n + 1))
-        expected[key] = expected.get(key, 0) + 1
+    expected = per_shot_counts(prog, seed, shots)
     assert len(expected) > 1
     assert rpt.counts == expected
+
+
+def test_tally_keys_from_labels_of_unequal_length(tmp_path):
+    # computational labels 0..10 at p = 11 and a POVM whose labels have one,
+    # three and two characters: each key is the exact concatenation
+    p, n, shots, seed = 11, 6, 3000, 5
+    rows = lambda diag: "\n".join(
+        "  ".join(f"{int(r == c and r in diag)} 0" for c in range(p)) for r in range(p)
+    )
+    (tmp_path / "uneven.povm").write_text(
+        f"povm p={p} outcomes=3\neffect a\n{rows({0})}\neffect bcd\n{rows({1, 2})}\n"
+        f"effect ef\n{rows(set(range(3, p)))}\n"
+    )
+    lines = [f"qudits p={p} n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
+    lines += [
+        f"measure {r} {'computational' if r % 3 else 'povm-file:uneven.povm'}"
+        for r in range(n, 0, -1)
+    ]
+    prog = parse_circuit("\n".join(lines), base_dir=tmp_path)
+    expected = per_shot_counts(prog, seed, shots)
+    assert any("10" in key for key in expected) and any("bcd" in key for key in expected)
+    for chunk in (simulate.CHUNK_SHOTS, 6):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "CHUNK_SHOTS", chunk)
+            assert sample_classical(prog, seed=seed, shots=shots).counts == expected
 
 
 def test_tally_keeps_outcomes_apart_past_64_binary_digits(samples_dir):
@@ -914,6 +950,31 @@ def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir):
             assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
                 prog, 7, shots
             ), (path.name, shots)
+
+
+def test_sampler_memory_flat_in_width():
+    # a 64-register brickwork circuit at 20000 shots: one chunk of every shot
+    # would hold 20000 x 128 float64 uniforms (20 MB) and as much again per
+    # point array; a chunk bounded by CHUNK_BYTES keeps the traced peak to a
+    # few chunks
+    n = 64
+    lines = [f"qudits p=3 n={n}"]
+    lines += [f"input {r} {'mixed' if r % 3 == 1 else 'zero'}" for r in range(1, n + 1)]
+    word = "; ".join(f"fourier({r}); sum({r},{r % n + 1})" for r in range(1, n + 1))
+    lines += [f"gate {word}"] * 4
+    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+    prog = parse_circuit("\n".join(lines))
+    sample_classical(prog, seed=1, shots=0)  # fill validation caches untraced
+    tracemalloc.start()
+    try:
+        rpt = sample_classical(prog, seed=1, shots=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * simulate.CHUNK_BYTES, peak
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "CHUNK_SHOTS", 6)
+        assert sample_classical(prog, seed=1, shots=20000).counts == rpt.counts
 
 
 def test_sampler_memory_bounded_by_a_chunk(monkeypatch, samples_dir):
