@@ -7,15 +7,6 @@ tensor-based Born-rule oracle that never builds a p^n x p^n matrix, and a
 distillation positivity check.
 """
 
-from .fields import (
-    CliffordElement,
-    apply_affine,
-    inv2,
-    is_symplectic,
-    require_odd_prime,
-    symplectic_form,
-)
-
 __version__ = "0.1.0"
 
 FORMAT_VERSION = 1

@@ -56,7 +56,6 @@ __all__ = [
     "parse_point",
     "load_matrix_file",
     "load_kraus_file",
-    "write_matrix_file",
     "load_wigner_file",
     "load_wigner_state",
     "load_povm_file",
@@ -189,16 +188,6 @@ def load_kraus_file(path) -> list:
     if not blocks:
         raise CircuitError(f"{path}: no Kraus blocks found")
     return [K for _, K in blocks]
-
-
-def write_matrix_file(path, M: np.ndarray) -> None:
-    d = M.shape[0]
-    lines = [f"dim {d}"]
-    for r in range(d):
-        lines.append(
-            " ".join(f"{M[r, c].real:.17g} {M[r, c].imag:.17g}" for c in range(d))
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_wigner_file(path, p: int) -> list:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from .simulate import (
     ZeroProbabilityBranch,
     compare_distributions,
     distill_step,
+    oracle_fits,
     parse_distill_file,
     random_distill_instance,
     run_oracle,
@@ -90,9 +90,11 @@ def cmd_wigner(args) -> int:
 
 def cmd_sample(args) -> int:
     prog = parse_circuit_file(args.circuit)
-    # the sampler is the only validator: without a seed it runs zero shots,
-    # so a rejected circuit reports REJECT before the missing seed
-    shots = args.shots if args.seed is not None else 0
+    # the sampler is the only validator: without a seed, or when the oracle
+    # check would refuse the circuit, it runs zero shots, so a rejected
+    # circuit reports REJECT before the missing seed or the oracle guard
+    draw = args.seed is not None and (not args.oracle_check or oracle_fits(prog))
+    shots = args.shots if draw else 0
     try:
         rpt = sample_classical(prog, seed=args.seed, shots=shots, jobs=args.jobs)
     except CircuitError as exc:

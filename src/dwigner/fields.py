@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z_p phase space: points, symplectic forms, affine maps.
+"""Exact arithmetic over Z_p phase space: points, symplectic matrices, affine maps.
 
 All phase-space data is integer and reduced mod p; nothing in this module
 touches floating point.  A point of an n-qudit phase space is a length-2n
@@ -7,7 +7,7 @@ integer vector arranged as n blocks (a1, a2), one block per qudit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ __all__ = [
     "inv2",
     "as_point",
     "symplectic_J",
-    "symplectic_form",
     "is_symplectic",
     "CliffordElement",
     "apply_affine",
@@ -65,17 +64,6 @@ def symplectic_J(n: int) -> np.ndarray:
         J[2 * i, 2 * i + 1] = 1
         J[2 * i + 1, 2 * i] = -1
     return J
-
-
-def symplectic_form(u, v, p: int) -> int:
-    """[u, v] = sum over blocks of (a1*b2 - a2*b1) mod p."""
-    uu = as_point(u, p)
-    vv = as_point(v, p)
-    if uu.size != vv.size:
-        raise ValueError(f"point length mismatch: {uu.size} vs {vv.size}")
-    n = uu.size // 2
-    total = int(uu @ (symplectic_J(n) @ vv))
-    return total % p
 
 
 def is_symplectic(F, p: int) -> bool:
@@ -129,10 +117,6 @@ class CliffordElement:
         a = (self.F @ first.a + self.a) % self.p
         return CliffordElement(F, a, self.p)
 
-    def inverse(self) -> "CliffordElement":
-        Finv = invert_matrix(self.F, self.p)
-        return CliffordElement(Finv, (-(Finv @ self.a)) % self.p, self.p)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):
             return NotImplemented
@@ -144,29 +128,6 @@ class CliffordElement:
 
     def __hash__(self):
         return hash((self.p, self.F.tobytes(), self.a.tobytes()))
-
-
-def invert_matrix(F, p: int) -> np.ndarray:
-    """Inverse of an integer matrix mod p by Gauss-Jordan elimination."""
-    require_odd_prime(p)
-    M = np.asarray(F, dtype=np.int64) % p
-    m = M.shape[0]
-    if M.ndim != 2 or M.shape[1] != m:
-        raise ValueError("matrix must be square")
-    aug = np.concatenate([M, np.eye(m, dtype=np.int64)], axis=1)
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, m) if aug[r, col] % p != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod p")
-        if pivot != row:
-            aug[[row, pivot]] = aug[[pivot, row]]
-        aug[row] = (aug[row] * pow(int(aug[row, col]), p - 2, p)) % p
-        for r in range(m):
-            if r != row and aug[r, col] % p != 0:
-                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-        row += 1
-    return aug[:, m:] % p
 
 
 def apply_affine(g: CliffordElement, u) -> np.ndarray:

@@ -84,6 +84,7 @@ __all__ = [
     "CompareResult",
     "DistillationInstance",
     "DistillResult",
+    "oracle_fits",
     "run_oracle",
     "sample_classical",
     "compare_distributions",
@@ -181,6 +182,11 @@ def _local_generator(p: int, kind: str, params: tuple) -> np.ndarray:
     return U
 
 
+def oracle_fits(prog: CircuitProgram) -> bool:
+    """True iff run_oracle takes prog: p^n at its widest point is at most ORACLE_DIM_CAP."""
+    return prog.p**prog.max_registers <= ORACLE_DIM_CAP
+
+
 def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     """Exact-to-double outcome distribution via the chain rule over all branches.
 
@@ -196,7 +202,7 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     and summed probability are recorded on the result.
     """
     p = prog.p
-    if p**prog.max_registers > ORACLE_DIM_CAP:
+    if not oracle_fits(prog):
         raise OracleGuardError(
             f"oracle guard: p^n = {p ** prog.max_registers} exceeds {ORACLE_DIM_CAP}"
         )

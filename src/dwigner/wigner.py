@@ -1,4 +1,4 @@
-"""Wigner transforms, phase-space Born rule, negativity, positivity tests.
+"""Wigner transforms, their inverse, and negativity.
 
 W_rho(u) = (1/d) Tr(A_u rho) for states; W_E(u) = Tr(A_u E) for effects
 (no 1/d).  Values are stored flat in phase-point index order.  Transforms
@@ -22,9 +22,7 @@ __all__ = [
     "wigner_of_effect",
     "wigner_of_factors",
     "state_from_wigner",
-    "born_probability",
     "negativity_F",
-    "is_positively_represented",
 ]
 
 
@@ -35,7 +33,6 @@ class WignerFunction:
     values: np.ndarray
     p: int
     n: int
-    kind: str  # "state" | "effect"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -66,10 +63,6 @@ class Povm:
             total += E
         if np.max(np.abs(total - np.eye(dim))) > 1e-9:
             raise ValueError("effects do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].shape[0]
 
 
 def _dims(M: np.ndarray, p: int) -> int:
@@ -107,7 +100,7 @@ def wigner_of_state(rho: np.ndarray, p: int) -> WignerFunction:
     """W_rho(u) = (1/d) Tr(A_u rho); sums to 1 for a valid state."""
     validate_state(rho, p)
     n = _dims(rho, p)
-    return WignerFunction(_contract(rho, p, n) / p**n, p, n, "state")
+    return WignerFunction(_contract(rho, p, n) / p**n, p, n)
 
 
 def wigner_of_effect(E: np.ndarray, p: int) -> WignerFunction:
@@ -116,7 +109,7 @@ def wigner_of_effect(E: np.ndarray, p: int) -> WignerFunction:
     n = _dims(E, p)
     if np.max(np.abs(E - E.conj().T)) > 1e-9:
         raise ValueError("effect is not Hermitian")
-    return WignerFunction(_contract(E, p, n), p, n, "effect")
+    return WignerFunction(_contract(E, p, n), p, n)
 
 
 def _first_bad(bad: np.ndarray, message: str, values=None) -> None:
@@ -171,25 +164,7 @@ def state_from_wigner(W, p: int, n: int) -> np.ndarray:
     return np.transpose(out, perm).reshape(p**n, p**n)
 
 
-def born_probability(W_state: WignerFunction, W_effect: WignerFunction) -> float:
-    """Pr = sum_u W_rho(u) W_E(u); equals Tr(rho E) even for negative W."""
-    if (W_state.p, W_state.n) != (W_effect.p, W_effect.n):
-        raise ValueError("phase spaces do not match")
-    return float(np.dot(W_state.values, W_effect.values))
-
-
 def negativity_F(rho: np.ndarray, p: int) -> float:
     """F(rho) = min_u Tr(A_u rho) = d * min_u W_rho(u); >= 0 iff positively represented."""
     W = wigner_of_state(rho, p)
     return float(p**W.n * W.values.min())
-
-
-def is_positively_represented(M: np.ndarray, p: int, kind: str = "state", tol: float = 1e-10) -> bool:
-    """True iff every Wigner value is >= -tol."""
-    if kind == "state":
-        W = wigner_of_state(M, p)
-    elif kind == "effect":
-        W = wigner_of_effect(M, p)
-    else:
-        raise ValueError(f"kind must be state or effect, got {kind!r}")
-    return bool(W.values.min() >= -tol)

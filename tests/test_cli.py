@@ -142,6 +142,43 @@ def test_sample_requires_seed(samples_dir, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+WIDE_CIRCUIT = (
+    "qudits p=3 n=6\n"
+    + "".join(f"input {r} zero\n" for r in range(1, 6))
+    + "input 6 mixed\ngate fourier(1); sum(1,2)\n"
+    + "".join(f"measure {r} computational\n" for r in range(6, 0, -1))
+)
+
+
+def test_sample_oracle_guard_refuses_before_any_shot(tmp_path, monkeypatch, capsys):
+    # p^n = 729 is past the oracle guard: the circuit is validated, then
+    # refused without drawing a shot
+    from dwigner import cli, simulate
+
+    calls = []
+
+    def no_shots(prog, seed, shots, jobs=1):
+        calls.append(shots)
+        if shots:
+            raise AssertionError(f"sampled {shots} shots")
+        return simulate.sample_classical(prog, seed=seed, shots=shots, jobs=jobs)
+
+    monkeypatch.setattr(cli, "sample_classical", no_shots)
+    circ = tmp_path / "wide.circ"
+    circ.write_text(WIDE_CIRCUIT)
+    argv = ["sample", str(circ), "--shots", "2000000", "--seed", "1", "--oracle-check"]
+    assert run_cli(*argv) == 2
+    assert calls == [0]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle guard: p^n = 729 exceeds 243\n"
+    # zero shots still only validate, and a missing seed is still named first
+    assert run_cli("sample", str(circ), "--shots", "0", "--oracle-check") == 0
+    assert capsys.readouterr().out == "ACCEPT\n"
+    assert run_cli("sample", str(circ), "--shots", "100", "--oracle-check") == 2
+    assert capsys.readouterr().err == "error: sampling requires an explicit --seed\n"
+
+
 def test_sample_with_oracle_check(samples_dir, tmp_path):
     out = tmp_path / "report.csv"
     rc = run_cli(

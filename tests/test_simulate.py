@@ -37,7 +37,6 @@ from dwigner.simulate import (
 from dwigner.stabilizer import mub_stabilizer_states
 from dwigner.weyl import NotCliffordError, clifford_generator, weyl_operator
 from dwigner.wigner import (
-    is_positively_represented,
     negativity_F,
     validate_state,
     wigner_of_effect,
@@ -417,7 +416,7 @@ def dense_distill_step(inst, force_negative_input=False) -> DistillResult:
         raise InputNegativelyRepresented(f"F(rho_in) = {F_in:.6g} < 0")
     P = inst.projector
     assert P.shape == (d_anc, d_anc) and np.max(np.abs(P @ P - P)) <= 1e-9
-    assert is_positively_represented(P, p, kind="effect", tol=1e-10)
+    assert wigner_of_effect(P, p).values.min() >= -1e-10
     kind, payload = inst.channel
     if kind == "unitary":
         rho_big = payload @ inst.rho_in @ payload.conj().T

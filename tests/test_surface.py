@@ -1,0 +1,69 @@
+"""Lint checks on the package source, read with `ast`.
+
+Every name a module lists in `__all__` is defined in it, and every import at
+a module's top level (other than `from __future__ import annotations`) is
+used somewhere in that module.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dwigner"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def top_level_imports(tree):
+    """(bound name, line) for each name a top-level import binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def top_level_definitions(tree):
+    names = {name for name, _ in top_level_imports(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def declared_all(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def loaded_names(tree) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_entries_are_defined(path):
+    tree = parse(path)
+    missing = sorted(set(declared_all(tree)) - top_level_definitions(tree))
+    assert not missing, f"{path.name}: __all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_top_level_imports_are_used(path):
+    tree = parse(path)
+    used = loaded_names(tree) | set(declared_all(tree))
+    unused = [f"{name} (line {line})" for name, line in top_level_imports(tree) if name not in used]
+    assert not unused, f"{path.name}: unused imports {unused}"

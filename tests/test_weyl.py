@@ -7,7 +7,7 @@ from dwigner.fields import (
     apply_affine,
     inv2,
     point_index,
-    symplectic_form,
+    symplectic_J,
 )
 from dwigner.weyl import (
     NotCliffordError,
@@ -49,7 +49,7 @@ def test_weyl_composition_rule(p):
     for u in all_points(p, 1):
         for v in all_points(p, 1):
             lhs = weyl_operator(u, p) @ weyl_operator(v, p)
-            s = (symplectic_form(u, v, p) * inv2(p)) % p
+            s = (int(u @ symplectic_J(1) @ v % p) * inv2(p)) % p
             uv = tuple((a + b) % p for a, b in zip(u, v))
             rhs = w**s * weyl_operator(uv, p)
             assert np.allclose(lhs, rhs, atol=1e-12)
@@ -63,7 +63,7 @@ def test_weyl_composition_two_qudits():
         u = tuple(rng.integers(0, p, size=4))
         v = tuple(rng.integers(0, p, size=4))
         lhs = weyl_operator(u, p) @ weyl_operator(v, p)
-        s = (symplectic_form(u, v, p) * inv2(p)) % p
+        s = (int(u @ symplectic_J(2) @ v % p) * inv2(p)) % p
         uv = tuple((a + b) % p for a, b in zip(u, v))
         assert np.allclose(lhs, w**s * weyl_operator(uv, p), atol=1e-12)
 

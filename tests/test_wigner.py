@@ -5,8 +5,6 @@ from dwigner.fields import all_points, point_index
 from dwigner.weyl import phase_point_operator, weyl_table
 from dwigner.wigner import (
     Povm,
-    born_probability,
-    is_positively_represented,
     negativity_F,
     state_from_wigner,
     validate_state,
@@ -64,7 +62,7 @@ def test_born_rule_in_phase_space():
         G = rng.normal(size=(p**n, p**n)) + 1j * rng.normal(size=(p**n, p**n))
         E = G @ G.conj().T
         E /= np.linalg.norm(E, 2) * 1.01  # PSD with norm < 1
-        pr = born_probability(wigner_of_state(rho, p), wigner_of_effect(E, p))
+        pr = np.dot(wigner_of_state(rho, p).values, wigner_of_effect(E, p).values)
         assert abs(pr - np.trace(rho @ E).real) < 1e-10
 
 
@@ -137,8 +135,7 @@ def test_validate_state_rejections():
 def test_povm_validation():
     p = 3
     effects = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
-    povm = Povm(labels=("0", "1", "2"), effects=[e.astype(complex) for e in effects])
-    assert povm.dim == 3
+    Povm(labels=("0", "1", "2"), effects=[e.astype(complex) for e in effects])
     # A_0 is not PSD, so it cannot be a POVM effect
     A0 = phase_point_operator((0, 0), p)
     comp = np.eye(p) - A0
@@ -147,15 +144,6 @@ def test_povm_validation():
     # incomplete set
     with pytest.raises(ValueError):
         Povm(labels=("a",), effects=[np.diag([1.0, 0, 0]).astype(complex)])
-
-
-def test_is_positively_represented():
-    assert is_positively_represented(np.eye(3) / 3, 3)
-    v = np.zeros(3, dtype=complex)
-    v[1], v[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    assert not is_positively_represented(np.outer(v, v.conj()), 3)
-    # effects scale differently but share the verdict logic
-    assert is_positively_represented(np.eye(3), 3, kind="effect")
 
 
 def test_wigner_effect_scaling():
