@@ -16,6 +16,10 @@ jumps to the chosen label; reaching a label line sequentially (or EOF) ends
 the path.  Branch targets must lie strictly ahead.  Every path must measure
 each register exactly once, always the highest-indexed unmeasured one.
 
+Each generator call is parsed once into a `GateCall`.  A gate item's affine
+map (F, a) is built once, on the registers it touches, as a local gate is the
+identity on every other register's coordinates; `_widen` embeds it into n.
+
 The same module reads the files a document refers to (Wigner, matrix, POVM
 and Kraus files) and slice files.  Matrix, POVM and Kraus files are blocks
 of row-major `re imag` pairs under a `dim <d>` or `effect <label>` header,
@@ -42,6 +46,7 @@ from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
 __all__ = [
     "CircuitError",
+    "GateCall",
     "GateInstr",
     "DisplaceInstr",
     "MeasureInstr",
@@ -284,9 +289,19 @@ def preset_state(spec: str, p: int, base_dir: Path) -> tuple[np.ndarray, str]:
 
 # --- instructions -----------------------------------------------------------
 
+@dataclass(frozen=True)
+class GateCall:
+    """A generator call: kind, registers ([ctrl, tgt] for sum) and the other
+    parameters as (name, value) pairs (multiply's `c`, displace's `point`)."""
+
+    kind: str
+    regs: tuple
+    params: tuple = ()
+
+
 @dataclass
 class GateInstr:
-    word: list  # [(kind, kwargs), ...] in application order
+    word: list  # [GateCall, ...] in application order
     line: int
 
 
@@ -342,27 +357,27 @@ def _parse_gate_word(word: str, p: int) -> list:
         if name == "fourier" or name == "quadratic":
             if len(nums) != 1:
                 raise CircuitError(f"{name} takes one register argument")
-            calls.append((name, {"register": nums[0]}))
+            calls.append(GateCall(name, (nums[0],)))
         elif name == "multiply":
             if len(nums) != 2:
                 raise CircuitError("multiply takes (c, register)")
             if nums[0] % p == 0:
                 raise CircuitError("multiply constant must be nonzero mod p")
-            calls.append((name, {"c": nums[0], "register": nums[1]}))
+            calls.append(GateCall(name, (nums[1],), (("c", nums[0]),)))
         elif name == "sum":
             if len(nums) != 2 or nums[0] == nums[1]:
                 raise CircuitError("sum takes distinct (ctrl, tgt)")
-            calls.append((name, {"ctrl": nums[0], "tgt": nums[1]}))
+            calls.append(GateCall(name, (nums[0], nums[1])))
         else:
             raise CircuitError(f"unknown gate {name!r}")
     return calls
 
 
-def _gate_registers(call) -> list[int]:
-    kind, kw = call
-    if kind == "sum":
-        return [kw["ctrl"], kw["tgt"]]
-    return [kw["register"]]
+def _item_calls(instr) -> list:
+    """Generator calls of a gate or displace instruction."""
+    if isinstance(instr, DisplaceInstr):
+        return [GateCall("displace", (instr.reg,), (("point", instr.point),))]
+    return instr.word
 
 
 # --- program ----------------------------------------------------------------
@@ -375,7 +390,7 @@ class CircuitProgram:
     input_specs: list
     items: list  # instruction/label sequence
     max_registers: int = 0
-    register_counts: dict = field(default_factory=dict)  # item idx -> set of counts
+    reached: set = field(default_factory=set)  # indices of the items some path runs
 
 
 def parse_circuit_file(path) -> CircuitProgram:
@@ -525,20 +540,20 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
         input_specs=[inputs[r][1] for r in range(1, n + 1)],
         items=items,
     )
-    prog.max_registers, prog.register_counts = _check_paths(prog, last_input)
+    prog.max_registers, prog.reached = _check_paths(prog, last_input)
     return prog
 
 
-def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, dict]:
-    """Walk every control path; enforce the measurement-order rule and
-    measure-exactly-once and the register cap; return the maximum register
-    count and, per item index, the set of register counts it runs under.
+def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, set]:
+    """Walk every control path; enforce the measurement-order rule,
+    measure-exactly-once, register ranges and the register cap; return the
+    maximum register count and the indices of the items some path runs.
 
     An error names its item's line; a path that reaches the end of the file
     names the line it came from (its last item, the measure that branched
     into it, or `start_line`, the last input, when it has no item)."""
     max_regs = prog.n
-    counts: dict[int, set] = {}
+    reached: set = set()
     seen: set = set()
     stack = [(0, prog.n, frozenset(), start_line)]
     while stack:
@@ -556,16 +571,10 @@ def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, dict]:
                 if unmeasured:
                     raise CircuitError(f"path ends with unmeasured registers {unmeasured}")
                 continue
-            counts.setdefault(i, set()).add(n_cur)
+            reached.add(i)
             if isinstance(instr, (GateInstr, DisplaceInstr)):
-                regs = (
-                    [instr.reg]
-                    if isinstance(instr, DisplaceInstr)
-                    else [r for call in instr.word for r in _gate_registers(call)]
-                )
-                for r in regs:
-                    if not 1 <= r <= n_cur:
-                        raise CircuitError(f"register {r} out of range 1..{n_cur}")
+                for r in [r for call in _item_calls(instr) for r in call.regs]:
+                    _require_registers([r], n_cur)
                     if r in measured:
                         raise CircuitError(f"register {r} already measured")
                 stack.append((i + 1, n_cur, measured, instr.line))
@@ -592,14 +601,14 @@ def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, dict]:
                         stack.append((target, n_cur, measured2, instr.line))
             else:
                 raise TypeError(f"unexpected item {instr!r}")
-    return max_regs, counts
+    return max_regs, reached
 
 
 @dataclass
 class ValidationReport:
     ok: bool
     problems: list
-    gate_maps: dict  # (item idx, register count) -> CliffordElement
+    gate_maps: dict  # gate item idx -> (regs, its (F, a) on them), see _word_map
     # Wigner values of each state that passed its PSD check: one array per
     # input register, and per extend item one array per appended register
     input_wigners: list
@@ -607,21 +616,14 @@ class ValidationReport:
     effect_wigners: dict  # measure item idx -> [values], one per effect
 
 
-def _item_calls(instr) -> list:
-    """Generator calls [(kind, kwargs), ...] of a gate or displace instruction."""
-    if isinstance(instr, DisplaceInstr):
-        return [("displace", {"register": instr.reg, "point": instr.point})]
-    return instr.word
-
-
 def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     """Physical validation: state and effect positivity, gate maps.
 
-    An item's map at each register count it runs under is the composition
-    of its calls' integer table maps (`_word_map`); no unitary is built.
-    `gate_maps` holds them keyed by (item index, register count).  The
-    Wigner values computed for the sign tests of states and effects are kept
-    for the sampler, an extend item's once per appended register.
+    Each gate item gets one map, on the registers it touches (`_word_map`);
+    no unitary is built.  The parser checked register ranges on every path;
+    an item no path reaches is checked here, at the initial register count.
+    The Wigner values computed for the sign tests of states and effects are
+    kept for the sampler, an extend item's once per appended register.
     """
     problems = []
     input_wigners = []
@@ -666,12 +668,11 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                     )
     gate_maps = {}
     for i, instr in enumerate(prog.items):
-        if not isinstance(instr, (GateInstr, DisplaceInstr)):
-            continue
-        # items no path reaches are still checked, at the initial register count
-        for n_cur in prog.register_counts.get(i, {prog.n}):
+        if isinstance(instr, GateInstr):
+            gate_maps[i] = _word_map(instr.word, prog.p)
+        if isinstance(instr, (GateInstr, DisplaceInstr)) and i not in prog.reached:
             try:
-                gate_maps[(i, n_cur)] = _word_map(_item_calls(instr), prog.p, n_cur)
+                _require_registers([r for c in _item_calls(instr) for r in c.regs], prog.n)
             except CircuitError as exc:
                 problems.append(f"line {instr.line}: {exc}")
     return ValidationReport(
@@ -684,44 +685,53 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     )
 
 
-def _local_call(call) -> tuple[list, str, tuple]:
-    """A generator call on its own registers: its registers ([ctrl, tgt] for
-    sum), the kind, and the remaining parameters."""
-    kind, kw = call
-    params = {k: v for k, v in kw.items() if k not in ("register", "ctrl", "tgt")}
-    return _gate_registers(call), kind, tuple(sorted(params.items()))
+def _require_registers(regs, n: int) -> None:
+    """Raise for the first of `regs` outside 1..n."""
+    for r in regs:
+        if not 1 <= r <= n:
+            raise CircuitError(f"register {r} out of range 1..{n}")
 
 
 @functools.lru_cache(maxsize=None)
 def _local_map(p: int, kind: str, params: tuple) -> CliffordElement:
-    """(F, a) of one generator call on its own registers, in the order
-    `_local_call` gives them, from the generator table."""
+    """(F, a) of one generator call on its own registers, in the order of
+    its `GateCall.regs`, from the generator table."""
     return generator_map(kind, p, **dict(params))
 
 
-def _word_map(word, p: int, n: int) -> CliffordElement:
-    """(F, a) on n registers of generator calls [(kind, kwargs), ...] in
-    application order, composed from their local maps.
+def _word_map(word, p: int) -> tuple[tuple, CliffordElement]:
+    """(regs, (F, a)) of generator calls in application order, on the
+    registers they touch in first-touch order, from the calls' local maps.
 
     A call's unitary is its local unitary tensored with the identity on the
     other registers (up to reordering tensor factors, which keeps the local
     order), and T_u factorizes over registers, so its (F, a) acts on the
     call's blocks as its local map and as the identity elsewhere: each call
     updates only the rows of its own registers.  The symplectic check runs
-    once, on the whole word.
+    once, on the 2k x 2k map of the word's k registers.
     """
-    F = np.eye(2 * n, dtype=np.int64)
-    a = np.zeros(2 * n, dtype=np.int64)
+    regs = tuple(dict.fromkeys(r for call in word for r in call.regs))
+    block = {r: 2 * k for k, r in enumerate(regs)}
+    F = np.eye(2 * len(regs), dtype=np.int64)
+    a = np.zeros(2 * len(regs), dtype=np.int64)
     for call in word:
-        regs, kind, params = _local_call(call)
-        for r in regs:
-            if not 1 <= r <= n:
-                raise CircuitError(f"register {r} out of range 1..{n}")
-        local = _local_map(p, kind, params)
-        rows = np.array([2 * r - 2 + k for r in regs for k in (0, 1)])
+        local = _local_map(p, call.kind, call.params)
+        rows = np.array([block[r] + k for r in call.regs for k in (0, 1)])
         F[rows] = (local.F @ F[rows]) % p
         a[rows] = (local.F @ a[rows] + local.a) % p
-    return CliffordElement(F, a, p)
+    return regs, CliffordElement(F, a, p)
+
+
+def _widen(regs, g: CliffordElement, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F, a) on n registers of the map g on `regs`: g on their blocks, the
+    identity elsewhere.  Raises for the first register outside 1..n."""
+    _require_registers(regs, n)
+    cols = np.array([2 * r - 2 + k for r in regs for k in (0, 1)], dtype=np.intp)
+    F = np.eye(2 * n, dtype=np.int64)
+    F[np.ix_(cols, cols)] = g.F
+    a = np.zeros(2 * n, dtype=np.int64)
+    a[cols] = g.a
+    return F, a
 
 
 # --- slice files ------------------------------------------------------------

@@ -20,15 +20,15 @@ Per-shot randomness is positional: draw j of shot s is U[s, j] of the
 shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
 (K = 2 * max_registers).  Shots run in chunks, and each chunk draws only its
 own rows, from a Philox stream advanced to the chunk's first draw.  A chunk
-holds as many shots as fit CHUNK_BYTES of uniforms (8K bytes per shot), at
-most CHUNK_SHOTS, so memory is bounded by a chunk at any shot count and any
-register count.  The chunk size is even, so every chunk starts on a whole
-Philox block and the bytes do not depend on it.
+holds as many shots as fit CHUNK_BYTES of uniforms (8K bytes per shot, so
+at most 65536 shots at K = 2), so memory is bounded by a chunk at any shot
+count and any register count.  The chunk size is even, so every chunk
+starts on a whole Philox block and the bytes do not depend on it.
 
-A chunk's kernel (_Walk) makes a few whole-array passes per instruction: it
-transposes the uniforms once so each draw position is a contiguous row,
-draws points with searchsorted straight into a preallocated point array,
-maps them through each gate's dense (2n)^2 matrix in float64 (a BLAS
+The kernel (_Walk) makes a few whole-array passes per instruction: it
+transposes a chunk's uniforms once so each draw position is a contiguous
+row, draws points with searchsorted straight into a preallocated point
+array, maps them through each gate's dense (2n)^2 matrix in float64 (a BLAS
 product, exact on these small integers) reduced mod p by a table gather,
 measures by counting contiguous cumulative effect columns below the draw,
 splits branches with index arrays and tallies outcome codes with bincount,
@@ -57,11 +57,12 @@ from .circuits import (
     load_matrix_file,
     preset_state,
     validate_circuit,
+    GateCall,
     _at_line,
     _content_lines,
     _item_calls,
-    _local_call,
     _parse_gate_word,
+    _widen,
     _word_map,
 )
 from .fields import CliffordElement, require_odd_prime
@@ -94,7 +95,6 @@ __all__ = [
     "parse_distill_file",
     "ORACLE_DIM_CAP",
     "PRODUCT_WIGNER_CAP",
-    "CHUNK_SHOTS",
     "CHUNK_BYTES",
 ]
 
@@ -106,12 +106,10 @@ ORACLE_DIM_CAP = 243
 # channel image, index map) hold p^(2n) entries: 3^12, 4 MB of float64 each,
 # so a product input with a word channel runs up to n = 6 qutrits
 PRODUCT_WIGNER_CAP = 3**12
-# Shots per sampler chunk, at most.  Even, so that every chunk's first draw
-# lo * K is a multiple of the four draws in one Philox block.
-CHUNK_SHOTS = 1 << 16
 # Bytes of one chunk's shots x K float64 uniforms.  A chunk holds the even
 # number of shots that fits, at least 2, so its uniforms, points and gate
-# products each take about this much at any register count.
+# products each take about this much at any register count; even, so each
+# chunk's first draw lo * K is a multiple of a Philox block's four draws.
 CHUNK_BYTES = 1 << 20
 # The tally's mixed-radix outcome codes stay below this, well inside int64.
 _CODE_LIMIT = 1 << 62
@@ -174,8 +172,8 @@ def _apply_local(rho: np.ndarray, M: np.ndarray, axes: list) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _local_generator(p: int, kind: str, params: tuple) -> np.ndarray:
     """The dense p x p (p^2 x p^2 for sum, control first) unitary of a
-    generator call on its own registers (see circuits._local_call); the
-    cached array is read-only."""
+    generator call on its own registers, from its GateCall kind and params;
+    the cached array is read-only."""
     on_own = {"n": 2, "ctrl": 1, "tgt": 2} if kind == "sum" else {}
     U = weyl.clifford_generator(kind, p, **on_own, **dict(params))[0]
     U.flags.writeable = False
@@ -226,9 +224,8 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
         instr = prog.items[i]
         if isinstance(instr, (GateInstr, DisplaceInstr)):
             for call in _item_calls(instr):
-                regs, kind, params = _local_call(call)
-                U = _local_generator(p, kind, params)
-                axes = [live.index(r) for r in regs]
+                U = _local_generator(p, call.kind, call.params)
+                axes = [live.index(r) for r in call.regs]
                 rho = _apply_local(rho, U, axes)
                 rho = _apply_local(rho, U.conj(), [a + len(live) for a in axes])
             walk(i + 1, rho, live, n_cur, outcomes, prob)
@@ -302,77 +299,70 @@ def sample_classical(
     report = validate_circuit(prog)
     if not report.ok:
         raise CircuitError("; ".join(report.problems), problems=tuple(report.problems))
-    input_dists = [_cumulative(w) for w in report.input_wigners]
-    extend_dists = {i: [_cumulative(w) for w in ws] for i, ws in report.extend_wigners.items()}
-    povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
-    gate_FT = {key: g.F.T.astype(np.float64) for key, g in report.gate_maps.items()}
+    walk = _Walk(prog, report)
     K = 2 * prog.max_registers
-    size = min(CHUNK_SHOTS, max(2, CHUNK_BYTES // (8 * K) // 2 * 2))
-
-    counts: dict[str, int] = {}
-    mults = 0
-    adds = 0
+    size = max(2, CHUNK_BYTES // (8 * K) // 2 * 2)
     for lo in range(0, shots, size):
-        chunk_counts, m, a = _run_chunk(
-            prog, seed, input_dists, extend_dists, povm_cols, gate_FT,
-            lo, min(lo + size, shots),
-        )
-        for k, v in chunk_counts.items():
-            counts[k] = counts.get(k, 0) + v
-        mults += m
-        adds += a
+        walk.run_chunk(seed, lo, min(lo + size, shots))
     return SampleReport(
         shots=shots,
         seed=seed,
-        counts=dict(sorted(counts.items())),
-        field_mults=mults,
-        field_adds=adds,
+        counts=dict(sorted(walk.counts.items())),
+        field_mults=walk.mults,
+        field_adds=walk.adds,
     )
 
 
-def _run_chunk(prog, seed, input_dists, extend_dists, povm_cols, gate_FT, lo, hi):
-    """Outcome counts, field mults and field adds of shots lo..hi-1."""
-    K = 2 * prog.max_registers
-    # Philox emits four 64-bit words per counter step and `random` spends one
-    # per draw, so skipping lo * K draws is lo * K / 4 steps; the row-major
-    # block is freed once transposed
-    rng = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4))
-    UT = np.ascontiguousarray(rng.random((hi - lo, K)).T)
-    walk = _Walk(prog, UT, extend_dists, povm_cols, gate_FT)
-    # initial phase points: one draw per register, positions 0..n-1
-    upts = np.empty((hi - lo, 2 * len(input_dists)), dtype=np.int64)
-    walk.draw_points(upts, input_dists, None, 0)
-    walk.run(0, None, upts, len(input_dists), {})
-    return walk.counts, walk.mults, walk.adds
-
-
 class _Walk:
-    """One chunk's shots pushed along the program's control paths.
+    """One run's shots pushed, chunk by chunk, along the program's control paths.
 
-    The chunk's uniforms are held transposed, one contiguous row per draw
-    position, so shots that have not split read a draw with no gather; `rows`
-    is None for them and the chunk-row ids of the shots after a split.  A
-    register's point (q, x) is drawn by `searchsorted` on its cumulative
-    table, idx = q * p + x.  A gate maps the points through the dense
-    product with F^T, taken in float64 so that BLAS runs it (exact: the
-    products are integers in [0, 2n(p-1)^2], far below 2^53), and reduced
-    mod p by a gather from the table `modp`.  A measurement counts the
-    cumulative effect columns below the draw, one contiguous column per
-    effect but the last, whose entry 1.0 no draw reaches.  A branch splits
-    the shots with index arrays, and shots that end a path together are
-    tallied at once.
+    Its tables are built once per run; a gate's F^T at a register count is
+    widened from its local map on first use.  A chunk's uniforms are held
+    transposed, one contiguous row per draw position, so shots that have not
+    split read a draw with no gather; `rows` is None for them and the
+    chunk-row ids of the shots after a split.  A register's point (q, x) is
+    drawn by `searchsorted` on its cumulative table, idx = q * p + x.  A gate
+    maps the points through the dense product with F^T, taken in float64 so
+    that BLAS runs it (exact: the products are integers in [0, 2n(p-1)^2],
+    far below 2^53), and reduced mod p by a gather from the table `modp`.  A
+    measurement counts the cumulative effect columns below the draw, one
+    contiguous column per effect but the last, whose entry 1.0 no draw
+    reaches.  A branch splits the shots with index arrays, and shots that
+    end a path together are tallied at once.
     """
 
-    def __init__(self, prog, UT, extend_dists, povm_cols, gate_FT):
+    def __init__(self, prog, report):
         self.prog = prog
-        self.UT = UT  # the chunk's uniforms, one row per draw position
-        self.extend_dists = extend_dists
-        self.povm_cols = povm_cols
-        self.gate_FT = gate_FT  # (item idx, register count) -> float64 F^T
+        self.input_dists = [_cumulative(w) for w in report.input_wigners]
+        self.extend_dists = {i: list(map(_cumulative, ws)) for i, ws in report.extend_wigners.items()}
+        self.povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
+        self.gate_maps = report.gate_maps  # item idx -> (regs, local map)
+        self.gate_FT: dict = {}  # (item idx, register count) -> float64 F^T
         self.modp = np.arange(2 * prog.max_registers * (prog.p - 1) ** 2 + 1) % prog.p
+        self.UT = None  # the chunk's uniforms, one row per draw position
         self.counts: dict[str, int] = {}
         self.mults = 0
         self.adds = 0
+
+    def run_chunk(self, seed, lo, hi):
+        """Add the outcomes and field operations of shots lo..hi-1."""
+        K = 2 * self.prog.max_registers
+        # Philox emits four 64-bit words per counter step and `random` spends
+        # one per draw, so skipping lo * K draws is lo * K / 4 steps; the
+        # row-major block is freed once transposed
+        rng = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4))
+        self.UT = np.ascontiguousarray(rng.random((hi - lo, K)).T)
+        # initial phase points: one draw per register, positions 0..n-1
+        upts = np.empty((hi - lo, 2 * len(self.input_dists)), dtype=np.int64)
+        self.draw_points(upts, self.input_dists, None, 0)
+        self.run(0, None, upts, len(self.input_dists), {})
+        self.UT = None
+
+    def gate_matrix(self, i, n):
+        """Gate item i's float64 F^T on n registers."""
+        if (i, n) not in self.gate_FT:
+            self.gate_FT[(i, n)] = _widen(*self.gate_maps[i], n)[0].T.astype(np.float64)
+        return self.gate_FT[(i, n)]
 
     def draws(self, rows, pos):
         """Draw `pos` of the shots `rows` (every shot of the chunk when None)."""
@@ -397,7 +387,7 @@ class _Walk:
             instr = items[i]
             shots, width = upts.shape
             if isinstance(instr, GateInstr):
-                prod = upts.astype(np.float64) @ self.gate_FT[(i, width // 2)]
+                prod = upts.astype(np.float64) @ self.gate_matrix(i, width // 2)
                 upts = self.modp[prod.astype(np.intp)]
                 self.mults += shots * width**2
             elif isinstance(instr, DisplaceInstr):
@@ -740,31 +730,30 @@ def random_distill_instance(p: int, n: int, rng) -> DistillationInstance:
     for _ in range(10):
         kind = kinds[rng.integers(len(kinds))]
         if kind == "multiply":
-            kw = {"c": int(rng.integers(1, p)), "register": int(rng.integers(1, n + 1))}
+            c = int(rng.integers(1, p))
+            word.append(GateCall(kind, (int(rng.integers(1, n + 1)),), (("c", c),)))
         elif kind == "sum":
             ctrl = int(rng.integers(1, n + 1))
             tgt = int(rng.integers(1, n))
             if tgt >= ctrl:
                 tgt += 1
-            kw = {"ctrl": ctrl, "tgt": tgt}
+            word.append(GateCall(kind, (ctrl, tgt)))
         elif kind == "displace":
             # one full-length draw, applied as one displace call per register
             pt = rng.integers(0, p, size=2 * n).tolist()
             word += [
-                ("displace", {"register": r, "point": (pt[2 * r - 2], pt[2 * r - 1])})
+                GateCall(kind, (r,), (("point", (pt[2 * r - 2], pt[2 * r - 1])),))
                 for r in range(1, n + 1)
             ]
-            continue
         else:
-            kw = {"register": int(rng.integers(1, n + 1))}
-        word.append((kind, kw))
+            word.append(GateCall(kind, (int(rng.integers(1, n + 1)),)))
     mub = mub_stabilizer_states(p)
     anc = tuple(mub.states[rng.integers(len(mub))] for _ in range(n - 1))
     return DistillationInstance(
         p=p,
         n=n,
         rho_in=random_positive_product_state(p, n, rng),
-        channel=("clifford", _word_map(word, p, n)),
+        channel=("clifford", CliffordElement(*_widen(*_word_map(word, p), n), p)),
         projector=anc,
     )
 
@@ -811,7 +800,7 @@ def parse_distill_file(path) -> DistillationInstance:
             elif key == "channel":
                 if rest.startswith("gates "):
                     word = _parse_gate_word(rest.split(" ", 1)[1], p)
-                    channel = ("clifford", _word_map(word, p, n))
+                    channel = ("clifford", CliffordElement(*_widen(*_word_map(word, p), n), p))
                 elif rest.startswith("kraus-file:"):
                     _check_distill_size(p, n, dense=True)
                     tokens = rest.split()

@@ -1,11 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwigner import simulate
 from dwigner.circuits import (
     MAX_REGISTERS,
     CircuitError,
+    GateCall,
+    _item_calls,
+    _widen,
+    _word_map,
     computational_povm,
     load_matrix_file,
     load_povm_file,
@@ -15,6 +22,7 @@ from dwigner.circuits import (
     parse_slice_file,
     validate_circuit,
 )
+from dwigner.fields import CliffordElement
 from dwigner.weyl import clifford_generator, extract_symplectic
 
 MINIMAL = """\
@@ -242,11 +250,39 @@ measure 1 computational
     prog = parse_circuit(src)
     rep = validate_circuit(prog)
     assert rep.ok
-    # the validator composed the gate's (F, a) at n=2 from the generator
-    # table; it is the map that conjugating the word's dense unitary gives
-    assert any(g.a.sum() == 0 for g in rep.gate_maps.values())
-    U = _dense_item_unitary(("gate", prog.items[0].word), 3, 2)
-    assert rep.gate_maps[(0, 2)] == extract_symplectic(U, 3)
+    # the validator composed the gate's (F, a) on its two registers from the
+    # generator table; widened to n=2 it is the map that conjugating the
+    # word's dense unitary gives
+    regs, g = rep.gate_maps[0]
+    assert regs == (1, 2) and g.a.sum() == 0
+    U = _dense_item_unitary(prog.items[0].word, 3, 2)
+    assert CliffordElement(*_widen(regs, g, 2), 3) == extract_symplectic(U, 3)
+
+
+def test_wide_validation_keeps_no_dense_maps():
+    # 256 registers, 32 displace items and 32 one-register gate items: one
+    # 2 x 2 map per gate item and none per displace item, where a 512 x 512
+    # map per item and register count would keep 2 MiB each
+    n = MAX_REGISTERS
+    lines = [f"qudits p=3 n={n}"] + [f"input {r} zero" for r in range(1, n + 1)]
+    for r in range(1, 33):
+        lines += [f"displace {r} (1,2)", f"gate fourier({r})"]
+    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+    prog = parse_circuit("\n".join(lines))
+    tracemalloc.start()
+    try:
+        rep = validate_circuit(prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok, rep.problems
+    assert peak < 4 * 2**20, peak
+    assert {i: regs for i, (regs, _) in rep.gate_maps.items()} == {
+        2 * r - 1: (r,) for r in range(1, 33)
+    }
+    rpt = simulate.sample_classical(prog, seed=1, shots=200)
+    assert rpt.field_mults == 200 * 32 * 512**2
+    assert sum(rpt.counts.values()) == 200
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -346,47 +382,54 @@ def gate_programs(draw, p):
     n = draw(st.integers(1, 4 if p <= 5 else 2))
     reg = st.integers(1, n)
     kinds = ["fourier", "quadratic", "multiply"] + (["sum"] if n > 1 else [])
-    items = []
+    items = []  # each item a list of GateCalls; a displace item is one call
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
-            items.append(("displace", draw(reg), draw(st.integers(0, p - 1)),
-                          draw(st.integers(0, p - 1))))
+            r = draw(reg)
+            point = (draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1)))
+            items.append([GateCall("displace", (r,), (("point", point),))])
             continue
         word = []
         for _ in range(draw(st.integers(1, 4))):
             kind = draw(st.sampled_from(kinds))
             if kind == "sum":
-                ctrl, tgt = draw(st.lists(reg, min_size=2, max_size=2, unique=True))
-                word.append(("sum", {"ctrl": ctrl, "tgt": tgt}))
+                regs = tuple(draw(st.lists(reg, min_size=2, max_size=2, unique=True)))
+                word.append(GateCall("sum", regs))
             elif kind == "multiply":
-                word.append(("multiply", {"c": draw(st.integers(1, p - 1)), "register": draw(reg)}))
+                c = draw(st.integers(1, p - 1))
+                word.append(GateCall("multiply", (draw(reg),), (("c", c),)))
             else:
-                word.append((kind, {"register": draw(reg)}))
-        items.append(("gate", word))
+                word.append(GateCall(kind, (draw(reg),)))
+        items.append(word)
     return n, items
 
 
-def _gate_text(item) -> str:
-    if item[0] == "displace":
-        _, r, a1, a2 = item
-        return f"displace {r} ({a1},{a2})"
-    calls = []
-    for kind, kw in item[1]:
-        args = {"sum": ("ctrl", "tgt"), "multiply": ("c", "register")}.get(kind, ("register",))
-        calls.append(f"{kind}({','.join(str(kw[a]) for a in args)})")
-    return "gate " + "; ".join(calls)
+def _gate_text(calls) -> str:
+    """The circuit line of an item's GateCalls."""
+    if calls[0].kind == "displace":
+        a1, a2 = dict(calls[0].params)["point"]
+        return f"displace {calls[0].regs[0]} ({a1},{a2})"
+    texts = []
+    for c in calls:
+        args = ((dict(c.params)["c"],) if c.kind == "multiply" else ()) + c.regs
+        texts.append(f"{c.kind}({','.join(map(str, args))})")
+    return "gate " + "; ".join(texts)
 
 
-def _dense_item_unitary(item, p, n):
+def _dense_item_unitary(calls, p, n):
     """The per-gate dense route: product of full n-register generator unitaries."""
-    if item[0] == "displace":
-        _, r, a1, a2 = item
-        pt = np.zeros(2 * n, dtype=np.int64)
-        pt[2 * r - 2 : 2 * r] = (a1, a2)
-        return clifford_generator("displace", p, n=n, point=pt)[0]
     U = np.eye(p**n, dtype=complex)
-    for kind, kw in item[1]:
-        U = clifford_generator(kind, p, n=n, **kw)[0] @ U
+    for call in calls:
+        kw = dict(call.params)
+        if call.kind == "displace":
+            pt = np.zeros(2 * n, dtype=np.int64)
+            pt[2 * call.regs[0] - 2 : 2 * call.regs[0]] = kw["point"]
+            kw["point"] = pt
+        elif call.kind == "sum":
+            kw["ctrl"], kw["tgt"] = call.regs
+        else:
+            kw["register"] = call.regs[0]
+        U = clifford_generator(call.kind, p, n=n, **kw)[0] @ U
     return U
 
 
@@ -398,10 +441,17 @@ def test_gate_maps_equal_dense_extraction(p, data):
     lines = [f"qudits p={p} n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
     lines += [_gate_text(item) for item in items]
     lines += [f"measure {r} computational" for r in range(n, 0, -1)]
-    rep = validate_circuit(parse_circuit("\n".join(lines)))
+    prog = parse_circuit("\n".join(lines))
+    rep = validate_circuit(prog)
     assert rep.ok, rep.problems
-    for i, item in enumerate(items):
-        assert rep.gate_maps[(i, n)] == extract_symplectic(_dense_item_unitary(item, p, n), p)
+    assert set(rep.gate_maps) == {i for i, calls in enumerate(items) if calls[0].kind != "displace"}
+    for i, calls in enumerate(items):
+        assert _item_calls(prog.items[i]) == calls  # each call parsed into its record
+        # a displace item has no validator map; its calls compose the same way
+        regs, g = rep.gate_maps[i] if i in rep.gate_maps else _word_map(calls, p)
+        assert g.F.shape == (2 * len(regs), 2 * len(regs))
+        widened = CliffordElement(*_widen(regs, g, n), p)
+        assert widened == extract_symplectic(_dense_item_unitary(calls, p, n), p)
 
 
 def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_dir):

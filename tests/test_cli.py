@@ -7,7 +7,6 @@ import pytest
 
 from dwigner import circuits
 from dwigner.cli import build_parser, main
-from dwigner.simulate import CHUNK_SHOTS
 from dwigner.stabilizer import MAX_MUB_P
 
 
@@ -61,6 +60,37 @@ def test_sample_rejects_negative_input(samples_dir, capsys):
     err = capsys.readouterr().err
     assert "negative Wigner value" in err
     assert "(0,0)" in err
+
+
+@pytest.mark.parametrize(
+    "items,n,err",
+    [
+        (
+            "gate fourier(5)\ndisplace 9 (1,1)\n",
+            1,
+            "reject: line 5: register 5 out of range 1..1\n"
+            "reject: line 6: register 9 out of range 1..1\n",
+        ),
+        (
+            "gate fourier(9); sum(0,1); fourier(-2)\ndisplace 0 (1,1)\ngate fourier(1)\n",
+            2,
+            "reject: line 7: register 9 out of range 1..2\n"
+            "reject: line 8: register 0 out of range 1..2\n",
+        ),
+    ],
+    ids=["gate-and-displace", "first-in-call-order"],
+)
+def test_sample_rejects_unreachable_items_out_of_range(tmp_path, capsys, items, n, err):
+    # no path runs the items after the label; they are still checked, at the
+    # initial register count, each naming its first bad register
+    head = f"qudits p=3 n={n}\n" + "".join(f"input {r} zero\n" for r in range(1, n + 1))
+    measures = "".join(f"measure {r} computational\n" for r in range(n, 0, -1))
+    circ = tmp_path / "unreachable.circ"
+    circ.write_text(head + measures + "label X:\n" + items)
+    assert run_cli("sample", str(circ), "--shots", "10", "--seed", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err + "REJECT\n"
 
 
 @pytest.mark.parametrize(
@@ -198,9 +228,14 @@ def test_sample_with_oracle_check(samples_dir, tmp_path):
         assert r.split(",")[3] == "0.333333333333"
 
 
-def test_sample_bytes_identical_across_jobs(samples_dir, tmp_path):
-    # one chunk of shots, then four chunks with a five-shot tail
-    for shots in (30000, 3 * CHUNK_SHOTS + 5):
+def test_sample_bytes_identical_across_jobs(samples_dir, tmp_path, monkeypatch):
+    from dwigner import simulate
+
+    # chunks of 4096 shots: one partial chunk, then four chunks with a
+    # five-shot tail
+    prog = circuits.parse_circuit_file(samples_dir / "reg10_cascade.circ")
+    monkeypatch.setattr(simulate, "CHUNK_BYTES", 8 * 2 * prog.max_registers * 4096)
+    for shots in (3000, 3 * 4096 + 5):
         outs = []
         for jobs in (1, 4, 9):
             out = tmp_path / f"r{shots}_{jobs}.csv"
@@ -654,6 +689,13 @@ def test_distill_check_gate_register_out_of_range(tmp_path, capsys):
     )
     assert run_cli("distill-check", str(inst)) == 2
     assert "line 3: register 3 out of range 1..2" in capsys.readouterr().err
+    # of several, the first in call order is named
+    inst.write_text(
+        "distill p=3 n=2\ninput product zero zero\n"
+        "channel gates fourier(1); sum(9,0); fourier(-2)\nprojector zero\n"
+    )
+    assert run_cli("distill-check", str(inst)) == 2
+    assert "line 3: register 9 out of range 1..2" in capsys.readouterr().err
 
 
 def test_distill_check_requires_seed(capsys):

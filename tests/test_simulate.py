@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwigner import circuits, simulate, weyl
-from dwigner.fields import all_points
+from dwigner.fields import CliffordElement, all_points
 from dwigner.circuits import (
     DisplaceInstr,
     ExtendInstr,
+    GateCall,
     GateInstr,
     LabelMarker,
     MeasureInstr,
@@ -49,11 +50,42 @@ def oracle_of(src, **kw):
 
 
 def _word_unitary(p: int, n: int, word) -> np.ndarray:
-    """Dense product of generator calls [(kind, kwargs), ...] in application order."""
+    """Dense product of GateCalls in application order, each call's unitary
+    built on all n registers; a displace call's point covers all its regs."""
     U = np.eye(p**n, dtype=complex)
-    for kind, kw in word:
-        U = clifford_generator(kind, p, n=n, **kw)[0] @ U
+    for call in word:
+        kw = dict(call.params)
+        if call.kind == "displace":
+            pt = np.zeros(2 * n, dtype=np.int64)
+            pt[[2 * r - 2 + k for r in call.regs for k in (0, 1)]] = kw["point"]
+            kw["point"] = pt
+        elif call.kind == "sum":
+            kw["ctrl"], kw["tgt"] = call.regs
+        else:
+            kw["register"] = call.regs[0]
+        U = clifford_generator(call.kind, p, n=n, **kw)[0] @ U
     return U
+
+
+def _widened(gate_map, n: int) -> np.ndarray:
+    """F on n registers of a validator gate map (regs, local map): the local
+    F on the registers' blocks, the identity elsewhere."""
+    regs, g = gate_map
+    F = np.eye(2 * n, dtype=np.int64)
+    cols = [2 * r - 2 + k for r in regs for k in (0, 1)]
+    F[np.ix_(cols, cols)] = g.F
+    return F
+
+
+def _chunk_shots(prog) -> int:
+    """The sampler's chunk size for prog at the current CHUNK_BYTES."""
+    return max(2, simulate.CHUNK_BYTES // (8 * 2 * prog.max_registers) // 2 * 2)
+
+
+def _chunk_bytes(prog, chunk: int) -> int:
+    """The CHUNK_BYTES at which the sampler runs prog in chunks of `chunk`
+    (even) shots."""
+    return 8 * 2 * prog.max_registers * chunk
 
 
 def dense_oracle(prog) -> dict:
@@ -65,9 +97,7 @@ def dense_oracle(prog) -> dict:
     def unitary(instr, n):
         if isinstance(instr, GateInstr):
             return _word_unitary(p, n, instr.word)
-        pt = np.zeros(2 * n, dtype=np.int64)
-        pt[2 * instr.reg - 2 : 2 * instr.reg] = instr.point
-        return _word_unitary(p, n, [("displace", {"point": pt})])
+        return _word_unitary(p, n, [GateCall("displace", (instr.reg,), (("point", instr.point),))])
 
     def psd_sqrt(E):
         vals, vecs = np.linalg.eigh(E)
@@ -445,18 +475,19 @@ def dense_random_instance(p, n, rng, word_length=10) -> DistillationInstance:
     for _ in range(word_length):
         kind = kinds[rng.integers(len(kinds))]
         if kind == "multiply":
-            kw = {"c": int(rng.integers(1, p)), "register": int(rng.integers(1, n + 1))}
+            c = int(rng.integers(1, p))
+            word.append(GateCall(kind, (int(rng.integers(1, n + 1)),), (("c", c),)))
         elif kind == "sum":
             ctrl = int(rng.integers(1, n + 1))
             tgt = int(rng.integers(1, n))
             if tgt >= ctrl:
                 tgt += 1
-            kw = {"ctrl": ctrl, "tgt": tgt}
+            word.append(GateCall(kind, (ctrl, tgt)))
         elif kind == "displace":
-            kw = {"point": rng.integers(0, p, size=2 * n)}
+            point = tuple(rng.integers(0, p, size=2 * n).tolist())
+            word.append(GateCall(kind, tuple(range(1, n + 1)), (("point", point),)))
         else:
-            kw = {"register": int(rng.integers(1, n + 1))}
-        word.append((kind, kw))
+            word.append(GateCall(kind, (int(rng.integers(1, n + 1)),)))
     mub = mub_stabilizer_states(p)
     anc = np.ones((1, 1), dtype=complex)
     for _ in range(n - 1):
@@ -545,12 +576,13 @@ def test_image_indices_match_pointwise_images(p, n):
     word = []
     for _ in range(8):
         r = int(rng.integers(1, n + 1))
-        word += [("fourier", {"register": r}), ("quadratic", {"register": r}),
-                 ("multiply", {"c": int(rng.integers(1, p)), "register": r})]
+        word += [GateCall("fourier", (r,)), GateCall("quadratic", (r,)),
+                 GateCall("multiply", (r,), (("c", int(rng.integers(1, p))),))]
         if n > 1:
-            word.append(("sum", {"ctrl": r, "tgt": r % n + 1}))
-    word.append(("displace", {"register": n, "point": tuple(rng.integers(0, p, size=2).tolist())}))
-    g = circuits._word_map(word, p, n)
+            word.append(GateCall("sum", (r, r % n + 1)))
+    point = tuple(rng.integers(0, p, size=2).tolist())
+    word.append(GateCall("displace", (n,), (("point", point),)))
+    g = CliffordElement(*circuits._widen(*circuits._word_map(word, p), n), p)
     images = (all_points(p, n) @ g.F.T + g.a) % p
     assert np.array_equal(simulate._image_indices(g), images @ p ** np.arange(2 * n - 1, -1, -1))
 
@@ -697,9 +729,9 @@ def test_tally_keys_from_labels_of_unequal_length(tmp_path):
     prog = parse_circuit("\n".join(lines), base_dir=tmp_path)
     expected = per_shot_counts(prog, seed, shots)
     assert any("10" in key for key in expected) and any("bcd" in key for key in expected)
-    for chunk in (simulate.CHUNK_SHOTS, 6):
+    for chunk in (_chunk_shots(prog), 6):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "CHUNK_SHOTS", chunk)
+            mp.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, chunk))
             assert sample_classical(prog, seed=seed, shots=shots).counts == expected
 
 
@@ -796,7 +828,7 @@ def test_sampler_matches_oracle_on_generated_circuits(samples_dir, src):
     # the chunk size never changes the counts; tiny chunks split the short run
     for size, shots in ((2, 1001), (6, 1001), (4096, 20000)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "CHUNK_SHOTS", size)
+            mp.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, size))
             assert sample_classical(prog, seed=11, shots=shots).counts == runs[shots].counts
 
 
@@ -808,11 +840,12 @@ def test_oracle_matches_dense_reference_on_generated_circuits(samples_dir, src):
 
 def reference_sample(prog, seed, shots):
     """Reference sampler kernel: (counts, field mults, field adds) of `shots`
-    shots, in chunks of simulate.CHUNK_SHOTS, on the same Philox layout.
-    Each chunk gathers its draws from the (shots, K) uniform matrix, splits
-    (q, x) with // and %, reduces gate products with % p, measures by
-    comparing a gathered (shots, L) cumulative table row by row, splits
-    branches with boolean masks and tallies with np.unique."""
+    shots, in the sampler's chunks, on the same Philox layout.  Each chunk
+    gathers its draws from the (shots, K) uniform matrix, splits (q, x) with
+    // and %, maps points by int64 products with each gate's local map,
+    widened here, reduced with % p, measures by comparing a gathered
+    (shots, L) cumulative table row by row, splits branches with boolean
+    masks and tallies with np.unique."""
     report = validate_circuit(prog)
     assert report.ok
     input_dists = [simulate._cumulative(w) for w in report.input_wigners]
@@ -825,8 +858,8 @@ def reference_sample(prog, seed, shots):
         cum[:, -1] = 1.0
         povm_cums[i] = cum
     counts, mults, adds = {}, 0, 0
-    for lo in range(0, shots, simulate.CHUNK_SHOTS):
-        hi = min(lo + simulate.CHUNK_SHOTS, shots)
+    for lo in range(0, shots, _chunk_shots(prog)):
+        hi = min(lo + _chunk_shots(prog), shots)
         walk = _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums,
                                 report.gate_maps, lo, hi)
         for k, v in walk.counts.items():
@@ -870,7 +903,7 @@ class _ReferenceWalk:
             instr = items[i]
             n_cur = upts.shape[1] // 2
             if isinstance(instr, GateInstr):
-                upts = (upts @ self.gate_maps[(i, n_cur)].F.T) % p
+                upts = (upts @ _widened(self.gate_maps[i], n_cur).T) % p
                 self.mults += rows.size * (2 * n_cur) ** 2
             elif isinstance(instr, DisplaceInstr):
                 c = 2 * (instr.reg - 1)
@@ -931,7 +964,7 @@ def test_sampler_kernel_matches_reference_kernel(samples_dir, src, seed, shots, 
     # reference kernel, over several chunks with an odd tail
     prog = parse_circuit(src, base_dir=samples_dir)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "CHUNK_SHOTS", chunk)
+        mp.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, chunk))
         rpt = sample_classical(prog, seed=seed, shots=shots)
         counts, mults, adds = reference_sample(prog, seed, shots)
     assert rpt.counts == counts
@@ -944,7 +977,7 @@ def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir):
     # holds a single shot
     for path in sorted(samples_dir.glob("reg*.circ")):
         prog = parse_circuit_file(path)
-        for shots in (3000, 2 * simulate.CHUNK_SHOTS + 1):
+        for shots in (3000, 2 * _chunk_shots(prog) + 1):
             rpt = sample_classical(prog, seed=7, shots=shots)
             assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
                 prog, 7, shots
@@ -972,7 +1005,7 @@ def test_sampler_memory_flat_in_width():
         tracemalloc.stop()
     assert peak < 16 * simulate.CHUNK_BYTES, peak
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "CHUNK_SHOTS", 6)
+        mp.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, 6))
         assert sample_classical(prog, seed=1, shots=20000).counts == rpt.counts
 
 
@@ -981,7 +1014,7 @@ def test_sampler_memory_bounded_by_a_chunk(monkeypatch, samples_dir):
     # sized by the shot count, or chunk arrays kept alive after their chunk,
     # would grow with the chunk count
     prog = parse_circuit_file(samples_dir / "reg10_cascade.circ")
-    monkeypatch.setattr(simulate, "CHUNK_SHOTS", 4096)
+    monkeypatch.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, 4096))
     sample_classical(prog, seed=1, shots=4096)  # fill validation caches untraced
     peaks = []
     for chunks in (1, 40):
