@@ -17,8 +17,8 @@ the path.  Branch targets must lie strictly ahead.  Every path must measure
 each register exactly once, always the highest-indexed unmeasured one.
 
 Each generator call is parsed once into a `GateCall`.  A gate item's affine
-map (F, a) is built once, on the registers it touches, as a local gate is the
-identity on every other register's coordinates; `_widen` embeds it into n.
+map (F, a) is built once, on the registers it touches; `fields.widen_map`
+lifts it to n, as a local gate is the identity on the other registers.
 
 The same module reads the files a document refers to (Wigner, matrix, POVM
 and Kraus files) and slice files.  Matrix, POVM and Kraus files are blocks
@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import CliffordElement, require_odd_prime
+from .fields import CliffordElement, require_odd_prime, widen_map
 from .weyl import generator_map
 from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
@@ -723,15 +723,9 @@ def _word_map(word, p: int) -> tuple[tuple, CliffordElement]:
 
 
 def _widen(regs, g: CliffordElement, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F, a) on n registers of the map g on `regs`: g on their blocks, the
-    identity elsewhere.  Raises for the first register outside 1..n."""
+    """`fields.widen_map`, after a CircuitError for a register outside 1..n."""
     _require_registers(regs, n)
-    cols = np.array([2 * r - 2 + k for r in regs for k in (0, 1)], dtype=np.intp)
-    F = np.eye(2 * n, dtype=np.int64)
-    F[np.ix_(cols, cols)] = g.F
-    a = np.zeros(2 * n, dtype=np.int64)
-    a[cols] = g.a
-    return F, a
+    return widen_map(regs, g, n)
 
 
 # --- slice files ------------------------------------------------------------

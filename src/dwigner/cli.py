@@ -27,7 +27,7 @@ from .circuits import (
     preset_state,
 )
 from .fields import index_point, require_odd_prime
-from .geometry import SolverFailure, classify_state, facet_check, slice_csv, slice_scan
+from .geometry import NEG_TOL, SolverFailure, classify_state, facet_check, slice_csv, slice_scan
 from .simulate import (
     OracleGuardError,
     ZeroProbabilityBranch,
@@ -80,7 +80,7 @@ def cmd_wigner(args) -> int:
         pt = index_point(i, p, n)
         lines.append(f"{i}," + ",".join(str(c) for c in pt) + f",{fmt_number(v)}")
     worst = int(np.argmin(W.values))
-    flag = "NEGATIVE" if W.values[worst] < -1e-12 else "NONNEGATIVE"
+    flag = "NEGATIVE" if W.values[worst] < -NEG_TOL else "NONNEGATIVE"
     lines.append(f"# min_W = {fmt_number(W.values[worst])} at index {worst}")
     lines.append(f"# F = {fmt_number(p**n * W.values.min())}")
     lines.append(f"# flag = {flag}")

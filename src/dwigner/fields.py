@@ -18,6 +18,7 @@ __all__ = [
     "symplectic_J",
     "is_symplectic",
     "CliffordElement",
+    "widen_map",
     "apply_affine",
     "point_index",
     "index_point",
@@ -128,6 +129,17 @@ class CliffordElement:
 
     def __hash__(self):
         return hash((self.p, self.F.tobytes(), self.a.tobytes()))
+
+
+def widen_map(regs, g: CliffordElement, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F, a) on n registers of the map g on registers `regs` (in 1..n, in
+    g's block order): g on their blocks, the identity elsewhere."""
+    cols = np.array([2 * r - 2 + k for r in regs for k in (0, 1)], dtype=np.intp)
+    F = np.eye(2 * n, dtype=np.int64)
+    F[np.ix_(cols, cols)] = g.F
+    a = np.zeros(2 * n, dtype=np.int64)
+    a[cols] = g.a
+    return F, a
 
 
 def apply_affine(g: CliffordElement, u) -> np.ndarray:

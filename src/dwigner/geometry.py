@@ -26,7 +26,7 @@ from . import FORMAT_VERSION, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, mub_stabilizer_states
 from .weyl import weyl_table
-from .wigner import _contract, state_from_wigner
+from .wigner import _contract, state_from_wigner, validate_hermitian_unit_trace
 
 __all__ = [
     "FacetReport",
@@ -221,21 +221,16 @@ def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]
     from scipy.optimize import linprog  # loaded by the first LP only
 
     count = V.shape[0]
-    A_eq_like = np.vstack([V.T, np.ones(count)])
+    A = np.vstack([V.T, np.ones(count)])
     b = np.concatenate([target, [1.0]])
-    rows = []
-    rhs = []
-    for i in range(A_eq_like.shape[0]):
-        rows.append(np.concatenate([A_eq_like[i], [-1.0]]))
-        rhs.append(b[i])
-        rows.append(np.concatenate([-A_eq_like[i], [-1.0]]))
-        rhs.append(-b[i])
+    # the row pairs [A_i, -1] . (w, t) <= b_i and [-A_i, -1] . (w, t) <= -b_i
+    rows = np.stack([A, -A], axis=1).reshape(-1, count)
     c = np.zeros(count + 1)
     c[-1] = 1.0
     res = linprog(
         c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        A_ub=np.hstack([rows, -np.ones((len(rows), 1))]),
+        b_ub=np.stack([b, -b], axis=1).ravel(),
         bounds=[(0, None)] * count + [(0, None)],
         method="highs",
     )
@@ -321,6 +316,7 @@ def classify_state(
     Returns (label, details) with min_eig, min_wigner and the hull
     certificate when one was computed.  With exact_w (Fractions) the sign
     test is exact, and for p = 3 so is the hull verdict (`hull_membership`).
+    An operator that fails `validate_hermitian_unit_trace` gets no label: ValueError.
     """
     require_odd_prime(p)
     if S is None:
@@ -333,6 +329,7 @@ def classify_state(
     W = np.asarray(W, dtype=float).ravel()
     if rho is None:
         rho = state_from_wigner(W, p, n)
+    validate_hermitian_unit_trace(rho, p)
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if exact_w is not None:
         min_w_exact = min(exact_w)

@@ -654,39 +654,20 @@ def _part_values(part, p: int, count: int, kind: str) -> np.ndarray:
 
 
 def _image_indices(g: CliffordElement) -> np.ndarray:
-    """Point index of g(u) = Fu + a for every point u, in point-index order.
-
-    Image coordinates are held one row each, reduced mod p, in the smallest
-    unsigned dtype that holds 2(p - 1), so a sum of two reduced terms is
-    reduced again by one conditional subtraction of p.  Two tables of p^n
-    columns hold the images of the slow half of u's coordinates (plus a)
-    and of the fast half, each built one coordinate at a time; one broadcast
-    sum of the two gives all p^(2n) images, and the rows are folded into one
-    int64 index, slowest coordinate first.
-    """
+    """Point index of g(u) = Fu + a for every point u, in point-index order:
+    image coordinate i is the sum a_i + sum_j F_ij u_j broadcast over one
+    grid axis per u_j, reduced mod p and folded into the index."""
     p, m = g.p, 2 * g.n
-    dtype = np.min_scalar_type(2 * (p - 1))
-    # steps[j, x] = x * F[:, j] mod p
-    steps = (np.arange(p)[:, None] * g.F.T[:, None, :] % p).astype(dtype)
-
-    def reduce_(images):
-        # unsigned x - p wraps above x where x < p, so the minimum is x mod p
-        return np.minimum(images, images - dtype.type(p), out=images)
-
-    def table(coords, start):
-        images = start.astype(dtype)[:, None]
-        for j in coords:
-            images = reduce_((images[:, :, None] + steps[j].T[:, None, :]).reshape(m, -1))
-        return images
-
-    slow = table(range(g.n), g.a)
-    fast = table(range(g.n, m), np.zeros(m, dtype=np.int64))
-    images = reduce_((slow[:, :, None] + fast[:, None, :]).reshape(m, -1))
-    index = images[0].astype(np.int64)
-    for row in images[1:]:
+    dtype = np.min_scalar_type((p - 1) * (1 + m * (p - 1)))  # holds every unreduced sum
+    steps = (g.F.T[:, :, None] * np.arange(p)).astype(dtype)  # steps[j, i, x] = F_ij x
+    images = g.a.astype(dtype).reshape((m,) + (1,) * m)
+    for j in reversed(range(m)):  # fastest axis first keeps each addition's inner loop long
+        images = images + steps[j].reshape((m,) + (1,) * j + (p,) + (1,) * (m - 1 - j))
+    index = np.zeros(images.shape[1:], dtype=np.int64)
+    for row in images:
         index *= p
-        index += row
-    return index
+        index += row - row // p * p  # numpy vectorizes floor division by a scalar, not %
+    return index.ravel()
 
 
 def _check_distill_size(p: int, n: int, dense: bool = False) -> None:

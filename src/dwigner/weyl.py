@@ -20,6 +20,7 @@ from .fields import (
     index_point,
     inv2,
     require_odd_prime,
+    widen_map,
 )
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "phase_point_operator",
     "WeylTable",
     "weyl_table",
+    "embed_operator",
     "generator_map",
     "clifford_generator",
     "extract_symplectic",
@@ -133,22 +135,18 @@ def weyl_table(p: int, n: int) -> WeylTable:
         return _tables[key]
 
 
-def _embed_single(U: np.ndarray, p: int, n: int, register: int) -> np.ndarray:
-    if not 1 <= register <= n:
-        raise ValueError(f"register {register} out of range 1..{n}")
-    out = np.ones((1, 1), dtype=complex)
-    for r in range(1, n + 1):
-        out = np.kron(out, U if r == register else np.eye(p))
-    return out
-
-
-def _embed_F(Fblock: np.ndarray, n: int, registers: list[int]) -> np.ndarray:
-    F = np.eye(2 * n, dtype=np.int64)
-    sl = [slice(2 * (r - 1), 2 * r) for r in registers]
-    for i, si in enumerate(sl):
-        for j, sj in enumerate(sl):
-            F[si, sj] = Fblock[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-    return F
+def embed_operator(U: np.ndarray, p: int, n: int, regs) -> np.ndarray:
+    """Dense p^n x p^n operator that acts as the p^k x p^k operator U on the
+    k registers `regs`, U's tensor factors in that order, and as the identity
+    on the others.  Raises for the first register outside 1..n."""
+    for r in regs:
+        if not 1 <= r <= n:
+            raise ValueError(f"register {r} out of range 1..{n}")
+    rest = [r for r in range(1, n + 1) if r not in regs]
+    full = np.kron(U, np.eye(p ** len(rest), dtype=complex)).reshape((p,) * (2 * n))
+    # row axis j and column axis n + j of U (x) I belong to register order[j]
+    order = np.array([*regs, *rest]) - 1
+    return np.moveaxis(full, range(2 * n), [*order, *(order + n)]).reshape(p**n, p**n)
 
 
 def generator_map(kind: str, p: int, c: Optional[int] = None, point=None) -> CliffordElement:
@@ -192,46 +190,38 @@ def clifford_generator(
     point=None,
 ) -> tuple[np.ndarray, CliffordElement]:
     """One named Clifford generator as a dense unitary on n registers, with
-    its `generator_map` embedded at `register` (at ctrl and tgt for sum).
+    its map: the local unitary and `generator_map` on the generator's own
+    registers, lifted to n by `embed_operator` and `fields.widen_map`.
 
-    A displace point is full-length; the other kinds act on one register
-    (two for sum) and as the identity elsewhere.
+    A displace point is full-length; the other kinds act on `register` (on
+    ctrl and tgt, in that order, for sum) and as the identity elsewhere.  A
+    generator whose registers are 1..n in order is returned unembedded.
     """
     local = generator_map(kind, p, c=c, point=point)
     om = _omega(p)
-    zero = np.zeros(2 * n, dtype=np.int64)
+    regs = (register,)
     if kind == "fourier":
-        U1 = np.array([[om ** ((x * y) % p) for x in range(p)] for y in range(p)]) / np.sqrt(p)
+        U = np.array([[om ** ((x * y) % p) for x in range(p)] for y in range(p)]) / np.sqrt(p)
     elif kind == "quadratic":
-        U1 = np.diag([om ** ((inv2(p) * x * x) % p) for x in range(p)])
+        U = np.diag([om ** ((inv2(p) * x * x) % p) for x in range(p)])
     elif kind == "multiply":
-        U1 = np.zeros((p, p), dtype=complex)
+        U = np.zeros((p, p), dtype=complex)
         for x in range(p):
-            U1[(c * x) % p, x] = 1
+            U[(c * x) % p, x] = 1
     elif kind == "sum":
         if ctrl is None or tgt is None or ctrl == tgt:
             raise ValueError("sum needs distinct ctrl and tgt registers")
-        for r in (ctrl, tgt):
-            if not 1 <= r <= n:
-                raise ValueError(f"register {r} out of range 1..{n}")
-        d = p**n
-        U = np.zeros((d, d), dtype=complex)
-        digits = np.stack(
-            np.meshgrid(*([np.arange(p)] * n), indexing="ij"), axis=-1
-        ).reshape(d, n)
-        weights = p ** np.arange(n - 1, -1, -1)
-        for col in range(d):
-            x = digits[col].copy()
-            x[tgt - 1] = (x[tgt - 1] + x[ctrl - 1]) % p
-            U[int(x @ weights), col] = 1
-        return U, CliffordElement(_embed_F(local.F, n, [ctrl, tgt]), zero, p)
-    else:  # displace
+        regs = (ctrl, tgt)
+        x_c, x_t = np.divmod(np.arange(p * p), p)  # |x_c, x_t> -> |x_c, x_t + x_c>
+        U = np.zeros((p * p, p * p), dtype=complex)
+        U[x_c * p + (x_t + x_c) % p, x_c * p + x_t] = 1
+    else:  # displace, on all n registers
         if local.n != n:
             raise ValueError(f"displace point length {local.a.size}, expected {2 * n}")
         return weyl_operator(local.a, p), local
-    # a generator on its own single register needs no embedding
-    U = U1 if (n, register) == (1, 1) else _embed_single(U1, p, n, register)
-    return U, CliffordElement(_embed_F(local.F, n, [register]), zero, p)
+    if regs != tuple(range(1, n + 1)):
+        U = embed_operator(U, p, n, regs)
+    return U, CliffordElement(*widen_map(regs, local, n), p)
 
 
 def extract_symplectic(U: np.ndarray, p: int) -> CliffordElement:

@@ -17,6 +17,7 @@ from .weyl import weyl_table
 __all__ = [
     "WignerFunction",
     "Povm",
+    "validate_hermitian_unit_trace",
     "validate_state",
     "wigner_of_state",
     "wigner_of_effect",
@@ -73,14 +74,19 @@ def _dims(M: np.ndarray, p: int) -> int:
     return n
 
 
-def validate_state(rho: np.ndarray, p: int) -> None:
-    """Hermitian to 1e-12, unit trace to 1e-10, min eigenvalue >= -1e-9."""
+def validate_hermitian_unit_trace(rho: np.ndarray, p: int) -> None:
+    """A p^n x p^n operator, Hermitian to 1e-12, with trace 1 to 1e-10."""
     require_odd_prime(p)
     _dims(rho, p)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
         raise ValueError("state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"state trace {np.trace(rho).real} != 1")
+
+
+def validate_state(rho: np.ndarray, p: int) -> None:
+    """`validate_hermitian_unit_trace`, then min eigenvalue >= -1e-9."""
+    validate_hermitian_unit_trace(rho, p)
     low = np.linalg.eigvalsh(rho).min()
     if low < -1e-9:
         raise ValueError(f"state has negative eigenvalue {low}")

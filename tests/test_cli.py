@@ -373,6 +373,31 @@ def test_classify_rounded_wigner_file_keeps_the_float_route(tmp_path, monkeypatc
     assert any(line.startswith("lp_residual = ") for line in lines)
 
 
+THIRD = "0.333333333333333333"
+NON_STATES = {
+    # 2 I / 3: trace 2
+    "two_thirds.mat": "dim 3\n" + "\n".join(
+        " ".join("0.666666666666666667 0" if j == i else "0 0" for j in range(3)) for i in range(3)
+    ),
+    # I / 3 plus 0.01 |0><1|: not Hermitian
+    "skew.mat": f"dim 3\n{THIRD} 0 0.01 0 0 0\n0 0 {THIRD} 0 0 0\n0 0 0 0 {THIRD} 0",
+    # the maximally mixed state at 6 decimals: trace 0.999999
+    "six.w": "wigner p=3\n" + "\n".join(f"{a1} {a2} 0.111111" for a1 in range(3) for a2 in range(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_STATES))
+def test_classify_rejects_a_non_state_as_wigner_does(name, tmp_path, monkeypatch, capsys):
+    (tmp_path / name).write_text(NON_STATES[name] + "\n")
+    monkeypatch.chdir(tmp_path)
+    spec = ("wigner-file:" if name.endswith(".w") else "matrix-file:") + name
+    assert run_cli("wigner", spec) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("error: state ")
+    assert run_cli("classify", spec) == 2
+    assert capsys.readouterr() == ("", want)
+
+
 def test_slice_scan_and_reproducibility(samples_dir, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

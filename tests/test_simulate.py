@@ -120,10 +120,10 @@ def dense_oracle(prog) -> dict:
             walk(i + 1, rho, n_cur + instr.count, outcomes, prob)
         elif isinstance(instr, MeasureInstr):
             for label, E in zip(instr.povm.labels, instr.povm.effects):
-                pk = float(np.trace(weyl._embed_single(E, p, n_cur, instr.reg) @ rho).real)
+                pk = float(np.trace(weyl.embed_operator(E, p, n_cur, (instr.reg,)) @ rho).real)
                 if pk < 1e-15:
                     continue
-                M = weyl._embed_single(psd_sqrt(E), p, n_cur, instr.reg)
+                M = weyl.embed_operator(psd_sqrt(E), p, n_cur, (instr.reg,))
                 nxt = i + 1 if instr.branch is None else instr.branch[label]
                 walk(nxt, M @ rho @ M.conj().T / pk, n_cur, {**outcomes, instr.reg: label},
                      prob * pk)
@@ -152,6 +152,13 @@ def test_oracle_fourier_uniform():
     d = oracle_of("qudits p=3 n=1\ninput 1 zero\ngate fourier(1)\nmeasure 1 computational\n")
     for k in ("0", "1", "2"):
         assert d.probabilities[k] == pytest.approx(1 / 3)
+
+
+def test_oracle_takes_a_multiply_constant_past_int64():
+    # c = 10^29 + 1 = 2 mod 3 takes |1> to |2>; c must stay a Python int
+    c = 10**29 + 1
+    d = oracle_of(f"qudits p=3 n=1\ninput 1 basis(1)\ngate multiply({c}, 1)\nmeasure 1 computational\n")
+    assert d.probabilities == {"2": pytest.approx(1.0)}
 
 
 def test_oracle_correlated_pair():
@@ -220,7 +227,7 @@ measure 1 computational
 
 def test_oracle_on_five_qutrits_builds_only_local_operators(monkeypatch):
     prog = parse_circuit(WIDE5)
-    seen = {"clifford_generator": [], "weyl_operator": [], "_embed_single": []}
+    seen = {"clifford_generator": [], "weyl_operator": [], "embed_operator": []}
     for name, record in seen.items():
         original = getattr(weyl, name)
 
@@ -237,7 +244,7 @@ def test_oracle_on_five_qutrits_builds_only_local_operators(monkeypatch):
     assert seen["clifford_generator"] and seen["weyl_operator"]  # the spies were live
     assert all(kw.get("n", 1) <= 2 for _, kw in seen["clifford_generator"])
     assert all(np.size(args[0]) == 2 for args, _ in seen["weyl_operator"])
-    assert seen["_embed_single"] == []
+    assert seen["embed_operator"] == []
     assert len(got.probabilities) == 3**5
     monkeypatch.undo()
     ref = dense_oracle(prog)
@@ -568,10 +575,10 @@ def test_distill_step_matches_dense_reference_at_five_qutrits():
     assert got.verdict == want.verdict == "PASS"
 
 
-@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 2), (3, 3), (7, 2), (131, 1)])
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (131, 1)])
 def test_image_indices_match_pointwise_images(p, n):
-    # odd and even register counts split the coordinates unevenly; at p = 131
-    # a sum of two reduced coordinates needs 16 bits
+    # at p = 131 an unreduced image coordinate a_i + sum_j F_ij u_j is past
+    # 8 bits, so the sums run in 16
     rng = np.random.default_rng(p + n)
     word = []
     for _ in range(8):

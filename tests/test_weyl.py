@@ -151,6 +151,26 @@ def test_sum_gate_truth_table():
             assert abs(out[hit] - 1) < 1e-12
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_generators_on_three_registers_match_kron_reference(p):
+    I = np.eye(p)
+    for kind, kw in [("fourier", {}), ("quadratic", {}), ("multiply", {"c": 2})]:
+        U1 = clifford_generator(kind, p, **kw)[0]
+        for r in (1, 2, 3):
+            f1, f2, f3 = (U1 if s == r else I for s in (1, 2, 3))
+            U, _ = clifford_generator(kind, p, n=3, register=r, **kw)
+            assert np.array_equal(U, np.kron(np.kron(f1, f2), f3))
+    # sum with control 3 and target 1: the two-register sum (control first)
+    # (x) I on register 2 has tensor axes (3, 1, 2), moved to (1, 2, 3)
+    S = np.zeros((p * p, p * p))
+    for xc in range(p):
+        for xt in range(p):
+            S[xc * p + (xt + xc) % p, xc * p + xt] = 1
+    ref = np.kron(S, I).reshape((p,) * 6).transpose(1, 2, 0, 4, 5, 3).reshape(p**3, p**3)
+    U, _ = clifford_generator("sum", p, n=3, ctrl=3, tgt=1)
+    assert np.array_equal(U, ref)
+
+
 def test_generators_symplectic_part_matches():
     p = 3
     _, g = clifford_generator("fourier", p)
