@@ -41,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import CliffordElement, require_odd_prime, widen_map
+from .geometry import NEG_TOL
 from .weyl import generator_map
 from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
@@ -635,7 +636,7 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
             continue
         input_wigners.append(W.values)
         worst = int(np.argmin(W.values))
-        if W.values[worst] < -1e-10:
+        if W.values[worst] < -NEG_TOL:
             problems.append(
                 f"input {reg} ({spec}): negative Wigner value {W.values[worst]:.6g} "
                 f"at point ({worst // prog.p},{worst % prog.p})"
@@ -650,7 +651,7 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                 problems.append(f"extend ({instr.preset}): {exc}")
                 continue
             extend_wigners[i] = [W.values] * instr.count
-            if W.values.min() < -1e-10:
+            if W.values.min() < -NEG_TOL:
                 problems.append(
                     f"extend ({instr.preset}): negative Wigner value {W.values.min():.6g}"
                 )
@@ -660,7 +661,7 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                 WE = wigner_of_effect(E, prog.p)
                 effect_wigners[i].append(WE.values)
                 worst = int(np.argmin(WE.values))
-                if WE.values[worst] < -1e-10:
+                if WE.values[worst] < -NEG_TOL:
                     problems.append(
                         f"measure {instr.reg} ({instr.povm_name}) effect {label!r}: "
                         f"negative Wigner value {WE.values[worst]:.6g} "

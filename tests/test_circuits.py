@@ -377,9 +377,10 @@ def test_format_header_line_tolerated():
 
 @st.composite
 def gate_programs(draw, p):
-    """Random gate and displace items over all five generator kinds; above
-    p = 5 the register count keeps the dense reference at p^n <= 243."""
-    n = draw(st.integers(1, 4 if p <= 5 else 2))
+    """Random gate and displace items over all five generator kinds on up to
+    four registers; the register count keeps the dense reference at
+    p^n <= 243 (4 at p = 3, 3 at p = 5, 2 above)."""
+    n = draw(st.integers(1, max(k for k in range(1, 5) if p**k <= 243)))
     reg = st.integers(1, n)
     kinds = ["fourier", "quadratic", "multiply"] + (["sum"] if n > 1 else [])
     items = []  # each item a list of GateCalls; a displace item is one call

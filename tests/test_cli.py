@@ -62,6 +62,24 @@ def test_sample_rejects_negative_input(samples_dir, capsys):
     assert "(0,0)" in err
 
 
+def test_sample_and_wigner_share_the_negativity_tolerance(tmp_path, monkeypatch, capsys):
+    # W(0,0) = -1/20000000000 and the values sum to exactly 1: `wigner` flags
+    # the state NEGATIVE, so `sample` must refuse it as an input
+    rows = [f"{a1} {a2} 1/9" for a1 in range(3) for a2 in range(3)]
+    rows[0], rows[1] = "0 0 -1/20000000000", "0 1 40000000009/180000000000"
+    (tmp_path / "tiny.w").write_text("wigner p=3\n" + "\n".join(rows) + "\n")
+    (tmp_path / "c.circ").write_text(
+        "qudits p=3 n=1\ninput 1 wigner-file:tiny.w\nmeasure 1 computational\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("wigner", "wigner-file:tiny.w", "--p", "3") == 0
+    assert "# flag = NEGATIVE" in capsys.readouterr().out
+    assert run_cli("sample", "c.circ", "--shots", "100", "--seed", "1", "--oracle-check") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reject: input 1 (wigner-file:tiny.w): negative Wigner value -")
+    assert err.endswith("e-11 at point (0,0)\nREJECT\n")
+
+
 @pytest.mark.parametrize(
     "items,n,err",
     [
@@ -738,8 +756,8 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy's LP, sparse-matrix and statistics modules load at their first use,
-    # so a command that needs none of them never pays for importing them
+    # scipy's LP and sparse-matrix modules load at their first use, so a
+    # command that needs neither never pays for importing them
     code = (
         "import sys, dwigner.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.sparse') if m in sys.modules))"
@@ -747,6 +765,22 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sample_oracle_check_imports_no_scipy(samples_dir):
+    # the chi-square p-value is a closed form, so the whole sample path,
+    # oracle comparison included, runs on numpy and the standard library
+    argv = ["sample", str(samples_dir / "reg05_bell.circ"), "--shots", "2000", "--seed", "1",
+            "--oracle-check"]
+    code = (
+        "import sys, dwigner.cli; "
+        f"assert dwigner.cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "# verdict = PASS" in proc.stdout
+    assert proc.stderr.strip() == "[]"
 
 
 def test_sample_refuses_a_circuit_past_the_register_cap(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import dataclasses
 import functools
 import itertools
+import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -366,6 +369,36 @@ def test_compare_pools_small_cells():
     # expected 3 each at 1000 shots: the two tiny cells merge into one pool
     assert res.pooled_cells == 2
     assert res.verdict == "PASS"
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy.special import chdtrc
+
+    dofs = sorted(set(range(1, 41)) | {int(v) for v in np.geomspace(41, 5000, 40)})
+    checked = 0
+    for dof in dofs:
+        for stat in np.linspace(0.0, dof + 10 * np.sqrt(2 * dof), 41):
+            ref = float(chdtrc(dof, stat))
+            if ref > 1e-250:
+                got = simulate._chi2_sf(dof, float(stat))
+                assert abs(got - ref) <= 1e-11 * ref, (dof, stat, got, ref)
+                checked += 1
+    assert checked > 3000
+
+
+@pytest.mark.parametrize("stat", [0.0, 1e-9, 0.5, 3.0, 40.0, 1399.0, 1401.0, 2e4])
+def test_chi2_sf_one_and_two_degrees(stat):
+    assert simulate._chi2_sf(1, stat) == math.erfc(math.sqrt(stat / 2))
+    assert simulate._chi2_sf(2, stat) == math.exp(-stat / 2)
+
+
+def test_chi2_sf_at_zero_and_far_tail():
+    for dof in (1, 2, 3, 50, 5000):
+        assert simulate._chi2_sf(dof, 0.0) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stat in (1e6, 1e300, sys.float_info.max, math.inf):
+                assert simulate._chi2_sf(dof, stat) == 0.0
 
 
 # --- distillation -----------------------------------------------------------
