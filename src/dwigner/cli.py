@@ -192,8 +192,7 @@ def cmd_classify(args) -> int:
 
 def cmd_slice(args) -> int:
     spec = parse_slice_file(args.spec)
-    S = mub_stabilizer_states(spec.p)
-    rows = slice_scan(spec, S=S)
+    rows = slice_scan(spec)
     _emit(slice_csv(rows, spec), args.out)
     return 0
 

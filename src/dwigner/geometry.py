@@ -5,10 +5,12 @@ the enumerated vertex set.  An exact rational qutrit Wigner vector is placed
 in or out of the hull by the polytope's 81 integer facets, enumerated once
 per process and applied as one integer matrix product; every other input runs
 a floating-point LP.  Outside points get a separating dual witness from a
-second LP in both cases.  A slice scan decides its whole grid with array
+second LP in both cases.  These hull LPs of `hull_membership` are the only
+code that loads scipy.  A slice scan decides its whole grid with array
 operations on integer numerators over one common denominator, plus one
-stacked eigenvalue call; the only LP it runs is one witness LP per block of
-grid points, joint over the block's BOUND points.
+stacked eigenvalue call, and runs no LP: a BOUND point's margin, its exact L1
+distance to the hull, is the witness LP's optimum taken over a table of the
+LP's 1520 vertices, which is kept as 21 orbit representatives.
 """
 
 from __future__ import annotations
@@ -48,16 +50,43 @@ PSD_TOL = 1e-9
 NEG_TOL = 1e-12
 SAT_TOL = 1e-8
 VERTEX_TOL = 1e-10
-# integers below this stay exact through a facet product (|g|_1 <= 7) and a
-# float64 quotient; larger slice numerators fall back to Python ints
+# integers below this stay exact in int64 through a facet product (|g|_1 <= 7)
+# or a witness-vertex product (|45 y|_inf <= 45), and in a float64 quotient;
+# larger slice numerators fall back to Python ints
 EXACT_INT_BOUND = 2**50
 MAX_SLICE_POINTS = 10**6  # the largest pinned grid has 6561 points
 SLICE_BLOCK = 4096  # grid points decided per array block
-# BOUND points per joint witness LP.  HiGHS time grows faster than the rows of
-# one joint LP (random targets on a 2-CPU machine: 0.10 s for 400 rows, 1.8 s
-# for 4096, 0.93 s for 4096 in joint LPs of 512), so a block's points are
-# solved in joint LPs of at most this many rows
-WITNESS_LP_ROWS = 512
+WITNESS_ROWS = 512  # BOUND rows per witness-vertex product: 6 MB of int64, not 50 MB per block
+
+# The witness LP of a qutrit point t, max y . t - s over the polyhedron
+# {|y|_inf <= 1, y . V_i <= s for the 12 stabilizer states V_i}, has the L1
+# distance from t to the hull as its optimum.  The polyhedron has 1520
+# vertices in 21 orbits under the affine maps of the phase points.  One
+# vertex per orbit, as the integers 15 y in point-index order; s is
+# max_i y . V_i.
+_WITNESS_ORBITS = (
+    (-15, -15, -15, -15, -15, -15, -15, -15, -15),
+    (-15, -15, -15, -15, -15, -15, -15, -15, 15),
+    (-15, -15, -15, -15, -15, -15, -15, 15, 15),
+    (-15, -15, -15, -15, -15, -15, 15, 15, 15),
+    (-15, -15, -15, -15, -15, 15, -15, 15, 15),
+    (-15, -15, -15, -15, -15, 15, 0, 0, 0),
+    (-15, -15, -15, -15, -15, 15, 15, 15, 15),
+    (-15, -15, -15, -15, 0, 15, 0, 0, 0),
+    (-15, -15, -15, -15, 15, 15, -15, 15, 15),
+    (-15, -15, -15, -15, 15, 15, 15, 15, 15),
+    (-15, -15, -15, 15, 15, 15, 15, 15, 15),
+    (-15, -15, -5, -15, 5, 15, 5, 5, -5),
+    (-15, -15, 0, -15, 15, 15, 0, 15, 0),
+    (-15, -15, 3, -9, 9, 9, -3, 15, -3),
+    (-15, -15, 5, -5, 5, 15, 5, 15, -5),
+    (-15, -15, 15, -15, -15, 15, 15, 15, 15),
+    (-15, -15, 15, -15, 15, 15, 15, 15, 15),
+    (-15, -15, 15, 15, 15, 15, 15, 15, 15),
+    (-15, -5, 5, -5, 5, 15, 5, 15, -5),
+    (-15, 15, 15, 15, 15, 15, 15, 15, 15),
+    (15, 15, 15, 15, 15, 15, 15, 15, 15),
+)
 
 
 class SolverFailure(RuntimeError):
@@ -152,6 +181,18 @@ def exact_vertex_matrix(S: StabilizerSet) -> list:
 
 
 @functools.lru_cache(maxsize=None)
+def _qutrit_lines() -> np.ndarray:
+    """The 12 qutrit stabilizer states' Wigner rows scaled by 3: the 0/1
+    indicators of the lines of Z_3^2, as a read-only (12, 9) int64 matrix."""
+    L = np.array(
+        [[int(3 * x) for x in row] for row in exact_vertex_matrix(mub_stabilizer_states(3))],
+        dtype=np.int64,
+    )
+    L.flags.writeable = False
+    return L
+
+
+@functools.lru_cache(maxsize=None)
 def qutrit_facets() -> tuple:
     """Facets of the qutrit stabilizer polytope, as integer normals g with g . W >= 0.
 
@@ -163,10 +204,7 @@ def qutrit_facets() -> tuple:
     the normals; each one kept is checked in integers to vanish on its subset
     and to be nonnegative on all 12 vertices.  Returns 81 sorted tuples.
     """
-    V = np.array(
-        [[int(3 * x) for x in row] for row in exact_vertex_matrix(mub_stabilizer_states(3))],
-        dtype=np.int64,
-    )
+    V = _qutrit_lines()
     subsets = np.array(list(itertools.combinations(range(len(V)), 8)))
     rows = V[subsets]
     minors = np.stack([np.linalg.det(np.delete(rows, j, axis=2)) for j in range(V.shape[1])], axis=1)
@@ -189,10 +227,32 @@ def _facet_matrix() -> np.ndarray:
     return G
 
 
+@functools.lru_cache(maxsize=None)
+def _witness_vertices() -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex (y, s) of the qutrit witness polyhedron, as read-only int64
+    arrays 45 y, shape (1520, 9), and 45 s, shape (1520,).
+
+    The affine maps u -> M u + a of Z_3^2 (M in GL(2, 3), 432 maps) send lines
+    to lines, so they permute the 12 stabilizer states and map vertices to
+    vertices; the table is the union of the images of `_WITNESS_ORBITS`.
+    """
+    pts = all_points(3, 1)
+    mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3]
+    images = np.einsum("gij,uj->gui", np.reshape(mats, (-1, 2, 2)), pts)
+    # perms[g, a, u] = point_index(M_g u + a)
+    perms = ((images[:, None] + pts[None, :, None]) % 3) @ np.array([3, 1])
+    Y = np.unique(np.array(_WITNESS_ORBITS)[:, perms.reshape(-1, 9)].reshape(-1, 9), axis=0)
+    s = (Y @ _qutrit_lines().T).max(axis=1)
+    Y = 3 * Y
+    Y.flags.writeable = s.flags.writeable = False
+    return Y, s
+
+
 def _int_array(values, bound: int) -> np.ndarray:
     """Integers whose magnitude is at most `bound`, as an int64 array when every
-    facet product of them and their quotient by a denominator up to `bound` is
-    exact in int64 and float64 (`bound < EXACT_INT_BOUND`), else as Python ints."""
+    facet or witness-vertex product of them and their quotient by a
+    denominator up to `bound` is exact in int64 and float64
+    (`bound < EXACT_INT_BOUND`), else as Python ints."""
     return np.array(values, dtype=np.int64 if bound < EXACT_INT_BOUND else object)
 
 
@@ -418,14 +478,12 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
     eigenvalue comes from a stacked `eigvalsh`.  Labels then follow
     `classify_state`.  Margins are filled for the labels that ran the hull
     test: the feasibility residual for STABILIZER_MIX (0, since the verdict is
-    exact), the dual witness gap for BOUND.  The witnesses of a block's BOUND
-    points come from joint LPs (`_separating_witness`) of at most
-    WITNESS_LP_ROWS points, the only LPs run; if one fails, each of its
-    points' LPs runs alone, and a SolverFailure names the point.  A grid
-    above MAX_SLICE_POINTS points raises ValueError before any allocation.
+    exact), the dual witness gap for BOUND, which is the exact L1 distance to
+    the hull from the witness-vertex table (`_hull_distances`), rounded once
+    to a float.  No LP runs and scipy is not loaded.  A grid above
+    MAX_SLICE_POINTS points raises ValueError before any allocation.  Both
+    tables are those of `mub_stabilizer_states(3)`, so `S` is not read.
     """
-    if S is None:
-        S = mub_stabilizer_states(3)
     swept = spec.swept
     shape = tuple(_axis_count(axes) for _, axes in swept)
     total = math.prod(shape)
@@ -487,37 +545,29 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
                 label = "BOUND"
                 bound_rows.append(i)
             block.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
-        if bound_rows:
-            gaps = _witness_gaps(S.wigner_matrix, w[bound_rows], [block[i].coords for i in bound_rows])
-            for i, gap in zip(bound_rows, gaps):
-                block[i].lp_margin = gap
+        for i, gap in zip(bound_rows, _hull_distances(num[bound_rows], D)):
+            block[i].lp_margin = gap
         rows += block
     return rows
 
 
-def _witness_gaps(V: np.ndarray, targets: np.ndarray, points: list) -> list:
-    """Witness gaps of a block's BOUND points, from joint LPs of at most
-    WITNESS_LP_ROWS points each.
+def _hull_distances(num: np.ndarray, den: int) -> list:
+    """L1 distance to the qutrit stabilizer hull of each row of Wigner
+    numerators over `den`, as the float nearest its exact value.
 
-    If a joint LP fails, each of its points' LPs is solved on its own, so
-    that a SolverFailure names the point (its slice coordinates) whose LP
-    failed.
+    By LP duality the distance is the witness LP's optimum, so it is the
+    largest 45 (y . t - s) over the vertex table, an integer product taken
+    WITNESS_ROWS rows at a time, divided once by 45 den.
     """
-    gaps = []
-    for start in range(0, len(targets), WITNESS_LP_ROWS):
-        rows = targets[start : start + WITNESS_LP_ROWS]
-        try:
-            gaps += _separating_witness(V, rows)[0].tolist()
-            continue
-        except SolverFailure:
-            pass
-        for target, point in zip(rows, points[start : start + WITNESS_LP_ROWS]):
-            try:
-                gaps.append(float(_separating_witness(V, target[None, :])[0][0]))
-            except SolverFailure as exc:
-                coords = ", ".join(str(x) for x in point)
-                raise SolverFailure(f"slice point ({coords}): {exc}") from exc
-    return gaps
+    Y, s = _witness_vertices()
+    if num.dtype != np.int64:
+        Y, s = Y.astype(object), s.astype(object)
+    best = []
+    for start in range(0, len(num), WITNESS_ROWS):
+        values = num[start : start + WITNESS_ROWS] @ Y.T
+        values -= den * s
+        best += values.max(axis=1).tolist()
+    return [b / (45 * den) for b in best]
 
 
 def slice_csv(rows: list, spec: SliceSpec) -> str:

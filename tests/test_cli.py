@@ -438,22 +438,20 @@ def test_slice_rejects_a_huge_grid_before_allocating(samples_dir, tmp_path, caps
     assert not (tmp_path / "grid.csv").exists()
 
 
-def test_slice_solver_failure_exits_3(samples_dir, tmp_path, monkeypatch, capsys):
-    # every witness LP fails, the joint one of the block and then the first
-    # point's own: the error names that point and no output is written
+def test_classify_solver_failure_exits_3(samples_dir, tmp_path, monkeypatch, capsys):
+    # a BOUND verdict runs the witness LP; when it fails, the error is one
+    # line, the exit code 3, and no output is written
     import scipy.optimize
 
     def no_convergence(c, **kwargs):
-        calls.append(len(c))
         return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
 
-    calls = []
+    monkeypatch.chdir(samples_dir.parent)
     monkeypatch.setattr(scipy.optimize, "linprog", no_convergence)
-    out = tmp_path / "grid.csv"
-    assert run_cli("slice", str(samples_dir / "pinned_ninth_3d.slice"), "--out", str(out)) == 3
+    out = tmp_path / "c.txt"
+    assert run_cli("classify", "wigner-file:sample_inputs/bound_ninth.w", "--out", str(out)) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: slice point (0, 1/45, 14/45): witness LP")
-    assert calls[0] > 10 and calls[1:] == [10]
+    assert len(err) == 1 and err[0].startswith("error: witness LP did not converge")
     assert not out.exists()
 
 
@@ -780,6 +778,21 @@ def test_sample_oracle_check_imports_no_scipy(samples_dir):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "# verdict = PASS" in proc.stdout
+    assert proc.stderr.strip() == "[]"
+
+
+def test_slice_imports_no_scipy(samples_dir, tmp_path):
+    # every margin comes from the exact facet and witness-vertex tables, so a
+    # slice solves no LP and never loads scipy
+    argv = ["slice", str(samples_dir / "pinned_sixth_3d.slice"), "--out", str(tmp_path / "grid.csv")]
+    code = (
+        "import sys, dwigner.cli; "
+        f"assert dwigner.cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "BOUND" in (tmp_path / "grid.csv").read_text()
     assert proc.stderr.strip() == "[]"
 
 

@@ -1,12 +1,13 @@
 import collections
 import itertools
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dwigner import geometry, wigner
@@ -350,9 +351,9 @@ def small_slice_specs(draw):
 
 
 def assert_rows_match(rows, expected):
-    """Equal rows, except that lp_margin may differ by 1e-12: a block's joint
-    witness LP can return another optimal y than the per-point LP, and the
-    margin, the LP optimum, agrees only to rounding."""
+    """Equal rows, except that lp_margin may differ by 1e-12: the scan's margin
+    is the exact hull distance rounded once, the reference's the float
+    witness LP's optimum, which agrees with it only to rounding."""
     assert len(rows) == len(expected)
     for row, ref in zip(rows, expected):
         assert (row.coords, row.label, row.min_eig, row.min_wigner) == (
@@ -385,104 +386,112 @@ def test_slice_scan_exact_beyond_int64(mub3):
 
 
 def test_slice_scan_decides_the_grid_at_once(monkeypatch, samples_dir, mub3):
+    import scipy.optimize
+
     def no_inverse(*args, **kwargs):
         raise AssertionError("state_from_wigner called during a slice scan")
 
-    witness_calls = []
-    real_witness = geometry._separating_witness
-
-    def spy_witness(V, targets):
-        witness_calls.append(len(targets))
-        return real_witness(V, targets)
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP solved during a slice scan")
 
     spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
     expected = reference_slice_scan(spec, mub3)
     monkeypatch.setattr(geometry, "state_from_wigner", no_inverse)
     monkeypatch.setattr(wigner, "state_from_wigner", no_inverse)
-    monkeypatch.setattr(geometry, "_separating_witness", spy_witness)
-    # blocks of 512 split the 3721 points into 8 blocks
+    monkeypatch.setattr(geometry, "_separating_witness", no_lp)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    # blocks of 512 split the 3721 points into 8 blocks, and witness products
+    # of 40 rows split a block's BOUND rows
     monkeypatch.setattr(geometry, "SLICE_BLOCK", 512)
+    monkeypatch.setattr(geometry, "WITNESS_ROWS", 40)
     rows = slice_scan(spec, S=mub3)
     assert_rows_match(rows, expected)
-    # one witness LP per block that holds a BOUND row, over all of its BOUND rows
     per_block = collections.Counter(i // 512 for i, r in enumerate(rows) if r.label == "BOUND")
-    assert len(per_block) >= 2
-    assert witness_calls == [per_block[b] for b in sorted(per_block)]
+    assert len(per_block) >= 2 and max(per_block.values()) > 40
+
+
+def _affine_permutations() -> np.ndarray:
+    """perms[g, u] = point_index(M u + a) for the 432 affine maps of Z_3^2."""
+    perms = []
+    for m in itertools.product(range(3), repeat=4):
+        if (m[0] * m[3] - m[1] * m[2]) % 3:
+            for a in all_points(3, 1):
+                perms.append([point_index(np.reshape(m, (2, 2)) @ u + a, 3) for u in all_points(3, 1)])
+    return np.array(perms)
+
+
+def _line_zero_vertices(lines) -> set:
+    """15 y of every vertex (y, s) of {|y|_inf <= 1, 3 y . V_i <= 3 s} at which
+    line 0 is tight, by brute force.  A vertex has 10 independent tight
+    constraints, line 0 among them: 9 - f coordinates at +-1 and f + 1 lines
+    that fix the f free coordinates and s.  Each choice of free set and lines
+    is one square system, solved for every sign pattern at once."""
+    found = set()
+    for f in range(10):
+        subsets = np.array([(0,) + c for c in itertools.combinations(range(1, 12), f)])
+        signs = np.array(list(itertools.product((-1, 1), repeat=9 - f)))
+        for free in itertools.combinations(range(9), f):
+            free, fixed = list(free), [u for u in range(9) if u not in free]
+            # the tight lines i: 3 V_i[free] . y_free - 3 s = -3 V_i[fixed] . y_fixed
+            A = np.concatenate([lines[subsets][:, :, free], -np.ones((len(subsets), f + 1, 1))], axis=2)
+            square = np.abs(np.linalg.det(A)) > 0.5  # the determinants are integers
+            if not square.any():
+                continue
+            rhs = -lines[subsets[square]][:, :, fixed] @ signs.T
+            X = np.linalg.solve(A[square], rhs.astype(float))  # (systems, f + 1, signs)
+            y = np.empty((len(X), len(signs), 9))
+            y[:, :, fixed] = signs
+            y[:, :, free] = X[:, :f].transpose(0, 2, 1)
+            y, s = y.reshape(-1, 9), X[:, f].ravel()
+            feasible = (np.abs(y).max(axis=1) <= 1 + 1e-9) & ((y @ lines.T).max(axis=1) <= s + 1e-9)
+            scaled = 15 * y[feasible]
+            assert np.abs(scaled - np.rint(scaled)).max(initial=0) < 1e-9
+            found |= {tuple(r) for r in np.rint(scaled).astype(int).tolist()}
+    return found
+
+
+def test_witness_vertex_table_is_complete(mub3):
+    lines = np.array([[int(3 * x) for x in v] for v in exact_vertex_matrix(mub3)])
+    Y, s = geometry._witness_vertices()
+    assert Y.shape == (1520, 9) and s.shape == (1520,)
+    assert len({tuple(r) for r in Y.tolist()}) == 1520
+    # feasible in integers: |45 y| <= 45 and 45 y . 3 V_i <= 3 (45 s)
+    assert np.abs(Y).max() == 45 and not (Y % 3).any()
+    values = Y @ lines.T
+    assert (values <= 3 * s[:, None]).all()
+    # each vertex's tight constraints, coordinates at +-1 and lines, have rank
+    # 10: det(C^T C) != 0 for the integer matrix C of its tight rows
+    constraints = np.vstack([np.hstack([np.eye(9, dtype=int), np.zeros((9, 1), dtype=int)]),
+                             np.hstack([lines, -3 * np.ones((12, 1), dtype=int)])])
+    tight = np.hstack([np.abs(Y) == 45, values == 3 * s[:, None]])
+    gram = np.einsum("ki,vk,kj->vij", constraints, tight.astype(int), constraints)
+    assert (np.rint(np.linalg.det(gram)) != 0).all()
+    # the affine maps permute the table and carry line 0 to every line
+    perms = _affine_permutations()
+    assert len(perms) == 432
+    for perm in perms:
+        assert np.array_equal(np.unique(Y[:, perm], axis=0), np.unique(Y, axis=0))
+    assert {tuple(lines[0][perm]) for perm in perms} == {tuple(r) for r in lines}
+    # so the table is every vertex if it holds every vertex with line 0 tight
+    at_line_zero = {tuple(r) for r in (Y[values[:, 0] == 3 * s] // 3).tolist()}
+    assert _line_zero_vertices(lines) == at_line_zero
 
 
 @st.composite
-def bound_points(draw):
-    """1-6 rational nonnegative qutrit Wigner vectors, counts over their sum,
-    kept only if they are BOUND: physical and outside the stabilizer hull."""
-    counts = st.lists(st.integers(0, 20), min_size=9, max_size=9).filter(any)
-    points = []
-    for c in draw(st.lists(counts, min_size=1, max_size=6)):
-        exact = [Fraction(x, sum(c)) for x in c]
-        w = np.array([float(x) for x in exact])
-        if np.linalg.eigvalsh(state_from_wigner(w, 3, 1)).min() >= -geometry.PSD_TOL and not (
-            geometry._in_qutrit_hull(exact)
-        ):
-            points.append((exact, w))
-    assume(points)
-    return points
+def unit_sum_vectors(draw):
+    """A rational qutrit Wigner vector with sum 1, some entries maybe negative."""
+    counts = draw(st.lists(st.integers(-4, 20), min_size=9, max_size=9).filter(lambda c: sum(c) > 0))
+    return [Fraction(c, sum(counts)) for c in counts]
 
 
-@given(bound_points())
-def test_batched_witness_matches_per_point_hull(mub3, points):
-    targets = np.array([w for _, w in points])
-    margins = geometry._witness_gaps(mub3.wigner_matrix, targets, [exact for exact, _ in points])
-    assert len(margins) == len(points)
-    for margin, (exact, w) in zip(margins, points):
-        cert = hull_membership(w, mub3, exact_w=exact)
-        assert not cert.inside
-        if abs(cert.violation - HULL_TOL) < 1e-12:
-            continue
-        assert margin == pytest.approx(cert.violation, rel=0, abs=1e-12)
-        assert (margin <= HULL_TOL) == cert.disputed
-
-
-def test_slice_scan_falls_back_to_one_lp_per_point(monkeypatch, samples_dir, mub3):
-    import scipy.optimize
-
-    real_linprog = scipy.optimize.linprog
-    sizes = []
-
-    def joint_fails(c, **kwargs):
-        sizes.append(len(c))
-        if len(c) > 10:
-            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
-        return real_linprog(c, **kwargs)
-
-    spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
-    expected = reference_slice_scan(spec, mub3)
-    monkeypatch.setattr(scipy.optimize, "linprog", joint_fails)
-    rows = slice_scan(spec, S=mub3)
-    bound = sum(r.label == "BOUND" for r in rows)
-    # the block's joint LP failed once, then each BOUND point ran its own
-    assert sizes == [10 * bound] + [10] * bound
-    assert rows == expected
-
-
-def test_witness_lps_are_bounded_in_rows(monkeypatch, samples_dir, mub3):
-    import scipy.optimize
-
-    real_linprog = scipy.optimize.linprog
-    sizes = []
-
-    def second_joint_fails(c, **kwargs):
-        # the second joint LP fails; its points then run one LP each
-        sizes.append(len(c))
-        if len(c) > 10 and sum(s > 10 for s in sizes) == 2:
-            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
-        return real_linprog(c, **kwargs)
-
-    spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
-    expected = reference_slice_scan(spec, mub3)
-    monkeypatch.setattr(scipy.optimize, "linprog", second_joint_fails)
-    monkeypatch.setattr(geometry, "WITNESS_LP_ROWS", 40)
-    rows = slice_scan(spec, S=mub3)
-    bound = sum(r.label == "BOUND" for r in rows)
-    assert bound > 80 and bound % 40
-    # one block: joint LPs of 40 points and one of the rest, 10 columns per point
-    assert sizes == [400, 400] + [10] * 40 + [400] * (bound // 40 - 2) + [10 * (bound % 40)]
-    assert_rows_match(rows, expected)
+@given(unit_sum_vectors())
+def test_hull_distance_matches_facets_and_witness_lp(mub3, exact):
+    den = math.lcm(*(x.denominator for x in exact))
+    num = np.array([[int(x * den) for x in exact]], dtype=np.int64)
+    (distance,) = geometry._hull_distances(num, den)
+    if geometry._in_qutrit_hull(exact):
+        assert distance == 0
+    else:
+        assert distance > 0
+    gaps, _ = geometry._separating_witness(mub3.wigner_matrix, np.array([[float(x) for x in exact]]))
+    assert distance == pytest.approx(gaps[0], rel=0, abs=1e-12)

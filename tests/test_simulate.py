@@ -1028,7 +1028,8 @@ def test_sampler_memory_flat_in_width():
     # a 64-register brickwork circuit at 20000 shots: one chunk of every shot
     # would hold 20000 x 128 float64 uniforms (20 MB) and as much again per
     # point array; a chunk bounded by CHUNK_BYTES keeps the traced peak to a
-    # few chunks
+    # few chunks.  The counts do not depend on the chunk size: 3000 shots in
+    # 6-shot chunks (500 chunks) match the same shots at the default chunk
     n = 64
     lines = [f"qudits p=3 n={n}"]
     lines += [f"input {r} {'mixed' if r % 3 == 1 else 'zero'}" for r in range(1, n + 1)]
@@ -1039,14 +1040,15 @@ def test_sampler_memory_flat_in_width():
     sample_classical(prog, seed=1, shots=0)  # fill validation caches untraced
     tracemalloc.start()
     try:
-        rpt = sample_classical(prog, seed=1, shots=20000)
+        sample_classical(prog, seed=1, shots=20000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * simulate.CHUNK_BYTES, peak
+    counts = sample_classical(prog, seed=1, shots=3000).counts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, 6))
-        assert sample_classical(prog, seed=1, shots=20000).counts == rpt.counts
+        assert sample_classical(prog, seed=1, shots=3000).counts == counts
 
 
 def test_sampler_memory_bounded_by_a_chunk(monkeypatch, samples_dir):
