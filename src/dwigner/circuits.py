@@ -40,8 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import CliffordElement, require_odd_prime, widen_map
+from .fields import CliffordElement, widen_map
 from .geometry import NEG_TOL
+from .stabilizer import require_capped_p
 from .weyl import generator_map
 from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
@@ -416,7 +417,7 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
         if not m:
             raise CircuitError(f"expected 'qudits p=<prime> n=<count>', got {head!r}")
         p, n = int(m.group(1)), int(m.group(2))
-        require_odd_prime(p)
+        require_capped_p(p)
         if n < 1:
             raise CircuitError(f"need at least one register, got n={n}")
         if n > MAX_REGISTERS:

@@ -26,7 +26,7 @@ from .circuits import (
     parse_slice_file,
     preset_state,
 )
-from .fields import index_point, require_odd_prime
+from .fields import index_point
 from .geometry import NEG_TOL, SolverFailure, classify_state, facet_check, slice_csv, slice_scan
 from .simulate import (
     OracleGuardError,
@@ -39,7 +39,7 @@ from .simulate import (
     run_oracle,
     sample_classical,
 )
-from .stabilizer import mub_stabilizer_states
+from .stabilizer import mub_stabilizer_states, require_capped_p
 from .wigner import wigner_of_state
 
 __all__ = ["main"]
@@ -67,7 +67,7 @@ def _load_state(spec: str, p: int):
 
 def cmd_wigner(args) -> int:
     p = args.p
-    require_odd_prime(p)
+    require_capped_p(p)
     rho, _ = _load_state(args.state, p)
     W = wigner_of_state(rho, p)
     n = W.n
@@ -140,7 +140,6 @@ def cmd_sample(args) -> int:
 
 def cmd_facets(args) -> int:
     p = args.p
-    require_odd_prime(p)
     S = mub_stabilizer_states(p)
     lines = [f"# format-version {FORMAT_VERSION}"]
     lines.append(
@@ -162,7 +161,7 @@ def cmd_facets(args) -> int:
 
 def cmd_classify(args) -> int:
     p = args.p
-    require_odd_prime(p)
+    require_capped_p(p)
     rho, exact_w = _load_state(args.state, p)
     if rho.shape[0] != p:
         raise ValueError(f"classify handles single qudits; got dimension {rho.shape[0]}")

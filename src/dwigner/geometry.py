@@ -1,16 +1,17 @@
 """Stabilizer-polytope geometry: facets, hull membership, classification, slices.
 
 The phase-point inequalities Tr(A_u rho) >= 0 are checked as facets against
-the enumerated vertex set.  An exact rational qutrit Wigner vector is placed
-in or out of the hull by the polytope's 81 integer facets, enumerated once
-per process and applied as one integer matrix product; every other input runs
-a floating-point LP.  Outside points get a separating dual witness from a
-second LP in both cases.  These hull LPs of `hull_membership` are the only
-code that loads scipy.  A slice scan decides its whole grid with array
-operations on integer numerators over one common denominator, plus one
-stacked eigenvalue call, and runs no LP: a BOUND point's margin, its exact L1
-distance to the hull, is the witness LP's optimum taken over a table of the
-LP's 1520 vertices, which is kept as 21 orbit representatives.
+the enumerated vertex set.  The qutrit polytope is described once, by its
+witness LP's 1520 vertices (21 orbit representatives), and its 81 integer
+facets are read off that table.  An exact rational qutrit Wigner vector is
+placed in or out of the hull by those facets, as one integer matrix product;
+every other input runs a floating-point LP.  Outside points get a separating
+dual witness from a second, one-target LP in both cases.  These hull LPs of
+`hull_membership` are the only code that loads scipy.  A slice scan decides
+its whole grid with array operations on integer numerators over one common
+denominator, plus one stacked eigenvalue call, and runs no LP: a BOUND
+point's margin, its exact L1 distance to the hull, is the witness LP's
+optimum over the vertex table.
 """
 
 from __future__ import annotations
@@ -197,26 +198,15 @@ def qutrit_facets() -> tuple:
     """Facets of the qutrit stabilizer polytope, as integer normals g with g . W >= 0.
 
     Every vertex has sum_u W(u) = 1, so each facet's constant is folded into
-    its normal, which is then unique once reduced by its gcd.  The 12 vertices,
-    scaled by 3 to 0/1 vectors, span all 9 dimensions, so a facet is tight on
-    8 linearly independent vertices and its normal is the cofactor vector of
-    those 8 rows.  Float determinants over the C(12, 8) = 495 subsets propose
-    the normals; each one kept is checked in integers to vanish on its subset
-    and to be nonnegative on all 12 vertices.  Returns 81 sorted tuples.
+    its normal, which is then unique once reduced by its gcd.  Each vertex
+    (y, s) of the witness table gives the valid inequality (s 1 - y) . W >= 0,
+    since y . V_i <= s; the facets are the rows tight on 8 of the 12
+    stabilizer states.  Returns 81 sorted tuples.
     """
-    V = _qutrit_lines()
-    subsets = np.array(list(itertools.combinations(range(len(V)), 8)))
-    rows = V[subsets]
-    minors = np.stack([np.linalg.det(np.delete(rows, j, axis=2)) for j in range(V.shape[1])], axis=1)
-    normals = np.rint(minors).astype(np.int64) * (-1) ** np.arange(V.shape[1])
-    facets = set()
-    for subset, g in zip(subsets, normals):
-        values = V @ g
-        if values.min() < 0:
-            g, values = -g, -values
-        if g.any() and values.min() >= 0 and not values[subset].any():
-            facets.add(tuple(int(x) for x in g // np.gcd.reduce(g)))
-    return tuple(sorted(facets))
+    Y, s = _witness_vertices()
+    G = s[:, None] - Y
+    G = G[(G @ _qutrit_lines().T == 0).sum(axis=1) == 8]
+    return tuple(sorted({tuple(g) for g in (G // np.gcd.reduce(G, axis=1)[:, None]).tolist()}))
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,33 +289,26 @@ def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]
     return float(res.fun), res.x[:count]
 
 
-def _separating_witness(V: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max_{|y|<=1, s} y . t - s  s.t.  y . V_i <= s for all vertices, per row t of targets.
+def _separating_witness(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """max_{|y|<=1, s} y . t - s  s.t.  y . V_i <= s for all vertices V_i.
 
-    The k rows of the (k, m) stack share no variable, so their LPs are solved
-    as one LP whose constraint matrix is block-diagonal: one sparse
-    [V, -1] block per row, with the bounds repeated.  Returns the gaps
-    y . t - max_i V_i . y, shape (k,), and the witnesses y, shape (k, m).
-    The gap is the LP optimum, unique even where y is not.
+    Returns the gap y . t - max_i V_i . y and the witness y.  The gap is the
+    LP optimum, unique even where y is not.
     """
-    from scipy import sparse  # loaded by the first LP only
-    from scipy.optimize import linprog
+    from scipy.optimize import linprog  # loaded by the first LP only
 
-    k, m = targets.shape
-    count = V.shape[0]
-    block = sparse.csr_array(np.hstack([V, -np.ones((count, 1))]))
+    count, m = V.shape
     res = linprog(
-        np.hstack([-targets, np.ones((k, 1))]).ravel(),
-        A_ub=sparse.kron(sparse.eye_array(k, format="csr"), block, format="csr"),
-        b_ub=np.zeros(k * count),
-        bounds=np.tile([(-1.0, 1.0)] * m + [(-np.inf, np.inf)], (k, 1)),
+        np.append(-target, 1.0),
+        A_ub=np.hstack([V, -np.ones((count, 1))]),
+        b_ub=np.zeros(count),
+        bounds=[(-1.0, 1.0)] * m + [(-np.inf, np.inf)],
         method="highs",
     )
     if res.status != 0:
         raise SolverFailure(f"witness LP did not converge: {res.message}")
-    y = res.x.reshape(k, m + 1)[:, :m]
-    gaps = np.einsum("ij,ij->i", y, targets) - (y @ V.T).max(axis=1)
-    return gaps, y
+    y = res.x[:m]
+    return float(np.einsum("i,i->", y, target) - (y @ V.T).max()), y
 
 
 def hull_membership(
@@ -337,9 +320,10 @@ def hull_membership(
 
     Accepts a Hermitian unit-trace operator or a flat Wigner vector.  When
     exact_w (the same vector as Fractions) is supplied and the vertex set is
-    the 12-state qutrit one, the verdict is exact, from `qutrit_facets`; only
-    an outside point then runs an LP, for its witness.  Otherwise a Chebyshev
-    LP decides, with HULL_TOL on its optimum.
+    the 12-state qutrit one, the verdict is exact, from the facets that
+    `qutrit_facets` reads off the witness-vertex table; only an outside point
+    then runs an LP, `_separating_witness`, for its witness.  Otherwise a
+    Chebyshev LP decides, with HULL_TOL on its optimum.
     """
     p, n = S.p, S.n
     V = S.wigner_matrix
@@ -359,9 +343,8 @@ def hull_membership(
                 max(np.max(np.abs(recon - target)), abs(weights.sum() - 1.0))
             )
             return HullCertificate(inside=True, weights=weights, residual=residual)
-    gaps, ys = _separating_witness(V, target[None, :])
-    gap = float(gaps[0])
-    return HullCertificate(inside=False, violation=gap, witness_y=ys[0], disputed=exact and gap <= HULL_TOL)
+    gap, y = _separating_witness(V, target)
+    return HullCertificate(inside=False, violation=gap, witness_y=y, disputed=exact and gap <= HULL_TOL)
 
 
 def classify_state(
@@ -468,7 +451,7 @@ def _axis_count(axes) -> int:
     return count + 1 + (lo + count * step != hi)
 
 
-def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
+def slice_scan(spec: SliceSpec) -> list:
     """Classify every grid point of the slice; deterministic row order.
 
     The grid is decided in blocks of array operations on integer numerators
@@ -481,8 +464,7 @@ def slice_scan(spec: SliceSpec, S: Optional[StabilizerSet] = None) -> list:
     exact), the dual witness gap for BOUND, which is the exact L1 distance to
     the hull from the witness-vertex table (`_hull_distances`), rounded once
     to a float.  No LP runs and scipy is not loaded.  A grid above
-    MAX_SLICE_POINTS points raises ValueError before any allocation.  Both
-    tables are those of `mub_stabilizer_states(3)`, so `S` is not read.
+    MAX_SLICE_POINTS points raises ValueError before any allocation.
     """
     swept = spec.swept
     shape = tuple(_axis_count(axes) for _, axes in swept)

@@ -15,11 +15,21 @@ import numpy as np
 from .fields import inv2, require_odd_prime
 from .wigner import wigner_of_state
 
-__all__ = ["StabilizerSet", "mub_stabilizer_states", "MAX_MUB_P"]
+__all__ = ["StabilizerSet", "mub_stabilizer_states", "MAX_MUB_P", "require_capped_p"]
 
-# The set holds p(p+1) dense p x p states plus their Wigner rows, about
-# 24 p^3 (p+1) bytes, and stays cached for the process: 23 MB at p = 31.
+# The one cap on p for every command.  The set holds p(p+1) dense p x p states
+# plus their Wigner rows, about 24 p^3 (p+1) bytes, and stays cached for the
+# process: 23 MB at p = 31.  A Weyl table's one-qudit operators take 32 p^4
+# bytes: 30 MB at p = 31, 3.3 GB at p = 101.
 MAX_MUB_P = 31
+
+
+def require_capped_p(p: int) -> int:
+    """Return p unchanged; raise ValueError unless p is an odd prime <= MAX_MUB_P."""
+    require_odd_prime(p)
+    if p > MAX_MUB_P:
+        raise ValueError(f"p = {p} is above the cap p <= {MAX_MUB_P}")
+    return int(p)
 
 
 @dataclass(frozen=True)
@@ -46,9 +56,7 @@ def mub_stabilizer_states(p: int) -> StabilizerSet:
     XZ^k eigenvectors: v_m[x] = omega^(inv2(p)*k*x^2 + m*x)/sqrt(p), m = 0..p-1.
     Raises ValueError for p above MAX_MUB_P.
     """
-    require_odd_prime(p)
-    if p > MAX_MUB_P:
-        raise ValueError(f"stabilizer states are built for p <= {MAX_MUB_P}, got p = {p}")
+    require_capped_p(p)
     om = np.exp(2j * np.pi / p)
     s = inv2(p)
     states, labels = [], []

@@ -39,21 +39,21 @@ REGRESSION_CIRCUITS = [
 
 
 @pytest.fixture(scope="module")
-def scan_3d_mixed_pinned(samples_dir, mub3):
+def scan_3d_mixed_pinned(samples_dir):
     spec = parse_slice_file(samples_dir / "pinned_ninth_3d.slice")
-    return slice_scan(spec, S=mub3)
+    return slice_scan(spec)
 
 
 @pytest.fixture(scope="module")
-def scan_3d_sixth_pinned(samples_dir, mub3):
+def scan_3d_sixth_pinned(samples_dir):
     spec = parse_slice_file(samples_dir / "pinned_sixth_3d.slice")
-    return slice_scan(spec, S=mub3)
+    return slice_scan(spec)
 
 
 @pytest.fixture(scope="module")
-def scan_2d(samples_dir, mub3):
+def scan_2d(samples_dir):
     spec = parse_slice_file(samples_dir / "pinned_ninth_2d.slice")
-    return slice_scan(spec, S=mub3)
+    return slice_scan(spec)
 
 
 def test_criterion_1_operator_algebra():

@@ -3,11 +3,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dwigner import circuits
+from dwigner.circuits import load_wigner_file
 from dwigner.cli import build_parser, main
 from dwigner.stabilizer import MAX_MUB_P
+from dwigner.wigner import state_from_wigner
 
 
 def run_cli(*argv):
@@ -328,6 +331,18 @@ def test_facets_rejects_p_above_cap(capsys):
     assert f"p <= {MAX_MUB_P}" in capsys.readouterr().err
 
 
+def test_wigner_and_sample_refuse_p_above_cap(tmp_path, capsys):
+    # a Weyl table takes 32 p^4 bytes, so p is capped where it enters
+    assert run_cli("wigner", "mixed", "--p", "37") == 2
+    assert f"p <= {MAX_MUB_P}" in capsys.readouterr().err
+    circ = tmp_path / "wide.circ"
+    circ.write_text("qudits p=37 n=1\ninput 1 mixed\nmeasure 1 computational\n")
+    assert run_cli("sample", str(circ), "--shots", "10", "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and f"p <= {MAX_MUB_P}" in err
+    assert run_cli("wigner", "mixed", "--p", str(MAX_MUB_P), "--out", str(tmp_path / "w.csv")) == 0
+
+
 def test_classify_mixed(tmp_path):
     out = tmp_path / "c.txt"
     assert run_cli("classify", "mixed", "--out", str(out)) == 0
@@ -389,6 +404,31 @@ def test_classify_rounded_wigner_file_keeps_the_float_route(tmp_path, monkeypatc
     lines = out.read_text().splitlines()
     assert "label = STABILIZER_MIX" in lines
     assert any(line.startswith("lp_residual = ") for line in lines)
+
+
+BOUND_NINTH_CLASSIFY = """\
+# format-version 1
+label = BOUND
+min_eig = 0.0041351277688
+min_W = 0
+lp_violation = 0.133333333333
+witness_y = -1 -1 0.2 1 -0.2 -0.2 0.6 -0.6 0.6
+"""
+
+
+def test_classify_pins_the_bound_witness_on_both_hull_routes(samples_dir, tmp_path):
+    # one of the witness LP's 1520 vertices is optimal here, so the printed
+    # witness does not depend on how the solver breaks ties
+    wigner_file = samples_dir / "bound_ninth.w"
+    rho = state_from_wigner(np.array([float(x) for x in load_wigner_file(wigner_file, 3)]), 3, 1)
+    matrix_file = tmp_path / "bound_ninth.mat"
+    matrix_file.write_text(
+        "dim 3\n" + "".join(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n" for row in rho)
+    )
+    for spec in (f"wigner-file:{wigner_file}", f"matrix-file:{matrix_file}"):
+        out = tmp_path / "c.txt"
+        assert run_cli("classify", spec, "--out", str(out)) == 0
+        assert out.read_text() == BOUND_NINTH_CLASSIFY
 
 
 THIRD = "0.333333333333333333"

@@ -177,14 +177,14 @@ def test_slice_spec_validation():
         SliceSpec(p=5, fixed=fixed, free=free)
 
 
-def test_slice_scan_coarse_derived(mub3):
+def test_slice_scan_coarse_derived():
     fixed = {tuple(u): F(1, 9) for u in all_points(3, 1)[3:]}
     free = [
         ((0, 0), (F(-1, 3), F(1, 3), F(1, 6))),
         ((0, 1), (F(-1, 3), F(1, 3), F(1, 6))),
         ((0, 2), None),
     ]
-    rows = slice_scan(SliceSpec(p=3, fixed=fixed, free=free), S=mub3)
+    rows = slice_scan(SliceSpec(p=3, fixed=fixed, free=free))
     assert len(rows) == 25
     assert all(r.label != "INVALID" for r in rows)
     # every row's three coordinates sum to 1/3 (normalization)
@@ -195,14 +195,14 @@ def test_slice_scan_coarse_derived(mub3):
     assert "NONPHYSICAL" in labels
 
 
-def test_slice_scan_coarse_two_free(mub3):
+def test_slice_scan_coarse_two_free():
     fixed = {tuple(u): F(1, 9) for u in all_points(3, 1)[2:]}
     free = [
         ((0, 0), (F(-1, 3), F(5, 9), F(1, 9))),
         ((0, 1), (F(-1, 3), F(5, 9), F(1, 9))),
     ]
     spec = SliceSpec(p=3, fixed=fixed, free=free)
-    rows = slice_scan(spec, S=mub3)
+    rows = slice_scan(spec)
     assert len(rows) == 81
     invalid = [r for r in rows if r.label == "INVALID"]
     valid = [r for r in rows if r.label != "INVALID"]
@@ -213,7 +213,7 @@ def test_slice_scan_coarse_two_free(mub3):
     assert len(valid) >= 5
 
 
-def test_slice_csv_format(mub3):
+def test_slice_csv_format():
     fixed = {tuple(u): F(1, 9) for u in all_points(3, 1)[3:]}
     free = [
         ((0, 0), (F(0), F(1, 3), F(1, 3))),
@@ -221,7 +221,7 @@ def test_slice_csv_format(mub3):
         ((0, 2), None),
     ]
     spec = SliceSpec(p=3, fixed=fixed, free=free)
-    rows = slice_scan(spec, S=mub3)
+    rows = slice_scan(spec)
     text = slice_csv(rows, spec)
     lines = text.strip().split("\n")
     assert lines[0] == "# format-version 1"
@@ -280,13 +280,41 @@ def test_qutrit_facet_table(mub3):
         assert tuple(e_u) in facets
 
 
+def _cofactor_facets(lines: np.ndarray) -> set:
+    """The facets by enumeration, as a reference for `qutrit_facets`.
+
+    The 12 vertices, scaled by 3 to 0/1 vectors, span all 9 dimensions, so a
+    facet is tight on 8 linearly independent vertices and its normal is the
+    cofactor vector of those 8 rows.  Float determinants over the
+    C(12, 8) = 495 subsets propose the normals; each one kept is checked in
+    integers to vanish on its subset and to be nonnegative on all 12 vertices.
+    """
+    subsets = np.array(list(itertools.combinations(range(len(lines)), 8)))
+    rows = lines[subsets]
+    minors = np.stack([np.linalg.det(np.delete(rows, j, axis=2)) for j in range(9)], axis=1)
+    normals = np.rint(minors).astype(np.int64) * (-1) ** np.arange(9)
+    facets = set()
+    for subset, g in zip(subsets, normals):
+        values = lines @ g
+        if values.min() < 0:
+            g, values = -g, -values
+        if g.any() and values.min() >= 0 and not values[subset].any():
+            facets.add(tuple(int(x) for x in g // np.gcd.reduce(g)))
+    return facets
+
+
+def test_qutrit_facets_match_the_cofactor_enumeration(mub3):
+    lines = np.array([[int(3 * x) for x in v] for v in exact_vertex_matrix(mub3)], dtype=np.int64)
+    assert qutrit_facets() == tuple(sorted(_cofactor_facets(lines)))
+
+
 def test_facet_table_not_built_at_import():
     code = "import dwigner.cli, dwigner.geometry as g; print(g.qutrit_facets.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
 
 
-def test_slice_scan_runs_no_feasibility_lp(monkeypatch, samples_dir, mub3):
+def test_slice_scan_runs_no_feasibility_lp(monkeypatch, samples_dir):
     calls = []
     real = geometry._chebyshev_lp
 
@@ -295,7 +323,7 @@ def test_slice_scan_runs_no_feasibility_lp(monkeypatch, samples_dir, mub3):
         return real(V, target)
 
     monkeypatch.setattr(geometry, "_chebyshev_lp", spy)
-    rows = slice_scan(parse_slice_file(samples_dir / "pinned_ninth_3d.slice"), S=mub3)
+    rows = slice_scan(parse_slice_file(samples_dir / "pinned_ninth_3d.slice"))
     assert calls == []
     labels = [r.label for r in rows]
     assert "BOUND" in labels and "STABILIZER_MIX" in labels
@@ -367,7 +395,7 @@ def assert_rows_match(rows, expected):
 
 @given(small_slice_specs())
 def test_slice_scan_matches_per_point_reference(mub3, spec):
-    assert_rows_match(slice_scan(spec, S=mub3), reference_slice_scan(spec, mub3))
+    assert_rows_match(slice_scan(spec), reference_slice_scan(spec, mub3))
 
 
 def test_slice_scan_exact_beyond_int64(mub3):
@@ -380,7 +408,7 @@ def test_slice_scan_exact_beyond_int64(mub3):
         ((0, 2), None),
     ]
     spec = SliceSpec(p=3, fixed=fixed, free=free)
-    rows = slice_scan(spec, S=mub3)
+    rows = slice_scan(spec)
     assert_rows_match(rows, reference_slice_scan(spec, mub3))
     assert len({r.label for r in rows}) >= 3
 
@@ -404,7 +432,7 @@ def test_slice_scan_decides_the_grid_at_once(monkeypatch, samples_dir, mub3):
     # of 40 rows split a block's BOUND rows
     monkeypatch.setattr(geometry, "SLICE_BLOCK", 512)
     monkeypatch.setattr(geometry, "WITNESS_ROWS", 40)
-    rows = slice_scan(spec, S=mub3)
+    rows = slice_scan(spec)
     assert_rows_match(rows, expected)
     per_block = collections.Counter(i // 512 for i, r in enumerate(rows) if r.label == "BOUND")
     assert len(per_block) >= 2 and max(per_block.values()) > 40
@@ -493,5 +521,5 @@ def test_hull_distance_matches_facets_and_witness_lp(mub3, exact):
         assert distance == 0
     else:
         assert distance > 0
-    gaps, _ = geometry._separating_witness(mub3.wigner_matrix, np.array([[float(x) for x in exact]]))
-    assert distance == pytest.approx(gaps[0], rel=0, abs=1e-12)
+    gap, _ = geometry._separating_witness(mub3.wigner_matrix, np.array([float(x) for x in exact]))
+    assert distance == pytest.approx(gap, rel=0, abs=1e-12)
