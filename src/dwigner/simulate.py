@@ -27,12 +27,20 @@ starts on a whole Philox block and the bytes do not depend on it.
 
 The kernel (_Walk) makes a few whole-array passes per instruction: it
 transposes a chunk's uniforms once so each draw position is a contiguous
-row, draws points with searchsorted straight into a preallocated point
-array, maps them through each gate's dense (2n)^2 matrix in float64 (a BLAS
-product, exact on these small integers) reduced mod p by a table gather,
-measures by counting contiguous cumulative effect columns below the draw,
-splits branches with index arrays and tallies outcome codes with bincount,
-building each distinct outcome string from a row of label bytes.
+row, draws points with searchsorted, measures by counting contiguous
+cumulative effect columns below the draw, splits branches with index arrays
+and tallies outcome codes with bincount, building each distinct outcome
+string from a row of label bytes.  A shot's point has one of two encodings,
+chosen per run from the program alone (_indexes_points).  When
+max(gate and displace items, 1) tables of p^(2n) int64 entries fit in
+CHUNK_BYTES, each shot carries one point index and each gate or displace
+item is one gather through its image table (_image_indices), so the tables
+together stay within about one chunk.  Otherwise each shot carries its 2n
+coordinates, and a gate multiplies the columns of the registers it touches
+by its local F^T in float64 (a BLAS product, exact on these small integers)
+reduced mod p by a table gather, holding no matrix past its own item.  Both
+encodings read the same uniforms at the same positions, so the output does
+not depend on which one runs.
 """
 
 from __future__ import annotations
@@ -146,6 +154,9 @@ class SampleReport:
     shots: int
     seed: int
     counts: dict  # outcome string -> int
+    # The dense-map cost model, on either point encoding: a gate item run by
+    # s shots on n live registers adds s * (2n)^2 mults, a displace item
+    # s * 2 adds, whatever work the kernel actually does.
     field_mults: int
     field_adds: int
 
@@ -314,31 +325,57 @@ def sample_classical(
     )
 
 
+def _indexes_points(prog: CircuitProgram) -> bool:
+    """True iff the sampler carries each shot's phase point as one flat
+    index: iff max(gate and displace items, 1) image tables of p^(2n) int64
+    entries, n = max_registers, fit in CHUNK_BYTES.  At least one table is
+    counted, so a program with no gate stays off an index past int64."""
+    maps = sum(isinstance(instr, (GateInstr, DisplaceInstr)) for instr in prog.items)
+    cap = CHUNK_BYTES // 8
+    # p >= 3, so p^k passes the cap once k reaches its bit length; clipping
+    # the exponent there keeps a huge register count from costing a huge power
+    return max(maps, 1) * prog.p ** min(2 * prog.max_registers, cap.bit_length()) <= cap
+
+
 class _Walk:
     """One run's shots pushed, chunk by chunk, along the program's control paths.
 
-    Its tables are built once per run; a gate's F^T at a register count is
-    widened from its local map on first use.  A chunk's uniforms are held
-    transposed, one contiguous row per draw position, so shots that have not
-    split read a draw with no gather; `rows` is None for them and the
-    chunk-row ids of the shots after a split.  A register's point (q, x) is
-    drawn by `searchsorted` on its cumulative table, idx = q * p + x.  A gate
-    maps the points through the dense product with F^T, taken in float64 so
-    that BLAS runs it (exact: the products are integers in [0, 2n(p-1)^2],
-    far below 2^53), and reduced mod p by a gather from the table `modp`.  A
-    measurement counts the cumulative effect columns below the draw, one
-    contiguous column per effect but the last, whose entry 1.0 no draw
-    reaches.  A branch splits the shots with index arrays, and shots that
-    end a path together are tallied at once.
+    A shot's phase point has one of two encodings, chosen per run by
+    `_indexes_points`:
+
+    * indexed: one int64 point index in `fields.point_index` order, the
+      base-p^2 digit of register r being q * p + x.  A draw appends a digit
+      (idx * p^2 + searchsorted), a gate or displace item is one gather
+      through its image table (`_image_indices` of its map widened to the
+      live registers, built on first use), and a measurement reads its
+      register's digit;
+    * dense: a shots x 2n int64 block of (q, x) columns.  A gate multiplies
+      the columns of the registers it touches by its local F^T, converted to
+      float64 at use so that BLAS runs it (exact: the products are integers
+      in [0, 2n(p-1)^2], far below 2^53), and reduces them mod p by a gather
+      from the table `modp`; only the current item's matrix is held.  A
+      displace adds its point to its register's two columns.
+
+    Everything else is shared.  A chunk's uniforms are held transposed, one
+    contiguous row per draw position, so shots that have not split read a
+    draw with no gather; `rows` is None for them and the chunk-row ids of
+    the shots after a split.  A measurement counts the cumulative effect
+    columns below the draw, one contiguous column per effect but the last,
+    whose entry 1.0 no draw reaches.  A branch splits the shots with index
+    arrays, and shots that end a path together are tallied at once.  Both
+    encodings read the same uniforms at the same positions, so the counts do
+    not depend on which one runs.
     """
 
     def __init__(self, prog, report):
         self.prog = prog
+        self.p2 = prog.p**2
+        self.indexed = _indexes_points(prog)
         self.input_dists = [_cumulative(w) for w in report.input_wigners]
         self.extend_dists = {i: list(map(_cumulative, ws)) for i, ws in report.extend_wigners.items()}
         self.povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
         self.gate_maps = report.gate_maps  # item idx -> (regs, local map)
-        self.gate_FT: dict = {}  # (item idx, register count) -> float64 F^T
+        self.tables: dict = {}  # (item idx, register count) -> image indices
         self.modp = np.arange(2 * prog.max_registers * (prog.p - 1) ** 2 + 1) % prog.p
         self.UT = None  # the chunk's uniforms, one row per draw position
         self.counts: dict[str, int] = {}
@@ -354,57 +391,86 @@ class _Walk:
         rng = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4))
         self.UT = np.ascontiguousarray(rng.random((hi - lo, K)).T)
         # initial phase points: one draw per register, positions 0..n-1
-        upts = np.empty((hi - lo, 2 * len(self.input_dists)), dtype=np.int64)
-        self.draw_points(upts, self.input_dists, None, 0)
-        self.run(0, None, upts, len(self.input_dists), {})
+        n = len(self.input_dists)
+        pts = np.zeros((hi - lo,) if self.indexed else (hi - lo, 0), dtype=np.int64)
+        self.run(0, None, self.draw_points(pts, self.input_dists, None, 0), n, n, {})
         self.UT = None
 
-    def gate_matrix(self, i, n):
-        """Gate item i's float64 F^T on n registers."""
-        if (i, n) not in self.gate_FT:
-            self.gate_FT[(i, n)] = _widen(*self.gate_maps[i], n)[0].T.astype(np.float64)
-        return self.gate_FT[(i, n)]
+    def table(self, i, n):
+        """Point index of the image of every point on n registers under
+        gate or displace item i's map."""
+        if (i, n) not in self.tables:
+            instr = self.prog.items[i]
+            if isinstance(instr, GateInstr):
+                regs, g = self.gate_maps[i]
+            else:
+                eye, point = np.eye(2, dtype=np.int64), np.array(instr.point, dtype=np.int64)
+                regs, g = (instr.reg,), CliffordElement(eye, point, self.prog.p)
+            self.tables[(i, n)] = _image_indices(CliffordElement(*_widen(regs, g, n), self.prog.p))
+        return self.tables[(i, n)]
 
     def draws(self, rows, pos):
         """Draw `pos` of the shots `rows` (every shot of the chunk when None)."""
         return self.UT[pos] if rows is None else self.UT[pos][rows]
 
-    def draw_points(self, upts, dists, rows, pos):
-        """Fill point columns from the back of `upts`, one register per table
-        in `dists`, with draws pos, pos+1, ..."""
-        first = upts.shape[1] // 2 - len(dists)
+    def draw_points(self, pts, dists, rows, pos):
+        """`pts` with one register appended per table in `dists`, drawn
+        with draws pos, pos+1, ...: a new last digit of each point index, or
+        two new point columns."""
+        if self.indexed:
+            for j, cum in enumerate(dists):
+                pts = pts * self.p2 + np.searchsorted(cum, self.draws(rows, pos + j), side="right")
+            return pts
+        shots, width = pts.shape
+        grown = np.empty((shots, width + 2 * len(dists)), dtype=np.int64)
+        grown[:, :width] = pts
         for j, cum in enumerate(dists):
             idx = np.searchsorted(cum, self.draws(rows, pos + j), side="right")
-            c = 2 * (first + j)
-            np.divmod(idx, self.prog.p, out=(upts[:, c], upts[:, c + 1]))
+            c = width + 2 * j
+            np.divmod(idx, self.prog.p, out=(grown[:, c], grown[:, c + 1]))
+        return grown
 
-    def run(self, i, rows, upts, pos, measured):
-        """Run the shots `rows` (points `upts`, next draw at position `pos`)
-        from item i; `measured` maps each measured register to its labels and
-        the shots' outcome indices.  `upts` belongs to this call."""
+    def run(self, i, rows, pts, n, pos, measured):
+        """Run the shots `rows` (points `pts` on n registers, next draw at
+        position `pos`) from item i; `measured` maps each measured register
+        to its labels and the shots' outcome indices.  `pts` belongs to this
+        call."""
         items = self.prog.items
         p = self.prog.p
         while i < len(items) and not isinstance(items[i], LabelMarker):
             instr = items[i]
-            shots, width = upts.shape
+            shots = len(pts)
             if isinstance(instr, GateInstr):
-                prod = upts.astype(np.float64) @ self.gate_matrix(i, width // 2)
-                upts = self.modp[prod.astype(np.intp)]
-                self.mults += shots * width**2
+                if self.indexed:
+                    pts = self.table(i, n)[pts]
+                else:
+                    regs, g = self.gate_maps[i]
+                    FT = g.F.T.astype(np.float64)  # the current item's matrix only
+                    if regs == tuple(range(1, n + 1)):  # every column, in order
+                        pts = self.modp[(pts.astype(np.float64) @ FT).astype(np.intp)]
+                    else:
+                        cols = [2 * r - 2 + k for r in regs for k in (0, 1)]
+                        prod = pts[:, cols].astype(np.float64) @ FT
+                        pts[:, cols] = self.modp[prod.astype(np.intp)]
+                self.mults += shots * (2 * n) ** 2
             elif isinstance(instr, DisplaceInstr):
-                c = 2 * (instr.reg - 1)
-                upts[:, c : c + 2] += instr.point
-                upts[:, c : c + 2] %= p
+                if self.indexed:
+                    pts = self.table(i, n)[pts]
+                else:
+                    c = 2 * (instr.reg - 1)
+                    pts[:, c : c + 2] += instr.point
+                    pts[:, c : c + 2] %= p
                 self.adds += shots * 2
             elif isinstance(instr, ExtendInstr):
-                grown = np.empty((shots, width + 2 * instr.count), dtype=np.int64)
-                grown[:, :width] = upts
-                upts = grown
-                self.draw_points(upts, self.extend_dists[i], rows, pos)
+                pts = self.draw_points(pts, self.extend_dists[i], rows, pos)
+                n += instr.count
                 pos += instr.count
             elif isinstance(instr, MeasureInstr):
-                c = 2 * (instr.reg - 1)
-                b = upts[:, c] * p + upts[:, c + 1]
+                if self.indexed:
+                    b = pts // self.p2 ** (n - instr.reg) % self.p2
+                else:
+                    c = 2 * (instr.reg - 1)
+                    b = pts[:, c] * p + pts[:, c + 1]
                 u = self.draws(rows, pos)
                 outcome = np.zeros(shots, dtype=np.intp)
                 for col in self.povm_cols[i]:
@@ -418,7 +484,8 @@ class _Walk:
                             self.run(
                                 instr.branch[label],
                                 idx if rows is None else rows[idx],
-                                upts[idx],
+                                pts[idx],
+                                n,
                                 pos,
                                 {r: (labs, out[idx]) for r, (labs, out) in measured.items()},
                             )
@@ -426,7 +493,7 @@ class _Walk:
             else:
                 raise TypeError(f"unexpected item {instr!r}")
             i += 1
-        self.tally([measured[r] for r in range(1, upts.shape[1] // 2 + 1)], len(upts))
+        self.tally([measured[r] for r in range(1, n + 1)], len(pts))
 
     def tally(self, measured, shots):
         """Count the outcome strings of `shots` shots that end a path together.

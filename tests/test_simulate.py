@@ -992,6 +992,14 @@ class _ReferenceWalk:
             self.counts[key] = self.counts.get(key, 0) + c
 
 
+def _sample_on(prog, indexed, **kw):
+    """sample_classical with the point encoding forced: flat point indices
+    when `indexed`, else the dense shots x 2n block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_indexes_points", lambda prog: indexed)
+        return sample_classical(prog, **kw)
+
+
 @settings(max_examples=80)
 @given(
     src=st.one_of(adaptive_circuits(p=3, max_regs=4), adaptive_circuits(p=5, max_regs=3)),
@@ -1001,27 +1009,115 @@ class _ReferenceWalk:
 )
 def test_sampler_kernel_matches_reference_kernel(samples_dir, src, seed, shots, chunk):
     # the same draws, the same counts and the same operation counts as the
-    # reference kernel, over several chunks with an odd tail
+    # reference kernel on both point encodings, over several chunks with an
+    # odd tail
     prog = parse_circuit(src, base_dir=samples_dir)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, chunk))
-        rpt = sample_classical(prog, seed=seed, shots=shots)
-        counts, mults, adds = reference_sample(prog, seed, shots)
-    assert rpt.counts == counts
-    assert rpt.field_mults == mults
-    assert rpt.field_adds == adds
+        expected = reference_sample(prog, seed, shots)
+        for indexed in (False, True):
+            rpt = _sample_on(prog, indexed, seed=seed, shots=shots)
+            assert (rpt.counts, rpt.field_mults, rpt.field_adds) == expected, indexed
 
 
-def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir):
-    # every sample circuit, in one full chunk and in a run whose last chunk
-    # holds a single shot
+def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir, monkeypatch):
+    # every sample circuit on each point encoding, in one full chunk and in
+    # a run whose last chunk holds a single shot; the indexed route builds
+    # image tables and the dense route none
+    tables = []
+    image_indices = simulate._image_indices
+    monkeypatch.setattr(simulate, "_image_indices", lambda g: tables.append(g) or image_indices(g))
+    for indexed in (False, True):
+        tables.clear()
+        for path in sorted(samples_dir.glob("reg*.circ")):
+            prog = parse_circuit_file(path)
+            for shots in (3000, 2 * _chunk_shots(prog) + 1):
+                rpt = _sample_on(prog, indexed, seed=7, shots=shots)
+                assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
+                    prog, 7, shots
+                ), (path.name, shots, indexed)
+        assert bool(tables) == indexed
+
+
+def _wide_shaped_circuit(n: int) -> str:
+    """n qutrits shaped like the benchmark's wide circuits: a gate, a
+    displace and a gate, a branching measurement and a gate on each arm."""
+    lines = [f"qudits p=3 n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
+    lines.append("gate " + "; ".join(f"fourier({r}); sum({r},{r % n + 1})" for r in range(1, n + 1)))
+    lines += [f"displace {n} (1,2)", "gate " + "; ".join(f"quadratic({r})" for r in range(1, n + 1))]
+    lines.append(f"measure {n} computational branch: 0->left 1->right 2->right")
+    for arm in ("left", "right"):
+        lines += [f"label {arm}:", f"gate sum(1,{n - 1})"]
+        lines += [f"measure {r} computational" for r in range(n - 1, 0, -1)]
+    return "\n".join(lines)
+
+
+def test_point_encoding_route_boundary(samples_dir):
+    # at the default CHUNK_BYTES, flat indices iff max(gate and displace
+    # items, 1) tables of p^(2n) int64 entries fit in one chunk
+    assert simulate.CHUNK_BYTES == 1 << 20
     for path in sorted(samples_dir.glob("reg*.circ")):
-        prog = parse_circuit_file(path)
-        for shots in (3000, 2 * _chunk_shots(prog) + 1):
-            rpt = sample_classical(prog, seed=7, shots=shots)
-            assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
-                prog, 7, shots
-            ), (path.name, shots)
+        assert simulate._indexes_points(parse_circuit_file(path)), path.name
+    # five items at 3^8 points each fit; at 3^10 they do not
+    assert simulate._indexes_points(parse_circuit(_wide_shaped_circuit(4)))
+    assert not simulate._indexes_points(parse_circuit(_wide_shaped_circuit(5)))
+    # a gate-free 40-qutrit program counts one table of 3^80 entries, past int64
+    n = 40
+    lines = [f"qudits p=3 n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
+    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+    assert not simulate._indexes_points(parse_circuit("\n".join(lines)))
+
+    def gate_lines(count):
+        lines = ["qudits p=3 n=3"] + [f"input {r} mixed" for r in (1, 2, 3)]
+        lines += [f"gate fourier({k % 3 + 1})" for k in range(count)]
+        return parse_circuit("\n".join(lines + [f"measure {r} computational" for r in (3, 2, 1)]))
+
+    # 179 tables of 3^6 points take 1043928 bytes, 180 pass the chunk
+    assert simulate._indexes_points(gate_lines(179))
+    assert not simulate._indexes_points(gate_lines(180))
+    assert not simulate._indexes_points(gate_lines(2000))
+
+
+def test_image_tables_fit_in_a_chunk(monkeypatch):
+    # the tables the indexed route builds stay within CHUNK_BYTES
+    built = []
+    image_indices = simulate._image_indices
+    monkeypatch.setattr(
+        simulate, "_image_indices", lambda g: built.append(image_indices(g)) or built[-1]
+    )
+    lines = ["qudits p=3 n=3"] + [f"input {r} mixed" for r in (1, 2, 3)]
+    lines += [f"gate fourier({k % 3 + 1}); sum({k % 3 + 1},{(k + 1) % 3 + 1})" for k in range(150)]
+    lines += [f"displace {k % 3 + 1} (1,{k % 3})" for k in range(29)]
+    lines += [f"measure {r} computational" for r in (3, 2, 1)]
+    rpt = sample_classical(parse_circuit("\n".join(lines)), seed=1, shots=1000)
+    assert len(built) == 179
+    assert sum(t.nbytes for t in built) <= simulate.CHUNK_BYTES
+    assert sum(rpt.counts.values()) == 1000
+
+
+def test_dense_route_holds_no_matrix_per_gate_item():
+    # 64 registers, 100 shots: a widened 128 x 128 float64 F^T kept per gate
+    # item would hold 128 KiB for each of 400 one-register gate lines, about
+    # 50 MiB; the dense route holds only the current item's matrix, so 400
+    # lines peak within a few chunks of 10 lines
+    n = 64
+
+    def peak(count):
+        lines = [f"qudits p=3 n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
+        lines += [f"gate fourier({k % n + 1})" for k in range(count)]
+        lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+        prog = parse_circuit("\n".join(lines))
+        assert not simulate._indexes_points(prog)
+        sample_classical(prog, seed=1, shots=0)  # fill validation caches untraced
+        tracemalloc.start()
+        try:
+            sample_classical(prog, seed=1, shots=100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10), peak(400)
+    assert large < small + 4 * simulate.CHUNK_BYTES, (small, large)
 
 
 def test_sampler_memory_flat_in_width():
