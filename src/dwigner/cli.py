@@ -3,9 +3,10 @@
 Subcommands: wigner, sample, facets, classify, slice, distill-check.
 Exit codes: 0 = PASS (or informational success), 1 = FAIL verdict,
 2 = invalid input, 3 = solver failure (an LP that did not converge; the
-message names the point).  Every output starts with a `# format-version 1`
-header and prints numbers at 12 significant digits, so identical command
-lines with identical seeds produce byte-identical files at any --jobs setting.
+message names the LP and gives the solver's reason).  Every output starts
+with a `# format-version 1` header and prints numbers at 12 significant
+digits, so identical command lines with identical seeds produce
+byte-identical files at any --jobs setting.
 """
 
 from __future__ import annotations
@@ -183,8 +184,6 @@ def cmd_classify(args) -> int:
         else:
             lines.append(f"lp_violation = {fmt_number(cert.violation)}")
             lines.append("witness_y = " + " ".join(fmt_number(y) for y in cert.witness_y))
-            if cert.disputed:
-                lines.append("disputed = True")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

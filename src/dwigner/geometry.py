@@ -3,15 +3,16 @@
 The phase-point inequalities Tr(A_u rho) >= 0 are checked as facets against
 the enumerated vertex set.  The qutrit polytope is described once, by its
 witness LP's 1520 vertices (21 orbit representatives), and its 81 integer
-facets are read off that table.  An exact rational qutrit Wigner vector is
-placed in or out of the hull by those facets, as one integer matrix product;
-every other input runs a floating-point LP.  Outside points get a separating
-dual witness from a second, one-target LP in both cases.  These hull LPs of
-`hull_membership` are the only code that loads scipy.  A slice scan decides
-its whole grid with array operations on integer numerators over one common
-denominator, plus one stacked eigenvalue call, and runs no LP: a BOUND
-point's margin, its exact L1 distance to the hull, is the witness LP's
-optimum over the vertex table.
+facets are read off that table.  Hull membership takes one route per input.
+An exact rational qutrit Wigner vector that sums to 1 gets its exact L1
+distance to the hull, and the witness that attains it, from the vertex table
+as one integer matrix product, with no LP.  Every other input runs one
+floating-point witness LP, whose optimum is that L1 distance: a gap within
+HULL_TOL is inside, certified by the LP's dual weights on the vertices.  That
+LP is the only code that loads scipy.  A slice scan decides its whole grid
+with array operations on integer numerators over one common denominator,
+plus one stacked eigenvalue call, and runs no LP: its verdict is the facet
+product, and a BOUND point's margin is its distance from the vertex table.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ class HullCertificate:
 
     Inside: `weights` over the vertices and the float `residual` of that
     decomposition; an exact verdict carries no weights and residual 0.
-    Outside: the dual witness `witness_y` and its gap `violation`.
-    `disputed` means the float LP disagrees with the exact verdict; on the
-    exact route that is an outside point whose witness gap is within HULL_TOL.
+    Outside: the witness `witness_y` and its gap `violation`, the L1 distance
+    to the hull: exact up to one rounding on the exact route, and above
+    HULL_TOL on the float route.
     """
 
     inside: bool
@@ -120,7 +121,6 @@ class HullCertificate:
     residual: float = 0.0
     violation: float = 0.0
     witness_y: Optional[np.ndarray] = None
-    disputed: bool = False
 
     def witness_operator(self, p: int, n: int) -> np.ndarray:
         """H = sum_u y_u A_u with Tr(H rho) > max_i Tr(H S_i) for outside points."""
@@ -255,45 +255,14 @@ def _inside_facets(num: np.ndarray) -> np.ndarray:
     return (num @ G.T).min(axis=1) >= 0
 
 
-def _in_qutrit_hull(exact_w) -> bool:
-    """Exact membership of a rational qutrit Wigner vector, on integer numerators."""
-    w = [Fraction(x) for x in exact_w]
-    den = math.lcm(*(x.denominator for x in w))
-    num = [x.numerator * (den // x.denominator) for x in w]
-    if sum(num) != den:
-        return False
-    row = _int_array([num], max(den, *(abs(x) for x in num)))
-    return bool(_inside_facets(row)[0])
-
-
-def _chebyshev_lp(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """min t s.t. |[V^T; 1^T] w - [target; 1]|_inf <= t, w >= 0."""
-    from scipy.optimize import linprog  # loaded by the first LP only
-
-    count = V.shape[0]
-    A = np.vstack([V.T, np.ones(count)])
-    b = np.concatenate([target, [1.0]])
-    # the row pairs [A_i, -1] . (w, t) <= b_i and [-A_i, -1] . (w, t) <= -b_i
-    rows = np.stack([A, -A], axis=1).reshape(-1, count)
-    c = np.zeros(count + 1)
-    c[-1] = 1.0
-    res = linprog(
-        c,
-        A_ub=np.hstack([rows, -np.ones((len(rows), 1))]),
-        b_ub=np.stack([b, -b], axis=1).ravel(),
-        bounds=[(0, None)] * count + [(0, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        raise SolverFailure(f"feasibility LP did not converge: {res.message}")
-    return float(res.fun), res.x[:count]
-
-
-def _separating_witness(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+def _separating_witness(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """max_{|y|<=1, s} y . t - s  s.t.  y . V_i <= s for all vertices V_i.
 
-    Returns the gap y . t - max_i V_i . y and the witness y.  The gap is the
-    LP optimum, unique even where y is not.
+    Returns the gap y . t - max_i V_i . y, the witness y and the dual values
+    w_i >= 0 of the vertex rows.  The gap is the LP optimum, the L1 distance
+    from t to the hull, unique even where y is not.  The free s makes
+    sum_i w_i = 1, and V^T w differs from t by the bound duals of y, whose L1
+    norm is the gap: for an inside point w is a convex decomposition of t.
     """
     from scipy.optimize import linprog  # loaded by the first LP only
 
@@ -308,7 +277,7 @@ def _separating_witness(V: np.ndarray, target: np.ndarray) -> tuple[float, np.nd
     if res.status != 0:
         raise SolverFailure(f"witness LP did not converge: {res.message}")
     y = res.x[:m]
-    return float(np.einsum("i,i->", y, target) - (y @ V.T).max()), y
+    return float(np.einsum("i,i->", y, target) - (y @ V.T).max()), y, -res.ineqlin.marginals
 
 
 def hull_membership(
@@ -319,32 +288,35 @@ def hull_membership(
     """Decide rho in conv(S) in Wigner coordinates; certify either verdict.
 
     Accepts a Hermitian unit-trace operator or a flat Wigner vector.  When
-    exact_w (the same vector as Fractions) is supplied and the vertex set is
-    the 12-state qutrit one, the verdict is exact, from the facets that
-    `qutrit_facets` reads off the witness-vertex table; only an outside point
-    then runs an LP, `_separating_witness`, for its witness.  Otherwise a
-    Chebyshev LP decides, with HULL_TOL on its optimum.
+    exact_w (the same vector as Fractions) sums to 1 and the vertex set is
+    the 12-state qutrit one, the verdict is exact and runs no LP: the
+    witness-vertex table gives the exact L1 distance to the hull and a
+    vertex y that attains it (`_hull_distances`), and distance 0 is
+    inside.  Every other input runs the witness LP (`_separating_witness`)
+    alone: a gap within HULL_TOL is inside, with the LP's dual weights as
+    the decomposition, and a larger gap is outside, with the LP's witness.
     """
     p, n = S.p, S.n
+    if exact_w is not None and (p, n) == (3, 1) and sum(exact_w) == 1:
+        w = [Fraction(x) for x in exact_w]
+        den = math.lcm(*(x.denominator for x in w))
+        num = [x.numerator * (den // x.denominator) for x in w]
+        (scaled,), (row,) = _hull_distances(_int_array([num], max(den, *map(abs, num))), den)
+        if scaled == 0:
+            return HullCertificate(inside=True)
+        y = _witness_vertices()[0][row] / 45
+        return HullCertificate(inside=False, violation=scaled / (45 * den), witness_y=y)
     V = S.wigner_matrix
     if isinstance(rho_or_w, np.ndarray) and rho_or_w.ndim == 2:
         target = _contract(rho_or_w, p, n) / p**n
     else:
         target = np.asarray(rho_or_w, dtype=float).ravel()
-    exact = exact_w is not None and (p, n) == (3, 1)
-    if exact:
-        if _in_qutrit_hull(exact_w):
-            return HullCertificate(inside=True)
-    else:
-        tstar, weights = _chebyshev_lp(V, target)
-        if tstar <= HULL_TOL:
-            recon = V.T @ weights
-            residual = float(
-                max(np.max(np.abs(recon - target)), abs(weights.sum() - 1.0))
-            )
-            return HullCertificate(inside=True, weights=weights, residual=residual)
-    gap, y = _separating_witness(V, target)
-    return HullCertificate(inside=False, violation=gap, witness_y=y, disputed=exact and gap <= HULL_TOL)
+    gap, y, weights = _separating_witness(V, target)
+    if gap <= HULL_TOL:
+        recon = V.T @ weights
+        residual = float(max(np.max(np.abs(recon - target)), abs(weights.sum() - 1.0)))
+        return HullCertificate(inside=True, weights=weights, residual=residual)
+    return HullCertificate(inside=False, violation=gap, witness_y=y)
 
 
 def classify_state(
@@ -358,7 +330,9 @@ def classify_state(
 
     Returns (label, details) with min_eig, min_wigner and the hull
     certificate when one was computed.  With exact_w (Fractions) the sign
-    test is exact, and for p = 3 so is the hull verdict (`hull_membership`).
+    test is exact, and for p = 3 and a vector summing to 1 so is the hull
+    verdict, from the witness-vertex table with no LP; otherwise the witness
+    LP decides, with HULL_TOL on the L1 gap (`hull_membership`).
     An operator that fails `validate_hermitian_unit_trace` gets no label: ValueError.
     """
     require_odd_prime(p)
@@ -527,29 +501,33 @@ def slice_scan(spec: SliceSpec) -> list:
                 label = "BOUND"
                 bound_rows.append(i)
             block.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
-        for i, gap in zip(bound_rows, _hull_distances(num[bound_rows], D)):
-            block[i].lp_margin = gap
+        for i, scaled in zip(bound_rows, _hull_distances(num[bound_rows], D)[0]):
+            block[i].lp_margin = scaled / (45 * D)
         rows += block
     return rows
 
 
-def _hull_distances(num: np.ndarray, den: int) -> list:
+def _hull_distances(num: np.ndarray, den: int) -> tuple[list, list]:
     """L1 distance to the qutrit stabilizer hull of each row of Wigner
-    numerators over `den`, as the float nearest its exact value.
+    numerators over `den`, as the exact integer 45 den times it, and the
+    first row of the vertex table that attains it.
 
     By LP duality the distance is the witness LP's optimum, so it is the
     largest 45 (y . t - s) over the vertex table, an integer product taken
-    WITNESS_ROWS rows at a time, divided once by 45 den.
+    WITNESS_ROWS rows at a time.  Callers divide by 45 den once; the integer
+    is 0 exactly when the row is inside, even where that quotient underflows.
     """
     Y, s = _witness_vertices()
     if num.dtype != np.int64:
         Y, s = Y.astype(object), s.astype(object)
-    best = []
+    best, rows = [], []
     for start in range(0, len(num), WITNESS_ROWS):
         values = num[start : start + WITNESS_ROWS] @ Y.T
         values -= den * s
-        best += values.max(axis=1).tolist()
-    return [b / (45 * den) for b in best]
+        argmax = values.argmax(axis=1)
+        rows += argmax.tolist()
+        best += values[np.arange(len(argmax)), argmax].tolist()
+    return best, rows
 
 
 def slice_csv(rows: list, spec: SliceSpec) -> str:

@@ -9,6 +9,7 @@ import pytest
 from dwigner import circuits
 from dwigner.circuits import load_wigner_file
 from dwigner.cli import build_parser, main
+from dwigner.geometry import exact_vertex_matrix
 from dwigner.stabilizer import MAX_MUB_P
 from dwigner.wigner import state_from_wigner
 
@@ -372,30 +373,35 @@ def classify_segment_point(tmp_path, monkeypatch, t) -> list:
     return out.read_text().splitlines()
 
 
-@pytest.mark.parametrize("offset,label", [(0, "STABILIZER_MIX"), (Fraction(1, 10**11), "BOUND")])
+@pytest.mark.parametrize(
+    "offset,label",
+    [(0, "STABILIZER_MIX"), (Fraction(1, 10**11), "BOUND"), (Fraction(1, 10**400), "BOUND")],
+)
 def test_classify_wigner_file_is_exact(tmp_path, monkeypatch, offset, label):
     # the segment leaves the stabilizer polytope at t = 15/23; just past it
-    # the float LP's optimum is below HULL_TOL, but the file is exact
+    # the float LP's optimum is below HULL_TOL, but the file is exact, even
+    # where the distance to the hull underflows a float
     lines = classify_segment_point(tmp_path, monkeypatch, Fraction(15, 23) + offset)
     assert f"label = {label}" in lines
 
 
-def test_classify_prints_a_disputed_certificate(tmp_path, monkeypatch):
-    # just past t = 15/23 the witness gap is within HULL_TOL: the trivial
-    # witness is printed as before and flagged as disputed
-    lines = classify_segment_point(tmp_path, monkeypatch, Fraction(15, 23) + Fraction(1, 10**11))
-    assert "label = BOUND" in lines
-    assert lines[-1] == "disputed = True"
-    assert sum(line.startswith("disputed") for line in lines) == 1
-    # the BOUND row itself has a witness with a clear gap
-    lines = classify_segment_point(tmp_path, monkeypatch, Fraction(1))
-    assert "label = BOUND" in lines
+def test_classify_prints_an_exact_certificate_past_the_edge(tmp_path, monkeypatch, mub3):
+    # just past t = 15/23 the gap is far below HULL_TOL, but the vertex table
+    # gives it exactly, with a witness that separates
+    t = Fraction(15, 23) + Fraction(1, 10**11)
+    lines = classify_segment_point(tmp_path, monkeypatch, t)
+    assert "label = BOUND" in lines and "lp_violation = 3.40740740741e-12" in lines
     assert not any(line.startswith("disputed") for line in lines)
+    (witness,) = [line for line in lines if line.startswith("witness_y = ")]
+    y = [Fraction(x) for x in witness.split(" = ")[1].split()]
+    w = load_wigner_file(tmp_path / "edge.w", 3)
+    best = max(sum(a * b for a, b in zip(y, v)) for v in exact_vertex_matrix(mub3))
+    assert sum(a * b for a, b in zip(y, w)) > best
 
 
 def test_classify_rounded_wigner_file_keeps_the_float_route(tmp_path, monkeypatch):
     # 1/9 written to 12 digits sums to 0.999999999999: not a state on exact
-    # rationals, so the Chebyshev LP decides with its tolerance, as before
+    # rationals, so the witness LP decides with its tolerance, as before
     rows = [f"{a1} {a2} 0.111111111111" for a1 in range(3) for a2 in range(3)]
     (tmp_path / "mixed.w").write_text("wigner p=3\n" + "\n".join(rows) + "\n")
     monkeypatch.chdir(tmp_path)
@@ -479,20 +485,28 @@ def test_slice_rejects_a_huge_grid_before_allocating(samples_dir, tmp_path, caps
 
 
 def test_classify_solver_failure_exits_3(samples_dir, tmp_path, monkeypatch, capsys):
-    # a BOUND verdict runs the witness LP; when it fails, the error is one
-    # line, the exit code 3, and no output is written
+    # a float input runs the witness LP; when it fails, the error is one
+    # line, the exit code 3, and no output is written.  The exact Wigner file
+    # of the same state runs no LP, so it still exits 0.
     import scipy.optimize
 
     def no_convergence(c, **kwargs):
         return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties", x=None)
 
+    rho = state_from_wigner(np.array([float(x) for x in load_wigner_file(samples_dir / "bound_ninth.w", 3)]), 3, 1)
+    matrix_file = tmp_path / "bound_ninth.mat"
+    matrix_file.write_text(
+        "dim 3\n" + "".join(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n" for row in rho)
+    )
     monkeypatch.chdir(samples_dir.parent)
     monkeypatch.setattr(scipy.optimize, "linprog", no_convergence)
     out = tmp_path / "c.txt"
-    assert run_cli("classify", "wigner-file:sample_inputs/bound_ninth.w", "--out", str(out)) == 3
+    assert run_cli("classify", f"matrix-file:{matrix_file}", "--out", str(out)) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: witness LP did not converge")
     assert not out.exists()
+    assert run_cli("classify", "wigner-file:sample_inputs/bound_ninth.w", "--out", str(out)) == 0
+    assert out.read_text() == BOUND_NINTH_CLASSIFY
 
 
 @pytest.mark.parametrize(
@@ -833,6 +847,21 @@ def test_slice_imports_no_scipy(samples_dir, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "BOUND" in (tmp_path / "grid.csv").read_text()
+    assert proc.stderr.strip() == "[]"
+
+
+def test_classify_exact_qutrit_file_imports_no_scipy(samples_dir):
+    # an exact qutrit Wigner file takes its hull certificate from the
+    # witness-vertex table, so classify solves no LP and never loads scipy
+    argv = ["classify", "wigner-file:sample_inputs/bound_ninth.w"]
+    code = (
+        "import sys, dwigner.cli; "
+        f"assert dwigner.cli.main({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=samples_dir.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == BOUND_NINTH_CLASSIFY
     assert proc.stderr.strip() == "[]"
 
 

