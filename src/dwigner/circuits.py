@@ -16,9 +16,10 @@ jumps to the chosen label; reaching a label line sequentially (or EOF) ends
 the path.  Branch targets must lie strictly ahead.  Every path must measure
 each register exactly once, always the highest-indexed unmeasured one.
 
-Each generator call is parsed once into a `GateCall`.  A gate item's affine
-map (F, a) is built once, on the registers it touches; `fields.widen_map`
-lifts it to n, as a local gate is the identity on the other registers.
+Each generator call is parsed once into a `GateCall`.  `_word_map` composes
+a word's affine map (F, a) on the registers it touches, for distillation
+channels; `fields.widen_map` lifts it to n, as a local gate is the identity
+on the other registers.
 
 The same module reads the files a document refers to (Wigner, matrix, POVM
 and Kraus files) and slice files.  Matrix, POVM and Kraus files are blocks
@@ -72,8 +73,8 @@ __all__ = [
     "MAX_REGISTERS",
 ]
 
-# Registers on any path, so that no per-register list and no dense 2n x 2n
-# gate map grows without bound (the sampler bounds its chunks in bytes)
+# Registers on any path, so that no per-register list grows without bound
+# (the sampler bounds its chunks in bytes)
 MAX_REGISTERS = 256
 
 
@@ -610,7 +611,6 @@ def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, set]:
 class ValidationReport:
     ok: bool
     problems: list
-    gate_maps: dict  # gate item idx -> (regs, its (F, a) on them), see _word_map
     # Wigner values of each state that passed its PSD check: one array per
     # input register, and per extend item one array per appended register
     input_wigners: list
@@ -619,11 +619,12 @@ class ValidationReport:
 
 
 def validate_circuit(prog: CircuitProgram) -> ValidationReport:
-    """Physical validation: state and effect positivity, gate maps.
+    """Physical validation: state and effect positivity, gate registers.
 
-    Each gate item gets one map, on the registers it touches (`_word_map`);
-    no unitary is built.  The parser checked register ranges on every path;
-    an item no path reaches is checked here, at the initial register count.
+    A gate item is a word of generator calls, each an affine symplectic map
+    by construction, so no map is composed and no unitary is built.  The
+    parser checked register ranges on every path; an item no path reaches is
+    checked here, at the initial register count.
     The Wigner values computed for the sign tests of states and effects are
     kept for the sampler, an extend item's once per appended register.
     """
@@ -668,10 +669,7 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                         f"negative Wigner value {WE.values[worst]:.6g} "
                         f"at point ({worst // prog.p},{worst % prog.p})"
                     )
-    gate_maps = {}
     for i, instr in enumerate(prog.items):
-        if isinstance(instr, GateInstr):
-            gate_maps[i] = _word_map(instr.word, prog.p)
         if isinstance(instr, (GateInstr, DisplaceInstr)) and i not in prog.reached:
             try:
                 _require_registers([r for c in _item_calls(instr) for r in c.regs], prog.n)
@@ -680,7 +678,6 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     return ValidationReport(
         ok=not problems,
         problems=problems,
-        gate_maps=gate_maps,
         input_wigners=input_wigners,
         extend_wigners=extend_wigners,
         effect_wigners=effect_wigners,

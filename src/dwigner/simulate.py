@@ -30,17 +30,12 @@ transposes a chunk's uniforms once so each draw position is a contiguous
 row, draws points with searchsorted, measures by counting contiguous
 cumulative effect columns below the draw, splits branches with index arrays
 and tallies outcome codes with bincount, building each distinct outcome
-string from a row of label bytes.  A shot's point has one of two encodings,
-chosen per run from the program alone (_indexes_points).  When
-max(gate and displace items, 1) tables of p^(2n) int64 entries fit in
-CHUNK_BYTES, each shot carries one point index and each gate or displace
-item is one gather through its image table (_image_indices), so the tables
-together stay within about one chunk.  Otherwise each shot carries its 2n
-coordinates, and a gate multiplies the columns of the registers it touches
-by its local F^T in float64 (a BLAS product, exact on these small integers)
-reduced mod p by a table gather, holding no matrix past its own item.  Both
-encodings read the same uniforms at the same positions, so the output does
-not depend on which one runs.
+string from a row of label bytes.  A shot's point is one digit q * p + x
+per live register, and a chunk holds one int64 row of digits per register.
+Each generator call of a gate or displace item acts on its own one or two
+registers only: it is one gather of their combined digit through the call's
+table of image digits (_call_digits), cached per (p, kind, params), so no
+map over all the live registers is built or held.
 """
 
 from __future__ import annotations
@@ -116,9 +111,10 @@ ORACLE_DIM_CAP = 243
 # so a product input with a word channel runs up to n = 6 qutrits
 PRODUCT_WIGNER_CAP = 3**12
 # Bytes of one chunk's shots x K float64 uniforms.  A chunk holds the even
-# number of shots that fits, at least 2, so its uniforms, points and gate
-# products each take about this much at any register count; even, so each
-# chunk's first draw lo * K is a multiple of a Philox block's four draws.
+# number of shots that fits, at least 2, so its uniforms take about this much
+# and its n rows of int64 point digits half of it at any register count;
+# even, so each chunk's first draw lo * K is a multiple of a Philox block's
+# four draws.
 CHUNK_BYTES = 1 << 20
 # The tally's mixed-radix outcome codes stay below this, well inside int64.
 _CODE_LIMIT = 1 << 62
@@ -154,9 +150,9 @@ class SampleReport:
     shots: int
     seed: int
     counts: dict  # outcome string -> int
-    # The dense-map cost model, on either point encoding: a gate item run by
-    # s shots on n live registers adds s * (2n)^2 mults, a displace item
-    # s * 2 adds, whatever work the kernel actually does.
+    # The dense-map cost model: a gate item run by s shots on n live
+    # registers adds s * (2n)^2 mults, a displace item s * 2 adds, whatever
+    # work the kernel actually does (one gather per generator call).
     field_mults: int
     field_adds: int
 
@@ -299,12 +295,13 @@ def sample_classical(
 
     Validates the program first: a failure raises CircuitError carrying the
     validator's problems, and zero shots only validate.  Points are drawn
-    from the Wigner values the validator computed, pushed through its gate
-    maps and measured against its effect values.  Shots run in chunks of
-    at most CHUNK_BYTES of uniforms, each drawing its own (see the module
-    docstring), so memory is bounded by one chunk.  Chunk bounds depend only
-    on `shots` and the register count; `jobs` is accepted and does not
-    change the work or the report.
+    from the Wigner values the validator computed, pushed through each
+    generator call's table of image digits and measured against the
+    validator's effect values.  Shots run in chunks of at most CHUNK_BYTES
+    of uniforms, each drawing its own (see the module docstring), so memory
+    is bounded by one chunk.  Chunk bounds depend only on `shots` and the
+    register count; `jobs` is accepted and does not change the work or the
+    report.
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
@@ -325,58 +322,34 @@ def sample_classical(
     )
 
 
-def _indexes_points(prog: CircuitProgram) -> bool:
-    """True iff the sampler carries each shot's phase point as one flat
-    index: iff max(gate and displace items, 1) image tables of p^(2n) int64
-    entries, n = max_registers, fit in CHUNK_BYTES.  At least one table is
-    counted, so a program with no gate stays off an index past int64."""
-    maps = sum(isinstance(instr, (GateInstr, DisplaceInstr)) for instr in prog.items)
-    cap = CHUNK_BYTES // 8
-    # p >= 3, so p^k passes the cap once k reaches its bit length; clipping
-    # the exponent there keeps a huge register count from costing a huge power
-    return max(maps, 1) * prog.p ** min(2 * prog.max_registers, cap.bit_length()) <= cap
-
-
 class _Walk:
     """One run's shots pushed, chunk by chunk, along the program's control paths.
 
-    A shot's phase point has one of two encodings, chosen per run by
-    `_indexes_points`:
-
-    * indexed: one int64 point index in `fields.point_index` order, the
-      base-p^2 digit of register r being q * p + x.  A draw appends a digit
-      (idx * p^2 + searchsorted), a gate or displace item is one gather
-      through its image table (`_image_indices` of its map widened to the
-      live registers, built on first use), and a measurement reads its
-      register's digit;
-    * dense: a shots x 2n int64 block of (q, x) columns.  A gate multiplies
-      the columns of the registers it touches by its local F^T, converted to
-      float64 at use so that BLAS runs it (exact: the products are integers
-      in [0, 2n(p-1)^2], far below 2^53), and reduces them mod p by a gather
-      from the table `modp`; only the current item's matrix is held.  A
-      displace adds its point to its register's two columns.
-
-    Everything else is shared.  A chunk's uniforms are held transposed, one
-    contiguous row per draw position, so shots that have not split read a
-    draw with no gather; `rows` is None for them and the chunk-row ids of
-    the shots after a split.  A measurement counts the cumulative effect
-    columns below the draw, one contiguous column per effect but the last,
-    whose entry 1.0 no draw reaches.  A branch splits the shots with index
-    arrays, and shots that end a path together are tallied at once.  Both
-    encodings read the same uniforms at the same positions, so the counts do
-    not depend on which one runs.
+    A shot's phase point is one digit q * p + x per live register, the digit
+    order of `fields.point_index` within a register, so a chunk's points are
+    a list of n int64 rows, one per register.  A draw appends a row
+    (searchsorted in the register's cumulative Wigner table), a measurement
+    reads its register's row, and a branch takes each row at the index
+    array of its shots.  Each generator call of a gate or displace item is
+    one gather: its registers' digits combine into one index (ctrl * p^2 +
+    tgt for sum) into the call's table of image digits (`_call_digits`), one
+    row per register.  A chunk's uniforms are held transposed, one contiguous row per
+    draw position, so shots that have not split read a draw with no gather;
+    `rows` is None for them and the chunk-row ids of the shots after a split.
+    A measurement counts the cumulative effect columns below the draw, one
+    contiguous column per effect but the last, whose entry 1.0 no draw
+    reaches.  Shots that end a path together are tallied at once.
     """
 
     def __init__(self, prog, report):
         self.prog = prog
         self.p2 = prog.p**2
-        self.indexed = _indexes_points(prog)
         self.input_dists = [_cumulative(w) for w in report.input_wigners]
-        self.extend_dists = {i: list(map(_cumulative, ws)) for i, ws in report.extend_wigners.items()}
+        # every register an extend item appends holds the same state
+        self.extend_dists = {
+            i: [_cumulative(ws[0])] * len(ws) for i, ws in report.extend_wigners.items()
+        }
         self.povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
-        self.gate_maps = report.gate_maps  # item idx -> (regs, local map)
-        self.tables: dict = {}  # (item idx, register count) -> image indices
-        self.modp = np.arange(2 * prog.max_registers * (prog.p - 1) ** 2 + 1) % prog.p
         self.UT = None  # the chunk's uniforms, one row per draw position
         self.counts: dict[str, int] = {}
         self.mults = 0
@@ -392,43 +365,29 @@ class _Walk:
         self.UT = np.ascontiguousarray(rng.random((hi - lo, K)).T)
         # initial phase points: one draw per register, positions 0..n-1
         n = len(self.input_dists)
-        pts = np.zeros((hi - lo,) if self.indexed else (hi - lo, 0), dtype=np.int64)
-        self.run(0, None, self.draw_points(pts, self.input_dists, None, 0), n, n, {})
+        self.run(0, None, self.draw_points([], self.input_dists, None, 0), n, n, {})
         self.UT = None
-
-    def table(self, i, n):
-        """Point index of the image of every point on n registers under
-        gate or displace item i's map."""
-        if (i, n) not in self.tables:
-            instr = self.prog.items[i]
-            if isinstance(instr, GateInstr):
-                regs, g = self.gate_maps[i]
-            else:
-                eye, point = np.eye(2, dtype=np.int64), np.array(instr.point, dtype=np.int64)
-                regs, g = (instr.reg,), CliffordElement(eye, point, self.prog.p)
-            self.tables[(i, n)] = _image_indices(CliffordElement(*_widen(regs, g, n), self.prog.p))
-        return self.tables[(i, n)]
 
     def draws(self, rows, pos):
         """Draw `pos` of the shots `rows` (every shot of the chunk when None)."""
         return self.UT[pos] if rows is None else self.UT[pos][rows]
 
     def draw_points(self, pts, dists, rows, pos):
-        """`pts` with one register appended per table in `dists`, drawn
-        with draws pos, pos+1, ...: a new last digit of each point index, or
-        two new point columns."""
-        if self.indexed:
-            for j, cum in enumerate(dists):
-                pts = pts * self.p2 + np.searchsorted(cum, self.draws(rows, pos + j), side="right")
-            return pts
-        shots, width = pts.shape
-        grown = np.empty((shots, width + 2 * len(dists)), dtype=np.int64)
-        grown[:, :width] = pts
-        for j, cum in enumerate(dists):
-            idx = np.searchsorted(cum, self.draws(rows, pos + j), side="right")
-            c = width + 2 * j
-            np.divmod(idx, self.prog.p, out=(grown[:, c], grown[:, c + 1]))
-        return grown
+        """`pts` with one digit row appended per table in `dists`, drawn
+        with draws pos, pos+1, ..."""
+        return pts + [
+            np.searchsorted(cum, self.draws(rows, pos + j), side="right")
+            for j, cum in enumerate(dists)
+        ]
+
+    def apply(self, call, pts):
+        """Replace the digit rows of `call`'s registers by their images."""
+        at = [r - 1 for r in call.regs]
+        combined = pts[at[0]]
+        for j in at[1:]:
+            combined = combined * self.p2 + pts[j]
+        for j, image in zip(at, _call_digits(self.prog.p, call.kind, call.params)):
+            pts[j] = image[combined]
 
     def run(self, i, rows, pts, n, pos, measured):
         """Run the shots `rows` (points `pts` on n registers, next draw at
@@ -436,41 +395,22 @@ class _Walk:
         to its labels and the shots' outcome indices.  `pts` belongs to this
         call."""
         items = self.prog.items
-        p = self.prog.p
         while i < len(items) and not isinstance(items[i], LabelMarker):
             instr = items[i]
-            shots = len(pts)
-            if isinstance(instr, GateInstr):
-                if self.indexed:
-                    pts = self.table(i, n)[pts]
+            shots = len(pts[0])
+            if isinstance(instr, (GateInstr, DisplaceInstr)):
+                for call in _item_calls(instr):
+                    self.apply(call, pts)
+                if isinstance(instr, GateInstr):
+                    self.mults += shots * (2 * n) ** 2
                 else:
-                    regs, g = self.gate_maps[i]
-                    FT = g.F.T.astype(np.float64)  # the current item's matrix only
-                    if regs == tuple(range(1, n + 1)):  # every column, in order
-                        pts = self.modp[(pts.astype(np.float64) @ FT).astype(np.intp)]
-                    else:
-                        cols = [2 * r - 2 + k for r in regs for k in (0, 1)]
-                        prod = pts[:, cols].astype(np.float64) @ FT
-                        pts[:, cols] = self.modp[prod.astype(np.intp)]
-                self.mults += shots * (2 * n) ** 2
-            elif isinstance(instr, DisplaceInstr):
-                if self.indexed:
-                    pts = self.table(i, n)[pts]
-                else:
-                    c = 2 * (instr.reg - 1)
-                    pts[:, c : c + 2] += instr.point
-                    pts[:, c : c + 2] %= p
-                self.adds += shots * 2
+                    self.adds += shots * 2
             elif isinstance(instr, ExtendInstr):
                 pts = self.draw_points(pts, self.extend_dists[i], rows, pos)
                 n += instr.count
                 pos += instr.count
             elif isinstance(instr, MeasureInstr):
-                if self.indexed:
-                    b = pts // self.p2 ** (n - instr.reg) % self.p2
-                else:
-                    c = 2 * (instr.reg - 1)
-                    b = pts[:, c] * p + pts[:, c + 1]
+                b = pts[instr.reg - 1]
                 u = self.draws(rows, pos)
                 outcome = np.zeros(shots, dtype=np.intp)
                 for col in self.povm_cols[i]:
@@ -484,7 +424,7 @@ class _Walk:
                             self.run(
                                 instr.branch[label],
                                 idx if rows is None else rows[idx],
-                                pts[idx],
+                                [row[idx] for row in pts],
                                 n,
                                 pos,
                                 {r: (labs, out[idx]) for r, (labs, out) in measured.items()},
@@ -493,7 +433,7 @@ class _Walk:
             else:
                 raise TypeError(f"unexpected item {instr!r}")
             i += 1
-        self.tally([measured[r] for r in range(1, n + 1)], len(pts))
+        self.tally([measured[r] for r in range(1, n + 1)], len(pts[0]))
 
     def tally(self, measured, shots):
         """Count the outcome strings of `shots` shots that end a path together.
@@ -547,6 +487,22 @@ def _label_bytes(labels: tuple) -> tuple:
     mask = np.arange(width) < np.array([len(b) for b in raw])[:, None]
     table.flags.writeable = mask.flags.writeable = False
     return table, mask
+
+
+@functools.lru_cache(maxsize=None)
+def _call_digits(p: int, kind: str, params: tuple) -> tuple:
+    """Image digits of one generator call on its own registers: row k holds
+    the image digit q * p + x of the call's k-th register at every combined
+    digit of its registers (ctrl * p^2 + tgt for sum), split from
+    `_image_indices` of the generator's map.  There is one entry per
+    distinct call, at most p^2 + p + 2 per p; sum's is the largest, 2 p^4
+    int64 entries.  The cached rows are read-only."""
+    g = weyl.generator_map(kind, p, **dict(params))
+    index, p2 = _image_indices(g), p * p
+    rows = tuple(index // p2 ** (g.n - 1 - k) % p2 for k in range(g.n))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
 
 
 # --- statistics -------------------------------------------------------------

@@ -20,7 +20,11 @@ __all__ = ["StabilizerSet", "mub_stabilizer_states", "MAX_MUB_P", "require_cappe
 # The one cap on p for every command.  The set holds p(p+1) dense p x p states
 # plus their Wigner rows, about 24 p^3 (p+1) bytes, and stays cached for the
 # process: 23 MB at p = 31.  A Weyl table's one-qudit operators take 32 p^4
-# bytes: 30 MB at p = 31, 3.3 GB at p = 101.
+# bytes: 30 MB at p = 31, 3.3 GB at p = 101.  The sampler's cached table for
+# a `sum` call holds 2 p^4 int64 digits, 14.8 MB at p = 31, once per process:
+# a two-register p = 31 circuit with one `sum`, sampled at 1e5 shots, peaks
+# at 88.0 MB RSS against 81.6 MB when no table is built (2-CPU x86-64 VM,
+# Python 3.11, numpy 2.4).
 MAX_MUB_P = 31
 
 

@@ -10,6 +10,7 @@ from dwigner.circuits import (
     MAX_REGISTERS,
     CircuitError,
     GateCall,
+    GateInstr,
     _item_calls,
     _widen,
     _word_map,
@@ -250,19 +251,19 @@ measure 1 computational
     prog = parse_circuit(src)
     rep = validate_circuit(prog)
     assert rep.ok
-    # the validator composed the gate's (F, a) on its two registers from the
-    # generator table; widened to n=2 it is the map that conjugating the
-    # word's dense unitary gives
-    regs, g = rep.gate_maps[0]
+    # the gate's (F, a) composed on its two registers from the generator
+    # table; widened to n=2 it is the map that conjugating the word's dense
+    # unitary gives
+    regs, g = _word_map(prog.items[0].word, 3)
     assert regs == (1, 2) and g.a.sum() == 0
     U = _dense_item_unitary(prog.items[0].word, 3, 2)
     assert CliffordElement(*_widen(regs, g, 2), 3) == extract_symplectic(U, 3)
 
 
 def test_wide_validation_keeps_no_dense_maps():
-    # 256 registers, 32 displace items and 32 one-register gate items: one
-    # 2 x 2 map per gate item and none per displace item, where a 512 x 512
-    # map per item and register count would keep 2 MiB each
+    # 256 registers, 32 displace items and 32 one-register gate items: the
+    # validator composes no map, where a 512 x 512 map per item and register
+    # count would keep 2 MiB each; each gate word's map is 2 x 2
     n = MAX_REGISTERS
     lines = [f"qudits p=3 n={n}"] + [f"input {r} zero" for r in range(1, n + 1)]
     for r in range(1, 33):
@@ -277,12 +278,35 @@ def test_wide_validation_keeps_no_dense_maps():
         tracemalloc.stop()
     assert rep.ok, rep.problems
     assert peak < 4 * 2**20, peak
-    assert {i: regs for i, (regs, _) in rep.gate_maps.items()} == {
+    gates = {i: instr.word for i, instr in enumerate(prog.items) if isinstance(instr, GateInstr)}
+    assert {i: _word_map(word, 3)[0] for i, word in gates.items()} == {
         2 * r - 1: (r,) for r in range(1, 33)
     }
     rpt = simulate.sample_classical(prog, seed=1, shots=200)
     assert rpt.field_mults == 200 * 32 * 512**2
     assert sum(rpt.counts.values()) == 200
+
+
+def test_repeated_wide_lines_validate_into_no_held_maps():
+    # 40 identical full-width brickwork lines on 256 registers: a composed
+    # 512 x 512 int64 map kept per line would hold 2 MiB each, 80 MiB in all;
+    # the report holds the inputs' and effects' Wigner values only
+    n = MAX_REGISTERS
+    lines = [f"qudits p=3 n={n}"]
+    lines += [f"input {r} {'mixed' if r % 3 == 1 else 'zero'}" for r in range(1, n + 1)]
+    word = "; ".join(f"fourier({r}); sum({r},{r % n + 1})" for r in range(1, n + 1))
+    lines += [f"gate {word}"] * 40
+    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
+    prog = parse_circuit("\n".join(lines))
+    validate_circuit(prog)  # fill the Wigner caches untraced
+    tracemalloc.start()
+    try:
+        rep = validate_circuit(prog)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok, rep.problems
+    assert held < 2**20, held
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -445,11 +469,10 @@ def test_gate_maps_equal_dense_extraction(p, data):
     prog = parse_circuit("\n".join(lines))
     rep = validate_circuit(prog)
     assert rep.ok, rep.problems
-    assert set(rep.gate_maps) == {i for i, calls in enumerate(items) if calls[0].kind != "displace"}
     for i, calls in enumerate(items):
         assert _item_calls(prog.items[i]) == calls  # each call parsed into its record
-        # a displace item has no validator map; its calls compose the same way
-        regs, g = rep.gate_maps[i] if i in rep.gate_maps else _word_map(calls, p)
+        # a gate or displace item's calls compose into one map
+        regs, g = _word_map(calls, p)
         assert g.F.shape == (2 * len(regs), 2 * len(regs))
         widened = CliffordElement(*_widen(regs, g, n), p)
         assert widened == extract_symplectic(_dense_item_unitary(calls, p, n), p)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwigner import circuits, simulate, weyl
+from dwigner import circuits, fields, simulate, weyl
 from dwigner.fields import CliffordElement, all_points
 from dwigner.circuits import (
     DisplaceInstr,
@@ -71,8 +71,8 @@ def _word_unitary(p: int, n: int, word) -> np.ndarray:
 
 
 def _widened(gate_map, n: int) -> np.ndarray:
-    """F on n registers of a validator gate map (regs, local map): the local
-    F on the registers' blocks, the identity elsewhere."""
+    """F on n registers of a word's map (regs, local map), as `_word_map`
+    returns it: the local F on the registers' blocks, the identity elsewhere."""
     regs, g = gate_map
     F = np.eye(2 * n, dtype=np.int64)
     cols = [2 * r - 2 + k for r in regs for k in (0, 1)]
@@ -627,6 +627,26 @@ def test_image_indices_match_pointwise_images(p, n):
     assert np.array_equal(simulate._image_indices(g), images @ p ** np.arange(2 * n - 1, -1, -1))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_call_digits_match_pointwise_images(p):
+    # every digit row of a call's table is its register's image digit
+    # q * p + x at every local point, the registers' digits combined as
+    # ctrl * p^2 + tgt for sum
+    rng = np.random.default_rng(p)
+    calls = [("fourier", ()), ("quadratic", ()), ("sum", ())]
+    calls += [("multiply", (("c", c),)) for c in range(1, p)]
+    points = [(0, 0)] + [tuple(rng.integers(0, p, size=2).tolist()) for _ in range(4)]
+    calls += [("displace", (("point", point),)) for point in points]
+    for kind, params in calls:
+        g = weyl.generator_map(kind, p, **dict(params))
+        digits = simulate._call_digits(p, kind, params)
+        assert len(digits) == g.n
+        for index, u in enumerate(all_points(p, g.n)):
+            image = fields.apply_affine(g, u)
+            want = [int(image[2 * k]) * p + int(image[2 * k + 1]) for k in range(g.n)]
+            assert [int(row[index]) for row in digits] == want, (kind, params, u)
+
+
 def test_distill_rejects_a_non_clifford_unitary():
     # U = diag(1, w9, w9^-1) (x) I is diagonal but not Clifford: it maps the
     # nonnegative |+> to a negatively represented state
@@ -882,10 +902,10 @@ def reference_sample(prog, seed, shots):
     """Reference sampler kernel: (counts, field mults, field adds) of `shots`
     shots, in the sampler's chunks, on the same Philox layout.  Each chunk
     gathers its draws from the (shots, K) uniform matrix, splits (q, x) with
-    // and %, maps points by int64 products with each gate's local map,
-    widened here, reduced with % p, measures by comparing a gathered
-    (shots, L) cumulative table row by row, splits branches with boolean
-    masks and tallies with np.unique."""
+    // and %, maps points by int64 products with each gate word's map,
+    composed by `_word_map` and widened here, reduced with % p, measures by
+    comparing a gathered (shots, L) cumulative table row by row, splits
+    branches with boolean masks and tallies with np.unique."""
     report = validate_circuit(prog)
     assert report.ok
     input_dists = [simulate._cumulative(w) for w in report.input_wigners]
@@ -900,8 +920,7 @@ def reference_sample(prog, seed, shots):
     counts, mults, adds = {}, 0, 0
     for lo in range(0, shots, _chunk_shots(prog)):
         hi = min(lo + _chunk_shots(prog), shots)
-        walk = _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums,
-                                report.gate_maps, lo, hi)
+        walk = _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums, lo, hi)
         for k, v in walk.counts.items():
             counts[k] = counts.get(k, 0) + v
         mults += walk.mults
@@ -909,7 +928,7 @@ def reference_sample(prog, seed, shots):
     return dict(sorted(counts.items())), mults, adds
 
 
-def _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums, gate_maps, lo, hi):
+def _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums, lo, hi):
     p = prog.p
     K = 2 * prog.max_registers
     U = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4)).random((hi - lo, K))
@@ -920,18 +939,17 @@ def _reference_chunk(prog, seed, input_dists, extend_dists, povm_cums, gate_maps
         cols.append(idx % p)
     upts = np.stack(cols, axis=1).astype(np.int64)
     out_idx = np.full((hi - lo, prog.max_registers), -1, dtype=np.int64)
-    walk = _ReferenceWalk(prog, U, extend_dists, povm_cums, gate_maps)
+    walk = _ReferenceWalk(prog, U, extend_dists, povm_cums)
     walk.run(0, np.arange(hi - lo), upts, len(input_dists), {}, out_idx)
     return walk
 
 
 class _ReferenceWalk:
-    def __init__(self, prog, U, extend_dists, povm_cums, gate_maps):
+    def __init__(self, prog, U, extend_dists, povm_cums):
         self.prog = prog
         self.U = U
         self.extend_dists = extend_dists
         self.povm_cums = povm_cums
-        self.gate_maps = gate_maps
         self.counts = {}
         self.mults = 0
         self.adds = 0
@@ -943,7 +961,7 @@ class _ReferenceWalk:
             instr = items[i]
             n_cur = upts.shape[1] // 2
             if isinstance(instr, GateInstr):
-                upts = (upts @ _widened(self.gate_maps[i], n_cur).T) % p
+                upts = (upts @ _widened(circuits._word_map(instr.word, p), n_cur).T) % p
                 self.mults += rows.size * (2 * n_cur) ** 2
             elif isinstance(instr, DisplaceInstr):
                 c = 2 * (instr.reg - 1)
@@ -992,14 +1010,6 @@ class _ReferenceWalk:
             self.counts[key] = self.counts.get(key, 0) + c
 
 
-def _sample_on(prog, indexed, **kw):
-    """sample_classical with the point encoding forced: flat point indices
-    when `indexed`, else the dense shots x 2n block."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_indexes_points", lambda prog: indexed)
-        return sample_classical(prog, **kw)
-
-
 @settings(max_examples=80)
 @given(
     src=st.one_of(adaptive_circuits(p=3, max_regs=4), adaptive_circuits(p=5, max_regs=3)),
@@ -1009,97 +1019,48 @@ def _sample_on(prog, indexed, **kw):
 )
 def test_sampler_kernel_matches_reference_kernel(samples_dir, src, seed, shots, chunk):
     # the same draws, the same counts and the same operation counts as the
-    # reference kernel on both point encodings, over several chunks with an
-    # odd tail
+    # reference kernel, over several chunks with an odd tail
     prog = parse_circuit(src, base_dir=samples_dir)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, chunk))
-        expected = reference_sample(prog, seed, shots)
-        for indexed in (False, True):
-            rpt = _sample_on(prog, indexed, seed=seed, shots=shots)
-            assert (rpt.counts, rpt.field_mults, rpt.field_adds) == expected, indexed
+        rpt = sample_classical(prog, seed=seed, shots=shots)
+        assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(prog, seed, shots)
 
 
-def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir, monkeypatch):
-    # every sample circuit on each point encoding, in one full chunk and in
-    # a run whose last chunk holds a single shot; the indexed route builds
-    # image tables and the dense route none
-    tables = []
-    image_indices = simulate._image_indices
-    monkeypatch.setattr(simulate, "_image_indices", lambda g: tables.append(g) or image_indices(g))
-    for indexed in (False, True):
-        tables.clear()
-        for path in sorted(samples_dir.glob("reg*.circ")):
-            prog = parse_circuit_file(path)
-            for shots in (3000, 2 * _chunk_shots(prog) + 1):
-                rpt = _sample_on(prog, indexed, seed=7, shots=shots)
-                assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
-                    prog, 7, shots
-                ), (path.name, shots, indexed)
-        assert bool(tables) == indexed
-
-
-def _wide_shaped_circuit(n: int) -> str:
-    """n qutrits shaped like the benchmark's wide circuits: a gate, a
-    displace and a gate, a branching measurement and a gate on each arm."""
-    lines = [f"qudits p=3 n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
-    lines.append("gate " + "; ".join(f"fourier({r}); sum({r},{r % n + 1})" for r in range(1, n + 1)))
-    lines += [f"displace {n} (1,2)", "gate " + "; ".join(f"quadratic({r})" for r in range(1, n + 1))]
-    lines.append(f"measure {n} computational branch: 0->left 1->right 2->right")
-    for arm in ("left", "right"):
-        lines += [f"label {arm}:", f"gate sum(1,{n - 1})"]
-        lines += [f"measure {r} computational" for r in range(n - 1, 0, -1)]
-    return "\n".join(lines)
-
-
-def test_point_encoding_route_boundary(samples_dir):
-    # at the default CHUNK_BYTES, flat indices iff max(gate and displace
-    # items, 1) tables of p^(2n) int64 entries fit in one chunk
-    assert simulate.CHUNK_BYTES == 1 << 20
+def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir):
+    # every sample circuit, in one full chunk and in a run whose last chunk
+    # holds a single shot
     for path in sorted(samples_dir.glob("reg*.circ")):
-        assert simulate._indexes_points(parse_circuit_file(path)), path.name
-    # five items at 3^8 points each fit; at 3^10 they do not
-    assert simulate._indexes_points(parse_circuit(_wide_shaped_circuit(4)))
-    assert not simulate._indexes_points(parse_circuit(_wide_shaped_circuit(5)))
-    # a gate-free 40-qutrit program counts one table of 3^80 entries, past int64
-    n = 40
-    lines = [f"qudits p=3 n={n}"] + [f"input {r} mixed" for r in range(1, n + 1)]
-    lines += [f"measure {r} computational" for r in range(n, 0, -1)]
-    assert not simulate._indexes_points(parse_circuit("\n".join(lines)))
-
-    def gate_lines(count):
-        lines = ["qudits p=3 n=3"] + [f"input {r} mixed" for r in (1, 2, 3)]
-        lines += [f"gate fourier({k % 3 + 1})" for k in range(count)]
-        return parse_circuit("\n".join(lines + [f"measure {r} computational" for r in (3, 2, 1)]))
-
-    # 179 tables of 3^6 points take 1043928 bytes, 180 pass the chunk
-    assert simulate._indexes_points(gate_lines(179))
-    assert not simulate._indexes_points(gate_lines(180))
-    assert not simulate._indexes_points(gate_lines(2000))
+        prog = parse_circuit_file(path)
+        for shots in (3000, 2 * _chunk_shots(prog) + 1):
+            rpt = sample_classical(prog, seed=7, shots=shots)
+            assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
+                prog, 7, shots
+            ), (path.name, shots)
 
 
-def test_image_tables_fit_in_a_chunk(monkeypatch):
-    # the tables the indexed route builds stay within CHUNK_BYTES
-    built = []
-    image_indices = simulate._image_indices
-    monkeypatch.setattr(
-        simulate, "_image_indices", lambda g: built.append(image_indices(g)) or built[-1]
-    )
+def test_call_tables_one_per_distinct_call():
+    # 179 lines, 150 gate lines of three words and 29 displacements: the
+    # sampler caches one table of image digits per distinct generator call,
+    # however many lines repeat it
     lines = ["qudits p=3 n=3"] + [f"input {r} mixed" for r in (1, 2, 3)]
     lines += [f"gate fourier({k % 3 + 1}); sum({k % 3 + 1},{(k + 1) % 3 + 1})" for k in range(150)]
     lines += [f"displace {k % 3 + 1} (1,{k % 3})" for k in range(29)]
     lines += [f"measure {r} computational" for r in (3, 2, 1)]
-    rpt = sample_classical(parse_circuit("\n".join(lines)), seed=1, shots=1000)
-    assert len(built) == 179
-    assert sum(t.nbytes for t in built) <= simulate.CHUNK_BYTES
+    prog = parse_circuit("\n".join(lines))
+    calls = {(c.kind, c.params) for instr in prog.items[:179] for c in circuits._item_calls(instr)}
+    assert len(calls) == 5  # fourier, sum and three displacement points
+    simulate._call_digits.cache_clear()
+    rpt = sample_classical(prog, seed=1, shots=1000)
+    assert simulate._call_digits.cache_info().currsize == len(calls)
     assert sum(rpt.counts.values()) == 1000
 
 
 def test_dense_route_holds_no_matrix_per_gate_item():
     # 64 registers, 100 shots: a widened 128 x 128 float64 F^T kept per gate
     # item would hold 128 KiB for each of 400 one-register gate lines, about
-    # 50 MiB; the dense route holds only the current item's matrix, so 400
-    # lines peak within a few chunks of 10 lines
+    # 50 MiB; the sampler holds only per-call digit tables, so 400 lines
+    # peak within a few chunks of 10 lines
     n = 64
 
     def peak(count):
@@ -1107,7 +1068,6 @@ def test_dense_route_holds_no_matrix_per_gate_item():
         lines += [f"gate fourier({k % n + 1})" for k in range(count)]
         lines += [f"measure {r} computational" for r in range(n, 0, -1)]
         prog = parse_circuit("\n".join(lines))
-        assert not simulate._indexes_points(prog)
         sample_classical(prog, seed=1, shots=0)  # fill validation caches untraced
         tracemalloc.start()
         try:
