@@ -556,14 +556,31 @@ DISTILL_PINS = {
         "ccc746d09ac9b579ac3e0a70382e95c9419837a9a7d1ad84515d3fe4c6661a4d",
     ("--random-suite", "20", "--seed", "7", "--n", "4"):
         "e21789491964b606cac8a0fc06e6e36730f03027687ab04c8a7116380924c497",
+    # the widest qutrit suites and two larger p: hashed from the product
+    # route, each word composed into one map and scattered through its index
+    ("--random-suite", "20", "--seed", "7", "--n", "5"):
+        "08a22305269cdd368a9ef4f93f3ea2d2d268b517945a3c33b2f6258842f3773a",
+    ("--random-suite", "20", "--seed", "7", "--n", "6"):
+        "78de193a21503dc184d3d012cc7100a5b320861d8ace092d588267fec15df717",
+    ("--random-suite", "20", "--seed", "7", "--p", "5", "--n", "3"):
+        "edb35e1a14a63c8f71cda96d6728aea07e12641737222c6d92b13923b34123cc",
+    ("--random-suite", "20", "--seed", "7", "--p", "7", "--n", "2"):
+        "591f48320c3515770fd7932a536f22bd6ae6c5fea1a3f6d23f2d832f56643e2b",
     ("distill_identity.txt",): "374baf8f81f3b9f5bd51898ee5e01daa9e8af4c9e2c6bfaf1778f33bf6494710",
     ("distill_kraus.txt",): "659c0ffd9fe05eb346def81e42596dd60fb994cef4e2446255d712584ed1a052",
     ("distill_word.txt",): "4d04cb96869bfc41ead50de17b34bfe9285fb7f1cf3d7c66eff1b236175a67ac",
 }
 
 
+def _suite_id(args):
+    """suite-n<n> for a qutrit suite, suite-p<p>-n<n> for another p."""
+    opts = dict(zip(args[::2], args[1::2]))
+    p = opts.get("--p")
+    return f"suite-n{opts['--n']}" if p is None else f"suite-p{p}-n{opts['--n']}"
+
+
 @pytest.mark.parametrize(
-    "args", list(DISTILL_PINS), ids=lambda a: a[0] if len(a) == 1 else f"suite-n{a[-1]}"
+    "args", list(DISTILL_PINS), ids=lambda a: a[0] if len(a) == 1 else _suite_id(a)
 )
 def test_distill_check_output_bytes_are_pinned(samples_dir, tmp_path, args):
     out = tmp_path / "d.out"
