@@ -16,10 +16,12 @@ jumps to the chosen label; reaching a label line sequentially (or EOF) ends
 the path.  Branch targets must lie strictly ahead.  Every path must measure
 each register exactly once, always the highest-indexed unmeasured one.
 
-Each generator call is parsed once into a `GateCall`.  `_word_map` composes
-a word's affine map (F, a) on the registers it touches, for distillation
-channels; `fields.widen_map` lifts it to n, as a local gate is the identity
-on the other registers.
+Each generator call is parsed once into a `GateCall`, and the sampler and
+the distillation check apply a word call by call through each call's own
+table, so no run composes a word's map.  `_word_map` composes one, (F, a) on
+the registers the word touches, as the tests' reference for that route;
+`fields.widen_map` lifts it to n, as a local gate is the identity on the
+other registers.
 
 The same module reads the files a document refers to (Wigner, matrix, POVM
 and Kraus files) and slice files.  Matrix, POVM and Kraus files are blocks
@@ -41,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import CliffordElement, widen_map
+from .fields import CliffordElement
 from .geometry import NEG_TOL
 from .stabilizer import require_capped_p
 from .weyl import generator_map
@@ -719,12 +721,6 @@ def _word_map(word, p: int) -> tuple[tuple, CliffordElement]:
         F[rows] = (local.F @ F[rows]) % p
         a[rows] = (local.F @ a[rows] + local.a) % p
     return regs, CliffordElement(F, a, p)
-
-
-def _widen(regs, g: CliffordElement, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`fields.widen_map`, after a CircuitError for a register outside 1..n."""
-    _require_registers(regs, n)
-    return widen_map(regs, g, n)
 
 
 # --- slice files ------------------------------------------------------------

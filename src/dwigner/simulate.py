@@ -12,9 +12,12 @@ channel computed on Wigner functions -- the channel's affine map permutes
 the input's values and the projector's effect values weight the ancilla
 points -- so a nonnegative input can never come out negative.  A product
 input or projector is held as its p x p factors, and its Wigner function is
-the outer product of theirs, so a product instance with a word channel
-builds no p^n x p^n matrix: it is bounded by its p^(2n) Wigner values
-(PRODUCT_WIGNER_CAP), and only dense parts by p^n (ORACLE_DIM_CAP).
+the outer product of theirs.  A word channel moves the values call by call
+through the sampler's per-call tables, folded into one gather per sum
+(_push_word), so no map of the whole word is composed.  A product instance
+with a word channel thus builds no p^n x p^n matrix: it is bounded by its
+p^(2n) Wigner values (PRODUCT_WIGNER_CAP), and only dense parts by p^n
+(ORACLE_DIM_CAP).
 
 Per-shot randomness is positional: draw j of shot s is U[s, j] of the
 shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
@@ -35,7 +38,8 @@ per live register, and a chunk holds one int64 row of digits per register.
 Each generator call of a gate or displace item acts on its own one or two
 registers only: it is one gather of their combined digit through the call's
 table of image digits (_call_digits), cached per (p, kind, params), so no
-map over all the live registers is built or held.
+map over all the live registers is built or held.  The distillation check
+reads the same tables.
 """
 
 from __future__ import annotations
@@ -66,8 +70,7 @@ from .circuits import (
     _content_lines,
     _item_calls,
     _parse_gate_word,
-    _widen,
-    _word_map,
+    _require_registers,
 )
 from .fields import CliffordElement, require_odd_prime
 from .stabilizer import mub_stabilizer_states
@@ -107,7 +110,7 @@ __all__ = [
 # and Kraus channels, which are p^n x p^n (or p^(n-1) x p^(n-1)) matrices
 ORACLE_DIM_CAP = 243
 # p^(2n) guard for every distillation check, whose Wigner arrays (input,
-# channel image, index map) hold p^(2n) entries: 3^12, 4 MB of float64 each,
+# channel image, gather index) hold p^(2n) entries: 3^12, 4 MB of float64 each,
 # so a product input with a word channel runs up to n = 6 qutrits
 PRODUCT_WIGNER_CAP = 3**12
 # Bytes of one chunk's shots x K float64 uniforms.  A chunk holds the even
@@ -599,7 +602,10 @@ class DistillationInstance:
     # the input on n qudits: a tuple of n single-qudit p x p factors of a
     # product state, or a dense p^n x p^n matrix
     rho_in: tuple | np.ndarray
-    channel: tuple  # ("clifford", CliffordElement) | ("unitary", U) | ("kraus", [K...])
+    # ("gates", [GateCall, ...]) in application order, as a suite or a
+    # `channel gates` line builds it | ("clifford", CliffordElement) |
+    # ("unitary", U) | ("kraus", [K...])
+    channel: tuple
     # the projector on the last n-1 qudits: a tuple of n-1 p x p factors, or a
     # dense p^(n-1) x p^(n-1) matrix
     projector: tuple | np.ndarray
@@ -624,8 +630,11 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     function, so no p^n x p^n matrix is built; a dense matrix is transformed
     as a whole.  A Clifford channel is an affine map g = (F, a) of phase
     space, so W_sigma[g(u)] = W_in[u] permutes the input's values.  A
-    ("unitary", U) channel is taken to its map by extract_symplectic, so a U
-    that is not Clifford raises NotCliffordError; a ("kraus", [K...])
+    ("gates", word) channel moves them call by call through each generator
+    call's cached table (_push_word), with no map of the whole word; a
+    ("clifford", g) channel scatters them through g's image index, and a
+    ("unitary", U) channel is taken to its g by extract_symplectic first, so
+    a U that is not Clifford raises NotCliffordError; a ("kraus", [K...])
     channel, whose positivity the caller asserts, is applied to the dense
     input and transformed.  Then W_out(u1) = sum_v W_sigma(u1, v) W_P(v) /
     norm, where W_P is the projector's effect Wigner function and norm, the
@@ -657,7 +666,10 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     kind, payload = inst.channel[0], inst.channel[1]
     if kind == "unitary":
         kind, payload = "clifford", weyl.extract_symplectic(payload, p)
-    if kind == "clifford":
+    if kind == "gates":
+        _require_registers([r for call in payload for r in call.regs], n)
+        W_sigma = _push_word(W_in, payload, p, n)
+    elif kind == "clifford":
         if payload.n != n:
             raise ValueError(f"channel acts on {payload.n} qudits, expected {n}")
         W_sigma = np.empty_like(W_in)
@@ -713,6 +725,71 @@ def _part_values(part, p: int, count: int, kind: str) -> np.ndarray:
     return W.values
 
 
+def _push_word(W: np.ndarray, word, p: int, n: int) -> np.ndarray:
+    """Flat Wigner values W on n registers pushed through the generator
+    calls of `word`, in application order: out[g(u)] = W[u] for the word's
+    map g, with no map of the whole word built.
+
+    W is read as a (p^2,)*n tensor, register r on axis r-1 with the digit
+    q * p + x.  Consecutive one-register calls fold into one pending table
+    of image digits per register, composed from their `_call_digits` rows.
+    A sum absorbs its two registers' pending tables into its p^4 table, and
+    then every pending table is applied in one gather (_gather); one last
+    gather applies what is still pending.  Values are only moved, so the
+    result equals the scatter through the word's composed map bit for bit.
+    """
+    p2 = p * p
+    ident = np.arange(p2)
+    pending = {}  # axis -> image digit of each digit, since the last gather
+    for call in word:
+        rows = _call_digits(p, call.kind, call.params)
+        axes = [r - 1 for r in call.regs]
+        if len(axes) == 1:
+            before = pending.get(axes[0])
+            pending[axes[0]] = rows[0] if before is None else rows[0][before]
+        else:
+            c, t = axes
+            combined = pending.pop(c, ident)[:, None] * p2 + pending.pop(t, ident)
+            W = _gather(W, pending, (c, t, (rows[0] * p2 + rows[1])[combined]), p2, n)
+            pending = {}
+    return _gather(W, pending, None, p2, n) if pending else W
+
+
+def _gather(W: np.ndarray, tables: dict, pair, p2: int, n: int) -> np.ndarray:
+    """W moved by the one-register `tables` (axis -> image digits) and the
+    optional `pair` (ctrl axis, tgt axis, combined image digit ctrl * p^2 +
+    tgt at [ctrl digit, tgt digit]): out[v] = W[source(v)].
+
+    The flat source index is a broadcast sum of one term per axis, its
+    inverted table (the identity where none is pending) times the axis
+    stride, and of one (p^2, p^2) term for the pair's two axes.
+    """
+    stride = [p2 ** (n - 1 - k) for k in range(n)]
+    ident = np.arange(p2)
+
+    def on_axes(term, axes):
+        shape = [1] * n
+        for k in axes:
+            shape[k] = p2
+        return term.reshape(shape)
+
+    index, covered = np.zeros((1,) * n, dtype=np.intp), ()
+    if pair is not None:
+        c, t, image = pair
+        source = np.empty(p2 * p2, dtype=np.intp)
+        source[image.ravel()] = np.arange(p2 * p2)
+        term = (source // p2 * stride[c] + source % p2 * stride[t]).reshape(p2, p2)
+        index, covered = on_axes(term if c < t else term.T, sorted((c, t))), (c, t)
+    for k in reversed(range(n)):  # fastest axis first keeps each addition's inner loop long
+        if k not in covered:
+            source = ident
+            if k in tables:
+                source = np.empty_like(ident)
+                source[tables[k]] = ident
+            index = np.add(index, on_axes(source * stride[k], [k]), order="C")
+    return W.take(index.ravel())  # C order: ravel is a view
+
+
 def _image_indices(g: CliffordElement) -> np.ndarray:
     """Point index of g(u) = Fu + a for every point u, in point-index order:
     image coordinate i is the sum a_i + sum_j F_ij u_j broadcast over one
@@ -754,10 +831,11 @@ def random_positive_product_state(p: int, n: int, rng) -> tuple:
     """n random mixtures of single-qudit stabilizer states, the p x p factors
     of a positively represented product state."""
     mub = mub_stabilizer_states(p)
+    states = np.stack(mub.states)
     factors = []
     for _ in range(n):
         w = rng.dirichlet(np.ones(len(mub)))
-        factors.append(sum(wi * S for wi, S in zip(w, mub.states)))
+        factors.append((w[:, None, None] * states).sum(axis=0))
     return tuple(factors)
 
 
@@ -794,7 +872,7 @@ def random_distill_instance(p: int, n: int, rng) -> DistillationInstance:
         p=p,
         n=n,
         rho_in=random_positive_product_state(p, n, rng),
-        channel=("clifford", CliffordElement(*_widen(*_word_map(word, p), n), p)),
+        channel=("gates", word),
         projector=anc,
     )
 
@@ -841,7 +919,8 @@ def parse_distill_file(path) -> DistillationInstance:
             elif key == "channel":
                 if rest.startswith("gates "):
                     word = _parse_gate_word(rest.split(" ", 1)[1], p)
-                    channel = ("clifford", CliffordElement(*_widen(*_word_map(word, p), n), p))
+                    _require_registers([r for call in word for r in call.regs], n)
+                    channel = ("gates", word)
                 elif rest.startswith("kraus-file:"):
                     _check_distill_size(p, n, dense=True)
                     tokens = rest.split()

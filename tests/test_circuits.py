@@ -12,7 +12,6 @@ from dwigner.circuits import (
     GateCall,
     GateInstr,
     _item_calls,
-    _widen,
     _word_map,
     computational_povm,
     load_matrix_file,
@@ -23,7 +22,7 @@ from dwigner.circuits import (
     parse_slice_file,
     validate_circuit,
 )
-from dwigner.fields import CliffordElement
+from dwigner.fields import CliffordElement, widen_map
 from dwigner.weyl import clifford_generator, extract_symplectic
 
 MINIMAL = """\
@@ -257,7 +256,7 @@ measure 1 computational
     regs, g = _word_map(prog.items[0].word, 3)
     assert regs == (1, 2) and g.a.sum() == 0
     U = _dense_item_unitary(prog.items[0].word, 3, 2)
-    assert CliffordElement(*_widen(regs, g, 2), 3) == extract_symplectic(U, 3)
+    assert CliffordElement(*widen_map(regs, g, 2), 3) == extract_symplectic(U, 3)
 
 
 def test_wide_validation_keeps_no_dense_maps():
@@ -474,7 +473,7 @@ def test_gate_maps_equal_dense_extraction(p, data):
         # a gate or displace item's calls compose into one map
         regs, g = _word_map(calls, p)
         assert g.F.shape == (2 * len(regs), 2 * len(regs))
-        widened = CliffordElement(*_widen(regs, g, n), p)
+        widened = CliffordElement(*widen_map(regs, g, n), p)
         assert widened == extract_symplectic(_dense_item_unitary(calls, p, n), p)
 
 

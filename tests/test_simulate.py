@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dwigner import circuits, fields, simulate, weyl
@@ -555,13 +555,13 @@ def random_pure_state(d, rng):
     negative_input=st.booleans(),
 )
 def test_distill_step_matches_dense_reference(p_n, seed, route, negative_input):
-    # word channels carry the composed map, unitary channels go through
-    # extract_symplectic and Kraus channels stay dense; all three agree with
-    # the dense reference, also on negatively represented inputs
+    # word channels move the values call by call, unitary channels go
+    # through extract_symplectic and Kraus channels stay dense; all three
+    # agree with the dense reference, also on negatively represented inputs
     p, n = p_n
     inst = random_distill_instance(p, n, np.random.default_rng(seed))
     ref = dense_random_instance(p, n, np.random.default_rng(seed))
-    assert inst.channel[0] == "clifford"
+    assert inst.channel[0] == "gates"
     # the same draws in the same order; the input and projector are products
     assert len(inst.rho_in) == n and len(inst.projector) == n - 1
     assert np.array_equal(functools.reduce(np.kron, inst.rho_in), ref.rho_in)
@@ -622,7 +622,7 @@ def test_image_indices_match_pointwise_images(p, n):
             word.append(GateCall("sum", (r, r % n + 1)))
     point = tuple(rng.integers(0, p, size=2).tolist())
     word.append(GateCall("displace", (n,), (("point", point),)))
-    g = CliffordElement(*circuits._widen(*circuits._word_map(word, p), n), p)
+    g = CliffordElement(*fields.widen_map(*circuits._word_map(word, p), n), p)
     images = (all_points(p, n) @ g.F.T + g.a) % p
     assert np.array_equal(simulate._image_indices(g), images @ p ** np.arange(2 * n - 1, -1, -1))
 
@@ -645,6 +645,102 @@ def test_call_digits_match_pointwise_images(p):
             image = fields.apply_affine(g, u)
             want = [int(image[2 * k]) * p + int(image[2 * k + 1]) for k in range(g.n)]
             assert [int(row[index]) for row in digits] == want, (kind, params, u)
+
+
+# (p, n) of every word-channel size the suite reaches, up to the p^(2n) cap
+PUSH_SIZES = [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (7, 2)]
+
+
+@st.composite
+def channel_words(draw):
+    """(p, n, word): a nonempty word of generator calls on n registers."""
+    p, n = draw(st.sampled_from(PUSH_SIZES))
+    reg = st.integers(1, n)
+    word = []
+    for kind in draw(st.lists(st.sampled_from(
+        ["fourier", "quadratic", "multiply", "sum", "displace"]), min_size=1, max_size=14
+    )):
+        if kind == "sum":
+            ctrl, tgt = draw(st.lists(reg, min_size=2, max_size=2, unique=True))
+            word.append(GateCall(kind, (ctrl, tgt)))
+        elif kind == "multiply":
+            word.append(GateCall(kind, (draw(reg),), (("c", draw(st.integers(1, p - 1))),)))
+        elif kind == "displace":
+            point = tuple(draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2)))
+            word.append(GateCall(kind, (draw(reg),), (("point", point),)))
+        else:
+            word.append(GateCall(kind, (draw(reg),)))
+    return p, n, word
+
+
+def _calls(text: str, p: int) -> list:
+    return circuits._parse_gate_word(text, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=channel_words(), seed=st.integers(0, 2**32 - 1))
+# sum with ctrl > tgt on registers that are not adjacent, after pending
+# tables on both and on a third register
+@example(case=(3, 5, _calls("fourier(5); quadratic(2); multiply(2,3); sum(5,2); fourier(4)", 3)), seed=1)
+@example(case=(3, 6, _calls("quadratic(6); sum(6,1); fourier(1); sum(4,2); quadratic(3)", 3)), seed=2)
+# repeated one-register calls on one register fold into one table
+@example(case=(3, 2, _calls("fourier(1); fourier(1); quadratic(1); multiply(2,1); fourier(1)", 3)), seed=3)
+@example(case=(5, 3, _calls("multiply(3,2); quadratic(2); quadratic(2); fourier(2); fourier(2)", 5)), seed=4)
+# words that end on a sum leave nothing pending
+@example(case=(3, 4, _calls("fourier(2); sum(1,3); quadratic(3); sum(4,1)", 3)), seed=5)
+@example(case=(7, 2, _calls("quadratic(2); sum(2,1)", 7)), seed=6)
+def test_push_word_matches_the_composed_scatter(case, seed):
+    # call by call, W moves to exactly where the scatter through the
+    # word's composed and widened map puts it
+    p, n, word = case
+    W = np.random.default_rng(seed).random(p ** (2 * n))
+    g = CliffordElement(*fields.widen_map(*circuits._word_map(word, p), n), p)
+    want = np.empty_like(W)
+    want[simulate._image_indices(g)] = W
+    got = simulate._push_word(W, word, p, n)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_distill_suite_composes_no_word_map(monkeypatch, tmp_path):
+    # a suite pushes each instance through the cached per-call tables: a
+    # cold run builds only one- and two-register image indices, one per
+    # distinct call, and a warm run builds none and composes no word
+    seen = {"_word_map": [], "_image_indices": []}
+    for module, name, size in [
+        (circuits, "_word_map", lambda word, p: len(word)),
+        (simulate, "_image_indices", lambda g: g.n),
+    ]:
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _record=seen[name], _size=size):
+            _record.append(_size(*args))
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    from dwigner.cli import main
+
+    argv = ["distill-check", "--random-suite", "5", "--seed", "3", "--n", "4",
+            "--out", str(tmp_path / "d.csv")]
+    simulate._call_digits.cache_clear()
+    assert main(argv) == 0
+    assert seen["_word_map"] == []
+    assert seen["_image_indices"] and max(seen["_image_indices"]) <= 2
+    assert len(seen["_image_indices"]) == simulate._call_digits.cache_info().currsize
+    seen["_image_indices"].clear()
+    assert main(argv) == 0
+    assert seen == {"_word_map": [], "_image_indices": []}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_positive_product_state_matches_the_generator_sum(p):
+    # one reduction over the stacked stabilizer states gives each factor
+    # exactly as the running sum over the states does
+    mub = mub_stabilizer_states(p)
+    factors = simulate.random_positive_product_state(p, 300, np.random.default_rng(p))
+    rng = np.random.default_rng(p)
+    for factor in factors:
+        w = rng.dirichlet(np.ones(len(mub)))
+        assert np.array_equal(factor, sum(wi * S for wi, S in zip(w, mub.states)))
 
 
 def test_distill_rejects_a_non_clifford_unitary():
