@@ -647,7 +647,8 @@ def test_call_digits_match_pointwise_images(p):
             assert [int(row[index]) for row in digits] == want, (kind, params, u)
 
 
-# (p, n) of every word-channel size the suite reaches, up to the p^(2n) cap
+# (p, n) of the word-channel checks: every qutrit size up to the p^(2n)
+# cap, and the smaller sizes at p = 5 and 7
 PUSH_SIZES = [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (7, 2)]
 
 
@@ -674,6 +675,7 @@ def channel_words(draw):
 
 
 def _calls(text: str, p: int) -> list:
+    """The GateCalls of a `gate` word's text."""
     return circuits._parse_gate_word(text, p)
 
 
