@@ -6,7 +6,7 @@ Line-oriented grammar (optional leading `format 1` line, `#` comments):
     input <reg> <preset>         preset: zero | basis(k) | mixed |
                                  wigner-file:<path> | matrix-file:<path>
     gate <word>                  word: generator calls joined by ';'
-    displace <reg> (<a1>,<a2>)
+    displace <reg> (<a1>,<a2>)   a gate item of one displace call
     measure <reg> <povm> [branch: <out>-><label> ...]
     extend <count> <preset>
     label <name>:
@@ -16,9 +16,10 @@ jumps to the chosen label; reaching a label line sequentially (or EOF) ends
 the path.  Branch targets must lie strictly ahead.  Every path must measure
 each register exactly once, always the highest-indexed unmeasured one.
 
-Each generator call is parsed once into a `GateCall`, and the sampler and
-the distillation check apply a word call by call through each call's own
-table, so no run composes a word's map.  `_word_map` composes one, (F, a) on
+Each generator call is parsed once into a `GateCall`, and a `displace` line
+is a gate item whose word is its one displace call.  The sampler and the
+distillation check apply a word call by call through each call's own table,
+so no run composes a word's map.  `_word_map` composes one, (F, a) on
 the registers the word touches, as the tests' reference for that route;
 `fields.widen_map` lifts it to n, as a local gate is the identity on the
 other registers.
@@ -34,7 +35,6 @@ error from within a referenced file names that file and its own line.
 from __future__ import annotations
 
 import contextlib
-import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +53,6 @@ __all__ = [
     "CircuitError",
     "GateCall",
     "GateInstr",
-    "DisplaceInstr",
     "MeasureInstr",
     "ExtendInstr",
     "LabelMarker",
@@ -152,9 +151,9 @@ def _content_lines(text: str, path=None) -> list[tuple[int, str]]:
 
 def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> list:
     """(argument, matrix) for each block of `lines`: a `<keyword> <argument>`
-    header line, then the matrix's `re imag` pairs, row-major.  A `dim`
-    block is d x d for its argument d; an `effect` block (argument: its
-    label) is size x size."""
+    header line, then the matrix's `re imag` pairs, row-major, each a
+    finite number.  A `dim` block is d x d for its argument d; an `effect`
+    block (argument: its label) is size x size."""
     starts = [k for k, (_, line) in enumerate(lines) if k == 0 or line.startswith(keyword)]
     blocks = []
     for k, end in zip(starts, starts[1:] + [len(lines)]):
@@ -162,7 +161,10 @@ def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> lis
         values: list[float] = []
         for row_num, row in rows:
             with _at_line(row_num, path):
-                values += [float(t) for t in row.split()]
+                row_values = [float(t) for t in row.split()]
+                if not np.isfinite(row_values).all():  # NaN passes every sign test
+                    raise CircuitError(f"non-finite number in {row!r}")
+                values += row_values
         with _at_line(num, path):
             word, arg = (head.split(None, 1) + [""])[:2]
             if keyword == "dim":
@@ -306,14 +308,7 @@ class GateCall:
 
 @dataclass
 class GateInstr:
-    word: list  # [GateCall, ...] in application order
-    line: int
-
-
-@dataclass
-class DisplaceInstr:
-    reg: int
-    point: tuple[int, int]
+    word: list  # [GateCall, ...] in application order; one displace call for a displace line
     line: int
 
 
@@ -376,13 +371,6 @@ def _parse_gate_word(word: str, p: int) -> list:
         else:
             raise CircuitError(f"unknown gate {name!r}")
     return calls
-
-
-def _item_calls(instr) -> list:
-    """Generator calls of a gate or displace instruction."""
-    if isinstance(instr, DisplaceInstr):
-        return [GateCall("displace", (instr.reg,), (("point", instr.point),))]
-    return instr.word
 
 
 # --- program ----------------------------------------------------------------
@@ -454,7 +442,9 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
                 sub = rest.split(None, 1)
                 if len(sub) != 2:
                     raise CircuitError("displace needs '<reg> (<a1>,<a2>)'")
-                items.append(DisplaceInstr(_int(sub[0], "register"), parse_point(sub[1], p), num))
+                reg = _int(sub[0], "register")
+                point = (("point", parse_point(sub[1], p)),)
+                items.append(GateInstr([GateCall("displace", (reg,), point)], num))
             elif key == "measure":
                 sub = rest.split()
                 if not sub:
@@ -577,8 +567,8 @@ def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, set]:
                     raise CircuitError(f"path ends with unmeasured registers {unmeasured}")
                 continue
             reached.add(i)
-            if isinstance(instr, (GateInstr, DisplaceInstr)):
-                for r in [r for call in _item_calls(instr) for r in call.regs]:
+            if isinstance(instr, GateInstr):
+                for r in [r for call in instr.word for r in call.regs]:
                     _require_registers([r], n_cur)
                     if r in measured:
                         raise CircuitError(f"register {r} already measured")
@@ -672,9 +662,9 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
                         f"at point ({worst // prog.p},{worst % prog.p})"
                     )
     for i, instr in enumerate(prog.items):
-        if isinstance(instr, (GateInstr, DisplaceInstr)) and i not in prog.reached:
+        if isinstance(instr, GateInstr) and i not in prog.reached:
             try:
-                _require_registers([r for c in _item_calls(instr) for r in c.regs], prog.n)
+                _require_registers([r for c in instr.word for r in c.regs], prog.n)
             except CircuitError as exc:
                 problems.append(f"line {instr.line}: {exc}")
     return ValidationReport(
@@ -693,16 +683,9 @@ def _require_registers(regs, n: int) -> None:
             raise CircuitError(f"register {r} out of range 1..{n}")
 
 
-@functools.lru_cache(maxsize=None)
-def _local_map(p: int, kind: str, params: tuple) -> CliffordElement:
-    """(F, a) of one generator call on its own registers, in the order of
-    its `GateCall.regs`, from the generator table."""
-    return generator_map(kind, p, **dict(params))
-
-
 def _word_map(word, p: int) -> tuple[tuple, CliffordElement]:
     """(regs, (F, a)) of generator calls in application order, on the
-    registers they touch in first-touch order, from the calls' local maps.
+    registers they touch in first-touch order, from the generator table.
 
     A call's unitary is its local unitary tensored with the identity on the
     other registers (up to reordering tensor factors, which keeps the local
@@ -716,7 +699,7 @@ def _word_map(word, p: int) -> tuple[tuple, CliffordElement]:
     F = np.eye(2 * len(regs), dtype=np.int64)
     a = np.zeros(2 * len(regs), dtype=np.int64)
     for call in word:
-        local = _local_map(p, call.kind, call.params)
+        local = generator_map(call.kind, p, **dict(call.params))
         rows = np.array([block[r] + k for r in call.regs for k in (0, 1)])
         F[rows] = (local.F @ F[rows]) % p
         a[rows] = (local.F @ a[rows] + local.a) % p

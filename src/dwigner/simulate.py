@@ -35,11 +35,11 @@ cumulative effect columns below the draw, splits branches with index arrays
 and tallies outcome codes with bincount, building each distinct outcome
 string from a row of label bytes.  A shot's point is one digit q * p + x
 per live register, and a chunk holds one int64 row of digits per register.
-Each generator call of a gate or displace item acts on its own one or two
-registers only: it is one gather of their combined digit through the call's
-table of image digits (_call_digits), cached per (p, kind, params), so no
-map over all the live registers is built or held.  The distillation check
-reads the same tables.
+Each generator call of a gate item (a displace line is one with a single
+call) acts on its own one or two registers only: it is one gather of their
+combined digit through the call's table of image digits (_call_digits),
+cached per (p, kind, params), so no map over all the live registers is
+built or held.  The distillation check reads the same tables.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ import numpy as np
 from .circuits import (
     CircuitError,
     CircuitProgram,
-    DisplaceInstr,
     ExtendInstr,
     GateInstr,
     LabelMarker,
@@ -68,7 +67,6 @@ from .circuits import (
     GateCall,
     _at_line,
     _content_lines,
-    _item_calls,
     _parse_gate_word,
     _require_registers,
 )
@@ -154,8 +152,9 @@ class SampleReport:
     seed: int
     counts: dict  # outcome string -> int
     # The dense-map cost model: a gate item run by s shots on n live
-    # registers adds s * (2n)^2 mults, a displace item s * 2 adds, whatever
-    # work the kernel actually does (one gather per generator call).
+    # registers adds s * (2n)^2 mults, or s * 2 adds when its one call is a
+    # displace, whatever work the kernel actually does (one gather per
+    # generator call).
     field_mults: int
     field_adds: int
 
@@ -233,8 +232,8 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
             results[key] = results.get(key, 0.0) + prob
             return
         instr = prog.items[i]
-        if isinstance(instr, (GateInstr, DisplaceInstr)):
-            for call in _item_calls(instr):
+        if isinstance(instr, GateInstr):
+            for call in instr.word:
                 U = _local_generator(p, call.kind, call.params)
                 axes = [live.index(r) for r in call.regs]
                 rho = _apply_local(rho, U, axes)
@@ -333,15 +332,18 @@ class _Walk:
     a list of n int64 rows, one per register.  A draw appends a row
     (searchsorted in the register's cumulative Wigner table), a measurement
     reads its register's row, and a branch takes each row at the index
-    array of its shots.  Each generator call of a gate or displace item is
-    one gather: its registers' digits combine into one index (ctrl * p^2 +
-    tgt for sum) into the call's table of image digits (`_call_digits`), one
-    row per register.  A chunk's uniforms are held transposed, one contiguous row per
-    draw position, so shots that have not split read a draw with no gather;
-    `rows` is None for them and the chunk-row ids of the shots after a split.
-    A measurement counts the cumulative effect columns below the draw, one
-    contiguous column per effect but the last, whose entry 1.0 no draw
-    reaches.  Shots that end a path together are tallied at once.
+    array of its shots.  Each generator call of a gate item is one gather:
+    its registers' digits combine into one index (ctrl * p^2 + tgt for sum)
+    into the call's table of image digits (`_call_digits`), one row per
+    register.  Per shot, a gate item whose one call is a displace counts 2
+    field adds, any other (2n)^2 field mults on n live registers
+    (SampleReport's cost model).  A chunk's uniforms are held transposed,
+    one contiguous row per draw position, so shots that have not split read
+    a draw with no gather; `rows` is None for them and the chunk-row ids of
+    the shots after a split.  A measurement counts the cumulative effect
+    columns below the draw, one contiguous column per effect but the last,
+    whose entry 1.0 no draw reaches.  Shots that end a path together are
+    tallied at once.
     """
 
     def __init__(self, prog, report):
@@ -401,13 +403,13 @@ class _Walk:
         while i < len(items) and not isinstance(items[i], LabelMarker):
             instr = items[i]
             shots = len(pts[0])
-            if isinstance(instr, (GateInstr, DisplaceInstr)):
-                for call in _item_calls(instr):
+            if isinstance(instr, GateInstr):
+                for call in instr.word:
                     self.apply(call, pts)
-                if isinstance(instr, GateInstr):
-                    self.mults += shots * (2 * n) ** 2
-                else:
+                if instr.word[0].kind == "displace":  # a displace line's one call
                     self.adds += shots * 2
+                else:
+                    self.mults += shots * (2 * n) ** 2
             elif isinstance(instr, ExtendInstr):
                 pts = self.draw_points(pts, self.extend_dists[i], rows, pos)
                 n += instr.count
@@ -603,8 +605,7 @@ class DistillationInstance:
     # product state, or a dense p^n x p^n matrix
     rho_in: tuple | np.ndarray
     # ("gates", [GateCall, ...]) in application order, as a suite or a
-    # `channel gates` line builds it | ("clifford", CliffordElement) |
-    # ("unitary", U) | ("kraus", [K...])
+    # `channel gates` line builds it | ("unitary", U) | ("kraus", [K...])
     channel: tuple
     # the projector on the last n-1 qudits: a tuple of n-1 p x p factors, or a
     # dense p^(n-1) x p^(n-1) matrix
@@ -632,13 +633,13 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     space, so W_sigma[g(u)] = W_in[u] permutes the input's values.  A
     ("gates", word) channel moves them call by call through each generator
     call's cached table (_push_word), with no map of the whole word; a
-    ("clifford", g) channel scatters them through g's image index, and a
-    ("unitary", U) channel is taken to its g by extract_symplectic first, so
-    a U that is not Clifford raises NotCliffordError; a ("kraus", [K...])
-    channel, whose positivity the caller asserts, is applied to the dense
-    input and transformed.  Then W_out(u1) = sum_v W_sigma(u1, v) W_P(v) /
-    norm, where W_P is the projector's effect Wigner function and norm, the
-    branch probability, is the sum of the numerators; F_out = p * min W_out.
+    ("unitary", U) channel is taken to its g by extract_symplectic, so a U
+    that is not Clifford raises NotCliffordError, and scatters them through
+    g's image index; a ("kraus", [K...]) channel, whose positivity the
+    caller asserts, is applied to the dense input and transformed.  Then
+    W_out(u1) = sum_v W_sigma(u1, v) W_P(v) / norm, where W_P is the
+    projector's effect Wigner function and norm, the branch probability, is
+    the sum of the numerators; F_out = p * min W_out.
 
     Preconditions checked: p^(2n) <= PRODUCT_WIGNER_CAP before any Wigner
     array is allocated; a PSD input (each factor of a product) that is
@@ -664,16 +665,15 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     if W_P.min() < -1e-10:
         raise ValueError("projector is not positively represented")
     kind, payload = inst.channel[0], inst.channel[1]
-    if kind == "unitary":
-        kind, payload = "clifford", weyl.extract_symplectic(payload, p)
     if kind == "gates":
         _require_registers([r for call in payload for r in call.regs], n)
         W_sigma = _push_word(W_in, payload, p, n)
-    elif kind == "clifford":
-        if payload.n != n:
-            raise ValueError(f"channel acts on {payload.n} qudits, expected {n}")
+    elif kind == "unitary":
+        g = weyl.extract_symplectic(payload, p)
+        if g.n != n:
+            raise ValueError(f"channel acts on {g.n} qudits, expected {n}")
         W_sigma = np.empty_like(W_in)
-        W_sigma[_image_indices(payload)] = W_in
+        W_sigma[_image_indices(g)] = W_in
     elif kind == "kraus":
         if not inst.positivity_asserted:
             raise ValueError("kraus channels need positivity_asserted=True")

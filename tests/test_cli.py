@@ -677,6 +677,63 @@ def test_malformed_line_names_its_location(tmp_path, monkeypatch, capsys, files,
     assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
 
+NAN_STATE = "dim 3\nnan 0  0 0  0 0\n0 0  0.5 0  0 0\n0 0  0 0  0.5 0\n"
+ONE_ROWS = "\n".join(["1 0  0 0  0 0", "0 0  1 0  0 0", "0 0  0 0  1 0"])
+INF_KRAUS = "dim 9\n" + "\n".join(
+    "  ".join("inf 0" if (i, j) == (4, 4) else f"{int(i == j)} 0" for j in range(9))
+    for i in range(9)
+)
+
+
+@pytest.mark.parametrize(
+    "files, argv, line, bad",
+    [
+        ({"nan.mat": NAN_STATE}, ["wigner", "matrix-file:nan.mat"], "line 2: ", "nan.mat"),
+        ({"nan.mat": NAN_STATE}, ["classify", "matrix-file:nan.mat"], "line 2: ", "nan.mat"),
+        (
+            {
+                "nan.mat": NAN_STATE,
+                "c.circ": "qudits p=3 n=1\ninput 1 matrix-file:nan.mat\nmeasure 1 computational\n",
+            },
+            ["sample", "c.circ", "--shots", "100", "--seed", "1", "--oracle-check"],
+            "line 2: ",
+            "nan.mat",
+        ),
+        (
+            {
+                "nan.povm": "povm p=3 outcomes=2\neffect a\n" + ZERO_ROWS.replace("0 0", "nan 0", 1)
+                            + f"\neffect b\n{ONE_ROWS}\n",
+                "c.circ": "qudits p=3 n=1\ninput 1 zero\nmeasure 1 povm-file:nan.povm\n",
+            },
+            ["sample", "c.circ", "--shots", "100", "--seed", "1"],
+            "line 3: ",
+            "nan.povm",
+        ),
+        (
+            {
+                "inf.kraus": INF_KRAUS,
+                "inst.txt": "distill p=3 n=2\ninput product zero zero\n"
+                            "channel kraus-file:inf.kraus positivity-asserted\nprojector zero\n",
+            },
+            ["distill-check", "inst.txt"],
+            "line 6: ",
+            "inf.kraus",
+        ),
+    ],
+    ids=["wigner", "classify", "sample-state", "sample-povm", "distill-kraus"],
+)
+def test_non_finite_numbers_are_refused(tmp_path, monkeypatch, capsys, files, argv, line, bad):
+    # every comparison with NaN is false, so a NaN entry would pass each
+    # sign and PSD test downstream; the block reader refuses it on its line
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + line)
+    assert f"{bad}: non-finite number in " in err[0]
+
+
 @pytest.mark.parametrize(
     "text, where",
     [
@@ -743,6 +800,25 @@ def test_bound_ninth_is_a_bound_state(samples_dir, tmp_path, monkeypatch):
     assert run_cli("sample", str(circ), "--shots", "200000", "--seed", "1", "--oracle-check",
                    "--out", str(report)) == 0
     assert "# verdict = PASS" in report.read_text().splitlines()
+
+
+def test_bound_p5_is_a_bound_state(samples_dir, tmp_path, monkeypatch):
+    """sample_inputs/bound_p5.w: nonnegative Wigner values, two of them 0,
+    outside the p = 5 stabilizer polytope by the witness LP's margin 67/700
+    (the LP's witness is one of several optimal vertices, so its bytes are
+    not pinned)."""
+    monkeypatch.chdir(samples_dir)
+    w = load_wigner_file(samples_dir / "bound_p5.w", 5)
+    assert sum(w) == 1 and w.count(0) == 2
+    out = tmp_path / "c.txt"
+    assert run_cli("classify", "wigner-file:bound_p5.w", "--p", "5", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert "label = BOUND" in lines and "min_W = 0" in lines
+    (violation,) = [line for line in lines if line.startswith("lp_violation = ")]
+    assert abs(float(violation.split(" = ")[1]) - 67 / 700) < 1e-9
+    grid = tmp_path / "w.csv"
+    assert run_cli("wigner", "wigner-file:bound_p5.w", "--p", "5", "--out", str(grid)) == 0
+    assert "# flag = NONNEGATIVE" in grid.read_text().splitlines()
 
 
 def test_distill_check_rejects_large_random_suite(tmp_path, capsys):

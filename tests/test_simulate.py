@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from dwigner import circuits, fields, simulate, weyl
 from dwigner.fields import CliffordElement, all_points
 from dwigner.circuits import (
-    DisplaceInstr,
     ExtendInstr,
     GateCall,
     GateInstr,
@@ -97,11 +96,6 @@ def dense_oracle(prog) -> dict:
     at each branch node."""
     p = prog.p
 
-    def unitary(instr, n):
-        if isinstance(instr, GateInstr):
-            return _word_unitary(p, n, instr.word)
-        return _word_unitary(p, n, [GateCall("displace", (instr.reg,), (("point", instr.point),))])
-
     def psd_sqrt(E):
         vals, vecs = np.linalg.eigh(E)
         return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
@@ -114,8 +108,8 @@ def dense_oracle(prog) -> dict:
             results[key] = results.get(key, 0.0) + prob
             return
         instr = prog.items[i]
-        if isinstance(instr, (GateInstr, DisplaceInstr)):
-            U = unitary(instr, n_cur)
+        if isinstance(instr, GateInstr):
+            U = _word_unitary(p, n_cur, instr.word)
             walk(i + 1, U @ rho @ U.conj().T, n_cur, outcomes, prob)
         elif isinstance(instr, ExtendInstr):
             for extra in instr.states:
@@ -764,6 +758,25 @@ def test_distill_rejects_a_non_clifford_unitary():
     assert res.F_out == pytest.approx(-0.2931284138572722, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "channel, message",
+    [
+        (("unitary", np.eye(27, dtype=complex)), "channel acts on 3 qudits, expected 2"),
+        (("clifford", CliffordElement.identity(3, 2)), "unknown channel kind 'clifford'"),
+    ],
+    ids=["unitary-width", "clifford-kind"],
+)
+def test_distill_rejects_a_channel_of_the_wrong_width_or_kind(channel, message):
+    # a unitary channel's map must act on the instance's n qudits, and a
+    # map is passed as a unitary or a gate word, never as a bare (F, a)
+    zero = np.diag([1.0, 0, 0]).astype(complex)
+    inst = DistillationInstance(
+        p=3, n=2, rho_in=(zero, zero), channel=channel, projector=(zero,),
+    )
+    with pytest.raises(ValueError, match=message):
+        distill_step(inst)
+
+
 def test_distill_suite_builds_no_wide_unitaries(monkeypatch, tmp_path):
     from dwigner.cli import main
 
@@ -1058,14 +1071,15 @@ class _ReferenceWalk:
         while i < len(items) and not isinstance(items[i], LabelMarker):
             instr = items[i]
             n_cur = upts.shape[1] // 2
-            if isinstance(instr, GateInstr):
-                upts = (upts @ _widened(circuits._word_map(instr.word, p), n_cur).T) % p
-                self.mults += rows.size * (2 * n_cur) ** 2
-            elif isinstance(instr, DisplaceInstr):
-                c = 2 * (instr.reg - 1)
-                upts[:, c : c + 2] += instr.point
+            if isinstance(instr, GateInstr) and instr.word[0].kind == "displace":
+                (call,) = instr.word
+                c = 2 * (call.regs[0] - 1)
+                upts[:, c : c + 2] += dict(call.params)["point"]
                 upts[:, c : c + 2] %= p
                 self.adds += rows.size * 2
+            elif isinstance(instr, GateInstr):
+                upts = (upts @ _widened(circuits._word_map(instr.word, p), n_cur).T) % p
+                self.mults += rows.size * (2 * n_cur) ** 2
             elif isinstance(instr, ExtendInstr):
                 new_cols = []
                 for j, cum in enumerate(self.extend_dists[i]):
@@ -1146,7 +1160,7 @@ def test_call_tables_one_per_distinct_call():
     lines += [f"displace {k % 3 + 1} (1,{k % 3})" for k in range(29)]
     lines += [f"measure {r} computational" for r in (3, 2, 1)]
     prog = parse_circuit("\n".join(lines))
-    calls = {(c.kind, c.params) for instr in prog.items[:179] for c in circuits._item_calls(instr)}
+    calls = {(c.kind, c.params) for instr in prog.items[:179] for c in instr.word}
     assert len(calls) == 5  # fourier, sum and three displacement points
     simulate._call_digits.cache_clear()
     rpt = sample_classical(prog, seed=1, shots=1000)
