@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from dwigner.cli import build_parser, main
 from dwigner.geometry import exact_vertex_matrix
 from dwigner.stabilizer import MAX_MUB_P
 from dwigner.wigner import state_from_wigner
+from test_simulate import WIDE5
 
 
 def run_cli(*argv):
@@ -587,6 +589,87 @@ def test_distill_check_output_bytes_are_pinned(samples_dir, tmp_path, args):
     argv = [str(samples_dir / args[0]), *args[1:]] if len(args) == 1 else list(args)
     assert run_cli("distill-check", *argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DISTILL_PINS[args]
+
+
+MIXED5 = (
+    "qudits p=3 n=5\n"
+    + "".join(f"input {r} mixed\n" for r in range(1, 6))
+    + "gate fourier(1); sum(1,2); quadratic(3); sum(3,4); multiply(2,5); sum(5,1)\n"
+    "measure 5 povm-file:fourier_basis.povm\n"
+    "gate sum(4,3); fourier(2)\n"
+    "measure 4 povm-file:two_outcome.povm\n"
+    "measure 3 povm-file:fourier_basis.povm\n"
+    "measure 2 povm-file:two_outcome.povm\n"
+    "measure 1 povm-file:fourier_basis.povm\n"
+)
+BOUND3 = """\
+qudits p=3 n=3
+input 1 wigner-file:bound_ninth.w
+input 2 zero
+input 3 wigner-file:bound_ninth.w
+gate fourier(2); sum(2,1); quadratic(3)
+displace 1 (1,2)
+gate sum(1,3); fourier(1)
+measure 3 povm-file:fourier_basis.povm branch: f0->a f1->b f2->b
+label a:
+extend 1 wigner-file:bound_ninth.w
+gate sum(4,2); fourier(4)
+measure 4 computational
+measure 2 povm-file:two_outcome.povm
+measure 1 computational
+label b:
+gate multiply(2,1)
+measure 2 computational
+measure 1 povm-file:fourier_basis.povm
+"""
+# Circuits written next to copies of the sample files they read: the
+# five-qutrit adaptive circuit of test_simulate, five maximally mixed qutrits
+# under two complex-effect POVMs, and bound-state inputs and extends
+PIN_CIRCUITS = {"wide5.circ": WIDE5, "mixed5.circ": MIXED5, "bound3.circ": BOUND3}
+# SHA-256 of `sample --shots 20000 --seed 7 --oracle-check` output bytes
+# with the oracle on the full (p,)*2m density tensor
+SAMPLE_PINS = {
+    "reg01_minimal.circ":
+        "919668cb5169d7838e78740f1ac9739f56198c98b3cb084a2735047e1925baf2",
+    "reg02_fourier.circ":
+        "5a91dd1e6920f4d1a287030ecacedb8ccb2201ee206e9771f664b76b34c728ff",
+    "reg03_word.circ":
+        "bb8d6aa181fe9e26ac1b3ab92f922b8ec5248640e477a7566cb087aa9321db7a",
+    "reg04_displace.circ":
+        "7e07cea25707894d7b7220fb235844a315276ed79dee4146ee85b4594328fba6",
+    "reg05_bell.circ":
+        "8ab6725cc6c559d3b3692f1aaa520834fd48cf9efc479ba875f4ad1132615ac3",
+    "reg06_adaptive.circ":
+        "ab9581d44d4b0ffb5c09fd4804bfc7044a03071377d8599f2abd6861ed1a8142",
+    "reg07_extend.circ":
+        "0cd9899f0cd5f070f2a0b6e3c1cd471681286bb45f9d622487a70c7380055e05",
+    "reg08_three.circ":
+        "675e9af2b0a9a1909a7ebe1138d6c10032de602cdc751fb68699be85c2c65a93",
+    "reg09_povm.circ":
+        "33f44e7d60c6f763699cc15fd41c98b0edf8afd89be485d0c19ef3d46ce6516d",
+    "reg10_cascade.circ":
+        "23e55bab57c619f5d0114b00dc7c7cc93936cd38a1024ce834404ac917b331a0",
+    "wide5.circ":
+        "61db25d32c76c8bb93df7b97565c7476200348797c54974f762627320ecacf3b",
+    "mixed5.circ":
+        "96f8a1b664e631664224858834f80c0a47d4d9781cb7877e8e4b471037ed5041",
+    "bound3.circ":
+        "d20fe1d46cf9711d25a06ea480c0062592b15fa01d417f2d5d15e1d07af30753",
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_PINS))
+def test_sample_oracle_check_output_bytes_are_pinned(samples_dir, tmp_path, name):
+    for used in ("fourier_basis.povm", "two_outcome.povm", "bound_ninth.w"):
+        shutil.copy(samples_dir / used, tmp_path)
+    circ = samples_dir / name
+    if name in PIN_CIRCUITS:
+        circ = tmp_path / name
+        circ.write_text(PIN_CIRCUITS[name])
+    out = tmp_path / "s.out"
+    argv = [str(circ), "--shots", "20000", "--seed", "7", "--oracle-check", "--out", str(out)]
+    assert run_cli("sample", *argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_PINS[name]
 
 
 @pytest.mark.parametrize("header", ["dim", "dim x"])
