@@ -152,8 +152,9 @@ def _content_lines(text: str, path=None) -> list[tuple[int, str]]:
 def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> list:
     """(argument, matrix) for each block of `lines`: a `<keyword> <argument>`
     header line, then the matrix's `re imag` pairs, row-major, each a
-    finite number.  A `dim` block is d x d for its argument d; an `effect`
-    block (argument: its label) is size x size."""
+    finite number.  A `dim` block is d x d for its argument d, which must
+    equal size when size is given; an `effect` block (argument: its label)
+    is size x size."""
     starts = [k for k, (_, line) in enumerate(lines) if k == 0 or line.startswith(keyword)]
     blocks = []
     for k, end in zip(starts, starts[1:] + [len(lines)]):
@@ -173,6 +174,8 @@ def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> lis
                 d = int(arg) if arg.isdecimal() else 0
                 if d < 1:
                     raise CircuitError(f"bad dim header {head!r}")
+                if size is not None and d != size:
+                    raise CircuitError(f"block is dim {d}, expected dim {size}")
                 need = f"block needs {2 * d * d} numbers"
             else:
                 if word != keyword or not arg:
@@ -194,9 +197,9 @@ def load_matrix_file(path) -> np.ndarray:
     return blocks[0][1]
 
 
-def load_kraus_file(path) -> list:
-    """Kraus operators: one or more `dim <d>` blocks, each as in a matrix file."""
-    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text(), path), "dim")
+def load_kraus_file(path, dim: int) -> list:
+    """Kraus operators: one or more `dim <dim>` blocks, each as in a matrix file."""
+    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text(), path), "dim", dim)
     if not blocks:
         raise CircuitError(f"{path}: no Kraus blocks found")
     return [K for _, K in blocks]

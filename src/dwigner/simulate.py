@@ -1,9 +1,11 @@
 """The two algorithm classes plus the distillation positivity check.
 
-run_oracle: Born-rule evaluation traversing every branch, on a tensor over
-the live registers: gates act through their local one- or two-register
-unitaries and each measured register is traced out, so no p^n x p^n matrix
-is built.  sample_classical: the hidden-variable sampler --
+run_oracle: Born-rule evaluation of every branch on a factor Psi of each
+outcome record's state (rho = Psi Psi^dag), one ket axis per live register:
+gates act on the ket axes only, through their local one- or two-register
+unitaries, one contraction with a POVM's stacked Kraus rows gives every
+outcome of every record, and each measured register is traced out, so no
+p^n x p^n matrix is built.  sample_classical: the hidden-variable sampler --
 phase-space points drawn from input Wigner distributions, pushed through
 affine gate maps, measured by conditional Wigner probabilities.  The outcome
 distributions agree; compare_distributions quantifies that with TV and a
@@ -103,7 +105,8 @@ __all__ = [
     "CHUNK_BYTES",
 ]
 
-# p^n guard for the oracle, whose state tensor holds p^(2n) entries, and for
+# p^n guard for the oracle, whose factor holds p^n ket entries per outcome
+# record times a rank that each measurement cuts back to at most p^n, and for
 # the dense parts of a distillation check: matrix-file inputs and projectors
 # and Kraus channels, which are p^n x p^n (or p^(n-1) x p^(n-1)) matrices
 ORACLE_DIM_CAP = 243
@@ -174,7 +177,7 @@ class CompareResult:
 def _apply_local(rho: np.ndarray, M: np.ndarray, axes: list) -> np.ndarray:
     """M (p^k x p^k) applied to the k tensor axes `axes` of rho, in that order."""
     k = len(axes)
-    p = rho.shape[0]
+    p = rho.shape[axes[0]]
     out = np.tensordot(M.reshape((p,) * (2 * k)), rho, axes=(list(range(k, 2 * k)), axes))
     return np.moveaxis(out, list(range(k)), axes)
 
@@ -190,6 +193,30 @@ def _local_generator(p: int, kind: str, params: tuple) -> np.ndarray:
     return U
 
 
+def _psd_rows(M: np.ndarray) -> np.ndarray:
+    """Rows R with R^dag R = M for a PSD M: sqrt(lambda) v^dag for each
+    eigenvalue above numpy's matrix_rank tolerance, lambda_max * dim * eps."""
+    vals, vecs = np.linalg.eigh(M)
+    keep = vals > vals[-1] * len(vals) * np.finfo(float).eps
+    return (vecs[:, keep] * np.sqrt(vals[keep])).conj().T
+
+
+def _povm_rows(effects) -> np.ndarray:
+    """A POVM's effects as stacked rows (k, q, p), zero-padded to the largest rank q."""
+    rows = [_psd_rows(E) for E in effects]
+    q = max(len(R) for R in rows)
+    return np.stack([np.pad(R, ((0, q - len(R)), (0, 0))) for R in rows])
+
+
+def _extend(psi: np.ndarray, state_factors: list) -> np.ndarray:
+    """Psi (B, kets..., r) with one ket axis appended per (p, r_s) state
+    factor, after the others; the ranks multiply."""
+    for f in state_factors:
+        psi = np.moveaxis(np.multiply.outer(psi, f), -2, -3)
+        psi = psi.reshape(psi.shape[:-2] + (-1,))
+    return psi
+
+
 def oracle_fits(prog: CircuitProgram) -> bool:
     """True iff run_oracle takes prog: p^n at its widest point is at most ORACLE_DIM_CAP."""
     return prog.p**prog.max_registers <= ORACLE_DIM_CAP
@@ -198,16 +225,23 @@ def oracle_fits(prog: CircuitProgram) -> bool:
 def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     """Exact-to-double outcome distribution via the chain rule over all branches.
 
-    The state is a (p,)*2m tensor over the m live registers, ket axes first
-    and bra axes after them; no p^n x p^n matrix is built.  Each generator
-    call applies its local p x p (p^2 x p^2 for sum) unitary on its own
-    axes, `extend` appends axes by an outer product, and measuring register
-    r with effect E contracts E^T against r's ket and bra axes, which gives
-    Tr_r[(E (x) I) rho] with trace pk.  Tracing r out is exact: a path
-    measures each register once and never acts on it again (_check_paths),
-    and Tr_r[(M (x) I) rho (M (x) I)^dag] = Tr_r[(E (x) I) rho] for every
-    Kraus root M of E.  Branches with pk < 1e-15 are dropped; their count
-    and summed probability are recorded on the result.
+    The B outcome records that share a path are held as one factor Psi of
+    shape (B, p, ..., p, r), one ket axis per live register and one rank
+    axis, with record b's unnormalized state Psi_b Psi_b^dag of trace its
+    probability; no p^n x p^n matrix is built.  Each input and `extend`
+    state enters as its PSD factor (conjugate-transposed _psd_rows), and
+    each generator call applies its local p x p (p^2 x p^2 for sum) unitary
+    to its ket axes only.  Measuring register r contracts the POVM's
+    stacked rows R_k (E_k = R_k^dag R_k) with r's ket axis, which gives every
+    outcome k of every record at once; the row axis joins the rank axis, so
+    Psi' Psi'^dag = Tr_r[(E_k (x) I) Psi Psi^dag] and pk is its squared norm.
+    Tracing r out is exact: a path measures each register once and never
+    acts on it again (_check_paths), and Tr_r[(M (x) I) rho (M (x) I)^dag]
+    = Tr_r[(E (x) I) rho] for every Kraus root M of E.  When the rank passes
+    the live dimension p^m, Psi is replaced by the D x D factor L of
+    Psi = L Q.  Records with pk below 1e-15 of their parent's probability
+    are dropped; their count and summed probability are recorded on the
+    result.  A `branch:` measurement splits the records by target label.
     """
     p = prog.p
     if not oracle_fits(prog):
@@ -216,52 +250,74 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
         )
     results: dict[str, float] = {}
     pruned_branches, pruned_mass = 0, 0.0
+    factors: dict = {}  # item index -> its extend states' or POVM's factors
 
-    def extend(rho, live, n_cur, states):
-        """Append registers n_cur+1, n_cur+2, ... in the states `states`."""
-        for r, s in enumerate(states, start=n_cur + 1):
-            m = len(live)
-            rho = np.moveaxis(np.multiply.outer(rho, s), 2 * m, m)
-            live = live + [r]
-        return rho, live
-
-    def walk(i: int, rho, live: list, n_cur: int, outcomes: dict, prob: float):
+    def walk(i, psi, live, n_cur, prob, codes, labels):
+        """Run the records (psi, prob, codes) from item i to their path end;
+        codes[b, r - 1] indexes labels[r], register r's outcome labels."""
         nonlocal pruned_branches, pruned_mass
-        if i >= len(prog.items) or isinstance(prog.items[i], LabelMarker):
-            key = "".join(outcomes[r] for r in range(1, n_cur + 1))
-            results[key] = results.get(key, 0.0) + prob
-            return
-        instr = prog.items[i]
-        if isinstance(instr, GateInstr):
-            for call in instr.word:
-                U = _local_generator(p, call.kind, call.params)
-                axes = [live.index(r) for r in call.regs]
-                rho = _apply_local(rho, U, axes)
-                rho = _apply_local(rho, U.conj(), [a + len(live) for a in axes])
-            walk(i + 1, rho, live, n_cur, outcomes, prob)
-        elif isinstance(instr, ExtendInstr):
-            rho, live = extend(rho, live, n_cur, instr.states)
-            walk(i + 1, rho, live, n_cur + instr.count, outcomes, prob)
-        elif isinstance(instr, MeasureInstr):
-            j, m = live.index(instr.reg), len(live)
-            rest = live[:j] + live[j + 1 :]
-            d = p ** (m - 1)
-            for label, E in zip(instr.povm.labels, instr.povm.effects):
-                reduced = np.tensordot(E.T, rho, axes=([0, 1], [j, m + j]))
-                pk = float(np.trace(reduced.reshape(d, d)).real)
-                if pk < 1e-15:
-                    pruned_branches += 1
-                    pruned_mass += pk * prob
-                    continue
-                out2 = dict(outcomes)
-                out2[instr.reg] = label
-                nxt = i + 1 if instr.branch is None else instr.branch[label]
-                walk(nxt, reduced / pk, rest, n_cur, out2, prob * pk)
-        else:
-            raise TypeError(f"unexpected item {instr!r}")
+        while i < len(prog.items) and not isinstance(prog.items[i], LabelMarker):
+            instr = prog.items[i]
+            if isinstance(instr, GateInstr):
+                for call in instr.word:
+                    U = _local_generator(p, call.kind, call.params)
+                    psi = _apply_local(psi, U, [1 + live.index(r) for r in call.regs])
+            elif isinstance(instr, ExtendInstr):
+                if i not in factors:
+                    factors[i] = [_psd_rows(s).conj().T for s in instr.states]
+                psi = _extend(psi, factors[i])
+                live = live + list(range(n_cur + 1, n_cur + instr.count + 1))
+                n_cur += instr.count
+            elif isinstance(instr, MeasureInstr):
+                if i not in factors:
+                    factors[i] = _povm_rows(instr.povm.effects)
+                rows = factors[i]
+                k, q = rows.shape[:2]
+                j, m, B = live.index(instr.reg), len(live), len(prob)
+                # (k, q, B, rest..., r) -> (B * k, rest..., q * r)
+                psi = np.tensordot(rows, psi, axes=([2], [1 + j]))
+                psi = psi.transpose(2, 0, *range(3, m + 2), 1, m + 2).reshape(
+                    (B * k,) + (p,) * (m - 1) + (-1,)
+                )
+                parts = psi.reshape(B * k, -1).view(np.float64)  # real, imag interleaved
+                pk = np.einsum("ij,ij->i", parts, parts)
+                keep = pk >= 1e-15 * np.repeat(prob, k)
+                pruned_branches += int(np.count_nonzero(~keep))
+                pruned_mass += float(pk[~keep].sum())
+                outcome = np.tile(np.arange(k), B)[keep]
+                psi, prob = psi[keep], pk[keep]
+                codes = np.repeat(codes, k, axis=0)[keep]
+                codes[:, instr.reg - 1] = outcome
+                labels = {**labels, instr.reg: instr.povm.labels}
+                if not len(prob):
+                    return
+                live = live[:j] + live[j + 1 :]
+                D = p ** (m - 1)
+                if psi.shape[-1] > D:  # Psi^dag = Q R, so Psi Psi^dag = R^dag R
+                    dag = psi.reshape(len(prob), D, -1).conj().swapaxes(1, 2)
+                    R = np.linalg.qr(dag, mode="r")
+                    psi = R.conj().swapaxes(1, 2).reshape(psi.shape[:-1] + (D,))
+                if instr.branch is not None:
+                    targets: dict = {}
+                    for kk, label in enumerate(instr.povm.labels):
+                        targets.setdefault(instr.branch[label], []).append(kk)
+                    for nxt, ks in targets.items():
+                        sel = np.isin(outcome, ks)
+                        if sel.any():
+                            walk(nxt, psi[sel], live, n_cur, prob[sel], codes[sel], labels)
+                    return
+            else:
+                raise TypeError(f"unexpected item {instr!r}")
+            i += 1
+        keys = np.full(len(prob), "", dtype=object)
+        for r in range(1, n_cur + 1):
+            keys = keys + np.array(labels[r], dtype=object)[codes[:, r - 1]]
+        for key, pr in zip(keys.tolist(), prob.tolist()):
+            results[key] = results.get(key, 0.0) + pr
 
-    rho, live = extend(np.ones((), dtype=complex), [], 0, prog.inputs)
-    walk(0, rho, live, prog.n, {}, 1.0)
+    psi = _extend(np.ones((1, 1), dtype=complex), [_psd_rows(s).conj().T for s in prog.inputs])
+    codes = np.zeros((1, prog.max_registers), dtype=np.intp)
+    walk(0, psi, list(range(1, prog.n + 1)), prog.n, np.ones(1), codes, {})
     return OutcomeDistribution(
         results, pruned_branches=pruned_branches, pruned_mass=pruned_mass
     )
@@ -926,7 +982,7 @@ def parse_distill_file(path) -> DistillationInstance:
                     tokens = rest.split()
                     kfile = tokens[0].split(":", 1)[1]
                     asserted = "positivity-asserted" in tokens[1:]
-                    channel = ("kraus", load_kraus_file(base_dir / kfile))
+                    channel = ("kraus", load_kraus_file(base_dir / kfile, p**n))
                 else:
                     raise CircuitError(f"bad channel spec {rest!r}")
             elif key == "projector":

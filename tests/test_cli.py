@@ -685,6 +685,18 @@ def test_distill_check_malformed_kraus_dim(tmp_path, capsys, header):
     assert "bad.kraus" in err and "line 1" in err
 
 
+def test_distill_check_kraus_of_the_wrong_dim(samples_dir, tmp_path, capsys):
+    # depolarize.kraus acts on one qutrit; an n = 2 instance needs dim 9
+    inst = tmp_path / "inst.txt"
+    inst.write_text(
+        "distill p=3 n=2\ninput product zero zero\nchannel kraus-file:"
+        f"{samples_dir / 'depolarize.kraus'} positivity-asserted\nprojector zero\n"
+    )
+    assert run_cli("distill-check", str(inst)) == 2
+    err = capsys.readouterr().err
+    assert "depolarize.kraus" in err and "expected dim 9" in err
+
+
 def test_sample_povm_effect_without_label(tmp_path, capsys):
     zeros = "\n".join(["0 0  0 0  0 0"] * 3)
     (tmp_path / "bad.povm").write_text(f"povm p=3 outcomes=1\neffect\n{zeros}\n")

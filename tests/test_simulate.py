@@ -183,12 +183,29 @@ def test_oracle_guard():
         run_oracle(prog)
 
 
+# branches each regression circuit's oracle drops at pk < 1e-15
+PRUNED_BRANCHES = {
+    "reg01_minimal.circ": 2,
+    "reg02_fourier.circ": 0,
+    "reg03_word.circ": 0,
+    "reg04_displace.circ": 2,
+    "reg05_bell.circ": 6,
+    "reg06_adaptive.circ": 0,
+    "reg07_extend.circ": 4,
+    "reg08_three.circ": 6,
+    "reg09_povm.circ": 0,
+    "reg10_cascade.circ": 12,
+}
+
+
 def test_oracle_counts_pruned_branches(samples_dir):
+    for name, count in PRUNED_BRANCHES.items():
+        d = run_oracle(parse_circuit_file(samples_dir / name))
+        assert (d.pruned_branches, name) == (count, name)
+        assert abs(d.pruned_mass) < 2e-15, name
     # the zero state's outcomes 1 and 2 have pk = 0 and are dropped
     d = run_oracle(parse_circuit_file(samples_dir / "reg01_minimal.circ"))
     assert d.probabilities == {"0": pytest.approx(1.0)}
-    assert d.pruned_branches == 2
-    assert abs(d.pruned_mass) < 2e-15
 
 
 def test_oracle_matches_dense_reference_on_samples(samples_dir):
@@ -919,6 +936,9 @@ def test_tally_keeps_outcomes_apart_past_64_binary_digits(samples_dir):
 
 
 PRESETS = ["mixed", "zero", "basis(1)", "basis(2)"]
+# qutrit inputs with complex entries (bound_ninth.w) or a negative Wigner
+# function (strange.mat), for the oracle only: the sampler refuses strange.mat
+FILE_INPUTS = ["matrix-file:strange.mat", "wigner-file:bound_ninth.w"]
 # the POVM files are qutrit POVMs
 POVMS_BY_P = {
     3: {
@@ -931,15 +951,16 @@ POVMS_BY_P = {
 
 
 @st.composite
-def adaptive_circuits(draw, p=3, max_regs=3):
+def adaptive_circuits(draw, p=3, max_regs=3, inputs=tuple(PRESETS)):
     """Valid circuits on at most max_regs registers of dimension p: gate
     words, displace, extend (also after a measurement), nested adaptive
     branches and, for qutrits, the two-outcome POVM and the Fourier-basis
-    POVM, whose complex effects tell E from E^T."""
+    POVM, whose complex effects tell E from E^T.  Input and extend states
+    are drawn from `inputs`."""
     POVMS = POVMS_BY_P[p]
     n = draw(st.integers(1, max_regs))
     lines = [f"qudits p={p} n={n}"]
-    lines += [f"input {r} {draw(st.sampled_from(PRESETS))}" for r in range(1, n + 1)]
+    lines += [f"input {r} {draw(st.sampled_from(inputs))}" for r in range(1, n + 1)]
     names = itertools.count()
 
     def gate_call(unmeasured):
@@ -960,7 +981,7 @@ def adaptive_circuits(draw, p=3, max_regs=3):
                 op = draw(st.sampled_from(["gate", "displace", "extend"]))
                 if op == "extend" and n_cur < max_regs:
                     count = draw(st.integers(1, max_regs - n_cur))
-                    out.append(f"extend {count} {draw(st.sampled_from(PRESETS))}")
+                    out.append(f"extend {count} {draw(st.sampled_from(inputs))}")
                     unmeasured = unmeasured + list(range(n_cur + 1, n_cur + count + 1))
                     n_cur += count
                 elif op == "displace":
@@ -1004,9 +1025,60 @@ def test_sampler_matches_oracle_on_generated_circuits(samples_dir, src):
 
 
 @settings(max_examples=60)
-@given(src=st.one_of(adaptive_circuits(p=3, max_regs=4), adaptive_circuits(p=5, max_regs=3)))
+@given(src=st.one_of(
+    adaptive_circuits(p=3, max_regs=4, inputs=tuple(PRESETS + FILE_INPUTS)),
+    adaptive_circuits(p=5, max_regs=3),
+))
 def test_oracle_matches_dense_reference_on_generated_circuits(samples_dir, src):
     assert_matches_dense(parse_circuit(src, base_dir=samples_dir))
+
+
+def write_mub9_povm(path):
+    """A nine-outcome qutrit POVM: the projectors of three mutually unbiased
+    bases (computational, Fourier, Fourier after the quadratic phase), each
+    divided by 3."""
+    w = np.exp(2j * np.pi / 3)
+    k = np.arange(3)
+    fourier = w ** np.outer(k, k) / np.sqrt(3)
+    bases = [np.eye(3), fourier, fourier * w ** (k * k)]
+    lines = ["povm p=3 outcomes=9"]
+    for b, vecs in enumerate(bases):
+        for j, v in enumerate(vecs):
+            lines.append(f"effect m{b}{j}")
+            lines += ["  ".join(f"{e.real!r} {e.imag!r}" for e in row)
+                      for row in (np.outer(v, v.conj()) / 3).tolist()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_oracle_caps_the_factor_rank(tmp_path):
+    # nine outcomes per measurement: without the rank cap each of the 9^j
+    # records after j measurements would keep the inputs' full rank
+    write_mub9_povm(tmp_path / "mub9.povm")
+    three = """\
+qudits p=3 n=3
+input 1 mixed
+input 2 zero
+input 3 mixed
+gate fourier(2); sum(2,1); quadratic(3); sum(3,2)
+measure 3 povm-file:mub9.povm
+measure 2 povm-file:mub9.povm
+measure 1 povm-file:mub9.povm
+"""
+    assert_matches_dense(parse_circuit(three, base_dir=tmp_path))
+    five = parse_circuit(
+        "qudits p=3 n=5\n"
+        + "".join(f"input {r} mixed\n" for r in range(1, 6))
+        + "".join(f"measure {r} povm-file:mub9.povm\n" for r in range(5, 0, -1)),
+        base_dir=tmp_path,
+    )
+    tracemalloc.start()
+    try:
+        d = run_oracle(five)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(d.probabilities) == 9**5
+    assert peak < 24 * 2**20, peak / 2**20
 
 
 def reference_sample(prog, seed, shots):
