@@ -122,6 +122,7 @@ PRODUCT_WIGNER_CAP = 3**12
 CHUNK_BYTES = 1 << 20
 # The tally's mixed-radix outcome codes stay below this, well inside int64.
 _CODE_LIMIT = 1 << 62
+_EPS = np.finfo(float).eps
 
 
 class OracleGuardError(RuntimeError):
@@ -194,18 +195,16 @@ def _local_generator(p: int, kind: str, params: tuple) -> np.ndarray:
 
 
 def _psd_rows(M: np.ndarray) -> np.ndarray:
-    """Rows R with R^dag R = M for a PSD M: sqrt(lambda) v^dag for each
-    eigenvalue above numpy's matrix_rank tolerance, lambda_max * dim * eps."""
+    """Rows R with R^dag R = M for each PSD matrix of a stack (..., d, d):
+    sqrt(lambda) v^dag for each eigenvalue above numpy's matrix_rank
+    tolerance, lambda_max * d * eps, as many rows as the stack's largest
+    rank and zero rows for the eigenvalues below it."""
     vals, vecs = np.linalg.eigh(M)
-    keep = vals > vals[-1] * len(vals) * np.finfo(float).eps
-    return (vecs[:, keep] * np.sqrt(vals[keep])).conj().T
-
-
-def _povm_rows(effects) -> np.ndarray:
-    """A POVM's effects as stacked rows (k, q, p), zero-padded to the largest rank q."""
-    rows = [_psd_rows(E) for E in effects]
-    q = max(len(R) for R in rows)
-    return np.stack([np.pad(R, ((0, q - len(R)), (0, 0))) for R in rows])
+    d = vals.shape[-1]
+    keep = vals > vals[..., -1:] * (d * _EPS)  # a suffix: vals ascend
+    top = slice(d - keep.sum(axis=-1).max(), d)
+    rows = vecs[..., top] * np.sqrt(vals[..., top] * keep[..., top])[..., None, :]
+    return rows.conj().swapaxes(-1, -2)
 
 
 def _extend(psi: np.ndarray, state_factors: list) -> np.ndarray:
@@ -229,17 +228,18 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     shape (B, p, ..., p, r), one ket axis per live register and one rank
     axis, with record b's unnormalized state Psi_b Psi_b^dag of trace its
     probability; no p^n x p^n matrix is built.  Each input and `extend`
-    state enters as its PSD factor (conjugate-transposed _psd_rows), and
-    each generator call applies its local p x p (p^2 x p^2 for sum) unitary
-    to its ket axes only.  Measuring register r contracts the POVM's
+    state enters as its PSD factor (conjugate-transposed _psd_rows; each
+    distinct state and POVM is factored once per run), and each generator
+    call applies its local p x p (p^2 x p^2 for sum) unitary to its ket
+    axes only.  Measuring register r contracts the POVM's
     stacked rows R_k (E_k = R_k^dag R_k) with r's ket axis, which gives every
     outcome k of every record at once; the row axis joins the rank axis, so
     Psi' Psi'^dag = Tr_r[(E_k (x) I) Psi Psi^dag] and pk is its squared norm.
     Tracing r out is exact: a path measures each register once and never
     acts on it again (_check_paths), and Tr_r[(M (x) I) rho (M (x) I)^dag]
     = Tr_r[(E (x) I) rho] for every Kraus root M of E.  When the rank passes
-    the live dimension p^m, Psi is replaced by the D x D factor L of
-    Psi = L Q.  Records with pk below 1e-15 of their parent's probability
+    the live dimension D = p^m, Psi is replaced by the D x D factor L of
+    Psi = L Q, from the QR of Psi^dag.  Records with pk below 1e-15 of their parent's probability
     are dropped; their count and summed probability are recorded on the
     result.  A `branch:` measurement splits the records by target label.
     """
@@ -250,7 +250,13 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
         )
     results: dict[str, float] = {}
     pruned_branches, pruned_mass = 0, 0.0
-    factors: dict = {}  # item index -> its extend states' or POVM's factors
+    factored: dict = {}  # (shape, bytes) of a matrix or stack -> its _psd_rows
+
+    def rows_of(M):
+        key = (M.shape, M.tobytes())
+        if key not in factored:
+            factored[key] = _psd_rows(M)
+        return factored[key]
 
     def walk(i, psi, live, n_cur, prob, codes, labels):
         """Run the records (psi, prob, codes) from item i to their path end;
@@ -263,15 +269,11 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
                     U = _local_generator(p, call.kind, call.params)
                     psi = _apply_local(psi, U, [1 + live.index(r) for r in call.regs])
             elif isinstance(instr, ExtendInstr):
-                if i not in factors:
-                    factors[i] = [_psd_rows(s).conj().T for s in instr.states]
-                psi = _extend(psi, factors[i])
+                psi = _extend(psi, [rows_of(s).conj().T for s in instr.states])
                 live = live + list(range(n_cur + 1, n_cur + instr.count + 1))
                 n_cur += instr.count
             elif isinstance(instr, MeasureInstr):
-                if i not in factors:
-                    factors[i] = _povm_rows(instr.povm.effects)
-                rows = factors[i]
+                rows = rows_of(np.stack(instr.povm.effects))
                 k, q = rows.shape[:2]
                 j, m, B = live.index(instr.reg), len(live), len(prob)
                 # (k, q, B, rest..., r) -> (B * k, rest..., q * r)
@@ -284,7 +286,7 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
                 keep = pk >= 1e-15 * np.repeat(prob, k)
                 pruned_branches += int(np.count_nonzero(~keep))
                 pruned_mass += float(pk[~keep].sum())
-                outcome = np.tile(np.arange(k), B)[keep]
+                outcome = (np.arange(B * k) % k)[keep]
                 psi, prob = psi[keep], pk[keep]
                 codes = np.repeat(codes, k, axis=0)[keep]
                 codes[:, instr.reg - 1] = outcome
@@ -298,11 +300,10 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
                     R = np.linalg.qr(dag, mode="r")
                     psi = R.conj().swapaxes(1, 2).reshape(psi.shape[:-1] + (D,))
                 if instr.branch is not None:
-                    targets: dict = {}
-                    for kk, label in enumerate(instr.povm.labels):
-                        targets.setdefault(instr.branch[label], []).append(kk)
-                    for nxt, ks in targets.items():
-                        sel = np.isin(outcome, ks)
+                    targets = [instr.branch[label] for label in instr.povm.labels]
+                    arm = np.array(targets)[outcome]
+                    for nxt in dict.fromkeys(targets):
+                        sel = arm == nxt
                         if sel.any():
                             walk(nxt, psi[sel], live, n_cur, prob[sel], codes[sel], labels)
                     return
@@ -315,7 +316,7 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
         for key, pr in zip(keys.tolist(), prob.tolist()):
             results[key] = results.get(key, 0.0) + pr
 
-    psi = _extend(np.ones((1, 1), dtype=complex), [_psd_rows(s).conj().T for s in prog.inputs])
+    psi = _extend(np.ones((1, 1), dtype=complex), [rows_of(s).conj().T for s in prog.inputs])
     codes = np.zeros((1, prog.max_registers), dtype=np.intp)
     walk(0, psi, list(range(1, prog.n + 1)), prog.n, np.ones(1), codes, {})
     return OutcomeDistribution(
