@@ -224,24 +224,25 @@ def oracle_fits(prog: CircuitProgram) -> bool:
 def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     """Exact-to-double outcome distribution via the chain rule over all branches.
 
-    The B outcome records that share a path are held as one factor Psi of
-    shape (B, p, ..., p, r), one ket axis per live register and one rank
-    axis, with record b's unnormalized state Psi_b Psi_b^dag of trace its
-    probability; no p^n x p^n matrix is built.  Each input and `extend`
-    state enters as its PSD factor (conjugate-transposed _psd_rows; each
-    distinct state and POVM is factored once per run), and each generator
-    call applies its local p x p (p^2 x p^2 for sum) unitary to its ket
-    axes only.  Measuring register r contracts the POVM's
-    stacked rows R_k (E_k = R_k^dag R_k) with r's ket axis, which gives every
-    outcome k of every record at once; the row axis joins the rank axis, so
-    Psi' Psi'^dag = Tr_r[(E_k (x) I) Psi Psi^dag] and pk is its squared norm.
-    Tracing r out is exact: a path measures each register once and never
-    acts on it again (_check_paths), and Tr_r[(M (x) I) rho (M (x) I)^dag]
-    = Tr_r[(E (x) I) rho] for every Kraus root M of E.  When the rank passes
-    the live dimension D = p^m, Psi is replaced by the D x D factor L of
-    Psi = L Q, from the QR of Psi^dag.  Records with pk below 1e-15 of their parent's probability
-    are dropped; their count and summed probability are recorded on the
-    result.  A `branch:` measurement splits the records by target label.
+    The B outcome records that share a path are one factor Psi of shape
+    (B, p, ..., p, r): one ket axis per live register and one rank axis,
+    record b's unnormalized state being Psi_b Psi_b^dag, of trace its
+    probability; no p^n x p^n matrix is built.  Inputs and `extend` states
+    enter as their PSD factors (conjugate-transposed _psd_rows; each
+    distinct state and POVM is factored once per run).  Each generator call
+    applies its local p x p (p^2 x p^2 for sum) unitary to its ket axes
+    only.  Measuring register r contracts the POVM's stacked rows R_k
+    (E_k = R_k^dag R_k) with r's ket axis once, for every outcome k of
+    every record; the row axis joins the rank axis, so Psi' Psi'^dag =
+    Tr_r[(E_k (x) I) Psi Psi^dag] and pk is its squared norm.  Tracing r
+    out is exact: a path measures each register once and never acts on it
+    again (_check_paths), and Tr_r[(M (x) I) rho (M (x) I)^dag] =
+    Tr_r[(E (x) I) rho] for every Kraus root M of E.  When the rank passes
+    the live dimension D = p^m, Psi becomes the D x D factor L of Psi = L Q
+    (the QR of Psi^dag).  Records with pk below 1e-15 of their parent's
+    probability are dropped; their count and summed probability are
+    recorded on the result.  A `branch:` measurement splits the records by
+    target label.
     """
     p = prog.p
     if not oracle_fits(prog):
