@@ -207,6 +207,12 @@ def _psd_rows(M: np.ndarray) -> np.ndarray:
     return rows.conj().swapaxes(-1, -2)
 
 
+def _squared_norms(psi: np.ndarray) -> np.ndarray:
+    """The squared norm of each record psi[b] of a complex array."""
+    parts = psi.reshape(len(psi), -1).view(np.float64)  # real, imag interleaved
+    return np.einsum("ij,ij->i", parts, parts)
+
+
 def _extend(psi: np.ndarray, state_factors: list) -> np.ndarray:
     """Psi (B, kets..., r) with one ket axis appended per (p, r_s) state
     factor, after the others; the ranks multiply."""
@@ -282,8 +288,7 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
                 psi = psi.transpose(2, 0, *range(3, m + 2), 1, m + 2).reshape(
                     (B * k,) + (p,) * (m - 1) + (-1,)
                 )
-                parts = psi.reshape(B * k, -1).view(np.float64)  # real, imag interleaved
-                pk = np.einsum("ij,ij->i", parts, parts)
+                pk = _squared_norms(psi)
                 keep = pk >= 1e-15 * np.repeat(prob, k)
                 pruned_branches += int(np.count_nonzero(~keep))
                 pruned_mass += float(pk[~keep].sum())
@@ -297,8 +302,7 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
                 live = live[:j] + live[j + 1 :]
                 D = p ** (m - 1)
                 if psi.shape[-1] > D:  # Psi^dag = Q R, so Psi Psi^dag = R^dag R
-                    dag = psi.reshape(len(prob), D, -1).conj().swapaxes(1, 2)
-                    R = np.linalg.qr(dag, mode="r")
+                    R = np.linalg.qr(psi.reshape(len(prob), D, -1).conj().swapaxes(1, 2), "r")
                     psi = R.conj().swapaxes(1, 2).reshape(psi.shape[:-1] + (D,))
                 if instr.branch is not None:
                     targets = [instr.branch[label] for label in instr.povm.labels]

@@ -201,7 +201,7 @@ PRUNED_BRANCHES = {
 def test_oracle_counts_pruned_branches(samples_dir):
     for name, count in PRUNED_BRANCHES.items():
         d = run_oracle(parse_circuit_file(samples_dir / name))
-        assert (d.pruned_branches, name) == (count, name)
+        assert d.pruned_branches == count, name
         assert abs(d.pruned_mass) < 2e-15, name
     # the zero state's outcomes 1 and 2 have pk = 0 and are dropped
     d = run_oracle(parse_circuit_file(samples_dir / "reg01_minimal.circ"))
@@ -1035,8 +1035,8 @@ def test_oracle_matches_dense_reference_on_generated_circuits(samples_dir, src):
 
 def write_mub9_povm(path):
     """A nine-outcome qutrit POVM: the projectors of three mutually unbiased
-    bases (computational, Fourier, Fourier after the quadratic phase), each
-    divided by 3."""
+    bases (computational, Fourier, and Fourier vectors times the phases
+    w^(k^2)), each divided by 3."""
     w = np.exp(2j * np.pi / 3)
     k = np.arange(3)
     fourier = w ** np.outer(k, k) / np.sqrt(3)
