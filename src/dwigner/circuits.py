@@ -17,19 +17,18 @@ the path.  Branch targets must lie strictly ahead.  Every path must measure
 each register exactly once, always the highest-indexed unmeasured one.
 
 Each generator call is parsed once into a `GateCall`, and a `displace` line
-is a gate item whose word is its one displace call.  The sampler and the
-distillation check apply a word call by call through each call's own table,
-so no run composes a word's map.  `_word_map` composes one, (F, a) on
-the registers the word touches, as the tests' reference for that route;
-`fields.widen_map` lifts it to n, as a local gate is the identity on the
-other registers.
+is a gate item whose word is its one displace call.  A call's map and
+unitary live in `weyl`, keyed by the call's kind and params.  An `extend`
+item holds one state, which each of its `count` appended registers starts
+in.
 
 The same module reads the files a document refers to (Wigner, matrix, POVM
 and Kraus files) and slice files.  Matrix, POVM and Kraus files are blocks
 of row-major `re imag` pairs under a `dim <d>` or `effect <label>` header,
-all read by `_matrix_blocks`.  Every parser runs each line inside the
-`_at_line` guard, the one place that names a line in a CircuitError: an
-error from within a referenced file names that file and its own line.
+all read by `_matrix_blocks`.  Every parser, here and in `simulate`, runs
+each line inside the `at_line` guard, the one place that names a line in a
+CircuitError: an error from within a referenced file names that file and
+its own line.
 """
 
 from __future__ import annotations
@@ -43,10 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import CliffordElement
-from .geometry import NEG_TOL
+from .geometry import DEFAULT_AXIS, NEG_TOL, SliceSpec
 from .stabilizer import require_capped_p
-from .weyl import generator_map
 from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
 __all__ = [
@@ -71,6 +68,10 @@ __all__ = [
     "computational_povm",
     "preset_state",
     "parse_slice_file",
+    "at_line",
+    "content_lines",
+    "parse_gate_word",
+    "require_registers",
     "MAX_REGISTERS",
 ]
 
@@ -93,7 +94,7 @@ class CircuitError(ValueError):
 
 
 @contextlib.contextmanager
-def _at_line(num: Optional[int], path=None):
+def at_line(num: Optional[int], path=None):
     """Re-raise a CircuitError without a line, or a plain ValueError, as a
     CircuitError naming line `num` (and `path`, in a file a document refers
     to); one that names a line already, e.g. from a referenced file, passes."""
@@ -132,7 +133,7 @@ def parse_point(text: str, p: int) -> tuple[int, int]:
 
 # --- matrix / wigner / povm files -------------------------------------------
 
-def _content_lines(text: str, path=None) -> list[tuple[int, str]]:
+def content_lines(text: str, path=None) -> list[tuple[int, str]]:
     """Non-empty, comment-stripped lines with 1-based numbers; drops a
     leading `format <k>` line after checking the version (an error names
     `path`, for a file a document refers to)."""
@@ -143,7 +144,7 @@ def _content_lines(text: str, path=None) -> list[tuple[int, str]]:
             out.append((i, line))
     if out and out[0][1].startswith("format"):
         num, head = out.pop(0)
-        with _at_line(num, path):
+        with at_line(num, path):
             if head.split() != ["format", "1"]:
                 raise CircuitError(f"unsupported format version {head!r}")
     return out
@@ -161,12 +162,12 @@ def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> lis
         (num, head), rows = lines[k], lines[k + 1 : end]
         values: list[float] = []
         for row_num, row in rows:
-            with _at_line(row_num, path):
+            with at_line(row_num, path):
                 row_values = [float(t) for t in row.split()]
                 if not np.isfinite(row_values).all():  # NaN passes every sign test
                     raise CircuitError(f"non-finite number in {row!r}")
                 values += row_values
-        with _at_line(num, path):
+        with at_line(num, path):
             word, arg = (head.split(None, 1) + [""])[:2]
             if keyword == "dim":
                 if word != "dim":
@@ -191,7 +192,7 @@ def _matrix_blocks(path, lines, keyword: str, size: Optional[int] = None) -> lis
 
 def load_matrix_file(path) -> np.ndarray:
     """One `dim <d>` block: the header, then d*d `re imag` pairs, row-major."""
-    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text(), path), "dim")
+    blocks = _matrix_blocks(path, content_lines(Path(path).read_text(), path), "dim")
     if len(blocks) != 1:
         raise CircuitError(f"{path}: expected one 'dim <d>' block, found {len(blocks)}")
     return blocks[0][1]
@@ -199,7 +200,7 @@ def load_matrix_file(path) -> np.ndarray:
 
 def load_kraus_file(path, dim: int) -> list:
     """Kraus operators: one or more `dim <dim>` blocks, each as in a matrix file."""
-    blocks = _matrix_blocks(path, _content_lines(Path(path).read_text(), path), "dim", dim)
+    blocks = _matrix_blocks(path, content_lines(Path(path).read_text(), path), "dim", dim)
     if not blocks:
         raise CircuitError(f"{path}: no Kraus blocks found")
     return [K for _, K in blocks]
@@ -208,9 +209,9 @@ def load_kraus_file(path, dim: int) -> list:
 def load_wigner_file(path, p: int) -> list:
     """`wigner p=<p>` header then p^2 lines `a1 a2 value`, one per point;
     returns exact values in point-index order."""
-    lines = _content_lines(Path(path).read_text(), path)
+    lines = content_lines(Path(path).read_text(), path)
     num, head = lines[0] if lines else (None, "")
-    with _at_line(num, path):
+    with at_line(num, path):
         if not head.startswith("wigner"):
             raise CircuitError("missing 'wigner p=<p>' header")
         m = re.match(r"^wigner\s+p=(\d+)$", head)
@@ -218,7 +219,7 @@ def load_wigner_file(path, p: int) -> list:
             raise CircuitError(f"header {head!r} does not declare p={p}")
     values: dict[int, Fraction] = {}
     for num, line in lines[1:]:
-        with _at_line(num, path):
+        with at_line(num, path):
             parts = line.split()
             if len(parts) != 3:
                 raise CircuitError("expected 'a1 a2 value'")
@@ -249,11 +250,11 @@ def computational_povm(p: int) -> Povm:
 def load_povm_file(path, p: int) -> Povm:
     """`povm p=<p> outcomes=<k>` then k `effect <label>` blocks of p x p
     `re imag` pairs."""
-    lines = _content_lines(Path(path).read_text(), path)
+    lines = content_lines(Path(path).read_text(), path)
     if not lines:
         raise CircuitError(f"{path}: empty POVM file")
     num, head = lines[0]
-    with _at_line(num, path):
+    with at_line(num, path):
         m = re.match(r"^povm\s+p=(\d+)\s+outcomes=(\d+)$", head)
         if not m or int(m.group(1)) != p:
             raise CircuitError(f"bad header {head!r}")
@@ -328,7 +329,7 @@ class MeasureInstr:
 class ExtendInstr:
     count: int
     preset: str
-    states: list  # one density matrix per appended register
+    state: np.ndarray  # the density matrix of each appended register
     line: int
 
 
@@ -341,7 +342,7 @@ class LabelMarker:
 _GATE_CALL_RE = re.compile(r"^(\w+)\(([^()]*)\)$")
 
 
-def _parse_gate_word(word: str, p: int) -> list:
+def parse_gate_word(word: str, p: int) -> list:
     if not word.strip():
         raise CircuitError("empty gate word")
     calls = []
@@ -402,11 +403,11 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
     rule (always the highest-indexed unmeasured register) on every path.
     """
     base_dir = Path(base_dir) if base_dir is not None else Path(".")
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines:
         raise CircuitError("empty circuit document")
     num, head = lines[0]
-    with _at_line(num):
+    with at_line(num):
         m = re.match(r"^qudits\s+p=(\d+)\s+n=(\d+)$", head)
         if not m:
             raise CircuitError(f"expected 'qudits p=<prime> n=<count>', got {head!r}")
@@ -423,7 +424,7 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
     pending_branches: list[tuple[int, dict]] = []  # item idx, raw table
 
     for num, line in lines[1:]:
-        with _at_line(num):
+        with at_line(num):
             parts = line.split(None, 1)
             key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
             if key == "input":
@@ -440,7 +441,7 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
                 inputs[reg] = preset_state(sub[1], p, base_dir)
                 last_input = num
             elif key == "gate":
-                items.append(GateInstr(_parse_gate_word(rest, p), num))
+                items.append(GateInstr(parse_gate_word(rest, p), num))
             elif key == "displace":
                 sub = rest.split(None, 1)
                 if len(sub) != 2:
@@ -491,7 +492,7 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
                         f"extend count {count} exceeds the register cap {MAX_REGISTERS}"
                     )
                 rho, spec = preset_state(sub[1], p, base_dir)
-                items.append(ExtendInstr(count, spec, [rho] * count, num))
+                items.append(ExtendInstr(count, spec, rho, num))
             elif key == "label":
                 name = rest.strip()
                 if not name.endswith(":"):
@@ -512,7 +513,7 @@ def parse_circuit(text: str, base_dir=None) -> CircuitProgram:
 
     for item_idx, raw in pending_branches:
         instr = items[item_idx]
-        with _at_line(instr.line):
+        with at_line(instr.line):
             table = {}
             for out, target in raw.items():
                 if out not in instr.povm.labels:
@@ -562,7 +563,7 @@ def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, set]:
         seen.add(state_key)
         max_regs = max(max_regs, n_cur)
         instr = prog.items[i] if i < len(prog.items) else None
-        with _at_line(instr.line if instr is not None else from_line):
+        with at_line(instr.line if instr is not None else from_line):
             if instr is None or isinstance(instr, LabelMarker):
                 # path ends here (EOF or fell onto a label)
                 unmeasured = [r for r in range(1, n_cur + 1) if r not in measured]
@@ -572,7 +573,7 @@ def _check_paths(prog: CircuitProgram, start_line: int) -> tuple[int, set]:
             reached.add(i)
             if isinstance(instr, GateInstr):
                 for r in [r for call in instr.word for r in call.regs]:
-                    _require_registers([r], n_cur)
+                    require_registers([r], n_cur)
                     if r in measured:
                         raise CircuitError(f"register {r} already measured")
                 stack.append((i + 1, n_cur, measured, instr.line))
@@ -607,9 +608,9 @@ class ValidationReport:
     ok: bool
     problems: list
     # Wigner values of each state that passed its PSD check: one array per
-    # input register, and per extend item one array per appended register
+    # input register and one per extend item
     input_wigners: list
-    extend_wigners: dict  # item idx -> [values]
+    extend_wigners: dict  # item idx -> values
     effect_wigners: dict  # measure item idx -> [values], one per effect
 
 
@@ -621,7 +622,7 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     parser checked register ranges on every path; an item no path reaches is
     checked here, at the initial register count.
     The Wigner values computed for the sign tests of states and effects are
-    kept for the sampler, an extend item's once per appended register.
+    kept for the sampler.
     """
     problems = []
     input_wigners = []
@@ -642,12 +643,12 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     effect_wigners = {}
     for i, instr in enumerate(prog.items):
         if isinstance(instr, ExtendInstr):
-            try:  # every appended register holds the same state
-                W = wigner_of_state(instr.states[0], prog.p)
+            try:
+                W = wigner_of_state(instr.state, prog.p)
             except ValueError as exc:
                 problems.append(f"extend ({instr.preset}): {exc}")
                 continue
-            extend_wigners[i] = [W.values] * instr.count
+            extend_wigners[i] = W.values
             if W.values.min() < -NEG_TOL:
                 problems.append(
                     f"extend ({instr.preset}): negative Wigner value {W.values.min():.6g}"
@@ -667,7 +668,7 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     for i, instr in enumerate(prog.items):
         if isinstance(instr, GateInstr) and i not in prog.reached:
             try:
-                _require_registers([r for c in instr.word for r in c.regs], prog.n)
+                require_registers([r for c in instr.word for r in c.regs], prog.n)
             except CircuitError as exc:
                 problems.append(f"line {instr.line}: {exc}")
     return ValidationReport(
@@ -679,47 +680,22 @@ def validate_circuit(prog: CircuitProgram) -> ValidationReport:
     )
 
 
-def _require_registers(regs, n: int) -> None:
+def require_registers(regs, n: int) -> None:
     """Raise for the first of `regs` outside 1..n."""
     for r in regs:
         if not 1 <= r <= n:
             raise CircuitError(f"register {r} out of range 1..{n}")
 
 
-def _word_map(word, p: int) -> tuple[tuple, CliffordElement]:
-    """(regs, (F, a)) of generator calls in application order, on the
-    registers they touch in first-touch order, from the generator table.
-
-    A call's unitary is its local unitary tensored with the identity on the
-    other registers (up to reordering tensor factors, which keeps the local
-    order), and T_u factorizes over registers, so its (F, a) acts on the
-    call's blocks as its local map and as the identity elsewhere: each call
-    updates only the rows of its own registers.  The symplectic check runs
-    once, on the 2k x 2k map of the word's k registers.
-    """
-    regs = tuple(dict.fromkeys(r for call in word for r in call.regs))
-    block = {r: 2 * k for k, r in enumerate(regs)}
-    F = np.eye(2 * len(regs), dtype=np.int64)
-    a = np.zeros(2 * len(regs), dtype=np.int64)
-    for call in word:
-        local = generator_map(call.kind, p, **dict(call.params))
-        rows = np.array([block[r] + k for r in call.regs for k in (0, 1)])
-        F[rows] = (local.F @ F[rows]) % p
-        a[rows] = (local.F @ a[rows] + local.a) % p
-    return regs, CliffordElement(F, a, p)
-
-
 # --- slice files ------------------------------------------------------------
 
 def parse_slice_file(path):
     """`slice p=3`, then `fixed (a1,a2) <rational>` and `free (a1,a2) ...` lines."""
-    from .geometry import DEFAULT_AXIS, SliceSpec
-
-    lines = _content_lines(Path(path).read_text())
+    lines = content_lines(Path(path).read_text())
     if not lines:
         raise CircuitError(f"{path}: empty slice file")
     num, head = lines[0]
-    with _at_line(num):
+    with at_line(num):
         m = re.match(r"^slice\s+p=(\d+)$", head)
         if not m:
             raise CircuitError(f"expected 'slice p=<prime>', got {head!r}")
@@ -729,7 +705,7 @@ def parse_slice_file(path):
     fixed: dict = {}
     free: list = []
     for num, line in lines[1:]:
-        with _at_line(num):
+        with at_line(num):
             parts = line.split()
             if parts[0] == "fixed":
                 if len(parts) != 3:

@@ -30,7 +30,7 @@ from . import FORMAT_VERSION, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, mub_stabilizer_states
 from .weyl import weyl_table
-from .wigner import _contract, state_from_wigner, validate_hermitian_unit_trace
+from .wigner import phase_point_traces, state_from_wigner, validate_hermitian_unit_trace
 
 __all__ = [
     "FacetReport",
@@ -308,7 +308,7 @@ def hull_membership(
         return HullCertificate(inside=False, violation=scaled / (45 * den), witness_y=y)
     V = S.wigner_matrix
     if isinstance(rho_or_w, np.ndarray) and rho_or_w.ndim == 2:
-        target = _contract(rho_or_w, p, n) / p**n
+        target = phase_point_traces(rho_or_w, p, n) / p**n
     else:
         target = np.asarray(rho_or_w, dtype=float).ravel()
     gap, y, weights = _separating_witness(V, target)
@@ -342,7 +342,7 @@ def classify_state(
     if W is None:
         if rho is None:
             raise ValueError("need rho or W")
-        W = _contract(rho, p, n) / p**n
+        W = phase_point_traces(rho, p, n) / p**n
     W = np.asarray(W, dtype=float).ravel()
     if rho is None:
         rho = state_from_wigner(W, p, n)

@@ -2,11 +2,12 @@
 
 run_oracle: Born-rule evaluation of every branch on a factor Psi of each
 outcome record's state (rho = Psi Psi^dag), one ket axis per live register:
-gates act on the ket axes only, through their local one- or two-register
-unitaries, one contraction with a POVM's stacked Kraus rows gives every
-outcome of every record, and each measured register is traced out, so no
-p^n x p^n matrix is built.  sample_classical: the hidden-variable sampler --
-phase-space points drawn from input Wigner distributions, pushed through
+gates act on the ket axes only, through their local unitaries
+(`weyl.call_unitary`, apart from the sampler's tables, so --oracle-check
+compares two routes), one contraction with a POVM's stacked Kraus rows gives
+every outcome of every record, and each measured register is traced out, so
+no p^n x p^n matrix is built.  sample_classical: the hidden-variable sampler
+-- phase-space points drawn from input Wigner distributions, pushed through
 affine gate maps, measured by conditional Wigner probabilities.  The outcome
 distributions agree; compare_distributions quantifies that with TV and a
 chi-square test.  distill_step: the post-selected output of a Clifford
@@ -67,14 +68,14 @@ from .circuits import (
     preset_state,
     validate_circuit,
     GateCall,
-    _at_line,
-    _content_lines,
-    _parse_gate_word,
-    _require_registers,
+    at_line,
+    content_lines,
+    parse_gate_word,
+    require_registers,
 )
+from . import fmt_number, weyl
 from .fields import CliffordElement, require_odd_prime
 from .stabilizer import mub_stabilizer_states
-from . import weyl
 from .wigner import (
     state_from_wigner,
     validate_state,
@@ -183,17 +184,6 @@ def _apply_local(rho: np.ndarray, M: np.ndarray, axes: list) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), axes)
 
 
-@functools.lru_cache(maxsize=None)
-def _local_generator(p: int, kind: str, params: tuple) -> np.ndarray:
-    """The dense p x p (p^2 x p^2 for sum, control first) unitary of a
-    generator call on its own registers, from its GateCall kind and params;
-    the cached array is read-only."""
-    on_own = {"n": 2, "ctrl": 1, "tgt": 2} if kind == "sum" else {}
-    U = weyl.clifford_generator(kind, p, **on_own, **dict(params))[0]
-    U.flags.writeable = False
-    return U
-
-
 def _psd_rows(M: np.ndarray) -> np.ndarray:
     """Rows R with R^dag R = M for each PSD matrix of a stack (..., d, d):
     sqrt(lambda) v^dag for each eigenvalue above numpy's matrix_rank
@@ -236,8 +226,8 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     probability; no p^n x p^n matrix is built.  Inputs and `extend` states
     enter as their PSD factors (conjugate-transposed _psd_rows; each
     distinct state and POVM is factored once per run).  Each generator call
-    applies its local p x p (p^2 x p^2 for sum) unitary to its ket axes
-    only.  Measuring register r contracts the POVM's stacked rows R_k
+    applies its local p x p (p^2 x p^2 for sum) unitary, `call_unitary`,
+    to its ket axes only.  Measuring register r contracts the POVM's rows R_k
     (E_k = R_k^dag R_k) with r's ket axis once, for every outcome k of
     every record; the row axis joins the rank axis, so Psi' Psi'^dag =
     Tr_r[(E_k (x) I) Psi Psi^dag] and pk is its squared norm.  Tracing r
@@ -273,10 +263,10 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
             instr = prog.items[i]
             if isinstance(instr, GateInstr):
                 for call in instr.word:
-                    U = _local_generator(p, call.kind, call.params)
+                    U = weyl.call_unitary(p, call.kind, call.params)
                     psi = _apply_local(psi, U, [1 + live.index(r) for r in call.regs])
             elif isinstance(instr, ExtendInstr):
-                psi = _extend(psi, [rows_of(s).conj().T for s in instr.states])
+                psi = _extend(psi, [rows_of(instr.state).conj().T] * instr.count)
                 live = live + list(range(n_cur + 1, n_cur + instr.count + 1))
                 n_cur += instr.count
             elif isinstance(instr, MeasureInstr):
@@ -412,10 +402,7 @@ class _Walk:
         self.prog = prog
         self.p2 = prog.p**2
         self.input_dists = [_cumulative(w) for w in report.input_wigners]
-        # every register an extend item appends holds the same state
-        self.extend_dists = {
-            i: [_cumulative(ws[0])] * len(ws) for i, ws in report.extend_wigners.items()
-        }
+        self.extend_dists = {i: _cumulative(w) for i, w in report.extend_wigners.items()}
         self.povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
         self.UT = None  # the chunk's uniforms, one row per draw position
         self.counts: dict[str, int] = {}
@@ -473,7 +460,7 @@ class _Walk:
                 else:
                     self.mults += shots * (2 * n) ** 2
             elif isinstance(instr, ExtendInstr):
-                pts = self.draw_points(pts, self.extend_dists[i], rows, pos)
+                pts = self.draw_points(pts, [self.extend_dists[i]] * instr.count, rows, pos)
                 n += instr.count
                 pos += instr.count
             elif isinstance(instr, MeasureInstr):
@@ -626,9 +613,10 @@ def compare_distributions(ref: OutcomeDistribution, counts: dict, shots: int) ->
         abs(ref.probabilities[k] - counts.get(k, 0) / shots) for k in alphabet
     )
     epsilon = max(0.01, 3.0 * np.sqrt(len(alphabet) / shots))
-    # chi-square with expected>=5 pooling: ascending-expectation cells merge
-    # until each pool reaches 5 expected
-    cells = sorted(alphabet, key=lambda k: (ref.probabilities[k], k))
+    # chi-square with expected>=5 pooling: cells sorted by probability as
+    # printed, then by key (so rounding noise reorders none), merge until
+    # each pool reaches 5 expected
+    cells = sorted(alphabet, key=lambda k: (float(fmt_number(ref.probabilities[k])), k))
     pools = []
     cur_exp = cur_obs = 0.0
     for k in cells:
@@ -728,7 +716,7 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         raise ValueError("projector is not positively represented")
     kind, payload = inst.channel[0], inst.channel[1]
     if kind == "gates":
-        _require_registers([r for call in payload for r in call.regs], n)
+        require_registers([r for call in payload for r in call.regs], n)
         W_sigma = _push_word(W_in, payload, p, n)
     elif kind == "unitary":
         g = weyl.extract_symplectic(payload, p)
@@ -948,11 +936,11 @@ def parse_distill_file(path) -> DistillationInstance:
     """
     path = Path(path)
     base_dir = path.parent
-    lines = _content_lines(path.read_text())
+    lines = content_lines(path.read_text())
     if not lines:
         raise CircuitError(f"{path}: empty distillation file")
     num, head = lines[0]
-    with _at_line(num):
+    with at_line(num):
         m = re.match(r"^distill\s+p=(\d+)\s+n=(\d+)$", head)
         if not m:
             raise CircuitError(f"expected 'distill p=<p> n=<n>', got {head!r}")
@@ -964,7 +952,7 @@ def parse_distill_file(path) -> DistillationInstance:
     rho_in = channel = projector = None
     asserted = False
     for num, line in lines[1:]:
-        with _at_line(num):
+        with at_line(num):
             key, _, rest = line.partition(" ")
             rest = rest.strip()
             if key == "input":
@@ -980,8 +968,8 @@ def parse_distill_file(path) -> DistillationInstance:
                     raise CircuitError(f"bad input spec {rest!r}")
             elif key == "channel":
                 if rest.startswith("gates "):
-                    word = _parse_gate_word(rest.split(" ", 1)[1], p)
-                    _require_registers([r for call in word for r in call.regs], n)
+                    word = parse_gate_word(rest.split(" ", 1)[1], p)
+                    require_registers([r for call in word for r in call.regs], n)
                     channel = ("gates", word)
                 elif rest.startswith("kraus-file:"):
                     _check_distill_size(p, n, dense=True)

@@ -5,11 +5,16 @@ Conventions (anchored by tests, not negotiable downstream):
   T_(a1,a2) = omega^(-a1*a2*inv2(p)) Z^a1 X^a2,
   A_0 = (1/d) sum_u T_u,  A_u = T_u A_0 T_u^dagger.
 Multi-qudit operators are tensor products over blocks.
+
+A generator call's map and unitary live here, keyed by the call's kind and
+params (`circuits.GateCall`): its map on its own registers (`generator_map`),
+its unitary there (`call_unitary`), a word's composed map (`word_map`), and
+both lifted to n registers (`clifford_generator`).
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from typing import Optional
 
 import numpy as np
@@ -30,6 +35,8 @@ __all__ = [
     "weyl_table",
     "embed_operator",
     "generator_map",
+    "call_unitary",
+    "word_map",
     "clifford_generator",
     "extract_symplectic",
     "NotCliffordError",
@@ -101,38 +108,26 @@ class WeylTable:
         A0 = _single_parity(p)
         single_T = [_single_weyl(a1, a2, p) for a1 in range(p) for a2 in range(p)]
         self.single_A = np.stack([T @ A0 @ T.conj().T for T in single_T])
-        self._A_stack: Optional[np.ndarray] = None
-        self._lock = threading.Lock()
 
-    @property
+    @functools.cached_property
     def A_stack(self) -> np.ndarray:
         """All p^{2n} A_u in point-index order."""
-        with self._lock:
-            if self._A_stack is None:
-                if self.d**2 > A_STACK_CAP * self.p**2:
-                    raise ValueError(
-                        f"refusing to materialize {self.p ** (2 * self.n)} operators of dim {self.d}"
-                    )
-                out = self.single_A
-                for _ in range(self.n - 1):
-                    # kron over both the label axis and the matrix axes
-                    out = np.einsum("uij,vkl->uvikjl", out, self.single_A).reshape(
-                        out.shape[0] * self.p**2, out.shape[1] * self.p, out.shape[2] * self.p
-                    )
-                self._A_stack = out
-            return self._A_stack
+        if self.d**2 > A_STACK_CAP * self.p**2:
+            raise ValueError(
+                f"refusing to materialize {self.p ** (2 * self.n)} operators of dim {self.d}"
+            )
+        out = self.single_A
+        for _ in range(self.n - 1):
+            # kron over both the label axis and the matrix axes
+            out = np.einsum("uij,vkl->uvikjl", out, self.single_A).reshape(
+                out.shape[0] * self.p**2, out.shape[1] * self.p, out.shape[2] * self.p
+            )
+        return out
 
 
-_tables: dict[tuple[int, int], WeylTable] = {}
-_tables_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def weyl_table(p: int, n: int) -> WeylTable:
-    key = (int(p), int(n))
-    with _tables_lock:
-        if key not in _tables:
-            _tables[key] = WeylTable(p, n)
-        return _tables[key]
+    return WeylTable(p, n)
 
 
 def embed_operator(U: np.ndarray, p: int, n: int, regs) -> np.ndarray:
@@ -179,6 +174,56 @@ def generator_map(kind: str, p: int, c: Optional[int] = None, point=None) -> Cli
     return CliffordElement(F, np.zeros(len(F), dtype=np.int64), p)
 
 
+@functools.lru_cache(maxsize=None)
+def call_unitary(p: int, kind: str, params: tuple = ()) -> np.ndarray:
+    """The dense unitary of one generator call on its own registers, keyed
+    by its GateCall kind and params: p x p, p^2 x p^2 for sum (control
+    first), and T_point on the point's registers for displace.  The cached
+    array is read-only."""
+    generator_map(kind, p, **dict(params))  # rejects an unknown kind or a bad parameter
+    om = _omega(p)
+    if kind == "fourier":
+        U = np.array([[om ** ((x * y) % p) for x in range(p)] for y in range(p)]) / np.sqrt(p)
+    elif kind == "quadratic":
+        U = np.diag([om ** ((inv2(p) * x * x) % p) for x in range(p)])
+    elif kind == "multiply":
+        c = dict(params)["c"]
+        U = np.zeros((p, p), dtype=complex)
+        for x in range(p):
+            U[(c * x) % p, x] = 1
+    elif kind == "sum":
+        x_c, x_t = np.divmod(np.arange(p * p), p)  # |x_c, x_t> -> |x_c, x_t + x_c>
+        U = np.zeros((p * p, p * p), dtype=complex)
+        U[x_c * p + (x_t + x_c) % p, x_c * p + x_t] = 1
+    else:  # displace
+        U = weyl_operator(dict(params)["point"], p)
+    U.flags.writeable = False
+    return U
+
+
+def word_map(word, p: int) -> tuple[tuple, CliffordElement]:
+    """(regs, (F, a)) of generator calls in application order, on the
+    registers they touch in first-touch order, from the generator table.
+
+    A call's unitary is its local unitary tensored with the identity on the
+    other registers (up to reordering tensor factors, which keeps the local
+    order), and T_u factorizes over registers, so its (F, a) acts on the
+    call's blocks as its local map and as the identity elsewhere: each call
+    updates only the rows of its own registers.  The symplectic check runs
+    once, on the 2k x 2k map of the word's k registers.
+    """
+    regs = tuple(dict.fromkeys(r for call in word for r in call.regs))
+    block = {r: 2 * k for k, r in enumerate(regs)}
+    F = np.eye(2 * len(regs), dtype=np.int64)
+    a = np.zeros(2 * len(regs), dtype=np.int64)
+    for call in word:
+        local = generator_map(call.kind, p, **dict(call.params))
+        rows = np.array([block[r] + k for r in call.regs for k in (0, 1)])
+        F[rows] = (local.F @ F[rows]) % p
+        a[rows] = (local.F @ a[rows] + local.a) % p
+    return regs, CliffordElement(F, a, p)
+
+
 def clifford_generator(
     kind: str,
     p: int,
@@ -190,37 +235,24 @@ def clifford_generator(
     point=None,
 ) -> tuple[np.ndarray, CliffordElement]:
     """One named Clifford generator as a dense unitary on n registers, with
-    its map: the local unitary and `generator_map` on the generator's own
+    its map: `call_unitary` and `generator_map` on the generator's own
     registers, lifted to n by `embed_operator` and `fields.widen_map`.
 
     A displace point is full-length; the other kinds act on `register` (on
     ctrl and tgt, in that order, for sum) and as the identity elsewhere.  A
-    generator whose registers are 1..n in order is returned unembedded.
+    generator whose registers are 1..n in order is returned unembedded, as a
+    writable copy.
     """
     local = generator_map(kind, p, c=c, point=point)
-    om = _omega(p)
-    regs = (register,)
-    if kind == "fourier":
-        U = np.array([[om ** ((x * y) % p) for x in range(p)] for y in range(p)]) / np.sqrt(p)
-    elif kind == "quadratic":
-        U = np.diag([om ** ((inv2(p) * x * x) % p) for x in range(p)])
-    elif kind == "multiply":
-        U = np.zeros((p, p), dtype=complex)
-        for x in range(p):
-            U[(c * x) % p, x] = 1
-    elif kind == "sum":
-        if ctrl is None or tgt is None or ctrl == tgt:
-            raise ValueError("sum needs distinct ctrl and tgt registers")
-        regs = (ctrl, tgt)
-        x_c, x_t = np.divmod(np.arange(p * p), p)  # |x_c, x_t> -> |x_c, x_t + x_c>
-        U = np.zeros((p * p, p * p), dtype=complex)
-        U[x_c * p + (x_t + x_c) % p, x_c * p + x_t] = 1
-    else:  # displace, on all n registers
+    if kind == "displace":  # on all n registers
         if local.n != n:
             raise ValueError(f"displace point length {local.a.size}, expected {2 * n}")
         return weyl_operator(local.a, p), local
-    if regs != tuple(range(1, n + 1)):
-        U = embed_operator(U, p, n, regs)
+    if kind == "sum" and (ctrl is None or tgt is None or ctrl == tgt):
+        raise ValueError("sum needs distinct ctrl and tgt registers")
+    regs = (ctrl, tgt) if kind == "sum" else (register,)
+    U = call_unitary(p, kind, (("c", c),) if kind == "multiply" else ())
+    U = U.copy() if regs == tuple(range(1, n + 1)) else embed_operator(U, p, n, regs)
     return U, CliffordElement(*widen_map(regs, local, n), p)
 
 
@@ -236,7 +268,7 @@ def extract_symplectic(U: np.ndarray, p: int) -> CliffordElement:
     phase.  Such a U is Clifford, with exactly this affine map.  Any other
     image raises NotCliffordError.
     """
-    from .wigner import _contract  # wigner imports this module
+    from .wigner import phase_point_traces  # wigner imports this module
 
     require_odd_prime(p)
     d = U.shape[0]
@@ -252,7 +284,7 @@ def extract_symplectic(U: np.ndarray, p: int) -> CliffordElement:
         A = np.ones((1, 1), dtype=complex)
         for j in range(n):
             A = np.kron(A, single_A[u[2 * j] * p + u[2 * j + 1]])
-        W = _contract(U @ A @ Uh, p, n) / d
+        W = phase_point_traces(U @ A @ Uh, p, n) / d
         v = int(np.argmax(W))
         W[v] -= 1.0
         if np.max(np.abs(W)) > MATCH_TOL:

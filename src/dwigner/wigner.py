@@ -22,6 +22,7 @@ __all__ = [
     "wigner_of_state",
     "wigner_of_effect",
     "wigner_of_factors",
+    "phase_point_traces",
     "state_from_wigner",
     "negativity_F",
 ]
@@ -92,7 +93,7 @@ def validate_state(rho: np.ndarray, p: int) -> None:
         raise ValueError(f"state has negative eigenvalue {low}")
 
 
-def _contract(M: np.ndarray, p: int, n: int) -> np.ndarray:
+def phase_point_traces(M: np.ndarray, p: int, n: int) -> np.ndarray:
     """Tr(A_u M) for all u, as a flat real array in point-index order."""
     singles = weyl_table(p, 1).single_A  # (p^2, p, p), A[u, row, col]
     out = M.reshape((p,) * (2 * n))
@@ -106,7 +107,7 @@ def wigner_of_state(rho: np.ndarray, p: int) -> WignerFunction:
     """W_rho(u) = (1/d) Tr(A_u rho); sums to 1 for a valid state."""
     validate_state(rho, p)
     n = _dims(rho, p)
-    return WignerFunction(_contract(rho, p, n) / p**n, p, n)
+    return WignerFunction(phase_point_traces(rho, p, n) / p**n, p, n)
 
 
 def wigner_of_effect(E: np.ndarray, p: int) -> WignerFunction:
@@ -115,7 +116,7 @@ def wigner_of_effect(E: np.ndarray, p: int) -> WignerFunction:
     n = _dims(E, p)
     if np.max(np.abs(E - E.conj().T)) > 1e-9:
         raise ValueError("effect is not Hermitian")
-    return WignerFunction(_contract(E, p, n), p, n)
+    return WignerFunction(phase_point_traces(E, p, n), p, n)
 
 
 def _first_bad(bad: np.ndarray, message: str, values=None) -> None:

@@ -11,7 +11,6 @@ from dwigner.circuits import (
     CircuitError,
     GateCall,
     GateInstr,
-    _word_map,
     computational_povm,
     load_matrix_file,
     load_povm_file,
@@ -22,7 +21,7 @@ from dwigner.circuits import (
     validate_circuit,
 )
 from dwigner.fields import CliffordElement, widen_map
-from dwigner.weyl import clifford_generator, extract_symplectic
+from dwigner.weyl import clifford_generator, extract_symplectic, word_map
 
 MINIMAL = """\
 qudits p=3 n=1
@@ -202,8 +201,8 @@ def test_extend_state_is_checked_once(samples_dir):
     )
     rep = validate_circuit(parse_circuit(src.format("mixed")))
     assert rep.ok
-    assert len(rep.extend_wigners[0]) == 3
-    assert all(w is rep.extend_wigners[0][0] for w in rep.extend_wigners[0])
+    assert rep.extend_wigners[0].shape == (9,)  # one array for the item's three registers
+    assert np.allclose(rep.extend_wigners[0], 1 / 9)
     rep = validate_circuit(parse_circuit(src.format("matrix-file:strange.mat"), base_dir=samples_dir))
     assert rep.problems == ["extend (matrix-file:strange.mat): negative Wigner value -0.333333"]
 
@@ -252,7 +251,7 @@ measure 1 computational
     # the gate's (F, a) composed on its two registers from the generator
     # table; widened to n=2 it is the map that conjugating the word's dense
     # unitary gives
-    regs, g = _word_map(prog.items[0].word, 3)
+    regs, g = word_map(prog.items[0].word, 3)
     assert regs == (1, 2) and g.a.sum() == 0
     U = _dense_item_unitary(prog.items[0].word, 3, 2)
     assert CliffordElement(*widen_map(regs, g, 2), 3) == extract_symplectic(U, 3)
@@ -281,7 +280,7 @@ def test_wide_validation_keeps_no_dense_maps():
         for i, instr in enumerate(prog.items)
         if isinstance(instr, GateInstr) and instr.word[0].kind != "displace"
     }
-    assert {i: _word_map(word, 3)[0] for i, word in gates.items()} == {
+    assert {i: word_map(word, 3)[0] for i, word in gates.items()} == {
         2 * r - 1: (r,) for r in range(1, 33)
     }
     rpt = simulate.sample_classical(prog, seed=1, shots=200)
@@ -474,7 +473,7 @@ def test_gate_maps_equal_dense_extraction(p, data):
     for i, calls in enumerate(items):
         assert prog.items[i].word == calls  # each call parsed into its record
         # a gate or displace item's calls compose into one map
-        regs, g = _word_map(calls, p)
+        regs, g = word_map(calls, p)
         assert g.F.shape == (2 * len(regs), 2 * len(regs))
         widened = CliffordElement(*widen_map(regs, g, n), p)
         assert widened == extract_symplectic(_dense_item_unitary(calls, p, n), p)
@@ -483,19 +482,20 @@ def test_gate_maps_equal_dense_extraction(p, data):
 def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_dir):
     from dwigner import circuits, simulate, weyl
 
-    seen = {"clifford_generator": [], "extract_symplectic": []}
+    seen = {"call_unitary": [], "extract_symplectic": []}
+    weyl.call_unitary.cache_clear()  # build each local unitary under the spies
     for name, record in seen.items():
         real = getattr(weyl, name)
 
         def spy(*args, _real=real, _record=record, **kwargs):
-            _record.append(kwargs.get("n", 1))
-            return _real(*args, **kwargs)
+            out = _real(*args, **kwargs)
+            _record.append(np.size(out))
+            return out
 
         # rebind every name under which a dwigner module holds the function
         for module in (weyl, circuits, simulate):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
-    simulate._local_generator.cache_clear()  # build each local unitary under the spies
     five = "\n".join(
         ["qudits p=3 n=5"]
         + [f"input {r} mixed" for r in range(1, 6)]
@@ -505,10 +505,11 @@ def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_di
     for prog in (parse_circuit_file(samples_dir / "reg10_cascade.circ"), parse_circuit(five)):
         assert validate_circuit(prog).ok
         simulate.sample_classical(prog, seed=1, shots=200)
-    assert seen == {"clifford_generator": [], "extract_symplectic": []}
-    # the spies are live: the oracle builds its local unitaries through them
+    assert seen == {"call_unitary": [], "extract_symplectic": []}
+    # the spies are live: the oracle builds its local unitaries through them,
+    # each at most p^2 x p^2
     simulate.run_oracle(parse_circuit(five))
-    assert seen["clifford_generator"] and max(seen["clifford_generator"]) <= 2
+    assert seen["call_unitary"] and max(seen["call_unitary"]) <= 9**2
     assert seen["extract_symplectic"] == []
 
 

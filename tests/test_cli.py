@@ -1064,7 +1064,7 @@ def test_sample_refuses_a_circuit_past_the_register_cap(tmp_path, capsys):
 def test_wigner_transforms_the_state_once(tmp_path, monkeypatch):
     from dwigner import wigner
 
-    calls = spy_everywhere(monkeypatch, "_contract", wigner._contract)
+    calls = spy_everywhere(monkeypatch, "phase_point_traces", wigner.phase_point_traces)
     assert run_cli("wigner", "mixed", "--out", str(tmp_path / "w.csv")) == 0
     assert len(calls) == 1
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dwigner import circuits, fields, simulate, weyl
+from dwigner import circuits, fields, fmt_number, simulate, weyl
 from dwigner.fields import CliffordElement, all_points
 from dwigner.circuits import (
     ExtendInstr,
@@ -70,7 +70,7 @@ def _word_unitary(p: int, n: int, word) -> np.ndarray:
 
 
 def _widened(gate_map, n: int) -> np.ndarray:
-    """F on n registers of a word's map (regs, local map), as `_word_map`
+    """F on n registers of a word's map (regs, local map), as `weyl.word_map`
     returns it: the local F on the registers' blocks, the identity elsewhere."""
     regs, g = gate_map
     F = np.eye(2 * n, dtype=np.int64)
@@ -112,8 +112,8 @@ def dense_oracle(prog) -> dict:
             U = _word_unitary(p, n_cur, instr.word)
             walk(i + 1, U @ rho @ U.conj().T, n_cur, outcomes, prob)
         elif isinstance(instr, ExtendInstr):
-            for extra in instr.states:
-                rho = np.kron(rho, extra)
+            for _ in range(instr.count):
+                rho = np.kron(rho, instr.state)
             walk(i + 1, rho, n_cur + instr.count, outcomes, prob)
         elif isinstance(instr, MeasureInstr):
             for label, E in zip(instr.povm.labels, instr.povm.effects):
@@ -241,22 +241,23 @@ measure 1 computational
 
 def test_oracle_on_five_qutrits_builds_only_local_operators(monkeypatch):
     prog = parse_circuit(WIDE5)
-    seen = {"clifford_generator": [], "weyl_operator": [], "embed_operator": []}
+    seen = {"call_unitary": [], "weyl_operator": [], "embed_operator": []}
+    weyl.call_unitary.cache_clear()  # build each local unitary under the spies
     for name, record in seen.items():
         original = getattr(weyl, name)
 
         def spy(*args, _original=original, _record=record, **kwargs):
-            _record.append((args, kwargs))
-            return _original(*args, **kwargs)
+            out = _original(*args, **kwargs)
+            _record.append((args, np.shape(out)))
+            return out
 
         # rebind every name under which a dwigner module holds the function
         for module in (weyl, circuits, simulate):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
-    simulate._local_generator.cache_clear()  # build each local unitary under the spies
     got = run_oracle(prog)
-    assert seen["clifford_generator"] and seen["weyl_operator"]  # the spies were live
-    assert all(kw.get("n", 1) <= 2 for _, kw in seen["clifford_generator"])
+    assert seen["call_unitary"] and seen["weyl_operator"]  # the spies were live
+    assert all(shape[0] <= 3**2 for _, shape in seen["call_unitary"])  # at most p^2 x p^2
     assert all(np.size(args[0]) == 2 for args, _ in seen["weyl_operator"])
     assert seen["embed_operator"] == []
     assert len(got.probabilities) == 3**5
@@ -380,6 +381,25 @@ def test_compare_pools_small_cells():
     # expected 3 each at 1000 shots: the two tiny cells merge into one pool
     assert res.pooled_cells == 2
     assert res.verdict == "PASS"
+
+
+def test_compare_pools_cells_equal_but_for_rounding_in_key_order():
+    # 32 equiprobable outcomes at 64 shots pool three cells at a time.  Moving
+    # half of the probabilities by one ulp, up or down, as another exact
+    # route to them may, must not reorder the cells and so the pools: the
+    # printed statistic and p-value stay
+    keys = [f"{k:02d}" for k in range(32)]
+    counts = dict(zip(keys, np.random.default_rng(7).multinomial(64, [1 / 32] * 32).tolist()))
+    noisy = dict.fromkeys(keys, 1 / 32)
+    for k in keys[:8]:
+        noisy[k] = float(np.nextafter(1 / 32, 1.0))
+    for k in keys[8:16]:
+        noisy[k] = float(np.nextafter(1 / 32, 0.0))
+    want = compare_distributions(OutcomeDistribution(dict.fromkeys(keys, 1 / 32)), counts, 64)
+    got = compare_distributions(OutcomeDistribution(noisy), counts, 64)
+    assert got.pooled_cells == want.pooled_cells == 10
+    printed = [(fmt_number(res.chi2_stat), fmt_number(res.chi2_p)) for res in (got, want)]
+    assert printed[0] == printed[1]
 
 
 def test_chi2_sf_matches_scipy():
@@ -633,7 +653,7 @@ def test_image_indices_match_pointwise_images(p, n):
             word.append(GateCall("sum", (r, r % n + 1)))
     point = tuple(rng.integers(0, p, size=2).tolist())
     word.append(GateCall("displace", (n,), (("point", point),)))
-    g = CliffordElement(*fields.widen_map(*circuits._word_map(word, p), n), p)
+    g = CliffordElement(*fields.widen_map(*weyl.word_map(word, p), n), p)
     images = (all_points(p, n) @ g.F.T + g.a) % p
     assert np.array_equal(simulate._image_indices(g), images @ p ** np.arange(2 * n - 1, -1, -1))
 
@@ -687,7 +707,7 @@ def channel_words(draw):
 
 def _calls(text: str, p: int) -> list:
     """The GateCalls of a `gate` word's text."""
-    return circuits._parse_gate_word(text, p)
+    return circuits.parse_gate_word(text, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -707,7 +727,7 @@ def test_push_word_matches_the_composed_scatter(case, seed):
     # word's composed and widened map puts it
     p, n, word = case
     W = np.random.default_rng(seed).random(p ** (2 * n))
-    g = CliffordElement(*fields.widen_map(*circuits._word_map(word, p), n), p)
+    g = CliffordElement(*fields.widen_map(*weyl.word_map(word, p), n), p)
     want = np.empty_like(W)
     want[simulate._image_indices(g)] = W
     got = simulate._push_word(W, word, p, n)
@@ -718,9 +738,9 @@ def test_distill_suite_composes_no_word_map(monkeypatch, tmp_path):
     # a suite pushes each instance through the cached per-call tables: a
     # cold run builds only one- and two-register image indices, one per
     # distinct call, and a warm run builds none and composes no word
-    seen = {"_word_map": [], "_image_indices": []}
+    seen = {"word_map": [], "_image_indices": []}
     for module, name, size in [
-        (circuits, "_word_map", lambda word, p: len(word)),
+        (weyl, "word_map", lambda word, p: len(word)),
         (simulate, "_image_indices", lambda g: g.n),
     ]:
         real = getattr(module, name)
@@ -736,12 +756,12 @@ def test_distill_suite_composes_no_word_map(monkeypatch, tmp_path):
             "--out", str(tmp_path / "d.csv")]
     simulate._call_digits.cache_clear()
     assert main(argv) == 0
-    assert seen["_word_map"] == []
+    assert seen["word_map"] == []
     assert seen["_image_indices"] and max(seen["_image_indices"]) <= 2
     assert len(seen["_image_indices"]) == simulate._call_digits.cache_info().currsize
     seen["_image_indices"].clear()
     assert main(argv) == 0
-    assert seen == {"_word_map": [], "_image_indices": []}
+    assert seen == {"word_map": [], "_image_indices": []}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -797,26 +817,28 @@ def test_distill_rejects_a_channel_of_the_wrong_width_or_kind(channel, message):
 def test_distill_suite_builds_no_wide_unitaries(monkeypatch, tmp_path):
     from dwigner.cli import main
 
-    seen = {"clifford_generator": [], "extract_symplectic": []}
+    seen = {"call_unitary": [], "extract_symplectic": []}
+    weyl.call_unitary.cache_clear()  # build each local unitary under the spies
     for name, record in seen.items():
         real = getattr(weyl, name)
 
         def spy(*args, _real=real, _record=record, **kwargs):
-            _record.append(kwargs.get("n", 1))
-            return _real(*args, **kwargs)
+            out = _real(*args, **kwargs)
+            _record.append(np.size(out))
+            return out
 
         # rebind every name under which a dwigner module holds the function
         for module in (weyl, circuits, simulate):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
-    simulate._local_generator.cache_clear()  # build each local unitary under the spies
     argv = ["distill-check", "--random-suite", "5", "--seed", "3", "--n", "4",
             "--out", str(tmp_path / "d.csv")]
     assert main(argv) == 0
-    assert seen == {"clifford_generator": [], "extract_symplectic": []}
-    # the spies are live: the oracle builds its local unitaries through them
+    assert seen == {"call_unitary": [], "extract_symplectic": []}
+    # the spies are live: the oracle builds its local unitaries through them,
+    # each at most p^2 x p^2
     run_oracle(parse_circuit(WIDE5))
-    assert seen["clifford_generator"] and max(seen["clifford_generator"]) <= 2
+    assert seen["call_unitary"] and max(seen["call_unitary"]) <= 9**2
     assert seen["extract_symplectic"] == []
 
 
@@ -1086,14 +1108,14 @@ def reference_sample(prog, seed, shots):
     shots, in the sampler's chunks, on the same Philox layout.  Each chunk
     gathers its draws from the (shots, K) uniform matrix, splits (q, x) with
     // and %, maps points by int64 products with each gate word's map,
-    composed by `_word_map` and widened here, reduced with % p, measures by
+    composed by `weyl.word_map` and widened here, reduced with % p, measures by
     comparing a gathered (shots, L) cumulative table row by row, splits
     branches with boolean masks and tallies with np.unique."""
     report = validate_circuit(prog)
     assert report.ok
     input_dists = [simulate._cumulative(w) for w in report.input_wigners]
     extend_dists = {
-        i: [simulate._cumulative(w) for w in ws] for i, ws in report.extend_wigners.items()
+        i: [simulate._cumulative(w)] * prog.items[i].count for i, w in report.extend_wigners.items()
     }
     povm_cums = {}
     for i, ws in report.effect_wigners.items():
@@ -1150,7 +1172,7 @@ class _ReferenceWalk:
                 upts[:, c : c + 2] %= p
                 self.adds += rows.size * 2
             elif isinstance(instr, GateInstr):
-                upts = (upts @ _widened(circuits._word_map(instr.word, p), n_cur).T) % p
+                upts = (upts @ _widened(weyl.word_map(instr.word, p), n_cur).T) % p
                 self.mults += rows.size * (2 * n_cur) ** 2
             elif isinstance(instr, ExtendInstr):
                 new_cols = []

@@ -1,8 +1,9 @@
 """Lint checks on the package source, read with `ast`.
 
-Every name a module lists in `__all__` is defined in it, and every import at
-a module's top level (other than `from __future__ import annotations`) is
-used somewhere in that module.
+Every name a module lists in `__all__` is defined in it, every import at a
+module's top level (other than `from __future__ import annotations`) is used
+somewhere in that module, and no module imports an underscore name from
+another `dwigner` module.
 """
 
 import ast
@@ -67,3 +68,23 @@ def test_top_level_imports_are_used(path):
     used = loaded_names(tree) | set(declared_all(tree))
     unused = [f"{name} (line {line})" for name, line in top_level_imports(tree) if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def imported_private_names(tree):
+    """(name, line) for each underscore name (not a dunder such as
+    `__version__`) imported from a dwigner module, at top level or inside a
+    function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "dwigner"
+        ):
+            for alias in node.names:
+                dunder = alias.name.startswith("__") and alias.name.endswith("__")
+                if alias.name.startswith("_") and not dunder:
+                    yield alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_names_cross_modules(path):
+    private = [f"{name} (line {line})" for name, line in imported_private_names(parse(path))]
+    assert not private, f"{path.name}: imports private names {private}"
