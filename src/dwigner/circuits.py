@@ -303,7 +303,7 @@ def preset_state(spec: str, p: int, base_dir: Path) -> tuple[np.ndarray, str]:
 @dataclass(frozen=True)
 class GateCall:
     """A generator call: kind, registers ([ctrl, tgt] for sum) and the other
-    parameters as (name, value) pairs (multiply's `c`, displace's `point`)."""
+    parameters as (name, value) pairs (multiply's `c` mod p, displace's `point`)."""
 
     kind: str
     regs: tuple
@@ -367,7 +367,7 @@ def parse_gate_word(word: str, p: int) -> list:
                 raise CircuitError("multiply takes (c, register)")
             if nums[0] % p == 0:
                 raise CircuitError("multiply constant must be nonzero mod p")
-            calls.append(GateCall(name, (nums[1],), (("c", nums[0]),)))
+            calls.append(GateCall(name, (nums[1],), (("c", nums[0] % p),)))
         elif name == "sum":
             if len(nums) != 2 or nums[0] == nums[1]:
                 raise CircuitError("sum takes distinct (ctrl, tgt)")

@@ -2,17 +2,18 @@
 
 The phase-point inequalities Tr(A_u rho) >= 0 are checked as facets against
 the enumerated vertex set.  The qutrit polytope is described once, by its
-witness LP's 1520 vertices (21 orbit representatives), and its 81 integer
-facets are read off that table.  Hull membership takes one route per input.
-An exact rational qutrit Wigner vector that sums to 1 gets its exact L1
-distance to the hull, and the witness that attains it, from the vertex table
-as one integer matrix product, with no LP.  Every other input runs one
-floating-point witness LP, whose optimum is that L1 distance: a gap within
-HULL_TOL is inside, certified by the LP's dual weights on the vertices.  That
-LP is the only code that loads scipy.  A slice scan decides its whole grid
-with array operations on integer numerators over one common denominator,
-plus one stacked eigenvalue call, and runs no LP: its verdict is the facet
-product, and a BOUND point's margin is its distance from the vertex table.
+witness LP's 1520 vertices (21 orbit representatives), 81 of which are its
+facets.  Hull membership takes one route per input.  An exact rational qutrit
+Wigner vector that sums to 1 gets its exact L1 distance to the hull, and the
+witness that attains it, from the vertex table in integer matrix products,
+with no LP (`_hull_distances`, the one exact qutrit hull test).  Every other
+input runs one floating-point witness LP, whose optimum is that L1 distance:
+a gap within HULL_TOL is inside, certified by the LP's dual weights on the
+vertices.  That LP is the only code that loads scipy.  A slice scan decides
+its whole grid with array operations on integer numerators over one common
+denominator, plus one stacked eigenvalue call, and runs no LP: the rows that
+pass the sign and eigenvalue tests get their distance from the vertex table,
+which is both the hull verdict and the margin.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "slice_scan",
     "slice_csv",
     "exact_vertex_matrix",
-    "qutrit_facets",
 ]
 
 HULL_TOL = 1e-8
@@ -52,13 +52,13 @@ PSD_TOL = 1e-9
 NEG_TOL = 1e-12
 SAT_TOL = 1e-8
 VERTEX_TOL = 1e-10
-# integers below this stay exact in int64 through a facet product (|g|_1 <= 7)
-# or a witness-vertex product (|45 y|_inf <= 45), and in a float64 quotient;
-# larger slice numerators fall back to Python ints
+# integers below this stay exact in int64 through a witness-vertex product
+# (|45 y|_inf <= 45) and in a float64 quotient; larger slice numerators fall
+# back to Python ints
 EXACT_INT_BOUND = 2**50
 MAX_SLICE_POINTS = 10**6  # the largest pinned grid has 6561 points
 SLICE_BLOCK = 4096  # grid points decided per array block
-WITNESS_ROWS = 512  # BOUND rows per witness-vertex product: 6 MB of int64, not 50 MB per block
+WITNESS_ROWS = 512  # cut rows per witness-vertex product: 6 MB of int64, not 50 MB per block
 
 # The witness LP of a qutrit point t, max y . t - s over the polyhedron
 # {|y|_inf <= 1, y . V_i <= s for the 12 stabilizer states V_i}, has the L1
@@ -194,37 +194,17 @@ def _qutrit_lines() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def qutrit_facets() -> tuple:
-    """Facets of the qutrit stabilizer polytope, as integer normals g with g . W >= 0.
-
-    Every vertex has sum_u W(u) = 1, so each facet's constant is folded into
-    its normal, which is then unique once reduced by its gcd.  Each vertex
-    (y, s) of the witness table gives the valid inequality (s 1 - y) . W >= 0,
-    since y . V_i <= s; the facets are the rows tight on 8 of the 12
-    stabilizer states.  Returns 81 sorted tuples.
-    """
-    Y, s = _witness_vertices()
-    G = s[:, None] - Y
-    G = G[(G @ _qutrit_lines().T == 0).sum(axis=1) == 8]
-    return tuple(sorted({tuple(g) for g in (G // np.gcd.reduce(G, axis=1)[:, None]).tolist()}))
-
-
-@functools.lru_cache(maxsize=None)
-def _facet_matrix() -> np.ndarray:
-    """`qutrit_facets()` as a read-only (81, 9) int64 matrix."""
-    G = np.array(qutrit_facets(), dtype=np.int64)
-    G.flags.writeable = False
-    return G
-
-
-@functools.lru_cache(maxsize=None)
-def _witness_vertices() -> tuple[np.ndarray, np.ndarray]:
+def _witness_vertices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every vertex (y, s) of the qutrit witness polyhedron, as read-only int64
-    arrays 45 y, shape (1520, 9), and 45 s, shape (1520,).
+    arrays 45 y, shape (1520, 9), and 45 s, shape (1520,), and the indexes of
+    its 81 facet rows.
 
     The affine maps u -> M u + a of Z_3^2 (M in GL(2, 3), 432 maps) send lines
     to lines, so they permute the 12 stabilizer states and map vertices to
     vertices; the table is the union of the images of `_WITNESS_ORBITS`.
+    Each row gives the valid inequality (s 1 - y) . W >= 0 on the polytope,
+    since y . V_i <= s; the rows tight on 8 of the 12 stabilizer states are
+    its facets, one row per facet.
     """
     pts = all_points(3, 1)
     mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3]
@@ -232,27 +212,20 @@ def _witness_vertices() -> tuple[np.ndarray, np.ndarray]:
     # perms[g, a, u] = point_index(M_g u + a)
     perms = ((images[:, None] + pts[None, :, None]) % 3) @ np.array([3, 1])
     Y = np.unique(np.array(_WITNESS_ORBITS)[:, perms.reshape(-1, 9)].reshape(-1, 9), axis=0)
-    s = (Y @ _qutrit_lines().T).max(axis=1)
+    values = Y @ _qutrit_lines().T
+    s = values.max(axis=1)
+    facets = np.flatnonzero((values == s[:, None]).sum(axis=1) == 8)
     Y = 3 * Y
-    Y.flags.writeable = s.flags.writeable = False
-    return Y, s
+    Y.flags.writeable = s.flags.writeable = facets.flags.writeable = False
+    return Y, s, facets
 
 
 def _int_array(values, bound: int) -> np.ndarray:
     """Integers whose magnitude is at most `bound`, as an int64 array when every
-    facet or witness-vertex product of them and their quotient by a
-    denominator up to `bound` is exact in int64 and float64
-    (`bound < EXACT_INT_BOUND`), else as Python ints."""
+    witness-vertex product of them and their quotient by a denominator up to
+    `bound` is exact in int64 and float64 (`bound < EXACT_INT_BOUND`), else as
+    Python ints."""
     return np.array(values, dtype=np.int64 if bound < EXACT_INT_BOUND else object)
-
-
-def _inside_facets(num: np.ndarray) -> np.ndarray:
-    """Exact hull verdict per row of Wigner numerators over a common denominator.
-
-    Each row must sum to its denominator; a row is inside iff no facet is negative.
-    """
-    G = _facet_matrix() if num.dtype == np.int64 else _facet_matrix().astype(object)
-    return (num @ G.T).min(axis=1) >= 0
 
 
 def _separating_witness(V: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -431,14 +404,15 @@ def slice_scan(spec: SliceSpec) -> list:
     The grid is decided in blocks of array operations on integer numerators
     over one common denominator D: a row summing to anything but D is INVALID
     (possible only when no axis is derived), the sign test is the minimum
-    numerator, the hull verdict is the facet product, and the minimum
-    eigenvalue comes from a stacked `eigvalsh`.  Labels then follow
-    `classify_state`.  Margins are filled for the labels that ran the hull
-    test: the feasibility residual for STABILIZER_MIX (0, since the verdict is
-    exact), the dual witness gap for BOUND, which is the exact L1 distance to
-    the hull from the witness-vertex table (`_hull_distances`), rounded once
-    to a float.  No LP runs and scipy is not loaded.  A grid above
-    MAX_SLICE_POINTS points raises ValueError before any allocation.
+    numerator, and the minimum eigenvalue comes from a stacked `eigvalsh`.
+    Labels then follow `classify_state`.  Each row that passes those tests
+    gets its exact L1 distance to the hull from the witness-vertex table
+    (`_hull_distances`): BOUND when it is positive, STABILIZER_MIX when it
+    is 0.  That distance, rounded once to a float, is the margin: the dual
+    witness gap for BOUND, and 0.0, the feasibility residual of an exact
+    verdict, for STABILIZER_MIX.  No LP runs and scipy is not loaded.  A
+    grid above MAX_SLICE_POINTS points raises ValueError before any
+    allocation.
     """
     swept = spec.swept
     shape = tuple(_axis_count(axes) for _, axes in swept)
@@ -472,18 +446,18 @@ def slice_scan(spec: SliceSpec) -> list:
             num[:, col] = values[k]
         if derived_col is not None:
             num[:, derived_col] = D - num.sum(axis=1)
-        valid = (num.sum(axis=1) == D).tolist()
+        valid = num.sum(axis=1) == D
         min_num = num.min(axis=1)
         min_wigner = (min_num / D).astype(float).tolist()
         w = (num / D).astype(float)
         # the row-vector matmul reproduces `state_from_wigner` bit for bit
         rho = np.matmul(w[:, None, :], single_A).reshape(-1, 3, 3)
-        min_eig = np.linalg.eigvalsh(rho).min(axis=1).tolist()
-        min_num = min_num.tolist()
-        inside = _inside_facets(num).tolist()
+        min_eig = np.linalg.eigvalsh(rho).min(axis=1)
+        hull = valid & (min_eig >= -PSD_TOL) & (min_num >= 0)
+        distances = iter(_hull_distances(num[hull], D)[0])
+        valid, min_eig, min_num = valid.tolist(), min_eig.tolist(), min_num.tolist()
         if derived_col is not None:
             derived = [Fraction(x, D) for x in num[:, derived_col].tolist()]
-        block, bound_rows = [], []
         for i, k in enumerate(zip(*(d.tolist() for d in digits))):
             coords = tuple(axis_fracs[a][j] for a, j in enumerate(k))
             if derived_col is not None:
@@ -495,39 +469,38 @@ def slice_scan(spec: SliceSpec) -> list:
                 label = "NONPHYSICAL"
             elif min_num[i] < 0:
                 label = "NEGATIVE"
-            elif inside[i]:
-                label, margin = "STABILIZER_MIX", 0.0
             else:
-                label = "BOUND"
-                bound_rows.append(i)
-            block.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
-        for i, scaled in zip(bound_rows, _hull_distances(num[bound_rows], D)[0]):
-            block[i].lp_margin = scaled / (45 * D)
-        rows += block
+                scaled = next(distances)
+                label, margin = ("BOUND" if scaled else "STABILIZER_MIX"), scaled / (45 * D)
+            rows.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
     return rows
 
 
 def _hull_distances(num: np.ndarray, den: int) -> tuple[list, list]:
     """L1 distance to the qutrit stabilizer hull of each row of Wigner
-    numerators over `den`, as the exact integer 45 den times it, and the
-    first row of the vertex table that attains it.
+    numerators over `den`, each row summing to `den`, as the exact integer
+    45 den times it, and the first row of the vertex table that attains it.
 
     By LP duality the distance is the witness LP's optimum, so it is the
-    largest 45 (y . t - s) over the vertex table, an integer product taken
-    WITNESS_ROWS rows at a time.  Callers divide by 45 den once; the integer
-    is 0 exactly when the row is inside, even where that quotient underflows.
+    largest 45 (y . t - s) over the vertex table.  A row that no facet row of
+    the table cuts is inside, at distance 0, attained first by table row 0,
+    y = -1, on which every unit-sum point has value 0.  Only the cut rows
+    take the product with the whole table, WITNESS_ROWS rows at a time.
+    Callers divide by 45 den once; the integer is 0 exactly when the row is
+    inside, even where that quotient underflows.
     """
-    Y, s = _witness_vertices()
+    Y, s, facets = _witness_vertices()
     if num.dtype != np.int64:
         Y, s = Y.astype(object), s.astype(object)
-    best, rows = [], []
-    for start in range(0, len(num), WITNESS_ROWS):
-        values = num[start : start + WITNESS_ROWS] @ Y.T
+    cut = np.flatnonzero((num @ Y[facets].T > den * s[facets]).any(axis=1))
+    best, rows = np.zeros(len(num), dtype=num.dtype), np.zeros(len(num), dtype=np.int64)
+    for start in range(0, len(cut), WITNESS_ROWS):
+        part = cut[start : start + WITNESS_ROWS]
+        values = num[part] @ Y.T
         values -= den * s
-        argmax = values.argmax(axis=1)
-        rows += argmax.tolist()
-        best += values[np.arange(len(argmax)), argmax].tolist()
-    return best, rows
+        rows[part] = values.argmax(axis=1)
+        best[part] = values[np.arange(len(part)), rows[part]]
+    return best.tolist(), rows.tolist()
 
 
 def slice_csv(rows: list, spec: SliceSpec) -> str:

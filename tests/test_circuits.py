@@ -21,7 +21,9 @@ from dwigner.circuits import (
     validate_circuit,
 )
 from dwigner.fields import CliffordElement, widen_map
-from dwigner.weyl import clifford_generator, extract_symplectic, word_map
+from dwigner.weyl import extract_symplectic, word_map
+
+from conftest import word_unitary
 
 MINIMAL = """\
 qudits p=3 n=1
@@ -253,7 +255,7 @@ measure 1 computational
     # unitary gives
     regs, g = word_map(prog.items[0].word, 3)
     assert regs == (1, 2) and g.a.sum() == 0
-    U = _dense_item_unitary(prog.items[0].word, 3, 2)
+    U = word_unitary(3, 2, prog.items[0].word)
     assert CliffordElement(*widen_map(regs, g, 2), 3) == extract_symplectic(U, 3)
 
 
@@ -442,23 +444,6 @@ def _gate_text(calls) -> str:
     return "gate " + "; ".join(texts)
 
 
-def _dense_item_unitary(calls, p, n):
-    """The per-gate dense route: product of full n-register generator unitaries."""
-    U = np.eye(p**n, dtype=complex)
-    for call in calls:
-        kw = dict(call.params)
-        if call.kind == "displace":
-            pt = np.zeros(2 * n, dtype=np.int64)
-            pt[2 * call.regs[0] - 2 : 2 * call.regs[0]] = kw["point"]
-            kw["point"] = pt
-        elif call.kind == "sum":
-            kw["ctrl"], kw["tgt"] = call.regs
-        else:
-            kw["register"] = call.regs[0]
-        U = clifford_generator(call.kind, p, n=n, **kw)[0] @ U
-    return U
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @settings(max_examples=30)
 @given(data=st.data())
@@ -476,7 +461,7 @@ def test_gate_maps_equal_dense_extraction(p, data):
         regs, g = word_map(calls, p)
         assert g.F.shape == (2 * len(regs), 2 * len(regs))
         widened = CliffordElement(*widen_map(regs, g, n), p)
-        assert widened == extract_symplectic(_dense_item_unitary(calls, p, n), p)
+        assert widened == extract_symplectic(word_unitary(p, n, calls), p)
 
 
 def test_validation_and_sampling_build_no_wide_unitaries(monkeypatch, samples_dir):

@@ -190,6 +190,26 @@ def test_sample_oracle_check_past_p_ten(tmp_path, p):
     assert len([line for line in lines if not line.startswith("#")]) == p + 1
 
 
+def test_multiply_constant_is_one_cache_entry(tmp_path):
+    # 1, 4 and -2 are one constant mod 3: the parsed call holds it reduced, so
+    # the sampler's and the oracle's per-call caches each key the gate once,
+    # and the run prints what the written-out constants give
+    code = (
+        "import sys, dwigner.cli, dwigner.simulate as s, dwigner.weyl as w; "
+        "assert dwigner.cli.main(sys.argv[1:]) == 0; "
+        "print(s._call_digits.cache_info().currsize, w.call_unitary.cache_info().currsize, file=sys.stderr)"
+    )
+    runs = []
+    for word in ("multiply(1,1); multiply(4,1); multiply(-2,1)", "multiply(1,1); multiply(1,1); multiply(1,1)"):
+        circ = tmp_path / "m.circ"
+        circ.write_text(f"qudits p=3 n=1\ninput 1 basis(2)\ngate {word}\nmeasure 1 computational\n")
+        argv = ["sample", str(circ), "--shots", "1000", "--seed", "1", "--oracle-check"]
+        runs.append(subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True))
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert [r.stderr for r in runs] == ["1 1\n", "1 1\n"]
+    assert runs[0].stdout == runs[1].stdout and "# verdict = PASS" in runs[0].stdout
+
+
 def test_sample_requires_seed(samples_dir, capsys):
     rc = run_cli("sample", str(samples_dir / "reg02_fourier.circ"), "--shots", "100")
     assert rc == 2
@@ -1024,7 +1044,7 @@ def test_sample_oracle_check_imports_no_scipy(samples_dir):
 
 
 def test_slice_imports_no_scipy(samples_dir, tmp_path):
-    # every margin comes from the exact facet and witness-vertex tables, so a
+    # every verdict and margin comes from the exact witness-vertex table, so a
     # slice solves no LP and never loads scipy
     argv = ["slice", str(samples_dir / "pinned_sixth_3d.slice"), "--out", str(tmp_path / "grid.csv")]
     code = (

@@ -2,16 +2,18 @@
 
 The exact route of `hull_membership` reads a vector's L1 distance to the hull
 off the witness-vertex table, with no LP, and calls distance 0 inside.  These
-tests hold that verdict to the facet table `qutrit_facets` and to the cases an
-exact LP must get right: negativity, boundary points, the boundary row of the
-pinned scan, and agreement with a float feasibility LP.
+tests hold that verdict to the facets enumerated in `conftest.cofactor_facets`
+and to the cases an exact LP must get right: negativity, boundary points, the
+boundary row of the pinned scan, and agreement with a float feasibility LP.
 """
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
 
-from dwigner.geometry import exact_vertex_matrix, hull_membership, qutrit_facets
+from dwigner.geometry import exact_vertex_matrix, hull_membership
+
+from conftest import cofactor_facets
 
 
 def F(a, b=1):
@@ -23,7 +25,7 @@ def _exact_verdict(exact, S):
 
 
 def _facet_values(exact):
-    return [sum(g * x for g, x in zip(facet, exact)) for facet in qutrit_facets()]
+    return [sum(g * x for g, x in zip(facet, exact)) for facet in cofactor_facets()]
 
 
 def test_negativity_blocks_feasibility(mub3):
@@ -35,7 +37,7 @@ def test_negativity_blocks_feasibility(mub3):
     assert not cert.inside
     assert cert.violation > 0 and cert.witness_y is not None
     values = _facet_values(exact)
-    assert [g for g, v in zip(qutrit_facets(), values) if v < 0] == [(1,) + (0,) * 8]
+    assert [g for g, v in zip(cofactor_facets(), values) if v < 0] == [(1,) + (0,) * 8]
 
 
 def test_degenerate_boundary_case(mub3):

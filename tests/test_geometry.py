@@ -20,13 +20,14 @@ from dwigner.geometry import (
     exact_vertex_matrix,
     facet_check,
     hull_membership,
-    qutrit_facets,
     slice_csv,
     slice_scan,
 )
 from dwigner.fields import all_points, point_index
 from dwigner.stabilizer import mub_stabilizer_states
 from dwigner.wigner import state_from_wigner, wigner_of_state
+
+from conftest import cofactor_facets
 
 
 def F(a, b=1):
@@ -273,7 +274,7 @@ def _exact_rank(rows) -> int:
 
 def test_qutrit_facet_table(mub3):
     vertices = exact_vertex_matrix(mub3)
-    facets = qutrit_facets()
+    facets = cofactor_facets()
     assert len(facets) == 81 == len(set(facets))
     for g in facets:
         values = [sum(gi * vi for gi, vi in zip(g, v)) for v in vertices]
@@ -287,36 +288,17 @@ def test_qutrit_facet_table(mub3):
         assert tuple(e_u) in facets
 
 
-def _cofactor_facets(lines: np.ndarray) -> set:
-    """The facets by enumeration, as a reference for `qutrit_facets`.
-
-    The 12 vertices, scaled by 3 to 0/1 vectors, span all 9 dimensions, so a
-    facet is tight on 8 linearly independent vertices and its normal is the
-    cofactor vector of those 8 rows.  Float determinants over the
-    C(12, 8) = 495 subsets propose the normals; each one kept is checked in
-    integers to vanish on its subset and to be nonnegative on all 12 vertices.
-    """
-    subsets = np.array(list(itertools.combinations(range(len(lines)), 8)))
-    rows = lines[subsets]
-    minors = np.stack([np.linalg.det(np.delete(rows, j, axis=2)) for j in range(9)], axis=1)
-    normals = np.rint(minors).astype(np.int64) * (-1) ** np.arange(9)
-    facets = set()
-    for subset, g in zip(subsets, normals):
-        values = lines @ g
-        if values.min() < 0:
-            g, values = -g, -values
-        if g.any() and values.min() >= 0 and not values[subset].any():
-            facets.add(tuple(int(x) for x in g // np.gcd.reduce(g)))
-    return facets
-
-
-def test_qutrit_facets_match_the_cofactor_enumeration(mub3):
-    lines = np.array([[int(3 * x) for x in v] for v in exact_vertex_matrix(mub3)], dtype=np.int64)
-    assert qutrit_facets() == tuple(sorted(_cofactor_facets(lines)))
+def test_witness_table_facet_rows_are_the_facets():
+    # each table row (y, s) gives (s 1 - y) . W >= 0; its 81 facet rows, the
+    # first step of `_hull_distances`, are the enumerated facets, once each
+    Y, s, facets = geometry._witness_vertices()
+    G = s[facets, None] - Y[facets]
+    assert len(facets) == 81
+    assert sorted(tuple(g) for g in (G // np.gcd.reduce(G, axis=1)[:, None]).tolist()) == list(cofactor_facets())
 
 
 def test_facet_table_not_built_at_import():
-    code = "import dwigner.cli, dwigner.geometry as g; print(g.qutrit_facets.cache_info().currsize)"
+    code = "import dwigner.cli, dwigner.geometry as g; print(g._witness_vertices.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
 
@@ -408,9 +390,35 @@ def assert_rows_match(rows, expected):
             assert row.lp_margin == pytest.approx(ref.lp_margin, rel=0, abs=1e-12)
 
 
+def assert_hull_rows_match_facets(spec, rows):
+    """Every STABILIZER_MIX or BOUND row agrees with the facet reference:
+    inside exactly when no facet is negative at its exact Wigner vector."""
+    free = [point_index(pt, 3) for pt, _ in spec.free]
+    hull = [r for r in rows if r.label in ("STABILIZER_MIX", "BOUND")]
+    exact = []
+    for r in hull:
+        w = {point_index(pt, 3): Fraction(v) for pt, v in spec.fixed.items()}
+        w.update(zip(free, r.coords))
+        exact.append([w[i] for i in range(9)])
+    den = math.lcm(1, *(x.denominator for w in exact for x in w))
+    num = np.array([[x.numerator * (den // x.denominator) for x in w] for w in exact], dtype=object)
+    values = num.reshape(-1, 9) @ np.array(cofactor_facets(), dtype=object).T
+    assert [r.label == "STABILIZER_MIX" for r in hull] == (values.min(axis=1) >= 0).tolist()
+
+
 @given(small_slice_specs())
 def test_slice_scan_matches_per_point_reference(mub3, spec):
-    assert_rows_match(slice_scan(spec), reference_slice_scan(spec, mub3))
+    rows = slice_scan(spec)
+    assert_rows_match(rows, reference_slice_scan(spec, mub3))
+    assert_hull_rows_match_facets(spec, rows)
+
+
+@pytest.mark.parametrize("name", ["pinned_ninth_2d", "pinned_ninth_3d", "pinned_sixth_3d"])
+def test_pinned_slice_hull_rows_match_the_facets(samples_dir, name):
+    spec = parse_slice_file(samples_dir / f"{name}.slice")
+    rows = slice_scan(spec)
+    assert {"STABILIZER_MIX", "BOUND"} & {r.label for r in rows}
+    assert_hull_rows_match_facets(spec, rows)
 
 
 def test_slice_scan_exact_beyond_int64(mub3):
@@ -495,7 +503,7 @@ def _line_zero_vertices(lines) -> set:
 
 def test_witness_vertex_table_is_complete(mub3):
     lines = np.array([[int(3 * x) for x in v] for v in exact_vertex_matrix(mub3)])
-    Y, s = geometry._witness_vertices()
+    Y, s, _ = geometry._witness_vertices()
     assert Y.shape == (1520, 9) and s.shape == (1520,)
     assert len({tuple(r) for r in Y.tolist()}) == 1520
     # feasible in integers: |45 y| <= 45 and 45 y . 3 V_i <= 3 (45 s)
@@ -532,12 +540,9 @@ def test_hull_distance_matches_facets_and_witness_lp(mub3, exact):
     den = math.lcm(*(x.denominator for x in exact))
     num = np.array([[int(x * den) for x in exact]], dtype=np.int64)
     (scaled,), (row,) = geometry._hull_distances(num, den)
-    if geometry._inside_facets(num)[0]:
-        assert scaled == 0
-    else:
-        assert scaled > 0
+    assert (scaled == 0) == (min(sum(g * x for g, x in zip(facet, exact)) for facet in cofactor_facets()) >= 0)
     # the returned vertex attains the distance
-    Y, s = geometry._witness_vertices()
+    Y, s, _ = geometry._witness_vertices()
     values = num[0] @ Y.T - den * s
     assert values[row] == values.max() == scaled
     distance = scaled / (45 * den)

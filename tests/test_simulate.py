@@ -46,27 +46,11 @@ from dwigner.wigner import (
     wigner_of_state,
 )
 
+from conftest import word_unitary
+
 
 def oracle_of(src, **kw):
     return run_oracle(parse_circuit(src, **kw))
-
-
-def _word_unitary(p: int, n: int, word) -> np.ndarray:
-    """Dense product of GateCalls in application order, each call's unitary
-    built on all n registers; a displace call's point covers all its regs."""
-    U = np.eye(p**n, dtype=complex)
-    for call in word:
-        kw = dict(call.params)
-        if call.kind == "displace":
-            pt = np.zeros(2 * n, dtype=np.int64)
-            pt[[2 * r - 2 + k for r in call.regs for k in (0, 1)]] = kw["point"]
-            kw["point"] = pt
-        elif call.kind == "sum":
-            kw["ctrl"], kw["tgt"] = call.regs
-        else:
-            kw["register"] = call.regs[0]
-        U = clifford_generator(call.kind, p, n=n, **kw)[0] @ U
-    return U
 
 
 def _widened(gate_map, n: int) -> np.ndarray:
@@ -109,7 +93,7 @@ def dense_oracle(prog) -> dict:
             return
         instr = prog.items[i]
         if isinstance(instr, GateInstr):
-            U = _word_unitary(p, n_cur, instr.word)
+            U = word_unitary(p, n_cur, instr.word)
             walk(i + 1, U @ rho @ U.conj().T, n_cur, outcomes, prob)
         elif isinstance(instr, ExtendInstr):
             for _ in range(instr.count):
@@ -286,7 +270,7 @@ def test_oracle_chain_rule_marginal(samples_dir):
     rho = np.kron(np.kron(prog.inputs[0], prog.inputs[1]), prog.inputs[2])
     U = np.eye(27, dtype=complex)
     for i, _ in enumerate(prog.items[:2]):
-        U = _word_unitary(3, 3, prog.items[i].word) @ U
+        U = word_unitary(3, 3, prog.items[i].word) @ U
     rho = U @ rho @ U.conj().T
     for k in range(3):
         E = np.kron(np.eye(9), np.diag([1.0 if j == k else 0.0 for j in range(3)]))
@@ -568,7 +552,7 @@ def dense_random_instance(p, n, rng, word_length=10) -> DistillationInstance:
         w = rng.dirichlet(np.ones(len(mub)))
         rho = np.kron(rho, sum(wi * S for wi, S in zip(w, mub.states)))
     return DistillationInstance(
-        p=p, n=n, rho_in=rho, channel=("unitary", _word_unitary(p, n, word)), projector=anc
+        p=p, n=n, rho_in=rho, channel=("unitary", word_unitary(p, n, word)), projector=anc
     )
 
 

@@ -2,8 +2,9 @@
 
 Every name a module lists in `__all__` is defined in it, every import at a
 module's top level (other than `from __future__ import annotations`) is used
-somewhere in that module, and no module imports an underscore name from
-another `dwigner` module.
+somewhere in that module, every underscore function, class or constant a
+module defines at top level is used elsewhere in that module, and no module
+imports an underscore name from another `dwigner` module.
 """
 
 import ast
@@ -30,15 +31,20 @@ def top_level_imports(tree):
                 yield (alias.asname or alias.name), node.lineno
 
 
+def defined_names(node) -> set:
+    """The names a top-level function, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return set()
+
+
 def top_level_definitions(tree):
     names = {name for name, _ in top_level_imports(tree)}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        names |= defined_names(node)
     return names
 
 
@@ -70,6 +76,24 @@ def test_top_level_imports_are_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_private_definitions_are_used(path):
+    # a use inside the definition itself, such as a recursive call, does not count
+    tree = parse(path)
+    loads = [loaded_names(node) for node in tree.body]
+    unused = [
+        f"{name} (line {node.lineno})"
+        for i, node in enumerate(tree.body)
+        for name in sorted(defined_names(node))
+        if is_private(name) and not any(name in used for j, used in enumerate(loads) if j != i)
+    ]
+    assert not unused, f"{path.name}: unused private definitions {unused}"
+
+
 def imported_private_names(tree):
     """(name, line) for each underscore name (not a dunder such as
     `__version__`) imported from a dwigner module, at top level or inside a
@@ -79,8 +103,7 @@ def imported_private_names(tree):
             node.level > 0 or (node.module or "").split(".")[0] == "dwigner"
         ):
             for alias in node.names:
-                dunder = alias.name.startswith("__") and alias.name.endswith("__")
-                if alias.name.startswith("_") and not dunder:
+                if is_private(alias.name):
                     yield alias.name, node.lineno
 
 
