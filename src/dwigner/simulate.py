@@ -31,15 +31,17 @@ at most 65536 shots at K = 2), so memory is bounded by a chunk at any shot
 count and any register count.  The chunk size is even, so every chunk
 starts on a whole Philox block and the bytes do not depend on it.
 
-The kernel (_Walk) makes a few whole-array passes per instruction: it
-transposes a chunk's uniforms once so each draw position is a contiguous
-row, draws points with searchsorted, measures by counting contiguous
-cumulative effect columns below the draw, splits branches with index arrays
-and tallies outcome codes with bincount, building each distinct outcome
-string from a row of label bytes.  A shot's point is one digit q * p + x
-per live register, and a chunk holds one int64 row of digits per register.
-Each generator call of a gate item (a displace line is one with a single
-call) acts on its own one or two registers only: it is one gather of their
+The kernel (_Walk) makes a few whole-array passes per instruction: it reads
+each draw in place from its column of the chunk's uniforms, draws points
+through a guide table of each input and `extend` table (_guide, built once
+per run), so a draw is a bucket lookup and a pass or two of comparisons
+rather than a binary search, measures by counting contiguous cumulative
+effect columns below the draw, splits branches with index arrays and tallies
+outcome codes with bincount, building each distinct outcome string from a
+row of label bytes.  A shot's point is one digit q * p + x per live
+register, and a chunk holds one int64 row of digits per register.  Each
+generator call of a gate item (a displace line is one with a single call)
+acts on its own one or two registers only: it is one gather of their
 combined digit through the call's table of image digits (_call_digits),
 cached per (p, kind, params), so no map over all the live registers is
 built or held.  The distillation check reads the same tables.
@@ -115,11 +117,11 @@ ORACLE_DIM_CAP = 243
 # channel image, gather index) hold p^(2n) entries: 3^12, 4 MB of float64 each,
 # so a product input with a word channel runs up to n = 6 qutrits
 PRODUCT_WIGNER_CAP = 3**12
-# Bytes of one chunk's shots x K float64 uniforms.  A chunk holds the even
-# number of shots that fits, at least 2, so its uniforms take about this much
-# and its n rows of int64 point digits half of it at any register count;
-# even, so each chunk's first draw lo * K is a multiple of a Philox block's
-# four draws.
+# Bytes of one chunk's shots x K float64 uniforms, read in place with no
+# copy.  A chunk holds the even number of shots that fits, at least 2, so its
+# uniforms take about this much and its n rows of int64 point digits half of
+# it at any register count; even, so each chunk's first draw lo * K is a
+# multiple of a Philox block's four draws.
 CHUNK_BYTES = 1 << 20
 # The tally's mixed-radix outcome codes stay below this, well inside int64.
 _CODE_LIMIT = 1 << 62
@@ -235,10 +237,10 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
     again (_check_paths), and Tr_r[(M (x) I) rho (M (x) I)^dag] =
     Tr_r[(E (x) I) rho] for every Kraus root M of E.  When the rank passes
     the live dimension D = p^m, Psi becomes the D x D factor L of Psi = L Q
-    (the QR of Psi^dag).  Records with pk below 1e-15 of their parent's
-    probability are dropped; their count and summed probability are
-    recorded on the result.  A `branch:` measurement splits the records by
-    target label.
+    (the QR of Psi^dag), or sqrt(pk) when no register is left live (D = 1).
+    Records with pk below 1e-15 of their parent's probability are dropped;
+    their count and summed probability are recorded on the result.  A
+    `branch:` measurement splits the records by target label.
     """
     p = prog.p
     if not oracle_fits(prog):
@@ -291,9 +293,12 @@ def run_oracle(prog: CircuitProgram) -> OutcomeDistribution:
                     return
                 live = live[:j] + live[j + 1 :]
                 D = p ** (m - 1)
-                if psi.shape[-1] > D:  # Psi^dag = Q R, so Psi Psi^dag = R^dag R
-                    R = np.linalg.qr(psi.reshape(len(prob), D, -1).conj().swapaxes(1, 2), "r")
-                    psi = R.conj().swapaxes(1, 2).reshape(psi.shape[:-1] + (D,))
+                if psi.shape[-1] > D:
+                    if D == 1:  # no live register: the factor is the record's norm
+                        psi = np.sqrt(prob).astype(complex)[:, None]
+                    else:  # Psi^dag = Q R, so Psi Psi^dag = R^dag R
+                        R = np.linalg.qr(psi.reshape(len(prob), D, -1).conj().swapaxes(1, 2), "r")
+                        psi = R.conj().swapaxes(1, 2).reshape(psi.shape[:-1] + (D,))
                 if instr.branch is not None:
                     targets = [instr.branch[label] for label in instr.povm.labels]
                     arm = np.array(targets)[outcome]
@@ -328,6 +333,37 @@ def _cumulative(w: np.ndarray) -> np.ndarray:
     c = np.cumsum(w / w.sum())
     c[-1] = 1.0
     return c
+
+
+def _guide(cum: np.ndarray) -> tuple:
+    """Guide table of a cumulative table (Chen & Asau 1974; Devroye 1986,
+    section III.2.4), kept over its distinct values v: (v, G, passes, C).
+    There are B = len(G) equal buckets of [0, 1), B a power of two with at
+    least 4 buckets per entry of cum.  G[b] = searchsorted(v, b / B,
+    "right") starts bucket b's draws, `passes` is the most values of v
+    strictly inside one bucket, and C[j] counts the entries of cum below
+    v[j], so C[len(v)] = len(cum).  Runs of equal entries (an input's
+    zero Wigner values) cost no pass."""
+    v, run = np.unique(cum, return_counts=True)
+    C = np.concatenate([[0], np.cumsum(run)])
+    B = 1 << (4 * len(cum) - 1).bit_length()
+    edges = np.arange(B + 1) / B  # exact: B is a power of two
+    G = np.searchsorted(v, edges[:-1], side="right")
+    passes = int((np.searchsorted(v, edges[1:], side="left") - G).max())
+    return v, G, passes, C
+
+
+def _guided(guide: tuple, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cum, u, "right") for uniforms u in [0, 1), read from
+    cum's `_guide`.  u * B is exact, so the bucket b it truncates to has b /
+    B <= u < (b + 1) / B: G[b] counts the values of v at or below the
+    bucket's lower edge, and each pass compares one value inside the bucket,
+    so j ends as the count of values <= u, and C[j] counts the entries."""
+    v, G, passes, C = guide
+    j = G[(u * len(G)).astype(np.intp)]
+    for _ in range(passes):
+        j += v[j] <= u
+    return C[j]
 
 
 def _povm_columns(effect_values: list) -> list:
@@ -381,18 +417,20 @@ class _Walk:
 
     A shot's phase point is one digit q * p + x per live register, the digit
     order of `fields.point_index` within a register, so a chunk's points are
-    a list of n int64 rows, one per register.  A draw appends a row
-    (searchsorted in the register's cumulative Wigner table), a measurement
-    reads its register's row, and a branch takes each row at the index
-    array of its shots.  Each generator call of a gate item is one gather:
-    its registers' digits combine into one index (ctrl * p^2 + tgt for sum)
-    into the call's table of image digits (`_call_digits`), one row per
-    register.  Per shot, a gate item whose one call is a displace counts 2
-    field adds, any other (2n)^2 field mults on n live registers
-    (SampleReport's cost model).  A chunk's uniforms are held transposed,
-    one contiguous row per draw position, so shots that have not split read
-    a draw with no gather; `rows` is None for them and the chunk-row ids of
-    the shots after a split.  A measurement counts the cumulative effect
+    a list of n int64 rows, one per register.  A draw appends a row, read
+    through the guide of the register's cumulative Wigner table (`_guide`,
+    built once per run, and `_guided`); a measurement reads its register's
+    row, and a branch takes each row at the index array of its shots.  Each
+    generator call of a gate item is one gather: its registers' digits
+    combine into one index (ctrl * p^2 + tgt for sum) into the call's table
+    of image digits (`_call_digits`), one row per register.  Per shot, a
+    gate item whose one call is a displace counts 2 field adds, any other
+    (2n)^2 field mults on n live registers (SampleReport's cost model).  A
+    chunk's uniforms are held as Philox fills them, one row per shot, and
+    draw position `pos` is read in place from column `pos`: as a strided
+    view, with no copy, for shots that have not split, and gathered at the
+    shots' rows after a split; `rows` is None for the first and the
+    chunk-row ids of the second.  A measurement counts the cumulative effect
     columns below the draw, one contiguous column per effect but the last,
     whose entry 1.0 no draw reaches.  Shots that end a path together are
     tallied at once.
@@ -401,10 +439,12 @@ class _Walk:
     def __init__(self, prog, report):
         self.prog = prog
         self.p2 = prog.p**2
-        self.input_dists = [_cumulative(w) for w in report.input_wigners]
-        self.extend_dists = {i: _cumulative(w) for i, w in report.extend_wigners.items()}
+        self.input_guides = [_guide(_cumulative(w)) for w in report.input_wigners]
+        self.extend_guides = {
+            i: _guide(_cumulative(w)) for i, w in report.extend_wigners.items()
+        }
         self.povm_cols = {i: _povm_columns(ws) for i, ws in report.effect_wigners.items()}
-        self.UT = None  # the chunk's uniforms, one row per draw position
+        self.U = None  # the chunk's uniforms, one row per shot
         self.counts: dict[str, int] = {}
         self.mults = 0
         self.adds = 0
@@ -413,25 +453,24 @@ class _Walk:
         """Add the outcomes and field operations of shots lo..hi-1."""
         K = 2 * self.prog.max_registers
         # Philox emits four 64-bit words per counter step and `random` spends
-        # one per draw, so skipping lo * K draws is lo * K / 4 steps; the
-        # row-major block is freed once transposed
+        # one per draw, so skipping lo * K draws is lo * K / 4 steps
         rng = np.random.Generator(np.random.Philox(seed).advance(lo * K // 4))
-        self.UT = np.ascontiguousarray(rng.random((hi - lo, K)).T)
+        self.U = rng.random((hi - lo, K))
         # initial phase points: one draw per register, positions 0..n-1
-        n = len(self.input_dists)
-        self.run(0, None, self.draw_points([], self.input_dists, None, 0), n, n, {})
-        self.UT = None
+        n = len(self.input_guides)
+        self.run(0, None, self.draw_points([], self.input_guides, None, 0), n, n, {})
+        self.U = None
 
     def draws(self, rows, pos):
-        """Draw `pos` of the shots `rows` (every shot of the chunk when None)."""
-        return self.UT[pos] if rows is None else self.UT[pos][rows]
+        """Draw `pos` of the shots `rows` (every shot of the chunk when
+        None), read in place from the chunk's column `pos`."""
+        return self.U[:, pos] if rows is None else self.U[rows, pos]
 
-    def draw_points(self, pts, dists, rows, pos):
-        """`pts` with one digit row appended per table in `dists`, drawn
+    def draw_points(self, pts, guides, rows, pos):
+        """`pts` with one digit row appended per table in `guides`, drawn
         with draws pos, pos+1, ..."""
         return pts + [
-            np.searchsorted(cum, self.draws(rows, pos + j), side="right")
-            for j, cum in enumerate(dists)
+            _guided(guide, self.draws(rows, pos + j)) for j, guide in enumerate(guides)
         ]
 
     def apply(self, call, pts):
@@ -460,7 +499,7 @@ class _Walk:
                 else:
                     self.mults += shots * (2 * n) ** 2
             elif isinstance(instr, ExtendInstr):
-                pts = self.draw_points(pts, [self.extend_dists[i]] * instr.count, rows, pos)
+                pts = self.draw_points(pts, [self.extend_guides[i]] * instr.count, rows, pos)
                 n += instr.count
                 pos += instr.count
             elif isinstance(instr, MeasureInstr):

@@ -197,6 +197,18 @@ def test_oracle_matches_dense_reference_on_samples(samples_dir):
         assert_matches_dense(parse_circuit_file(path))
 
 
+def test_oracle_runs_no_qr_once_no_register_is_live(monkeypatch, samples_dir):
+    # every rank cut on these circuits leaves no live register, where the
+    # factor is the record's norm: no QR runs, and the outcomes still match
+    # the dense reference
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for name in ("reg03_word.circ", "reg06_adaptive.circ", "reg10_cascade.circ"):
+        assert_matches_dense(parse_circuit_file(samples_dir / name))
+
+
 WIDE5 = """\
 qudits p=3 n=5
 input 1 zero
@@ -1227,6 +1239,82 @@ def test_sampler_kernel_matches_reference_kernel_on_samples(samples_dir):
             assert (rpt.counts, rpt.field_mults, rpt.field_adds) == reference_sample(
                 prog, 7, shots
             ), (path.name, shots)
+
+
+def _guide_table(spec, samples_dir):
+    """The cumulative table of `spec`: ("random", p, seed, zero runs), a
+    random nonnegative vector of p^2 entries with runs of zero entries, so
+    that the table repeats values; or (preset, p), a preset's or Wigner
+    file's values."""
+    if spec[0] != "random":
+        rho, _ = circuits.preset_state(spec[0], spec[1], samples_dir)
+        return simulate._cumulative(wigner_of_state(rho, spec[1]).values)
+    _, p, seed, runs = spec
+    rng = np.random.default_rng(seed)
+    w = rng.random(p * p)
+    for start in rng.integers(0, p * p, size=runs):
+        w[start : start + rng.integers(1, p + 1)] = 0.0
+    w[rng.integers(p * p)] += 1e-3  # never all zero
+    return simulate._cumulative(w)
+
+
+@settings(max_examples=120)
+@given(
+    spec=st.one_of(
+        st.tuples(
+            st.just("random"),
+            st.sampled_from([3, 5, 7, 31]),
+            st.integers(0, 2**32 - 1),
+            st.integers(0, 12),
+        ),
+        st.tuples(st.sampled_from(["zero", "basis(1)", "mixed"]), st.sampled_from([3, 5, 7, 31])),
+        st.sampled_from([("wigner-file:bound_p5.w", 5), ("wigner-file:bound_ninth.w", 3)]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guide_draws_equal_binary_search(samples_dir, spec, seed):
+    # the guide's index is searchsorted's for every uniform in [0, 1): random
+    # ones, bucket edges and the double just below each, the table's own
+    # entries, 0 and the largest double below 1
+    cum = _guide_table(spec, samples_dir)
+    guide = simulate._guide(cum)
+    B = len(guide[1])
+    edges = np.arange(B) / B
+    u = np.concatenate([
+        np.random.default_rng(seed).random(2000),
+        edges,
+        np.nextafter(edges, 0.0),
+        cum[cum < 1.0],
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    # read in place from a column, as the sampler reads a chunk's draws
+    U = np.zeros((len(u), 3))
+    U[:, 1] = u
+    got = simulate._guided(guide, U[:, 1])
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+
+def test_guides_built_once_per_run(monkeypatch, samples_dir):
+    # one guide per input and per extend table, however many chunks run
+    prog = parse_circuit_file(samples_dir / "reg07_extend.circ")
+    monkeypatch.setattr(simulate, "CHUNK_BYTES", _chunk_bytes(prog, 1000))
+    built, chunks = [], []
+    guide, run_chunk = simulate._guide, simulate._Walk.run_chunk
+
+    def spy_guide(cum):
+        built.append(len(cum))
+        return guide(cum)
+
+    def spy_run_chunk(self, *args):
+        chunks.append(args)
+        return run_chunk(self, *args)
+
+    monkeypatch.setattr(simulate, "_guide", spy_guide)
+    monkeypatch.setattr(simulate._Walk, "run_chunk", spy_run_chunk)
+    rpt = sample_classical(prog, seed=3, shots=5000)
+    assert len(chunks) >= 4
+    assert len(built) == len(prog.inputs) + sum(isinstance(i, ExtendInstr) for i in prog.items)
+    assert sum(rpt.counts.values()) == 5000
 
 
 def test_call_tables_one_per_distinct_call():
