@@ -142,22 +142,19 @@ def cmd_sample(args) -> int:
 def cmd_facets(args) -> int:
     p = args.p
     S = mub_stabilizer_states(p)
+    reports = [facet_check(divmod(i, p), S) for i in range(p * p)]
     lines = [f"# format-version {FORMAT_VERSION}"]
     lines.append(
         "a1,a2,all_vertices_nonnegative,saturating_count,saturating_span_dim,"
         "is_facet,min_vertex_value"
     )
-    all_ok = True
-    for a1 in range(p):
-        for a2 in range(p):
-            r = facet_check((a1, a2), S)
-            all_ok &= r.is_facet
-            lines.append(
-                f"{a1},{a2},{r.all_vertices_nonnegative},{r.saturating_count},"
-                f"{r.saturating_span_dim},{r.is_facet},{fmt_number(r.min_vertex_value)}"
-            )
+    for r in reports:
+        lines.append(
+            f"{r.point[0]},{r.point[1]},{r.all_vertices_nonnegative},{r.saturating_count},"
+            f"{r.saturating_span_dim},{r.is_facet},{fmt_number(r.min_vertex_value)}"
+        )
     _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    return 0 if all(r.is_facet for r in reports) else 1
 
 
 def cmd_classify(args) -> int:

@@ -1,7 +1,7 @@
 """Stabilizer-polytope geometry: facets, hull membership, classification, slices.
 
-The phase-point inequalities Tr(A_u rho) >= 0 are checked as facets against
-the enumerated vertex set.  The qutrit polytope is described once, by its
+The phase-point inequalities Tr(A_u rho) >= 0 are checked as facets exactly,
+on the lines of Z_p^2.  The qutrit polytope is described once, by its
 witness LP's 1520 vertices (21 orbit representatives), 81 of which are its
 facets.  Hull membership takes one route per input.  An exact rational qutrit
 Wigner vector that sums to 1 gets its exact L1 distance to the hull, and the
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import FORMAT_VERSION, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
-from .stabilizer import StabilizerSet, mub_stabilizer_states
+from .stabilizer import StabilizerSet, line_incidence, mub_stabilizer_states
 from .weyl import weyl_table
 from .wigner import phase_point_traces, state_from_wigner, validate_hermitian_unit_trace
 
@@ -50,8 +50,6 @@ __all__ = [
 HULL_TOL = 1e-8
 PSD_TOL = 1e-9
 NEG_TOL = 1e-12
-SAT_TOL = 1e-8
-VERTEX_TOL = 1e-10
 # integers below this stay exact in int64 through a witness-vertex product
 # (|45 y|_inf <= 45) and in a float64 quotient; larger slice numerators fall
 # back to Python ints
@@ -129,68 +127,54 @@ class HullCertificate:
         return state_from_wigner(self.witness_y, p, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _certified_span(p: int) -> int:
+    """p^2 - 1, the dimension spanned by the rows of N = `line_incidence(p)`,
+    the lines of Z_p^2 in p + 1 classes of p rows, that miss any one point.
+
+    Certified once per p: N^T N = p I + J, so N has rank p^2, and each class
+    sums to the all-ones row.  A class's row through the point is then the
+    all-ones row minus the others, so the rows that miss it span every row
+    with the all-ones row, rank >= p^2 - 1, and vanish at it, rank <= p^2 - 1.
+    A float64 product of 0/1 matrices is exact.
+    """
+    N = line_incidence(p)
+    gram = N.T.astype(float) @ N
+    if not ((gram == p * np.eye(p * p) + 1).all() and (N.reshape(p + 1, p, -1).sum(axis=1) == 1).all()):
+        raise RuntimeError(f"the lines of Z_{p}^2 fail their span certificate")
+    return p * p - 1
+
+
 def facet_check(u, S: StabilizerSet) -> FacetReport:
     """Is the inequality Tr(A_u rho) >= 0 a facet of conv(S)?
 
-    Saturating vertices span must have affine rank d^2 - 1 relative to the
-    trace-1 slice; computed as the numerical rank of their Gram matrix.
+    Exact, on the line incidence: Tr(A_u S_i) = p W_i(u) is 1 when line i
+    passes through u and 0 when it misses it.  The saturating states are the
+    lines that miss u, and their span has dimension p^2 - 1, the facet's
+    (`_certified_span`).  u is a one-qudit point (a1, a2); any other length
+    raises ValueError.
     """
-    p, n = S.p, S.n
-    d = p**n
+    p = S.p
     uu = as_point(u, p)
-    idx = point_index(uu, p)
-    tr_values = d * S.wigner_matrix[:, idx]  # Tr(A_u S_i) = d * W_i(u)
-    nonneg = bool(tr_values.min() >= -VERTEX_TOL)
-    sat_idx = np.nonzero(np.abs(tr_values) <= SAT_TOL)[0]
-    span = 0
-    if sat_idx.size:
-        sats = np.stack([S.states[i] for i in sat_idx])
-        gram = np.einsum("aij,bji->ab", sats, sats).real
-        svals = np.linalg.svd(gram, compute_uv=False)
-        span = int(np.sum(svals > 1e-8 * svals[0]))
-    is_facet = nonneg and span == d**2 - 1
+    if uu.size != 2:
+        raise ValueError(f"facet_check takes a one-qudit point (a1, a2), got length {uu.size}")
+    tr_values = line_incidence(p)[:, point_index(uu, p)]
+    nonneg = bool(tr_values.min() >= 0)
+    span = _certified_span(p)
     return FacetReport(
         point=tuple(int(x) for x in uu),
         all_vertices_nonnegative=nonneg,
-        saturating_count=int(sat_idx.size),
+        saturating_count=int(np.count_nonzero(tr_values == 0)),
         saturating_span_dim=span,
-        is_facet=is_facet,
+        is_facet=nonneg and span == p * p - 1,
         min_vertex_value=float(tr_values.min()),
     )
 
 
 def exact_vertex_matrix(S: StabilizerSet) -> list:
-    """Stabilizer Wigner vectors snapped to exact rationals {0, 1/d}.
-
-    Valid because stabilizer-state Wigner functions are uniform on their
-    support; snapping is verified against the float values.
-    """
-    d = S.p**S.n
-    W = S.wigner_matrix
-    out = []
-    for row in W:
-        snapped = []
-        for x in row:
-            if abs(x) < 1e-6:
-                snapped.append(Fraction(0))
-            elif abs(x - 1 / d) < 1e-6:
-                snapped.append(Fraction(1, d))
-            else:
-                raise ValueError(f"vertex Wigner value {x} is not 0 or 1/{d}")
-        out.append(snapped)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _qutrit_lines() -> np.ndarray:
-    """The 12 qutrit stabilizer states' Wigner rows scaled by 3: the 0/1
-    indicators of the lines of Z_3^2, as a read-only (12, 9) int64 matrix."""
-    L = np.array(
-        [[int(3 * x) for x in row] for row in exact_vertex_matrix(mub_stabilizer_states(3))],
-        dtype=np.int64,
-    )
-    L.flags.writeable = False
-    return L
+    """The stabilizer states' Wigner vectors as exact rationals, the lines of
+    `line_incidence` over p: 1/p on the line and 0 elsewhere."""
+    return [[Fraction(int(x), S.p) for x in row] for row in line_incidence(S.p)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,7 +196,7 @@ def _witness_vertices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # perms[g, a, u] = point_index(M_g u + a)
     perms = ((images[:, None] + pts[None, :, None]) % 3) @ np.array([3, 1])
     Y = np.unique(np.array(_WITNESS_ORBITS)[:, perms.reshape(-1, 9)].reshape(-1, 9), axis=0)
-    values = Y @ _qutrit_lines().T
+    values = Y @ line_incidence(3).T
     s = values.max(axis=1)
     facets = np.flatnonzero((values == s[:, None]).sum(axis=1) == 8)
     Y = 3 * Y

@@ -3,6 +3,11 @@
 Single-qudit stabilizer states are the p+1 mutually unbiased eigenbases of
 Z and XZ^k (k = 0..p-1), p(p+1) states in total.  The set is built once per
 p and shared, so it is immutable: tuples of read-only arrays.
+
+Each state's Wigner function is 1/p on one line of Z_p^2 and 0 elsewhere,
+and the p(p+1) states are the p(p+1) lines (Gross 2006, J. Math. Phys. 47,
+122107, the discrete Hudson theorem).  `line_incidence` states that fact in
+integers; every exact fact about the stabilizer polytope is read from it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from .fields import inv2, require_odd_prime
 from .wigner import wigner_of_state
 
-__all__ = ["StabilizerSet", "mub_stabilizer_states", "MAX_MUB_P", "require_capped_p"]
+__all__ = ["StabilizerSet", "mub_stabilizer_states", "line_incidence", "MAX_MUB_P", "require_capped_p"]
 
 # The one cap on p for every command.  The set holds p(p+1) dense p x p states
 # plus their Wigner rows, about 24 p^3 (p+1) bytes, and stays cached for the
@@ -63,17 +68,24 @@ def mub_stabilizer_states(p: int) -> StabilizerSet:
     require_capped_p(p)
     om = np.exp(2j * np.pi / p)
     s = inv2(p)
-    states, labels = [], []
-    for m in range(p):
-        v = np.zeros(p, dtype=complex)
-        v[m] = 1.0
-        states.append(_read_only(np.outer(v, v.conj())))
-        labels.append(f"Z:{m}")
-    for k in range(p):
-        for m in range(p):
-            x = np.arange(p)
-            v = om ** ((s * k * x * x + m * x) % p) / np.sqrt(p)
-            states.append(_read_only(np.outer(v, v.conj())))
-            labels.append(f"XZ^{k}:{m}")
+    x = np.arange(p)
+    kets = list(np.eye(p, dtype=complex))
+    kets += [om ** ((s * k * x * x + m * x) % p) / np.sqrt(p) for k in range(p) for m in range(p)]
+    labels = [f"Z:{m}" for m in range(p)] + [f"XZ^{k}:{m}" for k in range(p) for m in range(p)]
+    states = [_read_only(np.outer(v, v.conj())) for v in kets]
     W = np.stack([wigner_of_state(P, p).values for P in states])
     return StabilizerSet(p, 1, tuple(states), tuple(labels), _read_only(W))
+
+
+@functools.lru_cache(maxsize=None)
+def line_incidence(p: int) -> np.ndarray:
+    """The lines of Z_p^2 as a read-only (p(p+1), p^2) int64 0/1 matrix, one
+    row per state of `mub_stabilizer_states(p)` in its order: p times that
+    state's Wigner function.  With point index a1 p + a2, `Z:m` is the line
+    a2 = m and `XZ^k:m` the line a1 - k a2 = m.
+    """
+    require_capped_p(p)
+    a1, a2 = np.divmod(np.arange(p * p), p)
+    k, m = np.arange(p)[:, None, None], np.arange(p)[:, None]
+    lines = np.vstack([a2 == m, ((a1 - k * a2) % p == m).reshape(p * p, p * p)])
+    return _read_only(lines.astype(np.int64))

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dwigner.geometry import exact_vertex_matrix
-from dwigner.stabilizer import mub_stabilizer_states
+from dwigner.stabilizer import line_incidence, mub_stabilizer_states
 from dwigner.weyl import clifford_generator
 
 # the same examples on every run, and no per-example deadline on a busy machine
@@ -72,9 +71,7 @@ def cofactor_facets() -> tuple:
     C(12, 8) = 495 subsets propose the normals; each one kept is checked in
     integers to vanish on its subset and to be nonnegative on all 12 vertices.
     """
-    lines = np.array(
-        [[int(3 * x) for x in v] for v in exact_vertex_matrix(mub_stabilizer_states(3))], dtype=np.int64
-    )
+    lines = line_incidence(3)
     subsets = np.array(list(itertools.combinations(range(len(lines)), 8)))
     rows = lines[subsets]
     minors = np.stack([np.linalg.det(np.delete(rows, j, axis=2)) for j in range(9)], axis=1)

@@ -354,6 +354,36 @@ def test_facets_rejects_p_above_cap(capsys):
     assert f"p <= {MAX_MUB_P}" in capsys.readouterr().err
 
 
+# SHA-256 of `facets p` output bytes, from the float route that decided each
+# point on the Gram matrix of its saturating states
+FACETS_PINS = {
+    3: "f853c2c390a9304d6ef94833a36685ac0cfbf4ca7c7029c68497d4aea86c12e3",
+    5: "0dd1c9b4293a2d2790b5af330ff3ba16c1a08093696c4a69ab9c5ec56f166491",
+    7: "d70c7389aea02171bdaa3d063e865df811c4dde647b2e623a5e944d94c8d6f99",
+    11: "fe27cac49b7e3e8f2cd4a280ad2616aef8c188798ac3a018c8a18b325892e47f",
+    13: "9df93b724c4adfeac8fc513ee8267cdd1366d6114c4a1e40e6d92f731968aab6",
+    17: "5e58e2170a1a5eccab38624c15a32784e210fc9e36128460fc8383e4a01e756e",
+    19: "1275beeb779dc0490ff459a160c7b922ec45745322b71224ece68659270f35ac",
+}
+
+
+@pytest.mark.parametrize("p", list(FACETS_PINS))
+def test_facets_output_bytes_are_pinned(tmp_path, p):
+    out = tmp_path / "f.csv"
+    assert run_cli("facets", str(p), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FACETS_PINS[p]
+
+
+def test_facets_at_p_31(tmp_path):
+    # every line that misses a point saturates it, and those 960 lines span
+    # the facet; the float route would take about 1.7 h here
+    out = tmp_path / "f.csv"
+    assert run_cli("facets", "31", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 961
+    assert all(row.split(",", 2)[2] == "True,960,960,True,0" for row in rows)
+
+
 def test_wigner_and_sample_refuse_p_above_cap(tmp_path, capsys):
     # a Weyl table takes 32 p^4 bytes, so p is capped where it enters
     assert run_cli("wigner", "mixed", "--p", "37") == 2
@@ -457,6 +487,29 @@ def test_classify_pins_the_bound_witness_on_both_hull_routes(samples_dir, tmp_pa
         out = tmp_path / "c.txt"
         assert run_cli("classify", spec, "--out", str(out)) == 0
         assert out.read_text() == BOUND_NINTH_CLASSIFY
+
+
+# SHA-256 of `classify` output bytes.  The last two inputs are random
+# states mixed toward the W >= 0 boundary, where the float witness LP's
+# printed numbers move in the last digits if its vertex rows change by one
+# rounding: they are the stabilizer states' float Wigner transforms, not the
+# exact lines over p
+CLASSIFY_PINS = {
+    ("strange.mat",): "b0026f8c685865dda51ec41d0a1e16ea7bade7cc1dd62addb7b128d1c56a41f8",
+    ("mixed",): "190c0d14d3b7ac1d564c2a02ab83e9989320c5072544a458e85610e3269648b5",
+    ("wigner-file:bound_ninth.w",): "6943b997fa62c7e649610004ad16426bb611a4d35f1a14073c0c6f7c23352dc7",
+    ("wigner-file:bound_p5.w", "--p", "5"): "9b9b3f9f88e646d3b1fce2fc9bfa9ce27c34bd8914d13f2c748d2c686b1f81fe",
+    ("edge_p7.mat", "--p", "7"): "6770cb0d3f175cdab7d406bdc974caf8ad4812a9ce025fd7076aace40a68e842",
+    ("edge_p11.mat", "--p", "11"): "2e67adfd8a9119a9826f519b77fefd74f9b4a5c57c649eb47631c33cd3a8200e",
+}
+
+
+@pytest.mark.parametrize("args", list(CLASSIFY_PINS), ids=lambda a: a[0])
+def test_classify_output_bytes_are_pinned(samples_dir, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(samples_dir)
+    out = tmp_path / "c.txt"
+    assert run_cli("classify", *args, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLASSIFY_PINS[args]
 
 
 THIRD = "0.333333333333333333"
@@ -920,8 +973,8 @@ def test_bound_ninth_is_a_bound_state(samples_dir, tmp_path, monkeypatch):
 def test_bound_p5_is_a_bound_state(samples_dir, tmp_path, monkeypatch):
     """sample_inputs/bound_p5.w: nonnegative Wigner values, two of them 0,
     outside the p = 5 stabilizer polytope by the witness LP's margin 67/700
-    (the LP's witness is one of several optimal vertices, so its bytes are
-    not pinned)."""
+    (the LP's witness is one of several optimal vertices, so this test reads
+    the margin alone; CLASSIFY_PINS pins the bytes, witness included)."""
     monkeypatch.chdir(samples_dir)
     w = load_wigner_file(samples_dir / "bound_p5.w", 5)
     assert sum(w) == 1 and w.count(0) == 2

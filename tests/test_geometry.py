@@ -24,7 +24,7 @@ from dwigner.geometry import (
     slice_scan,
 )
 from dwigner.fields import all_points, point_index
-from dwigner.stabilizer import mub_stabilizer_states
+from dwigner.stabilizer import line_incidence, mub_stabilizer_states
 from dwigner.wigner import state_from_wigner, wigner_of_state
 
 from conftest import cofactor_facets
@@ -105,6 +105,44 @@ def test_facet_p5_spot_check(mub5):
     assert r.is_facet
     assert r.saturating_span_dim == 24
     assert r.all_vertices_nonnegative
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_facets_match_the_rank_of_the_float_wigner_rows(p):
+    # the float reference: the saturating states are the Wigner rows that
+    # vanish at u, and their span is the numerical rank of those rows
+    S = mub_stabilizer_states(p)
+    for u in all_points(p, 1):
+        r = facet_check(u, S)
+        column = S.wigner_matrix[:, point_index(u, p)]
+        saturating = S.wigner_matrix[np.abs(column) < 1e-9]
+        assert r.saturating_count == len(saturating) == p * p - 1
+        assert r.saturating_span_dim == np.linalg.matrix_rank(saturating)
+        assert r.min_vertex_value == 0 and r.is_facet
+
+
+@pytest.mark.parametrize("u", [(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1, 0, 2)])
+def test_facet_check_refuses_a_point_of_the_wrong_length(mub3, u):
+    # a one-qudit set has points (a1, a2); a longer point once read a column
+    # of the wrong point, or past the last one
+    with pytest.raises(ValueError, match=f"length {len(u)}"):
+        facet_check(u, mub3)
+
+
+@pytest.mark.parametrize("p", [3, 7, 31])
+def test_span_certificate_fails_when_one_incidence_moves(p, monkeypatch):
+    # moving one 1 along one row leaves a 0/1 matrix of the same shape and
+    # row sums that is no longer the lines of Z_p^2, and the check sees it
+    certify = geometry._certified_span.__wrapped__  # the uncached check
+    N = line_incidence(p)
+    assert certify(p) == p * p - 1
+    for row in (0, p, len(N) - 1):
+        moved = N.copy()
+        on, off = np.flatnonzero(moved[row])[0], np.flatnonzero(moved[row] == 0)[0]
+        moved[row, [on, off]] = 0, 1
+        monkeypatch.setattr(geometry, "line_incidence", lambda q: moved)
+        with pytest.raises(RuntimeError, match="span certificate"):
+            certify(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -501,8 +539,8 @@ def _line_zero_vertices(lines) -> set:
     return found
 
 
-def test_witness_vertex_table_is_complete(mub3):
-    lines = np.array([[int(3 * x) for x in v] for v in exact_vertex_matrix(mub3)])
+def test_witness_vertex_table_is_complete():
+    lines = line_incidence(3)
     Y, s, _ = geometry._witness_vertices()
     assert Y.shape == (1520, 9) and s.shape == (1520,)
     assert len({tuple(r) for r in Y.tolist()}) == 1520

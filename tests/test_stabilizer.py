@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dwigner.stabilizer import mub_stabilizer_states
+from dwigner.stabilizer import line_incidence, mub_stabilizer_states
 from dwigner.weyl import clifford_generator
 from dwigner.wigner import wigner_of_state
 
@@ -125,3 +125,23 @@ def test_mub_set_is_cached_and_read_only(mub3):
     with pytest.raises(dataclasses.FrozenInstanceError):
         mub3.states = ()
     assert isinstance(mub3.states, tuple) and isinstance(mub3.labels, tuple)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_line_incidence_is_p_times_the_wigner_rows(p):
+    # each stabilizer state's Wigner function is 1/p on one line of Z_p^2
+    S = mub_stabilizer_states(p)
+    N = line_incidence(p)
+    assert N.dtype == np.int64 and N.shape == (p * (p + 1), p * p)
+    assert np.array_equal(N, np.rint(p * S.wigner_matrix))
+    assert np.abs(S.wigner_matrix - N / p).max() <= 1e-15
+
+
+def test_line_incidence_is_cached_and_read_only():
+    N = line_incidence(3)
+    assert line_incidence(3) is N
+    with pytest.raises(ValueError):
+        N[0, 0] = 0
+    # Z:0 is the line a2 = 0 and XZ^1:0 the line a1 = a2, point index 3 a1 + a2
+    assert np.flatnonzero(N[0]).tolist() == [0, 3, 6]
+    assert np.flatnonzero(N[6]).tolist() == [0, 4, 8]
