@@ -10,12 +10,13 @@ distillation positivity check.
 __version__ = "0.1.0"
 
 FORMAT_VERSION = 1
+PRINT_ZERO_BELOW = 1e-13  # a printed number smaller in magnitude is representation noise
 
 
 def fmt_number(x) -> str:
     """A number as printed in every output: 12 significant digits, with
-    representation noise below 1e-13 shown as 0."""
+    representation noise below PRINT_ZERO_BELOW shown as 0."""
     x = float(x)
-    if abs(x) < 1e-13:
+    if abs(x) < PRINT_ZERO_BELOW:
         x = 0.0
     return f"{x:.12g}"

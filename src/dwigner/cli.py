@@ -12,7 +12,9 @@ byte-identical files at any --jobs setting.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from .circuits import (
     preset_state,
 )
 from .fields import index_point
-from .geometry import NEG_TOL, SolverFailure, classify_state, facet_check, slice_csv, slice_scan
+from .geometry import NEG_TOL, SolverFailure, classify_state, facet_reports, slice_blocks, slice_csv_blocks
 from .simulate import (
     OracleGuardError,
     ZeroProbabilityBranch,
@@ -46,11 +48,22 @@ from .wigner import wigner_of_state
 __all__ = ["main"]
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out_path) -> None:
+    """Write chunks as they come: to stdout, a pipe or device, or via a temporary file replacing `out_path`."""
+    out = Path(out_path).resolve() if out_path else None
+    if out is None or out.exists() and not out.is_file():
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+            f.writelines(chunks)
+        return
+    tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            f.writelines(chunks)
+        if out.exists():
+            os.chmod(tmp, out.stat().st_mode)
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load_state(spec: str, p: int):
@@ -85,7 +98,7 @@ def cmd_wigner(args) -> int:
     lines.append(f"# min_W = {fmt_number(W.values[worst])} at index {worst}")
     lines.append(f"# F = {fmt_number(p**n * W.values.min())}")
     lines.append(f"# flag = {flag}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -133,16 +146,14 @@ def cmd_sample(args) -> int:
         lines.append(f"# chi2_stat = {fmt_number(cmp_res.chi2_stat)}")
         lines.append(f"# chi2_p = {fmt_number(cmp_res.chi2_p)}")
         lines.append(f"# verdict = {cmp_res.verdict}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     if cmp_res and cmp_res.verdict != "PASS":
         return 1
     return 0
 
 
 def cmd_facets(args) -> int:
-    p = args.p
-    S = mub_stabilizer_states(p)
-    reports = [facet_check(divmod(i, p), S) for i in range(p * p)]
+    reports = facet_reports(require_capped_p(args.p))
     lines = [f"# format-version {FORMAT_VERSION}"]
     lines.append(
         "a1,a2,all_vertices_nonnegative,saturating_count,saturating_span_dim,"
@@ -153,7 +164,7 @@ def cmd_facets(args) -> int:
             f"{r.point[0]},{r.point[1]},{r.all_vertices_nonnegative},{r.saturating_count},"
             f"{r.saturating_span_dim},{r.is_facet},{fmt_number(r.min_vertex_value)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if all(r.is_facet for r in reports) else 1
 
 
@@ -181,14 +192,13 @@ def cmd_classify(args) -> int:
         else:
             lines.append(f"lp_violation = {fmt_number(cert.violation)}")
             lines.append("witness_y = " + " ".join(fmt_number(y) for y in cert.witness_y))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
 def cmd_slice(args) -> int:
     spec = parse_slice_file(args.spec)
-    rows = slice_scan(spec)
-    _emit(slice_csv(rows, spec), args.out)
+    _emit(slice_csv_blocks(spec, slice_blocks(spec)), args.out)
     return 0
 
 
@@ -214,7 +224,7 @@ def cmd_distill_check(args) -> int:
                 f"{fmt_number(res.branch_probability)},{res.verdict}"
             )
         lines.append(f"# verdict = {'PASS' if all_pass else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
         return 0 if all_pass else 1
     if args.instance is None:
         print("error: need an instance file or --random-suite", file=sys.stderr)
@@ -226,7 +236,7 @@ def cmd_distill_check(args) -> int:
     lines.append(f"F_out = {fmt_number(res.F_out)}")
     lines.append(f"branch_probability = {fmt_number(res.branch_probability)}")
     lines.append(f"verdict = {res.verdict if res.verdict else 'RECORDED'}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     if res.verdict == "FAIL":
         return 1
     return 0

@@ -10,10 +10,10 @@ with no LP (`_hull_distances`, the one exact qutrit hull test).  Every other
 input runs one floating-point witness LP, whose optimum is that L1 distance:
 a gap within HULL_TOL is inside, certified by the LP's dual weights on the
 vertices.  That LP is the only code that loads scipy.  A slice scan decides
-its whole grid with array operations on integer numerators over one common
-denominator, plus one stacked eigenvalue call, and runs no LP: the rows that
-pass the sign and eigenvalue tests get their distance from the vertex table,
-which is both the hull verdict and the margin.
+its grid in blocks of array operations on integer numerators over one common
+denominator, with no LP, and each block is written as it is decided: the rows
+that pass the sign and eigenvalue tests get their distance from the vertex
+table, which is both the hull verdict and the margin.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import FORMAT_VERSION, fmt_number
+from . import FORMAT_VERSION, PRINT_ZERO_BELOW, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, line_incidence, mub_stabilizer_states
 from .weyl import weyl_table
@@ -40,10 +40,12 @@ __all__ = [
     "SliceRow",
     "SolverFailure",
     "facet_check",
+    "facet_reports",
     "hull_membership",
     "classify_state",
+    "slice_blocks",
     "slice_scan",
-    "slice_csv",
+    "slice_csv_blocks",
     "exact_vertex_matrix",
 ]
 
@@ -56,6 +58,8 @@ NEG_TOL = 1e-12
 EXACT_INT_BOUND = 2**50
 MAX_SLICE_POINTS = 10**6  # the largest pinned grid has 6561 points
 SLICE_BLOCK = 4096  # grid points decided per array block
+SLICE_LABELS = np.array(["INVALID", "NONPHYSICAL", "NEGATIVE", "STABILIZER_MIX", "BOUND"], dtype=object)
+HULL_CODE = 3  # the codes of the hull rows, STABILIZER_MIX and BOUND, are HULL_CODE and up
 WITNESS_ROWS = 512  # cut rows per witness-vertex product: 6 MB of int64, not 50 MB per block
 
 # The witness LP of a qutrit point t, max y . t - s over the polyhedron
@@ -145,6 +149,18 @@ def _certified_span(p: int) -> int:
     return p * p - 1
 
 
+@functools.lru_cache(maxsize=None)
+def facet_reports(p: int) -> tuple:
+    """`facet_check` at every point of Z_p^2, in point-index order, from one
+    pass over the columns of `line_incidence(p)`; built once per p."""
+    N, span = line_incidence(p), _certified_span(p)
+    lows, zeros = N.min(axis=0).tolist(), np.count_nonzero(N == 0, axis=0).tolist()
+    return tuple(
+        FacetReport(divmod(i, p), low >= 0, zero, span, low >= 0 and span == p * p - 1, float(low))
+        for i, (low, zero) in enumerate(zip(lows, zeros))
+    )
+
+
 def facet_check(u, S: StabilizerSet) -> FacetReport:
     """Is the inequality Tr(A_u rho) >= 0 a facet of conv(S)?
 
@@ -158,17 +174,7 @@ def facet_check(u, S: StabilizerSet) -> FacetReport:
     uu = as_point(u, p)
     if uu.size != 2:
         raise ValueError(f"facet_check takes a one-qudit point (a1, a2), got length {uu.size}")
-    tr_values = line_incidence(p)[:, point_index(uu, p)]
-    nonneg = bool(tr_values.min() >= 0)
-    span = _certified_span(p)
-    return FacetReport(
-        point=tuple(int(x) for x in uu),
-        all_vertices_nonnegative=nonneg,
-        saturating_count=int(np.count_nonzero(tr_values == 0)),
-        saturating_span_dim=span,
-        is_facet=nonneg and span == p * p - 1,
-        min_vertex_value=float(tr_values.min()),
-    )
+    return facet_reports(p)[point_index(uu, p)]
 
 
 def exact_vertex_matrix(S: StabilizerSet) -> list:
@@ -373,6 +379,20 @@ class SliceRow:
     lp_margin: Optional[float]
 
 
+@dataclass(frozen=True)
+class SliceBlock:
+    """Up to SLICE_BLOCK grid points of a slice as columns of integer numerators over `den`."""
+
+    den: int
+    axes: list  # per swept axis, the numerators of its grid values (shared by all blocks)
+    index: tuple  # per swept axis, each point's index into `axes`
+    derived: Optional[np.ndarray]  # numerators of the derived coordinate, when there is one
+    code: np.ndarray  # index into SLICE_LABELS
+    min_eig: np.ndarray
+    min_num: np.ndarray  # numerator of min_wigner
+    distance: np.ndarray  # 45 den times the hull distance; 0 off the hull
+
+
 def _axis_count(axes) -> int:
     """Number of grid values on one axis: lo, lo + step, ... up to hi, plus hi if off the grid."""
     lo, hi, step = (Fraction(x) for x in axes)
@@ -382,8 +402,8 @@ def _axis_count(axes) -> int:
     return count + 1 + (lo + count * step != hi)
 
 
-def slice_scan(spec: SliceSpec) -> list:
-    """Classify every grid point of the slice; deterministic row order.
+def slice_blocks(spec: SliceSpec) -> Iterator[SliceBlock]:
+    """Classify every grid point of the slice, block by block in row order.
 
     The grid is decided in blocks of array operations on integer numerators
     over one common denominator D: a row summing to anything but D is INVALID
@@ -392,11 +412,9 @@ def slice_scan(spec: SliceSpec) -> list:
     Labels then follow `classify_state`.  Each row that passes those tests
     gets its exact L1 distance to the hull from the witness-vertex table
     (`_hull_distances`): BOUND when it is positive, STABILIZER_MIX when it
-    is 0.  That distance, rounded once to a float, is the margin: the dual
-    witness gap for BOUND, and 0.0, the feasibility residual of an exact
-    verdict, for STABILIZER_MIX.  No LP runs and scipy is not loaded.  A
-    grid above MAX_SLICE_POINTS points raises ValueError before any
-    allocation.
+    is 0.  No LP runs and scipy is not loaded.  A grid above
+    MAX_SLICE_POINTS points raises ValueError before any allocation; each
+    block is decided as it is drawn.
     """
     swept = spec.swept
     shape = tuple(_axis_count(axes) for _, axes in swept)
@@ -408,55 +426,53 @@ def slice_scan(spec: SliceSpec) -> list:
     axes = [tuple(Fraction(x) for x in a) for _, a in swept]
     D = math.lcm(*(x.denominator for x in fixed.values()), *(x.denominator for a in axes for x in a))
     fixed_num = {i: int(v * D) for i, v in fixed.items()}
-    axis_fracs, axis_num = [], []
-    for (lo, hi, step), count in zip(axes, shape):
-        values = [lo + k * step for k in range(count - 1)] + [hi]
-        axis_fracs.append(values)
-        axis_num.append([int(v * D) for v in values])
-    bound = D + sum(map(abs, fixed_num.values())) + sum(max(map(abs, a)) for a in axis_num)
+    grid = [list(range(int(lo * D), int(hi * D), int(step * D))) + [int(hi * D)] for lo, hi, step in axes]
+    bound = D + sum(map(abs, fixed_num.values())) + sum(max(map(abs, a)) for a in grid)
     fixed_cols = list(fixed)
     fixed_row = _int_array(list(fixed_num.values()), bound)
-    axis_num = [_int_array(a, bound) for a in axis_num]
+    axis_num = [_int_array(a, bound) for a in grid]
     swept_cols = [point_index(pt, 3) for pt, _ in swept]
     derived_col = None if spec.derived_point is None else point_index(spec.derived_point, 3)
     single_A = weyl_table(3, 1).single_A.reshape(9, 9)
 
-    rows = []
-    for start in range(0, total, SLICE_BLOCK):
-        digits = np.unravel_index(np.arange(start, min(start + SLICE_BLOCK, total)), shape)
-        num = np.zeros((digits[0].size, 9), dtype=fixed_row.dtype)
-        num[:, fixed_cols] = fixed_row
-        for col, values, k in zip(swept_cols, axis_num, digits):
-            num[:, col] = values[k]
-        if derived_col is not None:
-            num[:, derived_col] = D - num.sum(axis=1)
-        valid = num.sum(axis=1) == D
-        min_num = num.min(axis=1)
-        min_wigner = (min_num / D).astype(float).tolist()
-        w = (num / D).astype(float)
-        # the row-vector matmul reproduces `state_from_wigner` bit for bit
-        rho = np.matmul(w[:, None, :], single_A).reshape(-1, 3, 3)
-        min_eig = np.linalg.eigvalsh(rho).min(axis=1)
-        hull = valid & (min_eig >= -PSD_TOL) & (min_num >= 0)
-        distances = iter(_hull_distances(num[hull], D)[0])
-        valid, min_eig, min_num = valid.tolist(), min_eig.tolist(), min_num.tolist()
-        if derived_col is not None:
-            derived = [Fraction(x, D) for x in num[:, derived_col].tolist()]
-        for i, k in enumerate(zip(*(d.tolist() for d in digits))):
-            coords = tuple(axis_fracs[a][j] for a, j in enumerate(k))
+    def blocks():
+        for start in range(0, total, SLICE_BLOCK):
+            index = np.unravel_index(np.arange(start, min(start + SLICE_BLOCK, total)), shape)
+            num = np.zeros((index[0].size, 9), dtype=fixed_row.dtype)
+            num[:, fixed_cols] = fixed_row
+            for col, values, k in zip(swept_cols, axis_num, index):
+                num[:, col] = values[k]
             if derived_col is not None:
-                coords += (derived[i],)
-            margin = None
-            if not valid[i]:
-                label = "INVALID"
-            elif min_eig[i] < -PSD_TOL:
-                label = "NONPHYSICAL"
-            elif min_num[i] < 0:
-                label = "NEGATIVE"
-            else:
-                scaled = next(distances)
-                label, margin = ("BOUND" if scaled else "STABILIZER_MIX"), scaled / (45 * D)
-            rows.append(SliceRow(coords, label, min_eig[i], min_wigner[i], margin))
+                num[:, derived_col] = D - num.sum(axis=1)
+            min_num = num.min(axis=1)
+            w = (num / D).astype(float)
+            # the row-vector matmul reproduces `state_from_wigner` bit for bit
+            rho = np.matmul(w[:, None, :], single_A).reshape(-1, 3, 3)
+            min_eig = np.linalg.eigvalsh(rho).min(axis=1)
+            code = np.select([num.sum(axis=1) != D, min_eig < -PSD_TOL, min_num < 0], [0, 1, 2], HULL_CODE)
+            hull = code == HULL_CODE
+            distance = np.zeros(len(num), dtype=num.dtype)
+            distance[hull] = _hull_distances(num[hull], D)[0]
+            code += distance > 0
+            derived = None if derived_col is None else num[:, derived_col]
+            yield SliceBlock(D, grid, index, derived, code, min_eig, min_num, distance)
+
+    return blocks()
+
+
+def slice_scan(spec: SliceSpec) -> list:
+    """The grid of `slice_blocks` as one SliceRow per point.  A hull row's margin
+    is its exact L1 distance to the hull rounded once to a float: the dual
+    witness gap for BOUND, 0.0 (an exact verdict's residual) for STABILIZER_MIX."""
+    rows = []
+    for b in slice_blocks(spec):
+        cols = [[Fraction(a[i], b.den) for i in k.tolist()] for a, k in zip(b.axes, b.index)]
+        if b.derived is not None:
+            cols.append([Fraction(x, b.den) for x in b.derived.tolist()])
+        cols += [b.code.tolist(), b.min_eig.tolist(), b.min_num.tolist(), b.distance.tolist()]
+        for *coords, code, eig, low, dist in zip(*cols):
+            margin = dist / (45 * b.den) if code >= HULL_CODE else None
+            rows.append(SliceRow(tuple(coords), SLICE_LABELS[code], eig, low / b.den, margin))
     return rows
 
 
@@ -487,13 +503,26 @@ def _hull_distances(num: np.ndarray, den: int) -> tuple[list, list]:
     return best.tolist(), rows.tolist()
 
 
-def slice_csv(rows: list, spec: SliceSpec) -> str:
-    axes = len(spec.free)
-    header = ",".join([f"axis{i + 1}" for i in range(axes)] + ["label", "min_eig", "min_wigner", "lp_margin"])
-    lines = [f"# format-version {FORMAT_VERSION}", header]
-    for row in rows:
-        cells = [fmt_number(c) for c in row.coords]
-        cells += [row.label, fmt_number(row.min_eig), fmt_number(row.min_wigner)]
-        cells.append("" if row.lp_margin is None else fmt_number(row.lp_margin))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _distinct_text(num: np.ndarray, den: int) -> np.ndarray:
+    """fmt_number(x / den) of each integer numerator x, once per distinct x."""
+    text = {x: fmt_number(x / den) for x in set(num.tolist())}
+    return np.array([text[x] for x in num.tolist()], dtype=object)
+
+
+def slice_csv_blocks(spec: SliceSpec, blocks: Iterable[SliceBlock]) -> Iterator[str]:
+    """The CSV text of a slice scan, `fmt_number` on each cell: the header,
+    then one string per block.  Each axis value is formatted once per axis,
+    and the derived coordinate, min_wigner and lp_margin once per distinct
+    numerator in a block; only min_eig is formatted per point."""
+    names = [f"axis{i + 1}" for i in range(len(spec.free))] + ["label", "min_eig", "min_wigner", "lp_margin"]
+    yield f"# format-version {FORMAT_VERSION}\n" + ",".join(names) + "\n"
+    axes = []
+    for b in blocks:
+        axes = axes or [np.array([fmt_number(x / b.den) for x in a], dtype=object) for a in b.axes]
+        cols = [text[k] for text, k in zip(axes, b.index)]
+        if b.derived is not None:
+            cols.append(_distinct_text(b.derived, b.den))
+        eig = np.where(np.abs(b.min_eig) < PRINT_ZERO_BELOW, 0.0, b.min_eig).tolist()
+        margin = np.where(b.code >= HULL_CODE, _distinct_text(b.distance, 45 * b.den), "")
+        cols += [SLICE_LABELS[b.code], [f"{x:.12g}" for x in eig], _distinct_text(b.min_num, b.den), margin]
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"

@@ -1,11 +1,14 @@
 import functools
 import itertools
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from dwigner.fields import all_points
+from dwigner.geometry import SliceSpec
 from dwigner.stabilizer import line_incidence, mub_stabilizer_states
 from dwigner.weyl import clifford_generator
 
@@ -84,3 +87,17 @@ def cofactor_facets() -> tuple:
         if g.any() and values.min() >= 0 and not values[subset].any():
             facets.add(tuple(int(x) for x in g // np.gcd.reduce(g)))
     return tuple(sorted(facets))
+
+
+def beyond_int64_slice_spec() -> SliceSpec:
+    """A 3-coordinate slice whose denominators near 3^40 put the numerators
+    out of int64 range, so the scan takes its Python-int route."""
+    tiny = Fraction(1, 3**40)
+    ninth = Fraction(1, 9)
+    fixed = {tuple(u): ninth + (tiny if i % 2 else -tiny) for i, u in enumerate(all_points(3, 1)[3:])}
+    free = [
+        ((0, 0), (-ninth, Fraction(1, 3), Fraction(1, 18))),
+        ((0, 1), (Fraction(0), 2 * ninth + tiny, Fraction(1, 18))),
+        ((0, 2), None),
+    ]
+    return SliceSpec(p=3, fixed=fixed, free=free)

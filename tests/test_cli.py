@@ -1,18 +1,23 @@
 import hashlib
+import io
+import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dwigner import circuits
+from dwigner import circuits, geometry
 from dwigner.circuits import load_wigner_file
 from dwigner.cli import build_parser, main
 from dwigner.geometry import exact_vertex_matrix
 from dwigner.stabilizer import MAX_MUB_P
 from dwigner.wigner import state_from_wigner
+from conftest import beyond_int64_slice_spec
 from test_simulate import WIDE5
 
 
@@ -384,6 +389,20 @@ def test_facets_at_p_31(tmp_path):
     assert all(row.split(",", 2)[2] == "True,960,960,True,0" for row in rows)
 
 
+def test_facets_builds_no_float_stabilizer_set(tmp_path, monkeypatch):
+    # the report reads the line incidence alone; the float set of p(p + 1)
+    # dense states took about 4 s at p = 31
+    def refuse(p):
+        raise AssertionError(f"mub_stabilizer_states({p}) built")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("dwigner")]:
+        if hasattr(module, "mub_stabilizer_states"):
+            monkeypatch.setattr(module, "mub_stabilizer_states", refuse)
+    out = tmp_path / "f.csv"
+    assert run_cli("facets", "31", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 2 + 31 * 31
+
+
 def test_wigner_and_sample_refuse_p_above_cap(tmp_path, capsys):
     # a Weyl table takes 32 p^4 bytes, so p is capped where it enters
     assert run_cli("wigner", "mixed", "--p", "37") == 2
@@ -547,6 +566,127 @@ def test_slice_scan_and_reproducibility(samples_dir, tmp_path):
     assert lines[1] == "axis1,axis2,label,min_eig,min_wigner,lp_margin"
     labels = {l.split(",")[2] for l in lines[2:]}
     assert labels == {"INVALID", "NONPHYSICAL", "NEGATIVE", "STABILIZER_MIX"}
+
+
+def strided_slice_document(text: str, stride: int) -> str:
+    """The slice document with each swept axis's step times `stride` and its
+    hi moved down onto the coarser grid."""
+    lines = []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts[:1] == ["free"] and len(parts) == 5:
+            lo, hi, step = (Fraction(t) for t in parts[2:])
+            last = int((hi - lo) / step) // stride * stride
+            line = f"free {parts[1]} {lo} {lo + last * step} {stride * step}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def slice_document(spec) -> str:
+    lines = ["slice p=3"] + [f"fixed ({a1},{a2}) {v}" for (a1, a2), v in spec.fixed.items()]
+    for (a1, a2), axes in spec.free:
+        lines.append(f"free ({a1},{a2}) " + ("derived" if axes is None else " ".join(map(str, axes))))
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of `slice --out` bytes of the pinned slices at strides 1 to 3 and
+# of a slice whose numerators pass int64, from the per-row formatter that
+# printed each cell of each row with `fmt_number`
+SLICE_PINS = {
+    ("pinned_ninth_2d", 1): "3a20a5af2867b40bfb3771c29a154e8dd11af8877ce4fc9144f4d64946030c44",
+    ("pinned_ninth_2d", 2): "05f1e1c0e42a180fcc0952a583e043f41cb315959e0de7522839b7b720e360ac",
+    ("pinned_ninth_2d", 3): "2aa5e617e7276f37aca3a12c700c08db42c149a91fe754664a3b2bed10287cfb",
+    ("pinned_ninth_3d", 1): "ff70f82fbc3d4285369ce1e83df9d2ebad1858c31346669c13a653a4f5377e7b",
+    ("pinned_ninth_3d", 2): "6bf8194892c16470f2337d33dab73e90bf958f73827e02a0905506ce31abb52a",
+    ("pinned_ninth_3d", 3): "f9ff6f2374924ff7881392751d1efda045885f204a2f7d17f6ee503c4edaa876",
+    ("pinned_sixth_3d", 1): "a6b018337135af462363ed662231b7295dd9b36743a4434708a645c22766ad07",
+    ("pinned_sixth_3d", 2): "22137d84e245530e6bac323a24f150ab0c8b4066755000ad13d571f810fc7073",
+    ("pinned_sixth_3d", 3): "0179c68219ed05144f30351f07301e3f62f0de9c66ec00dc9c29968f097a9fc2",
+    ("beyond_int64", 1): "358be1fe44da6144873ea51c4dade7052852cc72e2ebfee5b35ca0f46e88aab4",
+}
+
+
+@pytest.mark.parametrize("name, stride", list(SLICE_PINS), ids=lambda v: str(v))
+def test_slice_output_bytes_are_pinned(samples_dir, tmp_path, name, stride):
+    if name == "beyond_int64":
+        text = slice_document(beyond_int64_slice_spec())
+    else:
+        text = strided_slice_document((samples_dir / f"{name}.slice").read_text(), stride)
+    (tmp_path / "grid.slice").write_text(text)
+    out = tmp_path / "grid.csv"
+    assert run_cli("slice", str(tmp_path / "grid.slice"), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SLICE_PINS[name, stride]
+
+
+def test_slice_writes_each_block_as_it_is_decided(samples_dir, monkeypatch):
+    # blocks of 512 split the 3721 points into 8 blocks; each block's hull
+    # rows are decided after the blocks before it are written
+    writes, written_at_decision = [], []
+    real = geometry._hull_distances
+
+    def spy(num, den):
+        written_at_decision.append(len(writes))
+        return real(num, den)
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(geometry, "SLICE_BLOCK", 512)
+    monkeypatch.setattr(geometry, "_hull_distances", spy)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert run_cli("slice", str(samples_dir / "pinned_ninth_3d.slice")) == 0
+    assert len(writes) == 9 and written_at_decision == list(range(1, 9))
+    digest = hashlib.sha256("".join(writes).encode()).hexdigest()
+    assert digest == SLICE_PINS["pinned_ninth_3d", 1]
+
+
+def test_slice_error_leaves_no_partial_file(samples_dir, tmp_path, monkeypatch, capsys):
+    real = geometry._hull_distances
+    calls = []
+
+    def fail_second(num, den):
+        calls.append(len(num))
+        if len(calls) == 2:
+            raise ValueError("no distance for the second block")
+        return real(num, den)
+
+    monkeypatch.setattr(geometry, "SLICE_BLOCK", 512)
+    monkeypatch.setattr(geometry, "_hull_distances", fail_second)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["slice", str(samples_dir / "pinned_ninth_3d.slice"), "--out", str(out_dir / "grid.csv")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "error: no distance for the second block\n"
+    assert list(out_dir.iterdir()) == []
+
+
+def test_out_through_a_symlink_replaces_its_target_and_keeps_its_mode(tmp_path):
+    target = tmp_path / "real.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run_cli("facets", "3", "--out", str(link)) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == FACETS_PINS[3]
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_out_to_a_pipe_writes_in_place(samples_dir, tmp_path):
+    # a pipe or device is not a file to replace: the rows stream into it
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli("slice", str(samples_dir / "pinned_ninth_3d.slice"), "--out", str(pipe)) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert hashlib.sha256(received[0]).hexdigest() == SLICE_PINS["pinned_ninth_3d", 1]
+    assert stat.S_ISFIFO(pipe.stat().st_mode) and list(tmp_path.iterdir()) == [pipe]
 
 
 def test_slice_rejects_a_huge_grid_before_allocating(samples_dir, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dwigner import geometry, wigner
+from dwigner import FORMAT_VERSION, fmt_number, geometry, wigner
 from dwigner.circuits import parse_slice_file
 from dwigner.geometry import (
     HULL_TOL,
@@ -20,14 +20,15 @@ from dwigner.geometry import (
     exact_vertex_matrix,
     facet_check,
     hull_membership,
-    slice_csv,
+    slice_blocks,
+    slice_csv_blocks,
     slice_scan,
 )
 from dwigner.fields import all_points, point_index
 from dwigner.stabilizer import line_incidence, mub_stabilizer_states
 from dwigner.wigner import state_from_wigner, wigner_of_state
 
-from conftest import cofactor_facets
+from conftest import beyond_int64_slice_spec, cofactor_facets
 
 
 def F(a, b=1):
@@ -88,6 +89,23 @@ def reference_slice_scan(spec, S):
             )
         )
     return rows
+
+
+def reference_slice_csv(rows, spec) -> str:
+    """`fmt_number` on every cell of every row: the slice writer's reference."""
+    axes = len(spec.free)
+    header = ",".join([f"axis{i + 1}" for i in range(axes)] + ["label", "min_eig", "min_wigner", "lp_margin"])
+    lines = [f"# format-version {FORMAT_VERSION}", header]
+    for row in rows:
+        cells = [fmt_number(c) for c in row.coords]
+        cells += [row.label, fmt_number(row.min_eig), fmt_number(row.min_wigner)]
+        cells.append("" if row.lp_margin is None else fmt_number(row.lp_margin))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def slice_text(spec) -> str:
+    return "".join(slice_csv_blocks(spec, slice_blocks(spec)))
 
 
 def test_facets_qutrit(mub3):
@@ -268,7 +286,7 @@ def test_slice_csv_format():
     ]
     spec = SliceSpec(p=3, fixed=fixed, free=free)
     rows = slice_scan(spec)
-    text = slice_csv(rows, spec)
+    text = slice_text(spec)
     lines = text.strip().split("\n")
     assert lines[0] == "# format-version 1"
     assert lines[1] == "axis1,axis2,axis3,label,min_eig,min_wigner,lp_margin"
@@ -449,6 +467,7 @@ def test_slice_scan_matches_per_point_reference(mub3, spec):
     rows = slice_scan(spec)
     assert_rows_match(rows, reference_slice_scan(spec, mub3))
     assert_hull_rows_match_facets(spec, rows)
+    assert slice_text(spec) == reference_slice_csv(rows, spec)
 
 
 @pytest.mark.parametrize("name", ["pinned_ninth_2d", "pinned_ninth_3d", "pinned_sixth_3d"])
@@ -460,18 +479,11 @@ def test_pinned_slice_hull_rows_match_the_facets(samples_dir, name):
 
 
 def test_slice_scan_exact_beyond_int64(mub3):
-    # denominators near 3^40 put the numerators out of int64 range
-    tiny = F(1, 3**40)
-    fixed = {tuple(u): F(1, 9) + (tiny if i % 2 else -tiny) for i, u in enumerate(all_points(3, 1)[3:])}
-    free = [
-        ((0, 0), (F(-1, 9), F(1, 3), F(1, 18))),
-        ((0, 1), (F(0), F(2, 9) + tiny, F(1, 18))),
-        ((0, 2), None),
-    ]
-    spec = SliceSpec(p=3, fixed=fixed, free=free)
+    spec = beyond_int64_slice_spec()
     rows = slice_scan(spec)
     assert_rows_match(rows, reference_slice_scan(spec, mub3))
     assert len({r.label for r in rows}) >= 3
+    assert slice_text(spec) == reference_slice_csv(rows, spec)
 
 
 def test_slice_scan_decides_the_grid_at_once(monkeypatch, samples_dir, mub3):
