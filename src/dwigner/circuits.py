@@ -42,9 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import DEFAULT_AXIS, NEG_TOL, SliceSpec
+from .geometry import DEFAULT_AXIS, SliceSpec
 from .stabilizer import require_capped_p
-from .wigner import Povm, state_from_wigner, wigner_of_effect, wigner_of_state
+from .wigner import NEG_TOL, Povm, state_from_wigner, wigner_of_effect, wigner_of_state
 
 __all__ = [
     "CircuitError",

@@ -30,7 +30,7 @@ from .circuits import (
     preset_state,
 )
 from .fields import index_point
-from .geometry import NEG_TOL, SolverFailure, classify_state, facet_reports, slice_blocks, slice_csv_blocks
+from .geometry import SolverFailure, classify_state, facet_reports, slice_blocks, slice_csv_blocks
 from .simulate import (
     OracleGuardError,
     ZeroProbabilityBranch,
@@ -42,8 +42,8 @@ from .simulate import (
     run_oracle,
     sample_classical,
 )
-from .stabilizer import mub_stabilizer_states, require_capped_p
-from .wigner import wigner_of_state
+from .stabilizer import require_capped_p
+from .wigner import NEG_TOL, wigner_of_state
 
 __all__ = ["main"]
 
@@ -67,16 +67,15 @@ def _emit(chunks, out_path) -> None:
 
 
 def _load_state(spec: str, p: int):
-    """Preset name or state file; bare paths are treated as matrix files.
+    """Preset name or state file; a bare path reads as `matrix-file:path`, at any `p^n`.
 
     Returns (rho, exact_w): exact_w holds a Wigner file's rationals, else None.
     """
     if spec.startswith("wigner-file:"):
         return load_wigner_state(Path.cwd() / spec.split(":", 1)[1], p)
-    if spec in ("zero", "mixed") or spec.startswith(("basis(", "matrix-file:")):
-        rho, _ = preset_state(spec, p, Path.cwd())
-        return rho, None
-    return load_matrix_file(spec), None
+    if spec in ("zero", "mixed") or spec.startswith("basis("):
+        return preset_state(spec, p, Path.cwd())[0], None
+    return load_matrix_file(spec.removeprefix("matrix-file:")), None
 
 
 def cmd_wigner(args) -> int:
@@ -179,8 +178,7 @@ def cmd_classify(args) -> int:
     # file of rounded decimals keeps the float route and its tolerances
     if exact_w is not None and sum(exact_w) != 1:
         exact_w = None
-    S = mub_stabilizer_states(p)
-    label, details = classify_state(rho=rho, p=p, S=S, exact_w=exact_w)
+    label, details = classify_state(rho=rho, p=p, exact_w=exact_w)
     lines = [f"# format-version {FORMAT_VERSION}"]
     lines.append(f"label = {label}")
     lines.append(f"min_eig = {fmt_number(details['min_eig'])}")

@@ -31,7 +31,7 @@ from . import FORMAT_VERSION, PRINT_ZERO_BELOW, fmt_number
 from .fields import all_points, as_point, point_index, require_odd_prime
 from .stabilizer import StabilizerSet, line_incidence, mub_stabilizer_states
 from .weyl import weyl_table
-from .wigner import phase_point_traces, state_from_wigner, validate_hermitian_unit_trace
+from .wigner import NEG_TOL, PSD_TOL, phase_point_traces, state_from_wigner, validate_hermitian_unit_trace
 
 __all__ = [
     "FacetReport",
@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 HULL_TOL = 1e-8
-PSD_TOL = 1e-9
-NEG_TOL = 1e-12
 # integers below this stay exact in int64 through a witness-vertex product
 # (|45 y|_inf <= 45) and in a float64 quotient; larger slice numerators fall
 # back to Python ints
@@ -295,20 +293,18 @@ def classify_state(
     certificate when one was computed.  With exact_w (Fractions) the sign
     test is exact, and for p = 3 and a vector summing to 1 so is the hull
     verdict, from the witness-vertex table with no LP; otherwise the witness
-    LP decides, with HULL_TOL on the L1 gap (`hull_membership`).
+    LP decides, with HULL_TOL on the L1 gap (`hull_membership`); the
+    stabilizer set, S or `mub_stabilizer_states(p)`, is read only there.
     An operator that fails `validate_hermitian_unit_trace` gets no label: ValueError.
     """
     require_odd_prime(p)
-    if S is None:
-        S = mub_stabilizer_states(p)
-    n = S.n
     if W is None:
         if rho is None:
             raise ValueError("need rho or W")
-        W = phase_point_traces(rho, p, n) / p**n
+        W = phase_point_traces(rho, p, 1) / p
     W = np.asarray(W, dtype=float).ravel()
     if rho is None:
-        rho = state_from_wigner(W, p, n)
+        rho = state_from_wigner(W, p, 1)
     validate_hermitian_unit_trace(rho, p)
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if exact_w is not None:
@@ -323,7 +319,7 @@ def classify_state(
         return "NONPHYSICAL", details
     if negative:
         return "NEGATIVE", details
-    cert = hull_membership(W, S, exact_w=exact_w)
+    cert = hull_membership(W, mub_stabilizer_states(p) if S is None else S, exact_w=exact_w)
     details["certificate"] = cert
     return ("STABILIZER_MIX" if cert.inside else "BOUND"), details
 

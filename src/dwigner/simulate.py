@@ -79,6 +79,7 @@ from . import fmt_number, weyl
 from .fields import CliffordElement, require_odd_prime
 from .stabilizer import mub_stabilizer_states
 from .wigner import (
+    PSD_TOL,
     state_from_wigner,
     validate_state,
     wigner_of_effect,
@@ -384,7 +385,8 @@ def sample_classical(
     """Algorithm-class-2 sampler; deterministic for a seed at any jobs count.
 
     Validates the program first: a failure raises CircuitError carrying the
-    validator's problems, and zero shots only validate.  Points are drawn
+    validator's problems, and zero shots only validate; any other shot
+    count needs a seed (ValueError without one).  Points are drawn
     from the Wigner values the validator computed, pushed through each
     generator call's table of image digits and measured against the
     validator's effect values.  Shots run in chunks of at most CHUNK_BYTES
@@ -395,6 +397,8 @@ def sample_classical(
     """
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
+    if shots and seed is None:
+        raise ValueError(f"sampling {shots} shots requires an explicit seed")
     report = validate_circuit(prog)
     if not report.ok:
         raise CircuitError("; ".join(report.problems), problems=tuple(report.problems))
@@ -644,6 +648,8 @@ def compare_distributions(ref: OutcomeDistribution, counts: dict, shots: int) ->
     of freedom: within a relative 1e-14 of an arbitrary-precision reference
     up to 250 degrees of freedom, and 1e-12 up to 6000.
     """
+    if shots <= 0:
+        raise ValueError(f"comparing needs a positive shot count, got {shots}")
     unknown = set(counts) - set(ref.probabilities)
     if unknown:
         raise ValueError(f"sampled outcomes outside the reference alphabet: {sorted(unknown)}")
@@ -749,7 +755,7 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         )
     W_P = _part_values(inst.projector, p, n - 1, "effect")
     P = np.asarray(inst.projector)  # a (n-1, p, p) stack for a product
-    if np.max(np.abs(P @ P - P)) > 1e-9:
+    if not np.max(np.abs(P @ P - P)) <= PSD_TOL:
         raise ValueError("projector fails P^2 = P")
     if W_P.min() < -1e-10:
         raise ValueError("projector is not positively represented")
@@ -767,7 +773,7 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         if not inst.positivity_asserted:
             raise ValueError("kraus channels need positivity_asserted=True")
         total = sum(K.conj().T @ K for K in payload)
-        if np.max(np.abs(total - np.eye(p**n))) > 1e-9:
+        if not np.max(np.abs(total - np.eye(p**n))) <= PSD_TOL:
             raise ValueError("kraus operators are not trace preserving")
         rho = inst.rho_in
         if isinstance(rho, tuple):

@@ -14,6 +14,11 @@ import numpy as np
 from .fields import require_odd_prime
 from .weyl import weyl_table
 
+STATE_HERM_TOL = 1e-12  # largest |rho - rho^dagger| entry of a state
+TRACE_TOL = 1e-10  # |Tr rho - 1| of a state
+PSD_TOL = 1e-9  # effect Hermiticity, -min eigenvalue, POVM completeness, P^2 = P
+NEG_TOL = 1e-12  # a Wigner value below -NEG_TOL is negative
+
 __all__ = [
     "WignerFunction",
     "Povm",
@@ -54,16 +59,12 @@ class Povm:
         if len(self.labels) != len(self.effects) or not self.effects:
             raise ValueError("labels and effects must align and be nonempty")
         dim = self.effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
         for label, E in zip(self.labels, self.effects):
             if E.shape != (dim, dim):
                 raise ValueError(f"effect {label} has shape {E.shape}")
-            if np.max(np.abs(E - E.conj().T)) > 1e-9:
-                raise ValueError(f"effect {label} is not Hermitian")
-            if np.linalg.eigvalsh(E).min() < -1e-9:
-                raise ValueError(f"effect {label} is not PSD")
-            total += E
-        if np.max(np.abs(total - np.eye(dim))) > 1e-9:
+        M = np.stack(self.effects)
+        _check_stack(M, "effect", self.labels, state=False)
+        if not np.max(np.abs(M.sum(axis=0) - np.eye(dim))) <= PSD_TOL:
             raise ValueError("effects do not sum to the identity")
 
 
@@ -75,22 +76,37 @@ def _dims(M: np.ndarray, p: int) -> int:
     return n
 
 
+def _check_stack(M: np.ndarray, what: str, labels=None, state=True, psd=True) -> None:
+    """Refuse the first matrix of the (k, d, d) stack M, naming `what` and
+    labels[k], that is not Hermitian (to STATE_HERM_TOL for a state, else
+    PSD_TOL), a state without trace 1 or, with psd, has an eigenvalue below
+    -PSD_TOL.  Each test reads "inside its tolerance", so NaN or inf fails."""
+    value = np.abs(M - M.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    ok, why = value <= (STATE_HERM_TOL if state else PSD_TOL), "is not Hermitian"
+    if state and ok.all():
+        value = np.trace(M, axis1=1, axis2=2).real
+        ok, why = np.abs(value - 1.0) <= TRACE_TOL, "has trace {}, not 1"
+    if psd and ok.all():
+        value = np.linalg.eigvalsh(M).min(axis=1)
+        ok, why = value >= -PSD_TOL, "has negative eigenvalue {}"
+    if not ok.all():
+        k = int(np.argmin(ok))
+        name = what if labels is None else f"{what} {labels[k]}"
+        raise ValueError(f"{name} {why.format(value[k])}")
+
+
 def validate_hermitian_unit_trace(rho: np.ndarray, p: int) -> None:
-    """A p^n x p^n operator, Hermitian to 1e-12, with trace 1 to 1e-10."""
+    """A p^n x p^n operator, Hermitian to STATE_HERM_TOL, with trace 1 to TRACE_TOL."""
     require_odd_prime(p)
     _dims(rho, p)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError(f"state trace {np.trace(rho).real} != 1")
+    _check_stack(rho[None], "state", psd=False)
 
 
 def validate_state(rho: np.ndarray, p: int) -> None:
-    """`validate_hermitian_unit_trace`, then min eigenvalue >= -1e-9."""
-    validate_hermitian_unit_trace(rho, p)
-    low = np.linalg.eigvalsh(rho).min()
-    if low < -1e-9:
-        raise ValueError(f"state has negative eigenvalue {low}")
+    """`validate_hermitian_unit_trace`, then min eigenvalue >= -PSD_TOL."""
+    require_odd_prime(p)
+    _dims(rho, p)
+    _check_stack(rho[None], "state")
 
 
 def phase_point_traces(M: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -114,17 +130,8 @@ def wigner_of_effect(E: np.ndarray, p: int) -> WignerFunction:
     """W_E(u) = Tr(A_u E); all-ones for E = I."""
     require_odd_prime(p)
     n = _dims(E, p)
-    if np.max(np.abs(E - E.conj().T)) > 1e-9:
-        raise ValueError("effect is not Hermitian")
+    _check_stack(E[None], "effect", state=False, psd=False)
     return WignerFunction(phase_point_traces(E, p, n), p, n)
-
-
-def _first_bad(bad: np.ndarray, message: str, values=None) -> None:
-    """Raise ValueError naming the first flagged factor (1-based) and its value."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        k = int(hits[0])
-        raise ValueError(message.format(k + 1, None if values is None else values[k]))
 
 
 def wigner_of_factors(factors, p: int, kind: str = "state") -> np.ndarray:
@@ -141,19 +148,12 @@ def wigner_of_factors(factors, p: int, kind: str = "state") -> np.ndarray:
     M = np.stack(factors)
     if M.shape[1:] != (p, p):
         raise ValueError(f"factors must be {p} x {p} matrices, got shape {M.shape[1:]}")
-    skew = np.abs(M - M.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if kind == "state":
-        trace = np.trace(M, axis1=1, axis2=2).real
-        _first_bad(skew > 1e-12, "state factor {} is not Hermitian")
-        _first_bad(np.abs(trace - 1.0) > 1e-10, "state factor {} has trace {}, not 1", trace)
-        low = np.linalg.eigvalsh(M).min(axis=1)
-        _first_bad(low < -1e-9, "state factor {} has negative eigenvalue {}", low)
-    elif kind == "effect":
-        _first_bad(skew > 1e-9, "effect factor {} is not Hermitian")
-    else:
+    if kind not in ("state", "effect"):
         raise ValueError(f"kind must be state or effect, got {kind!r}")
+    state = kind == "state"
+    _check_stack(M, f"{kind} factor", range(1, len(M) + 1), state=state, psd=state)
     values = np.tensordot(M, weyl_table(p, 1).single_A, axes=([1, 2], [2, 1])).real
-    return values / p if kind == "state" else values
+    return values / p if state else values
 
 
 def state_from_wigner(W, p: int, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dwigner import circuits, geometry
+from dwigner import circuits, geometry, stabilizer
 from dwigner.circuits import load_wigner_file
 from dwigner.cli import build_parser, main
 from dwigner.geometry import exact_vertex_matrix
@@ -1280,6 +1280,40 @@ def test_wigner_transforms_the_state_once(tmp_path, monkeypatch):
     calls = spy_everywhere(monkeypatch, "phase_point_traces", wigner.phase_point_traces)
     assert run_cli("wigner", "mixed", "--out", str(tmp_path / "w.csv")) == 0
     assert len(calls) == 1
+
+
+def _matrix_text(rho) -> str:
+    return f"dim {len(rho)}\n" + "".join(
+        " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n" for row in rho
+    )
+
+
+def test_matrix_file_prefix_and_bare_path_read_alike(tmp_path, monkeypatch, capsys):
+    # a 2-qutrit state: `wigner` tables it under either spelling, and
+    # `classify` refuses it under either with its own single-qudit message
+    zero = np.diag([1.0, 0, 0])
+    (tmp_path / "two.mat").write_text(_matrix_text(np.kron(zero, np.eye(3) / 3)))
+    monkeypatch.chdir(tmp_path)
+    for out, spec in (("a.csv", "matrix-file:two.mat"), ("b.csv", "two.mat")):
+        assert run_cli("wigner", spec, "--out", out) == 0
+        assert run_cli("classify", spec) == 2
+        assert capsys.readouterr().err == "error: classify handles single qudits; got dimension 9\n"
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert len((tmp_path / "a.csv").read_text().splitlines()) == 2 + 81 + 3
+
+
+def test_classify_builds_the_stabilizer_set_only_for_a_hull_test(tmp_path, monkeypatch, capsys):
+    # (|1> - |4>) / sqrt 2 is odd under parity, so W(0, 0) < 0 at p = 5
+    v = np.zeros(5)
+    v[1], v[4] = 2**-0.5, -(2**-0.5)
+    (tmp_path / "neg5.mat").write_text(_matrix_text(np.outer(v, v)))
+    calls = spy_everywhere(monkeypatch, "mub_stabilizer_states", stabilizer.mub_stabilizer_states)
+    assert run_cli("classify", str(tmp_path / "neg5.mat"), "--p", "5") == 0
+    assert "label = NEGATIVE" in capsys.readouterr().out
+    assert calls == []
+    assert run_cli("classify", "mixed", "--p", "5") == 0
+    assert "label = STABILIZER_MIX" in capsys.readouterr().out
+    assert calls == [(5,)]
 
 
 def test_wigner_rejects_a_dimension_that_is_not_a_power_of_p(tmp_path, capsys):

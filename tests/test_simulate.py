@@ -327,6 +327,14 @@ def test_sampler_zero_state_deterministic():
     assert rpt.counts == {"0": 10000}
 
 
+def test_sampler_needs_a_seed_to_draw():
+    # Philox seeded from OS entropy would make the counts differ run to run
+    prog = parse_circuit("qudits p=3 n=1\ninput 1 mixed\nmeasure 1 computational\n")
+    with pytest.raises(ValueError, match="30 shots requires an explicit seed"):
+        sample_classical(prog, None, 30)
+    assert sample_classical(prog, None, 0).counts == {}  # validation only
+
+
 def test_sampler_rejects_invalid_circuit(samples_dir):
     from dwigner.circuits import CircuitError, parse_circuit_file
 
@@ -368,6 +376,12 @@ def test_compare_rejects_unknown_outcomes():
     ref = OutcomeDistribution({"0": 1.0})
     with pytest.raises(ValueError):
         compare_distributions(ref, {"1": 10}, 10)
+
+
+def test_compare_refuses_zero_shots():
+    ref = OutcomeDistribution({"0": 1.0})
+    with pytest.raises(ValueError, match="positive shot count, got 0"):
+        compare_distributions(ref, {}, 0)
 
 
 def test_compare_pools_small_cells():
@@ -487,6 +501,17 @@ def test_distill_zero_probability_branch():
         projector=np.diag([1.0, 0, 0]).astype(complex),
     )
     with pytest.raises(ZeroProbabilityBranch):
+        distill_step(inst)
+
+
+@pytest.mark.parametrize("part", ["rho_in", "projector"])
+def test_distill_refuses_a_nan_factor(part):
+    inst = random_distill_instance(3, 3, np.random.default_rng(4))
+    factors = list(getattr(inst, part))
+    factors[1] = factors[1].astype(complex)
+    factors[1][0, 0] = np.nan
+    setattr(inst, part, tuple(factors))
+    with pytest.raises(ValueError, match="factor 2 is not Hermitian"):
         distill_step(inst)
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwigner.fields import all_points, point_index
+from dwigner.geometry import classify_state
 from dwigner.weyl import phase_point_operator, weyl_table
 from dwigner.wigner import (
     Povm,
@@ -156,3 +159,67 @@ def test_sum_of_phase_points_is_d_identity():
     tab = weyl_table(3, 1)
     total = tab.A_stack.sum(axis=0)
     assert np.allclose(total, 3 * np.eye(3), atol=1e-10)
+
+
+def _perturbed(rng, p: int, fault: str) -> np.ndarray:
+    """A random p x p density matrix broken in one way."""
+    rho = random_density(rng, p)
+    i, j = rng.integers(p, size=2)
+    if fault == "skew":
+        rho[i, (i + 1) % p] += 1e-6j
+    elif fault == "trace":
+        rho *= 1 + rng.uniform(0.01, 2.0)
+    elif fault == "negative":
+        Q, _ = np.linalg.qr(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))
+        rho = Q @ np.diag([1.5, -0.5] + [0.0] * (p - 2)) @ Q.conj().T
+    else:
+        rho[i, j] = {"nan": np.nan, "inf": np.inf}[fault]
+    return rho
+
+
+# inf - inf in the Hermiticity test warns before the matrix is refused
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from([3, 5]),
+    k=st.integers(1, 4),
+    data=st.data(),
+    fault=st.sampled_from(["skew", "trace", "negative", "nan", "inf"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wigner_of_factors_names_the_first_failing_factor(p, k, data, fault, seed):
+    rng = np.random.default_rng(seed)
+    bad = data.draw(st.integers(0, k - 1))
+    factors = [random_density(rng, p) for _ in range(k)]
+    factors[bad] = _perturbed(rng, p, fault)
+    with pytest.raises(ValueError) as stacked:
+        wigner_of_factors(factors, p)
+    with pytest.raises(ValueError) as alone:
+        validate_state(factors[bad], p)
+    assert str(stacked.value).startswith(f"state factor {bad + 1} ")
+    assert str(stacked.value).replace(f"state factor {bad + 1} ", "state ", 1) == str(alone.value)
+    if fault in ("skew", "nan", "inf"):
+        assert str(alone.value) == "state is not Hermitian"
+
+
+NON_FINITE_CALLS = {
+    "validate_state": lambda rho, E: validate_state(rho, 3),
+    "wigner_of_state": lambda rho, E: wigner_of_state(rho, 3),
+    "wigner_of_effect": lambda rho, E: wigner_of_effect(E, 3),
+    "wigner_of_factors": lambda rho, E: wigner_of_factors([np.eye(3) / 3, rho], 3),
+    "wigner_of_factors effect": lambda rho, E: wigner_of_factors([E], 3, kind="effect"),
+    "Povm": lambda rho, E: Povm(("0", "1", "2"), (E, np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0]))),
+    "classify_state": lambda rho, E: classify_state(W=[rho[0, 1].real] * 9, p=3),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("call", list(NON_FINITE_CALLS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrices_are_refused(bad, call):
+    rho = np.eye(3, dtype=complex) / 3
+    rho[0, 1] = rho[1, 0] = bad
+    E = np.diag([1.0, 0, 0]).astype(complex)
+    E[0, 1] = E[1, 0] = bad
+    with pytest.raises(ValueError, match="is not Hermitian"):
+        NON_FINITE_CALLS[call](rho, E)
