@@ -15,12 +15,12 @@ channel computed on Wigner functions -- the channel's affine map permutes
 the input's values and the projector's effect values weight the ancilla
 points -- so a nonnegative input can never come out negative.  A product
 input or projector is held as its p x p factors, and its Wigner function is
-the outer product of theirs.  A word channel moves the values call by call
-through the sampler's per-call tables, folded into one gather per sum
-(_push_word), so no map of the whole word is composed.  A product instance
-with a word channel thus builds no p^n x p^n matrix: it is bounded by its
-p^(2n) Wigner values (PRODUCT_WIGNER_CAP), and only dense parts by p^n
-(ORACLE_DIM_CAP).
+the outer product of theirs.  A word channel moves a sparse grid of
+register digits call by call through the sampler's kernel (_apply_call) and
+scatters the values once to the folded image index (_word_image), so no map
+of the whole word is composed.  A product instance with a word channel thus
+builds no p^n x p^n matrix: it is bounded by its p^(2n) Wigner values
+(PRODUCT_WIGNER_CAP), and only dense parts by p^n (ORACLE_DIM_CAP).
 
 Per-shot randomness is positional: draw j of shot s is U[s, j] of the
 shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
@@ -44,7 +44,7 @@ generator call of a gate item (a displace line is one with a single call)
 acts on its own one or two registers only: it is one gather of their
 combined digit through the call's table of image digits (_call_digits),
 cached per (p, kind, params), so no map over all the live registers is
-built or held.  The distillation check reads the same tables.
+built or held (_apply_call).  The distillation check runs the same kernel.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ __all__ = [
 # and Kraus channels, which are p^n x p^n (or p^(n-1) x p^(n-1)) matrices
 ORACLE_DIM_CAP = 243
 # p^(2n) guard for every distillation check, whose Wigner arrays (input,
-# channel image, gather index) hold p^(2n) entries: 3^12, 4 MB of float64 each,
+# channel image, image index) hold p^(2n) entries: 3^12, 4 MB of float64 each,
 # so a product input with a word channel runs up to n = 6 qutrits
 PRODUCT_WIGNER_CAP = 3**12
 # Bytes of one chunk's shots x K float64 uniforms, read in place with no
@@ -425,9 +425,7 @@ class _Walk:
     through the guide of the register's cumulative Wigner table (`_guide`,
     built once per run, and `_guided`); a measurement reads its register's
     row, and a branch takes each row at the index array of its shots.  Each
-    generator call of a gate item is one gather: its registers' digits
-    combine into one index (ctrl * p^2 + tgt for sum) into the call's table
-    of image digits (`_call_digits`), one row per register.  Per shot, a
+    generator call of a gate item is one gather (`_apply_call`).  Per shot, a
     gate item whose one call is a displace counts 2 field adds, any other
     (2n)^2 field mults on n live registers (SampleReport's cost model).  A
     chunk's uniforms are held as Philox fills them, one row per shot, and
@@ -442,7 +440,6 @@ class _Walk:
 
     def __init__(self, prog, report):
         self.prog = prog
-        self.p2 = prog.p**2
         self.input_guides = [_guide(_cumulative(w)) for w in report.input_wigners]
         self.extend_guides = {
             i: _guide(_cumulative(w)) for i, w in report.extend_wigners.items()
@@ -477,15 +474,6 @@ class _Walk:
             _guided(guide, self.draws(rows, pos + j)) for j, guide in enumerate(guides)
         ]
 
-    def apply(self, call, pts):
-        """Replace the digit rows of `call`'s registers by their images."""
-        at = [r - 1 for r in call.regs]
-        combined = pts[at[0]]
-        for j in at[1:]:
-            combined = combined * self.p2 + pts[j]
-        for j, image in zip(at, _call_digits(self.prog.p, call.kind, call.params)):
-            pts[j] = image[combined]
-
     def run(self, i, rows, pts, n, pos, measured):
         """Run the shots `rows` (points `pts` on n registers, next draw at
         position `pos`) from item i; `measured` maps each measured register
@@ -497,7 +485,7 @@ class _Walk:
             shots = len(pts[0])
             if isinstance(instr, GateInstr):
                 for call in instr.word:
-                    self.apply(call, pts)
+                    _apply_call(self.prog.p, call, pts)
                 if instr.word[0].kind == "displace":  # a displace line's one call
                     self.adds += shots * 2
                 else:
@@ -600,6 +588,20 @@ def _call_digits(p: int, kind: str, params: tuple) -> tuple:
     for row in rows:
         row.flags.writeable = False
     return rows
+
+
+def _apply_call(p: int, call: GateCall, pts: list) -> None:
+    """Replace the digit rows of `call`'s registers in `pts`, one row of
+    digits q * p + x per register, by their images: the registers' digits
+    combine into one index (ctrl * p^2 + tgt for sum) into the call's table
+    of image digits (`_call_digits`).  Rows broadcast against each other, so
+    a row of a sparse grid stays as small as the axes it has mixed."""
+    at = [r - 1 for r in call.regs]
+    combined = pts[at[0]]
+    for j in at[1:]:
+        combined = combined * (p * p) + pts[j]
+    for j, image in zip(at, _call_digits(p, call.kind, call.params)):
+        pts[j] = image[combined]
 
 
 # --- statistics -------------------------------------------------------------
@@ -725,12 +727,12 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     product of its factors' Wigner (or effect) values as its Wigner
     function, so no p^n x p^n matrix is built; a dense matrix is transformed
     as a whole.  A Clifford channel is an affine map g = (F, a) of phase
-    space, so W_sigma[g(u)] = W_in[u] permutes the input's values.  A
-    ("gates", word) channel moves them call by call through each generator
-    call's cached table (_push_word), with no map of the whole word; a
-    ("unitary", U) channel is taken to its g by extract_symplectic, so a U
-    that is not Clifford raises NotCliffordError, and scatters them through
-    g's image index; a ("kraus", [K...]) channel, whose positivity the
+    space, so W_sigma[g(u)] = W_in[u] permutes the input's values: they are
+    scattered once through g's image index.  A ("gates", word) channel
+    builds that index call by call with the sampler's kernel (_word_image),
+    with no map of the whole word; a ("unitary", U) channel is taken to its
+    g by extract_symplectic, so a U that is not Clifford raises
+    NotCliffordError; a ("kraus", [K...]) channel, whose positivity the
     caller asserts, is applied to the dense input and transformed.  Then
     W_out(u1) = sum_v W_sigma(u1, v) W_P(v) / norm, where W_P is the
     projector's effect Wigner function and norm, the branch probability, is
@@ -762,13 +764,12 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     kind, payload = inst.channel[0], inst.channel[1]
     if kind == "gates":
         require_registers([r for call in payload for r in call.regs], n)
-        W_sigma = _push_word(W_in, payload, p, n)
+        image = _word_image(payload, p, n)
     elif kind == "unitary":
         g = weyl.extract_symplectic(payload, p)
         if g.n != n:
             raise ValueError(f"channel acts on {g.n} qudits, expected {n}")
-        W_sigma = np.empty_like(W_in)
-        W_sigma[_image_indices(g)] = W_in
+        image = _image_indices(g)
     elif kind == "kraus":
         if not inst.positivity_asserted:
             raise ValueError("kraus channels need positivity_asserted=True")
@@ -782,6 +783,9 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         W_sigma = wigner_of_state(rho_big, p).values
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
+    if kind != "kraus":  # a Clifford channel only moves the values
+        W_sigma = np.empty_like(W_in)
+        W_sigma[image] = W_in
     numer = W_sigma.reshape(p * p, -1) @ W_P
     norm = float(numer.sum())
     if norm < 1e-12:
@@ -820,69 +824,20 @@ def _part_values(part, p: int, count: int, kind: str) -> np.ndarray:
     return W.values
 
 
-def _push_word(W: np.ndarray, word, p: int, n: int) -> np.ndarray:
-    """Flat Wigner values W on n registers pushed through the generator
-    calls of `word`, in application order: out[g(u)] = W[u] for the word's
-    map g, with no map of the whole word built.
-
-    W is read as a (p^2,)*n tensor, register r on axis r-1 with the digit
-    q * p + x.  Consecutive one-register calls fold into one pending table
-    of image digits per register, composed from their `_call_digits` rows.
-    A sum absorbs its two registers' pending tables into its p^4 table, and
-    then every pending table is applied in one gather (_gather); one last
-    gather applies what is still pending.  Values are only moved, so the
-    result equals the scatter through the word's composed map bit for bit.
-    """
-    p2 = p * p
-    ident = np.arange(p2)
-    pending = {}  # axis -> image digit of each digit, since the last gather
+def _word_image(word, p: int, n: int) -> np.ndarray:
+    """Point index of g(u) for every point u, in point-index order, for the
+    map g of the generator calls `word` on n registers: each call moves the
+    rows of a sparse grid of register digits (`_apply_call`), so a row stays
+    broadcast until a sum mixes its axis and no map of the whole word is
+    composed, and the rows fold into one index at the end."""
+    pts = list(np.indices((p * p,) * n, sparse=True))
     for call in word:
-        rows = _call_digits(p, call.kind, call.params)
-        axes = [r - 1 for r in call.regs]
-        if len(axes) == 1:
-            before = pending.get(axes[0])
-            pending[axes[0]] = rows[0] if before is None else rows[0][before]
-        else:
-            c, t = axes
-            combined = pending.pop(c, ident)[:, None] * p2 + pending.pop(t, ident)
-            W = _gather(W, pending, (c, t, (rows[0] * p2 + rows[1])[combined]), p2, n)
-            pending = {}
-    return _gather(W, pending, None, p2, n) if pending else W
-
-
-def _gather(W: np.ndarray, tables: dict, pair, p2: int, n: int) -> np.ndarray:
-    """W moved by the one-register `tables` (axis -> image digits) and the
-    optional `pair` (ctrl axis, tgt axis, combined image digit ctrl * p^2 +
-    tgt at [ctrl digit, tgt digit]): out[v] = W[source(v)].
-
-    The flat source index is a broadcast sum of one term per axis, its
-    inverted table (the identity where none is pending) times the axis
-    stride, and of one (p^2, p^2) term for the pair's two axes.
-    """
-    stride = [p2 ** (n - 1 - k) for k in range(n)]
-    ident = np.arange(p2)
-
-    def on_axes(term, axes):
-        shape = [1] * n
-        for k in axes:
-            shape[k] = p2
-        return term.reshape(shape)
-
-    index, covered = np.zeros((1,) * n, dtype=np.intp), ()
-    if pair is not None:
-        c, t, image = pair
-        source = np.empty(p2 * p2, dtype=np.intp)
-        source[image.ravel()] = np.arange(p2 * p2)
-        term = (source // p2 * stride[c] + source % p2 * stride[t]).reshape(p2, p2)
-        index, covered = on_axes(term if c < t else term.T, sorted((c, t))), (c, t)
-    for k in reversed(range(n)):  # fastest axis first keeps each addition's inner loop long
-        if k not in covered:
-            source = ident
-            if k in tables:
-                source = np.empty_like(ident)
-                source[tables[k]] = ident
-            index = np.add(index, on_axes(source * stride[k], [k]), order="C")
-    return W.take(index.ravel())  # C order: ravel is a view
+        _apply_call(p, call, pts)
+    index = np.zeros((1,) * n, dtype=np.intp)
+    for row in pts:  # row k spans axis k, so the fold is full size; scaled in place
+        index *= p * p
+        index = index + row
+    return index.ravel()
 
 
 def _image_indices(g: CliffordElement) -> np.ndarray:
@@ -995,11 +950,14 @@ def parse_distill_file(path) -> DistillationInstance:
             raise CircuitError("distillation needs n >= 2 (output + ancilla)")
         _check_distill_size(p, n)
     rho_in = channel = projector = None
-    asserted = False
+    asserted, seen = False, set()
     for num, line in lines[1:]:
         with at_line(num):
             key, _, rest = line.partition(" ")
             rest = rest.strip()
+            if key in seen:
+                raise CircuitError(f"duplicate {key!r} line")
+            seen.add(key)
             if key == "input":
                 if rest.startswith("matrix-file:"):
                     _check_distill_size(p, n, dense=True)

@@ -81,7 +81,8 @@ def _check_stack(M: np.ndarray, what: str, labels=None, state=True, psd=True) ->
     labels[k], that is not Hermitian (to STATE_HERM_TOL for a state, else
     PSD_TOL), a state without trace 1 or, with psd, has an eigenvalue below
     -PSD_TOL.  Each test reads "inside its tolerance", so NaN or inf fails."""
-    value = np.abs(M - M.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails quietly
+        value = np.abs(M - M.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     ok, why = value <= (STATE_HERM_TOL if state else PSD_TOL), "is not Hermitian"
     if state and ok.all():
         value = np.trace(M, axis1=1, axis2=2).real

@@ -1194,6 +1194,26 @@ def test_distill_check_gate_register_out_of_range(tmp_path, capsys):
     assert "line 3: register 9 out of range 1..2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, where",
+    [
+        ("input product mixed mixed", "line 3"),
+        ("channel gates fourier(2)", "line 4"),
+        ("projector zero", "line 5"),
+    ],
+    ids=["input", "channel", "projector"],
+)
+def test_distill_check_refuses_a_repeated_directive(tmp_path, capsys, line, where):
+    # a second line of a directive is refused, not read over the first
+    inst = tmp_path / "inst.txt"
+    body = ["input product zero zero", "channel gates fourier(1)", "projector zero"]
+    key = line.split()[0]
+    body.insert(["input", "channel", "projector"].index(key) + 1, line)
+    inst.write_text("\n".join(["distill p=3 n=2", *body]) + "\n")
+    assert run_cli("distill-check", str(inst)) == 2
+    assert f"{where}: duplicate '{key}' line" in capsys.readouterr().err
+
+
 def test_distill_check_requires_seed(capsys):
     assert run_cli("distill-check", "--random-suite", "5") == 2
 

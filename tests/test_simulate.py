@@ -732,27 +732,31 @@ def _calls(text: str, p: int) -> list:
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=channel_words(), seed=st.integers(0, 2**32 - 1))
-# sum with ctrl > tgt on registers that are not adjacent, after pending
-# tables on both and on a third register
-@example(case=(3, 5, _calls("fourier(5); quadratic(2); multiply(2,3); sum(5,2); fourier(4)", 3)), seed=1)
-@example(case=(3, 6, _calls("quadratic(6); sum(6,1); fourier(1); sum(4,2); quadratic(3)", 3)), seed=2)
-# repeated one-register calls on one register fold into one table
-@example(case=(3, 2, _calls("fourier(1); fourier(1); quadratic(1); multiply(2,1); fourier(1)", 3)), seed=3)
-@example(case=(5, 3, _calls("multiply(3,2); quadratic(2); quadratic(2); fourier(2); fourier(2)", 5)), seed=4)
-# words that end on a sum leave nothing pending
-@example(case=(3, 4, _calls("fourier(2); sum(1,3); quadratic(3); sum(4,1)", 3)), seed=5)
-@example(case=(7, 2, _calls("quadratic(2); sum(2,1)", 7)), seed=6)
-def test_push_word_matches_the_composed_scatter(case, seed):
-    # call by call, W moves to exactly where the scatter through the
-    # word's composed and widened map puts it
+@given(case=channel_words())
+# sum with ctrl > tgt on registers that are not adjacent, after one-register
+# calls on both and on a third register
+@example(case=(3, 5, _calls("fourier(5); quadratic(2); multiply(2,3); sum(5,2); fourier(4)", 3)))
+@example(case=(3, 6, _calls("quadratic(6); sum(6,1); fourier(1); sum(4,2); quadratic(3)", 3)))
+# repeated one-register calls on one register
+@example(case=(3, 2, _calls("fourier(1); fourier(1); quadratic(1); multiply(2,1); fourier(1)", 3)))
+@example(case=(5, 3, _calls("multiply(3,2); quadratic(2); quadratic(2); fourier(2); fourier(2)", 5)))
+# words that end on a sum
+@example(case=(3, 4, _calls("fourier(2); sum(1,3); quadratic(3); sum(4,1)", 3)))
+@example(case=(7, 2, _calls("quadratic(2); sum(2,1)", 7)))
+# a word on register 3 only: the other axes stay broadcast until the fold
+@example(case=(3, 4, _calls("fourier(3); quadratic(3)", 3)))
+# a word of displace calls only
+@example(case=(5, 3, [
+    GateCall("displace", (1,), (("point", (1, 4)),)),
+    GateCall("displace", (3,), (("point", (2, 0)),)),
+    GateCall("displace", (1,), (("point", (0, 3)),)),
+]))
+def test_word_image_matches_the_composed_map(case):
+    # call by call, the sparse grid of register digits moves to exactly the
+    # image index of the word's composed and widened map
     p, n, word = case
-    W = np.random.default_rng(seed).random(p ** (2 * n))
     g = CliffordElement(*fields.widen_map(*weyl.word_map(word, p), n), p)
-    want = np.empty_like(W)
-    want[simulate._image_indices(g)] = W
-    got = simulate._push_word(W, word, p, n)
-    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(simulate._word_image(word, p, n), simulate._image_indices(g))
 
 
 def test_distill_suite_composes_no_word_map(monkeypatch, tmp_path):

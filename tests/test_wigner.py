@@ -177,8 +177,8 @@ def _perturbed(rng, p: int, fault: str) -> np.ndarray:
     return rho
 
 
-# inf - inf in the Hermiticity test warns before the matrix is refused
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# a non-finite matrix is refused without a numpy warning on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60)
 @given(
     p=st.sampled_from([3, 5]),
@@ -213,7 +213,7 @@ NON_FINITE_CALLS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call", list(NON_FINITE_CALLS))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrices_are_refused(bad, call):
@@ -223,3 +223,12 @@ def test_non_finite_matrices_are_refused(bad, call):
     E[0, 1] = E[1, 0] = bad
     with pytest.raises(ValueError, match="is not Hermitian"):
         NON_FINITE_CALLS[call](rho, E)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_infinite_diagonal_entry_is_refused_without_a_warning():
+    # inf - inf in the Hermiticity test is NaN, which fails it quietly
+    rho = np.eye(3, dtype=complex) / 3
+    rho[1, 1] = np.inf
+    with pytest.raises(ValueError, match="^state is not Hermitian$"):
+        validate_state(rho, 3)
