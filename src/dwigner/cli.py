@@ -29,13 +29,14 @@ from .circuits import (
     parse_slice_file,
     preset_state,
 )
-from .fields import index_point
+from .fields import index_point, require_odd_prime
 from .geometry import SolverFailure, classify_state, facet_reports, slice_blocks, slice_csv_blocks
 from .simulate import (
+    CHUNK_BYTES,
     OracleGuardError,
-    ZeroProbabilityBranch,
     compare_distributions,
     distill_step,
+    distill_steps,
     oracle_fits,
     parse_distill_file,
     random_distill_instance,
@@ -200,30 +201,45 @@ def cmd_slice(args) -> int:
     return 0
 
 
+def _suite_chunks(args, verdicts: set):
+    """The random suite's CSV text, one chunk per batch of instances
+    (distill_steps); the header rides on the first chunk, so an invalid --p
+    or --n writes nothing.  Each verdict goes into `verdicts`.
+
+    An instance stacks 2n - 1 complex p x p factors, and at its peak a
+    batch's factor check holds about four copies of them: the factors, their
+    stack, its conjugate transpose and the difference.  A batch takes as
+    many instances as four copies fit in CHUNK_BYTES, at least one."""
+    require_odd_prime(args.p)
+    batch = max(1, CHUNK_BYTES // (4 * 16 * args.p**2 * (2 * args.n - 1)))
+    rng = np.random.default_rng(args.seed)
+    head = f"# format-version {FORMAT_VERSION}\ninstance,F_in,F_out,branch_probability,verdict\n"
+    for start in range(0, args.random_suite, batch):
+        count = min(batch, args.random_suite - start)
+        insts = [random_distill_instance(args.p, args.n, rng) for _ in range(count)]
+        lines = []
+        for i, res in enumerate(distill_steps(insts), start):
+            verdicts.add(res.verdict)
+            if res.verdict == "SKIP":
+                lines.append(f"{i},,,0,SKIP")
+            else:
+                lines.append(
+                    f"{i},{fmt_number(res.F_in)},{fmt_number(res.F_out)},"
+                    f"{fmt_number(res.branch_probability)},{res.verdict}"
+                )
+        yield head + "\n".join(lines) + "\n"
+        head = ""
+    yield f"# verdict = {'FAIL' if 'FAIL' in verdicts else 'PASS'}\n"
+
+
 def cmd_distill_check(args) -> int:
     if args.random_suite is not None:
         if args.seed is None:
             print("error: --random-suite requires an explicit --seed", file=sys.stderr)
             return 2
-        rng = np.random.default_rng(args.seed)
-        lines = [f"# format-version {FORMAT_VERSION}"]
-        lines.append("instance,F_in,F_out,branch_probability,verdict")
-        all_pass = True
-        for i in range(args.random_suite):
-            inst = random_distill_instance(args.p, args.n, rng)
-            try:
-                res = distill_step(inst)
-            except ZeroProbabilityBranch:
-                lines.append(f"{i},,,0,SKIP")
-                continue
-            all_pass &= res.verdict == "PASS"
-            lines.append(
-                f"{i},{fmt_number(res.F_in)},{fmt_number(res.F_out)},"
-                f"{fmt_number(res.branch_probability)},{res.verdict}"
-            )
-        lines.append(f"# verdict = {'PASS' if all_pass else 'FAIL'}")
-        _emit(["\n".join(lines) + "\n"], args.out)
-        return 0 if all_pass else 1
+        verdicts = set()
+        _emit(_suite_chunks(args, verdicts), args.out)
+        return 1 if "FAIL" in verdicts else 0
     if args.instance is None:
         print("error: need an instance file or --random-suite", file=sys.stderr)
         return 2

@@ -304,8 +304,7 @@ def classify_state(
         W = phase_point_traces(rho, p, 1) / p
     W = np.asarray(W, dtype=float).ravel()
     if rho is None:
-        with np.errstate(invalid="ignore"):  # a non-finite W gives NaN entries, refused next
-            rho = state_from_wigner(W, p, 1)
+        rho = state_from_wigner(W, p, 1)
     validate_hermitian_unit_trace(rho, p)
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if exact_w is not None:

@@ -21,6 +21,9 @@ scatters the values once to the folded image index (_word_image), so no map
 of the whole word is composed.  A product instance with a word channel thus
 builds no p^n x p^n matrix: it is bounded by its p^(2n) Wigner values
 (PRODUCT_WIGNER_CAP), and only dense parts by p^n (ORACLE_DIM_CAP).
+distill_steps decides a batch of instances with one stacked check and
+transform of all input factors, one of all projector factors and one check
+of all outputs; distill_step is its batch of one.
 
 Per-shot randomness is positional: draw j of shot s is U[s, j] of the
 shots x K uniform matrix that Generator(Philox(seed)) would fill row by row
@@ -79,8 +82,9 @@ from . import fmt_number, weyl
 from .fields import CliffordElement, require_odd_prime
 from .stabilizer import mub_stabilizer_states
 from .wigner import (
+    DISTILL_FAIL_TOL,
+    DISTILL_NEG_TOL,
     PSD_TOL,
-    state_from_wigner,
     validate_state,
     wigner_of_effect,
     wigner_of_factors,
@@ -101,6 +105,7 @@ __all__ = [
     "sample_classical",
     "compare_distributions",
     "distill_step",
+    "distill_steps",
     "random_distill_instance",
     "random_positive_product_state",
     "parse_distill_file",
@@ -712,11 +717,13 @@ class DistillationInstance:
 
 @dataclass
 class DistillResult:
-    rho_out: np.ndarray
+    rho_out: Optional[np.ndarray]  # None for a zero branch
     F_in: float
-    F_out: float
+    F_out: float  # NaN for a zero branch
     branch_probability: float
-    verdict: Optional[str]  # PASS/FAIL, or None when recorded without verdict
+    # PASS/FAIL, None when recorded without verdict, or SKIP for a zero
+    # branch, which distill_steps returns and distill_step raises
+    verdict: Optional[str]
 
 
 def distill_step(inst: DistillationInstance, force_negative_input: bool = False) -> DistillResult:
@@ -745,22 +752,136 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
     with P^2 = P on the last n-1 qudits that is positively represented.
     rho_out is PSD-checked.  verdict is None when the input precondition was
     deliberately overridden; the run is then recorded without judgement.
+    This is the one-instance batch of distill_steps; a zero branch raises
+    ZeroProbabilityBranch.
     """
-    p, n = inst.p, inst.n
+    (res,) = distill_steps([inst], force_negative_input)
+    if res.verdict == "SKIP":
+        raise ZeroProbabilityBranch(f"post-selection probability {res.branch_probability:.3g}")
+    return res
+
+
+def distill_steps(insts, force_negative_input: bool = False) -> list:
+    """distill_step of each instance in `insts`, decided as one batch.
+
+    Each check runs over the whole batch before the next: the p x p factors
+    of every product input are checked and transformed as one stack
+    (wigner_of_factors), then those of every product projector, which are
+    also tested for P^2 = P in one pass.  Then each instance in turn builds,
+    moves and reduces its transient p^(2n) arrays, with its dense parts and
+    its channel, and the p x p outputs of the batch are checked as one stack
+    of states.  A failing check raises the message its instance gives
+    alone.  A zero branch (norm < 1e-12) comes back as a result with
+    verdict "SKIP", F_out NaN and rho_out None.  All instances share one p.
+    """
+    if not insts:
+        return []
+    p = insts[0].p
+    if any(inst.p != p for inst in insts):
+        raise ValueError("a batch of distillation instances needs one p")
     require_odd_prime(p)
-    _check_distill_size(p, n)
-    W_in = _part_values(inst.rho_in, p, n, "state")  # validates the input first
-    F_in = float(p**n * W_in.min())
-    if F_in < -1e-10 and not force_negative_input:
-        raise InputNegativelyRepresented(
-            f"F(rho_in) = {F_in:.6g} < 0; pass force_negative_input to record anyway"
-        )
-    W_P = _part_values(inst.projector, p, n - 1, "effect")
-    P = np.asarray(inst.projector)  # a (n-1, p, p) stack for a product
+    for inst in insts:
+        _check_distill_size(p, inst.n)
+    input_rows = _factor_rows([(inst.rho_in, inst.n) for inst in insts], p, "state")
+    projector_rows = _factor_rows([(inst.projector, inst.n - 1) for inst in insts], p, "effect")
+    results, outputs = [], []
+    for inst, rows_in, rows_P in zip(insts, input_rows, projector_rows):
+        n = inst.n
+        W_in = _part_values(inst.rho_in, rows_in, p, n, "state")  # validates a dense input
+        F_in = float(p**n * W_in.min())
+        if F_in < -DISTILL_NEG_TOL and not force_negative_input:
+            raise InputNegativelyRepresented(
+                f"F(rho_in) = {F_in:.6g} < 0; pass force_negative_input to record anyway"
+            )
+        W_P = _part_values(inst.projector, rows_P, p, n - 1, "effect")
+        if rows_P is None:  # a dense projector; a product's factors are tested as a stack
+            _check_projector(inst.projector)
+        if W_P.min() < -DISTILL_NEG_TOL:
+            raise ValueError("projector is not positively represented")
+        numer = _channel_values(inst, W_in).reshape(p * p, -1) @ W_P
+        norm = float(numer.sum())
+        if norm < 1e-12:
+            results.append(DistillResult(None, F_in, math.nan, norm, "SKIP"))
+            continue
+        W_out = numer / norm
+        F_out = float(p * W_out.min())
+        verdict = None
+        if F_in >= -DISTILL_NEG_TOL:
+            verdict = "PASS" if F_out >= -DISTILL_FAIL_TOL else "FAIL"
+        results.append(DistillResult(None, F_in, F_out, norm, verdict))
+        outputs.append(W_out)
+    if outputs:
+        # the row-vector matmul is state_from_wigner's n = 1 contraction, bit for bit
+        single_A = weyl.weyl_table(p, 1).single_A.reshape(p * p, p * p)
+        rho_out = np.matmul(np.stack(outputs)[:, None, :], single_A).reshape(-1, p, p)
+        validate_state(rho_out, p)
+        for res, rho in zip((res for res in results if res.verdict != "SKIP"), rho_out):
+            res.rho_out = rho
+    return results
+
+
+def _factor_rows(parts: list, p: int, kind: str) -> list:
+    """The checked Wigner ("state") or effect ("effect") rows of each
+    (part, count) product part on `count` qudits, None for a dense part.
+    All product parts' factors are checked and transformed as one stack
+    (wigner_of_factors), and projector factors are tested for P^2 = P as one
+    stack.  A failing stack is checked again part by part, so a factor is
+    named by its place in its own part."""
+    what = "input must be a state" if kind == "state" else "projector must act"
+    products = []
+    for part, count in parts:
+        if isinstance(part, tuple):
+            if len(part) != count:
+                raise ValueError(f"{what} on {count} qudits, got {len(part)} factors")
+            products.append(part)
+    if not products:
+        return [None] * len(parts)
+    factors = [factor for part in products for factor in part]
+    try:
+        rows = wigner_of_factors(factors, p, kind)
+    except ValueError:
+        for part in products:
+            wigner_of_factors(part, p, kind)
+        raise
+    if kind == "effect":
+        _check_projector(np.stack(factors))
+    out, at = [], 0
+    for part, _ in parts:
+        if isinstance(part, tuple):
+            out.append(rows[at : at + len(part)])
+            at += len(part)
+        else:
+            out.append(None)
+    return out
+
+
+def _check_projector(P: np.ndarray) -> None:
+    """Refuse a projector matrix, or a stack of factors, with P^2 != P."""
     if not np.max(np.abs(P @ P - P)) <= PSD_TOL:
         raise ValueError("projector fails P^2 = P")
-    if W_P.min() < -1e-10:
-        raise ValueError("projector is not positively represented")
+
+
+def _part_values(part, rows, p: int, count: int, kind: str) -> np.ndarray:
+    """Flat Wigner ("state") or effect ("effect") values of an input or
+    projector on `count` qudits: the outer product of a product's checked
+    factor rows (_factor_rows), the whole transform of a dense matrix."""
+    if rows is not None:
+        values = np.ones(1)
+        for row in rows:
+            values = np.multiply.outer(values, row).ravel()
+        return values
+    W = wigner_of_state(part, p) if kind == "state" else wigner_of_effect(part, p)
+    if W.n != count:
+        what = "input must be a state" if kind == "state" else "projector must act"
+        raise ValueError(f"{what} on {count} qudits (dim {p**count})")
+    return W.values
+
+
+def _channel_values(inst: DistillationInstance, W_in: np.ndarray) -> np.ndarray:
+    """W_sigma, the Wigner values of the channel's image of the input: a
+    Clifford channel scatters W_in through its image index, a Kraus channel
+    is applied to the dense input and transformed."""
+    p, n = inst.p, inst.n
     kind, payload = inst.channel[0], inst.channel[1]
     if kind == "gates":
         require_registers([r for call in payload for r in call.regs], n)
@@ -780,48 +901,12 @@ def distill_step(inst: DistillationInstance, force_negative_input: bool = False)
         if isinstance(rho, tuple):
             rho = functools.reduce(np.kron, rho)
         rho_big = sum(K @ rho @ K.conj().T for K in payload)
-        W_sigma = wigner_of_state(rho_big, p).values
+        return wigner_of_state(rho_big, p).values
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
-    if kind != "kraus":  # a Clifford channel only moves the values
-        W_sigma = np.empty_like(W_in)
-        W_sigma[image] = W_in
-    numer = W_sigma.reshape(p * p, -1) @ W_P
-    norm = float(numer.sum())
-    if norm < 1e-12:
-        raise ZeroProbabilityBranch(f"post-selection probability {norm:.3g}")
-    W_out = numer / norm
-    rho_out = state_from_wigner(W_out, p, 1)
-    validate_state(rho_out, p)
-    F_out = float(p * W_out.min())
-    verdict = None
-    if F_in >= -1e-10:
-        verdict = "PASS" if F_out >= -1e-8 else "FAIL"
-    return DistillResult(
-        rho_out=rho_out,
-        F_in=F_in,
-        F_out=F_out,
-        branch_probability=norm,
-        verdict=verdict,
-    )
-
-
-def _part_values(part, p: int, count: int, kind: str) -> np.ndarray:
-    """Flat Wigner ("state") or effect ("effect") values of an input or
-    projector on `count` qudits: the outer product of the factors' rows for
-    a tuple of p x p factors, the whole transform for a dense matrix."""
-    what = "input must be a state" if kind == "state" else "projector must act"
-    if isinstance(part, tuple):
-        if len(part) != count:
-            raise ValueError(f"{what} on {count} qudits, got {len(part)} factors")
-        values = np.ones(1)
-        for row in wigner_of_factors(part, p, kind):
-            values = np.multiply.outer(values, row).ravel()
-        return values
-    W = wigner_of_state(part, p) if kind == "state" else wigner_of_effect(part, p)
-    if W.n != count:
-        raise ValueError(f"{what} on {count} qudits (dim {p**count})")
-    return W.values
+    W_sigma = np.empty_like(W_in)  # a Clifford channel only moves the values
+    W_sigma[image] = W_in
+    return W_sigma
 
 
 def _word_image(word, p: int, n: int) -> np.ndarray:
@@ -877,16 +962,27 @@ def _check_distill_size(p: int, n: int, dense: bool = False) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _stacked_mub_states(p: int) -> np.ndarray:
+    """The states of `mub_stabilizer_states(p)` as one read-only (p(p+1), p, p) stack."""
+    states = np.stack(mub_stabilizer_states(p).states)
+    states.flags.writeable = False
+    return states
+
+
 def random_positive_product_state(p: int, n: int, rng) -> tuple:
     """n random mixtures of single-qudit stabilizer states, the p x p factors
-    of a positively represented product state."""
-    mub = mub_stabilizer_states(p)
-    states = np.stack(mub.states)
-    factors = []
-    for _ in range(n):
-        w = rng.dirichlet(np.ones(len(mub)))
-        factors.append((w[:, None, None] * states).sum(axis=0))
-    return tuple(factors)
+    of a positively represented product state: one Dirichlet draw of n
+    weight rows, reduced once over the stacked stabilizer states."""
+    states = _stacked_mub_states(p)
+    w = rng.dirichlet(np.ones(len(states)), size=n)
+    return tuple((w[:, :, None, None] * states).sum(axis=1))
+
+
+# one shared (frozen) GateCall per distinct call, so a batch of drawn words
+# holds pointers rather than a few kilobytes of calls per instance; the cache
+# holds at most the n p^2 + n p + n^2 distinct calls of each (p, n)
+_gate_call = functools.lru_cache(maxsize=None)(GateCall)
 
 
 def random_distill_instance(p: int, n: int, rng) -> DistillationInstance:
@@ -900,22 +996,22 @@ def random_distill_instance(p: int, n: int, rng) -> DistillationInstance:
         kind = kinds[rng.integers(len(kinds))]
         if kind == "multiply":
             c = int(rng.integers(1, p))
-            word.append(GateCall(kind, (int(rng.integers(1, n + 1)),), (("c", c),)))
+            word.append(_gate_call(kind, (int(rng.integers(1, n + 1)),), (("c", c),)))
         elif kind == "sum":
             ctrl = int(rng.integers(1, n + 1))
             tgt = int(rng.integers(1, n))
             if tgt >= ctrl:
                 tgt += 1
-            word.append(GateCall(kind, (ctrl, tgt)))
+            word.append(_gate_call(kind, (ctrl, tgt)))
         elif kind == "displace":
             # one full-length draw, applied as one displace call per register
             pt = rng.integers(0, p, size=2 * n).tolist()
             word += [
-                GateCall(kind, (r,), (("point", (pt[2 * r - 2], pt[2 * r - 1])),))
+                _gate_call(kind, (r,), (("point", (pt[2 * r - 2], pt[2 * r - 1])),))
                 for r in range(1, n + 1)
             ]
         else:
-            word.append(GateCall(kind, (int(rng.integers(1, n + 1)),)))
+            word.append(_gate_call(kind, (int(rng.integers(1, n + 1)),)))
     mub = mub_stabilizer_states(p)
     anc = tuple(mub.states[rng.integers(len(mub))] for _ in range(n - 1))
     return DistillationInstance(

@@ -18,6 +18,10 @@ STATE_HERM_TOL = 1e-12  # largest |rho - rho^dagger| entry of a state
 TRACE_TOL = 1e-10  # |Tr rho - 1| of a state
 PSD_TOL = 1e-9  # effect Hermiticity, -min eigenvalue, POVM completeness, P^2 = P
 NEG_TOL = 1e-12  # a Wigner value below -NEG_TOL is negative
+# distillation's sign tests: F(rho_in) or a projector's effect value below
+# -DISTILL_NEG_TOL is negative, and F(rho_out) below -DISTILL_FAIL_TOL fails
+DISTILL_NEG_TOL = 1e-10
+DISTILL_FAIL_TOL = 1e-8
 
 __all__ = [
     "WignerFunction",
@@ -104,10 +108,13 @@ def validate_hermitian_unit_trace(rho: np.ndarray, p: int) -> None:
 
 
 def validate_state(rho: np.ndarray, p: int) -> None:
-    """`validate_hermitian_unit_trace`, then min eigenvalue >= -PSD_TOL."""
+    """`validate_hermitian_unit_trace`, then min eigenvalue >= -PSD_TOL.  A
+    nonempty (k, d, d) stack is checked as k states in one pass, and the
+    first failing one is refused with the message it gives alone."""
     require_odd_prime(p)
-    _dims(rho, p)
-    _check_stack(rho[None], "state")
+    stacked = rho.ndim == 3
+    _dims(rho[0] if stacked else rho, p)
+    _check_stack(rho if stacked else rho[None], "state")
 
 
 def phase_point_traces(M: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -143,7 +150,8 @@ def wigner_of_factors(factors, p: int, kind: str = "state") -> np.ndarray:
     and the product is never built.  kind "state" checks each factor as
     validate_state checks a state and divides by p; kind "effect" checks
     Hermiticity as wigner_of_effect does.  The factors are checked and
-    transformed as one (k, p, p) stack.
+    transformed as one (k, p, p) stack, and a factor's row does not depend
+    on the other factors in it.
     """
     require_odd_prime(p)
     M = np.stack(factors)
@@ -153,7 +161,10 @@ def wigner_of_factors(factors, p: int, kind: str = "state") -> np.ndarray:
         raise ValueError(f"kind must be state or effect, got {kind!r}")
     state = kind == "state"
     _check_stack(M, f"{kind} factor", range(1, len(M) + 1), state=state, psd=state)
-    values = np.tensordot(M, weyl_table(p, 1).single_A, axes=([1, 2], [2, 1])).real
+    # one row-vector product per factor: a stack of one and a stack of many
+    # would otherwise take different BLAS paths and differ in the last bits
+    traces = weyl_table(p, 1).single_A.transpose(2, 1, 0).reshape(p * p, p * p)
+    values = np.matmul(M.reshape(-1, 1, p * p), traces).reshape(-1, p * p).real
     return values / p if state else values
 
 
@@ -165,8 +176,9 @@ def state_from_wigner(W, p: int, n: int) -> np.ndarray:
         raise ValueError(f"expected {p ** (2 * n)} values, got {values.size}")
     singles = weyl_table(p, 1).single_A
     out = values.reshape((p**2,) * n)
-    for _ in range(n):
-        out = np.tensordot(out, singles, axes=([0], [0]))
+    with np.errstate(invalid="ignore"):  # a non-finite value gives NaN entries, for the caller to refuse
+        for _ in range(n):
+            out = np.tensordot(out, singles, axes=([0], [0]))
     # axes are now (r1, c1, r2, c2, ...); interleave back to (rows..., cols...)
     perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return np.transpose(out, perm).reshape(p**n, p**n)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dwigner import circuits, geometry, stabilizer
+from dwigner import circuits, cli, geometry, stabilizer
 from dwigner.circuits import load_wigner_file
 from dwigner.cli import build_parser, main
 from dwigner.geometry import exact_vertex_matrix
@@ -802,6 +802,101 @@ def test_distill_check_output_bytes_are_pinned(samples_dir, tmp_path, args):
     argv = [str(samples_dir / args[0]), *args[1:]] if len(args) == 1 else list(args)
     assert run_cli("distill-check", *argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DISTILL_PINS[args]
+
+
+SUITE_PINS = [args for args in DISTILL_PINS if args[0] == "--random-suite"]
+
+
+def suite_batches_of(monkeypatch, args, size: int) -> None:
+    """Make the suite of `args` run `size` instances a batch: an instance
+    counts four copies of its 2n - 1 complex p x p factors."""
+    opts = dict(zip(args[::2], args[1::2]))
+    p, n = int(opts.get("--p", "3")), int(opts["--n"])
+    monkeypatch.setattr(cli, "CHUNK_BYTES", size * 4 * 16 * p * p * (2 * n - 1))
+
+
+@pytest.mark.parametrize("args", SUITE_PINS, ids=_suite_id)
+def test_distill_suite_bytes_do_not_depend_on_the_batch(tmp_path, monkeypatch, args):
+    # 20 instances in batches of 3, the last one short, print the pinned bytes
+    sizes = []
+    real = cli.distill_steps
+
+    def spy(insts):
+        sizes.append(len(insts))
+        return real(insts)
+
+    suite_batches_of(monkeypatch, args, 3)
+    monkeypatch.setattr(cli, "distill_steps", spy)
+    out = tmp_path / "d.out"
+    assert run_cli("distill-check", *args, "--out", str(out)) == 0
+    assert sizes == [3] * 6 + [2]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DISTILL_PINS[args]
+
+
+def test_distill_suite_writes_each_batch_as_it_is_decided(monkeypatch):
+    # each batch is decided after the batches before it are written
+    writes, written_at_decision = [], []
+    real = cli.distill_steps
+
+    def spy(insts):
+        written_at_decision.append(len(writes))
+        return real(insts)
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    args = SUITE_PINS[0]
+    suite_batches_of(monkeypatch, args, 3)
+    monkeypatch.setattr(cli, "distill_steps", spy)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert run_cli("distill-check", *args) == 0
+    assert written_at_decision == list(range(7)) and len(writes) == 8
+    assert writes[-1] == "# verdict = PASS\n"
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == DISTILL_PINS[args]
+
+
+def test_distill_suite_fail_in_a_later_batch_sets_the_verdict(tmp_path, monkeypatch):
+    # the final line and the exit code read every batch's verdicts
+    real = cli.distill_steps
+    calls = []
+
+    def fail_in_third(insts):
+        results = real(insts)
+        calls.append(len(insts))
+        if len(calls) == 3:
+            results[1].verdict = "FAIL"
+        return results
+
+    args = SUITE_PINS[0]
+    suite_batches_of(monkeypatch, args, 3)
+    monkeypatch.setattr(cli, "distill_steps", fail_in_third)
+    out = tmp_path / "d.csv"
+    assert run_cli("distill-check", *args, "--out", str(out)) == 1
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "# verdict = FAIL"
+    assert lines[2 + 7].endswith(",FAIL") and sum(line.endswith(",FAIL") for line in lines) == 1
+
+
+def test_distill_suite_error_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    real = cli.distill_steps
+    calls = []
+
+    def fail_second(insts):
+        calls.append(len(insts))
+        if len(calls) == 2:
+            raise ValueError("no decision for the second batch")
+        return real(insts)
+
+    args = SUITE_PINS[0]
+    suite_batches_of(monkeypatch, args, 3)
+    monkeypatch.setattr(cli, "distill_steps", fail_second)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run_cli("distill-check", *args, "--out", str(out_dir / "d.csv")) == 2
+    assert capsys.readouterr().err == "error: no decision for the second batch\n"
+    assert list(out_dir.iterdir()) == []
 
 
 MIXED5 = (

@@ -32,6 +32,7 @@ from dwigner.simulate import (
     ZeroProbabilityBranch,
     compare_distributions,
     distill_step,
+    distill_steps,
     parse_distill_file,
     random_distill_instance,
     run_oracle,
@@ -799,6 +800,102 @@ def test_random_positive_product_state_matches_the_generator_sum(p):
     for factor in factors:
         w = rng.dirichlet(np.ones(len(mub)))
         assert np.array_equal(factor, sum(wi * S for wi, S in zip(w, mub.states)))
+
+
+def zero_branch_instances(p: int) -> list:
+    """Two instances whose branch has probability 0: a product |0>|0> moved
+    to |0>|1> by a word, and the dense equivalent under a unitary."""
+    zero = np.zeros((p, p), dtype=complex)
+    zero[0, 0] = 1
+    shift = GateCall("displace", (2,), (("point", (0, 1)),))
+    U, _ = clifford_generator("displace", p, n=2, point=(0, 0, 0, 1))
+    return [
+        DistillationInstance(p=p, n=2, rho_in=(zero, zero), channel=("gates", [shift]),
+                             projector=(zero,)),
+        DistillationInstance(p=p, n=2, rho_in=np.kron(zero, zero), channel=("unitary", U),
+                             projector=zero),
+    ]
+
+
+@pytest.mark.parametrize("p, n, count", [
+    (3, 2, 40), (3, 3, 30), (3, 4, 20), (3, 5, 8), (3, 6, 3), (5, 3, 12), (7, 2, 20),
+])
+def test_distill_steps_match_distill_step_on_every_instance(samples_dir, p, n, count):
+    # one batch decides each instance bit for bit as it is decided alone,
+    # with zero branches, dense parts, unitary and Kraus channels among them
+    rng = np.random.default_rng(p * 10 + n)
+    insts = [random_distill_instance(p, n, rng) for _ in range(count)]
+    if n == 2:
+        insts[1:1] = zero_branch_instances(p)
+    if (p, n) == (3, 2):
+        insts += [parse_distill_file(samples_dir / f"distill_{name}.txt")
+                  for name in ("identity", "kraus", "word")]
+    batch = distill_steps(insts)
+    assert len(batch) == len(insts)
+    skips = 0
+    for inst, got in zip(insts, batch):
+        try:
+            want = distill_step(inst)
+        except ZeroProbabilityBranch as exc:
+            skips += 1
+            assert got.verdict == "SKIP" and got.rho_out is None and math.isnan(got.F_out)
+            assert str(exc) == f"post-selection probability {got.branch_probability:.3g}"
+            continue
+        assert (got.F_in, got.F_out, got.branch_probability, got.verdict) == (
+            want.F_in, want.F_out, want.branch_probability, want.verdict
+        )
+        assert np.array_equal(got.rho_out, want.rho_out)
+    assert skips == (2 if n == 2 else 0)
+
+
+def test_distill_steps_take_one_p_a_batch():
+    rng = np.random.default_rng(5)
+    insts = [random_distill_instance(p, 2, rng) for p in (3, 5)]
+    with pytest.raises(ValueError, match="^a batch of distillation instances needs one p$"):
+        distill_steps(insts)
+    assert distill_steps([]) == []
+
+
+def _broken(factor, fault: str) -> np.ndarray:
+    """`factor` with one fault: a NaN, a skew entry, trace 2, a negative
+    eigenvalue (a Hermitian unit-trace non-state), or an effect with
+    P^2 != P (half of a projector)."""
+    bad = np.array(factor, dtype=complex)
+    if fault == "nan":
+        bad[0, 0] = np.nan
+    elif fault == "skew":
+        bad[0, 1] += 0.5
+    elif fault == "trace":
+        bad = 2 * bad
+    elif fault == "negative":
+        bad = bad - 0.5 * np.eye(len(bad)) + 0.5 * len(bad) * np.diag(np.eye(len(bad))[0])
+        bad = bad / np.trace(bad).real
+    else:
+        bad = bad / 2
+    return bad
+
+
+@pytest.mark.parametrize("part, fault", [
+    ("rho_in", "nan"), ("rho_in", "skew"), ("rho_in", "trace"), ("rho_in", "negative"),
+    ("projector", "nan"), ("projector", "skew"), ("projector", "half"),
+])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_a_bad_factor_in_a_batch_reads_as_its_instance_alone(part, fault, k):
+    # the stacked check names the factor by its place in its own instance,
+    # never by its place in the batch's stack
+    rng = np.random.default_rng(k)
+    insts = [random_distill_instance(3, 3, rng) for _ in range(5)]
+    factors = list(getattr(insts[k], part))
+    factors[-1] = _broken(factors[-1], fault)
+    setattr(insts[k], part, tuple(factors))
+    with pytest.raises(ValueError) as alone:
+        distill_step(insts[k])
+    with pytest.raises(ValueError) as batch:
+        distill_steps(insts)
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value)
+    if fault != "half":
+        assert f"factor {len(factors)} " in str(alone.value)
 
 
 def test_distill_rejects_a_non_clifford_unitary():

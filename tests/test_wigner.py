@@ -232,3 +232,23 @@ def test_an_infinite_diagonal_entry_is_refused_without_a_warning():
     rho[1, 1] = np.inf
     with pytest.raises(ValueError, match="^state is not Hermitian$"):
         validate_state(rho, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_state_from_wigner_takes_non_finite_values_without_a_warning():
+    # the NaN entries are left for the caller's checks to refuse
+    rho = state_from_wigner([np.inf] * 9, 3, 1)
+    assert rho.shape == (3, 3) and np.isnan(rho).any()
+
+
+def test_validate_state_checks_a_stack_as_its_states_alone():
+    rng = np.random.default_rng(3)
+    states = np.stack([random_density(rng, 3) for _ in range(4)])
+    validate_state(states, 3)
+    bad = states.copy()
+    bad[2] = 2 * bad[2]
+    with pytest.raises(ValueError) as alone:
+        validate_state(bad[2], 3)
+    with pytest.raises(ValueError) as stacked:
+        validate_state(bad, 3)
+    assert str(stacked.value) == str(alone.value) == "state has trace 2.0, not 1"
