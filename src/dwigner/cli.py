@@ -63,6 +63,8 @@ def _emit(chunks, out_path) -> None:
         if out.exists():
             os.chmod(tmp, out.stat().st_mode)
         os.replace(tmp, out)
+    except OSError as exc:  # an error names the user's path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, out_path) if exc.filename == str(tmp) else exc
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -46,7 +46,6 @@ __all__ = [
     "slice_blocks",
     "slice_scan",
     "slice_csv_blocks",
-    "exact_vertex_matrix",
 ]
 
 HULL_TOL = 1e-8
@@ -175,12 +174,6 @@ def facet_check(u, S: StabilizerSet) -> FacetReport:
     return facet_reports(p)[point_index(uu, p)]
 
 
-def exact_vertex_matrix(S: StabilizerSet) -> list:
-    """The stabilizer states' Wigner vectors as exact rationals, the lines of
-    `line_incidence` over p: 1/p on the line and 0 elsewhere."""
-    return [[Fraction(int(x), S.p) for x in row] for row in line_incidence(S.p)]
-
-
 @functools.lru_cache(maxsize=None)
 def _witness_vertices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every vertex (y, s) of the qutrit witness polyhedron, as read-only int64
@@ -197,9 +190,14 @@ def _witness_vertices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pts = all_points(3, 1)
     mats = [m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3]
     images = np.einsum("gij,uj->gui", np.reshape(mats, (-1, 2, 2)), pts)
-    # perms[g, a, u] = point_index(M_g u + a)
-    perms = ((images[:, None] + pts[None, :, None]) % 3) @ np.array([3, 1])
-    Y = np.unique(np.array(_WITNESS_ORBITS)[:, perms.reshape(-1, 9)].reshape(-1, 9), axis=0)
+    # perms[k, u] = point_index(M u + a) for the k-th map (M, a).  The image row
+    # O[o, perms[k]] packs into the key sum_j (15 + y_j) 31^(8 - j) < 2^45, point
+    # perms[k, j] carrying 31^(8 - j): key order is row order, and each distinct
+    # row is read at its first key.
+    perms = (((images[:, None] + pts[None, :, None]) % 3) @ np.array([3, 1])).reshape(-1, 9)
+    O = np.array(_WITNESS_ORBITS)
+    _, first = np.unique((O + 15) @ (31 ** (8 - np.argsort(perms, axis=1))).T, return_index=True)
+    Y = O[first[:, None] // len(perms), perms[first % len(perms)]]
     values = Y @ line_incidence(3).T
     s = values.max(axis=1)
     facets = np.flatnonzero((values == s[:, None]).sum(axis=1) == 8)

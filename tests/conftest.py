@@ -30,6 +30,13 @@ def mub3():
 
 
 @pytest.fixture(scope="session")
+def exact_vertices3():
+    """The 12 qutrit stabilizer states' Wigner vectors as exact rationals: the
+    lines of `line_incidence(3)` over 3, 1/3 on the line and 0 elsewhere."""
+    return [[Fraction(int(x), 3) for x in row] for row in line_incidence(3)]
+
+
+@pytest.fixture(scope="session")
 def mub5():
     return mub_stabilizer_states(5)
 

@@ -14,7 +14,6 @@ import pytest
 from dwigner import circuits, cli, geometry, stabilizer
 from dwigner.circuits import load_wigner_file
 from dwigner.cli import build_parser, main
-from dwigner.geometry import exact_vertex_matrix
 from dwigner.stabilizer import MAX_MUB_P
 from dwigner.wigner import state_from_wigner
 from conftest import beyond_int64_slice_spec
@@ -456,7 +455,7 @@ def test_classify_wigner_file_is_exact(tmp_path, monkeypatch, offset, label):
     assert f"label = {label}" in lines
 
 
-def test_classify_prints_an_exact_certificate_past_the_edge(tmp_path, monkeypatch, mub3):
+def test_classify_prints_an_exact_certificate_past_the_edge(tmp_path, monkeypatch, exact_vertices3):
     # just past t = 15/23 the gap is far below HULL_TOL, but the vertex table
     # gives it exactly, with a witness that separates
     t = Fraction(15, 23) + Fraction(1, 10**11)
@@ -466,7 +465,7 @@ def test_classify_prints_an_exact_certificate_past_the_edge(tmp_path, monkeypatc
     (witness,) = [line for line in lines if line.startswith("witness_y = ")]
     y = [Fraction(x) for x in witness.split(" = ")[1].split()]
     w = load_wigner_file(tmp_path / "edge.w", 3)
-    best = max(sum(a * b for a, b in zip(y, v)) for v in exact_vertex_matrix(mub3))
+    best = max(sum(a * b for a, b in zip(y, v)) for v in exact_vertices3)
     assert sum(a * b for a, b in zip(y, w)) > best
 
 
@@ -1353,12 +1352,13 @@ def test_sample_oracle_check_imports_no_scipy(samples_dir):
 
 def test_slice_imports_no_scipy(samples_dir, tmp_path):
     # every verdict and margin comes from the exact witness-vertex table, so a
-    # slice solves no LP and never loads scipy
+    # slice solves no LP and never loads scipy; the table's integer-key dedupe
+    # leaves numpy.ma unloaded too
     argv = ["slice", str(samples_dir / "pinned_sixth_3d.slice"), "--out", str(tmp_path / "grid.csv")]
     code = (
         "import sys, dwigner.cli; "
         f"assert dwigner.cli.main({argv!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'), file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -1368,17 +1368,29 @@ def test_slice_imports_no_scipy(samples_dir, tmp_path):
 
 def test_classify_exact_qutrit_file_imports_no_scipy(samples_dir):
     # an exact qutrit Wigner file takes its hull certificate from the
-    # witness-vertex table, so classify solves no LP and never loads scipy
+    # witness-vertex table, so classify solves no LP and never loads scipy,
+    # nor numpy.ma
     argv = ["classify", "wigner-file:sample_inputs/bound_ninth.w"]
     code = (
         "import sys, dwigner.cli; "
         f"assert dwigner.cli.main({argv!r}) == 0; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'), file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=samples_dir.parent)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == BOUND_NINTH_CLASSIFY
     assert proc.stderr.strip() == "[]"
+
+
+def test_out_error_names_the_users_path(samples_dir, tmp_path, capsys):
+    # the output goes through a temporary file beside --out, but an error
+    # names the path the user gave
+    out = tmp_path / "missing" / "s.csv"
+    assert run_cli("slice", str(samples_dir / "pinned_sixth_3d.slice"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{out}'" in err
+    assert ".tmp" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_sample_refuses_a_circuit_past_the_register_cap(tmp_path, capsys):

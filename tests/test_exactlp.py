@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from dwigner.geometry import exact_vertex_matrix, hull_membership
+from dwigner.geometry import hull_membership
 
 from conftest import cofactor_facets
 
@@ -40,17 +40,17 @@ def test_negativity_blocks_feasibility(mub3):
     assert [g for g, v in zip(cofactor_facets(), values) if v < 0] == [(1,) + (0,) * 8]
 
 
-def test_degenerate_boundary_case(mub3):
+def test_degenerate_boundary_case(mub3, exact_vertices3):
     # the midpoint of two vertices is inside, on facets tight on both vertices
-    rows = exact_vertex_matrix(mub3)
+    rows = exact_vertices3
     exact = [(a + b) / 2 for a, b in zip(rows[0], rows[1])]
     cert = _exact_verdict(exact, mub3)
     assert cert.inside and cert.residual == 0.0
     assert min(_facet_values(exact)) == 0
 
 
-def test_matches_float_lp_on_random_instances(mub3):
-    rows = exact_vertex_matrix(mub3)
+def test_matches_float_lp_on_random_instances(mub3, exact_vertices3):
+    rows = exact_vertices3
     A = np.array([[float(x) for x in row] for row in rows]).T
     A_eq = np.vstack([A, np.ones(12)])
     rng = np.random.default_rng(17)

@@ -17,7 +17,6 @@ from dwigner.geometry import (
     SliceRow,
     SliceSpec,
     classify_state,
-    exact_vertex_matrix,
     facet_check,
     hull_membership,
     slice_blocks,
@@ -328,8 +327,8 @@ def _exact_rank(rows) -> int:
     return rank
 
 
-def test_qutrit_facet_table(mub3):
-    vertices = exact_vertex_matrix(mub3)
+def test_qutrit_facet_table(exact_vertices3):
+    vertices = exact_vertices3
     facets = cofactor_facets()
     assert len(facets) == 81 == len(set(facets))
     for g in facets:
@@ -351,6 +350,29 @@ def test_witness_table_facet_rows_are_the_facets():
     G = s[facets, None] - Y[facets]
     assert len(facets) == 81
     assert sorted(tuple(g) for g in (G // np.gcd.reduce(G, axis=1)[:, None]).tolist()) == list(cofactor_facets())
+
+
+def test_witness_table_is_the_row_sort_of_the_orbit_images():
+    # the reference is the row dedupe the packed keys replace: every image of
+    # the orbit representatives under the 432 affine maps of Z_3^2, sorted and
+    # deduped as rows by np.unique(axis=0)
+    pts = all_points(3, 1)
+    perms = [
+        [point_index((np.reshape(m, (2, 2)) @ u + a) % 3, 3) for u in pts]
+        for m in itertools.product(range(3), repeat=4)
+        if (m[0] * m[3] - m[1] * m[2]) % 3
+        for a in pts
+    ]
+    assert len(perms) == 432
+    ref = np.unique(np.array(geometry._WITNESS_ORBITS)[:, perms].reshape(-1, 9), axis=0)
+    values = ref @ line_incidence(3).T
+    ref_s = values.max(axis=1)
+    ref_facets = np.flatnonzero((values == ref_s[:, None]).sum(axis=1) == 8)
+    Y, s, facets = geometry._witness_vertices()
+    assert (Y.shape, s.shape, facets.shape) == ((1520, 9), (1520,), (81,))
+    for got, want in ((Y, 3 * ref), (s, ref_s), (facets, ref_facets)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 def test_facet_table_not_built_at_import():
@@ -376,8 +398,8 @@ def test_slice_scan_runs_no_feasibility_lp(monkeypatch, samples_dir):
 
 
 @given(st.lists(st.integers(0, 20), min_size=12, max_size=12).filter(any))
-def test_rational_vertex_mixtures_are_inside(mub3, counts):
-    vertices = exact_vertex_matrix(mub3)
+def test_rational_vertex_mixtures_are_inside(mub3, exact_vertices3, counts):
+    vertices = exact_vertices3
     total = sum(counts)
     exact = [sum(Fraction(c, total) * v[u] for c, v in zip(counts, vertices)) for u in range(9)]
     cert = hull_membership(np.array([float(x) for x in exact]), mub3, exact_w=exact)
